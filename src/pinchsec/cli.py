@@ -14,6 +14,7 @@ import os
 import sys
 from pathlib import Path
 
+from .distributions import DISTRIBUTION_TAGS
 from .montecarlo import McConfig
 from .sop import Method
 from .sweep import (
@@ -113,9 +114,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(sw)
 
     ds = sub.add_parser("dist", help="dump a distribution on a grid as CSV")
-    ds.add_argument(
-        "--which", choices=["gamma-b-cdf", "gamma-e-pdf", "chi-cdf", "w-pdf"]
-    )
+    ds.add_argument("--which", choices=sorted(DISTRIBUTION_TAGS))
     ds.add_argument("--grid", type=int, help="number of grid points (>= 2)")
     ds.add_argument("--log-grid", action="store_true", help="logarithmic grid")
     _add_config_flags(ds)

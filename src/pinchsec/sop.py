@@ -187,7 +187,7 @@ def sop_chebyshev(cfg: SystemConfig, order: int = 100) -> SopEstimate:
         if density == 0.0:
             continue
         total += weight * density * cdf_bob_at(t, cfg)
-    raw = (math.pi / order) * halfwidth * total
+    raw = float((math.pi / order) * halfwidth * total)
     value = min(max(raw, 0.0), 1.0)
     return SopEstimate(
         value,

@@ -187,6 +187,21 @@ class TestSopEstimateType:
         with pytest.raises(ValueError):
             SopEstimate(0.5, Method.MC, 100, stderr=-1e-3)
 
+    def test_analytic_methods_return_python_floats(self, cfg10):
+        clamped = sop_chebyshev(make_config(power_dbm=-30.0), 2)
+        assert clamped.raw_value is not None
+        estimates = (
+            sop_exact(cfg10),
+            sop_chebyshev(cfg10, 100),
+            clamped,
+            sop_asymptotic(cfg10),
+            sop_lower_bound_pas(),
+            sop_lower_bound_fpa(),
+        )
+        for est in estimates:
+            assert type(est.value) is float, est.method
+            assert est.raw_value is None or type(est.raw_value) is float, est.method
+
     def test_chebyshev_floor_spot_check(self, cfg10, cfg30):
         floor = sop_lower_bound_pas().value
         for cfg in (cfg10, cfg30):

@@ -10,7 +10,10 @@ from pinchsec import validation
 from pinchsec.sop import SopEstimate
 from pinchsec.sweep import (
     Axis,
+    SweepRow,
+    SweepResult,
     SweepSpec,
+    config_at,
     dump_distribution,
     format_float,
     run_sweep,
@@ -100,6 +103,51 @@ class TestRunSweep:
     def test_format_float_is_lossless(self):
         for v in (0.1, 1 / 3, 0.22013272113248275, 1e-11, 7.26e4):
             assert float(format_float(v)) == v
+
+
+def count_asymptote_calls(monkeypatch) -> list:
+    """Wrap sop.sop_asymptotic so every call is recorded."""
+    calls = []
+    original = sop_mod.sop_asymptotic
+
+    def counted(cfg):
+        calls.append(cfg)
+        return original(cfg)
+
+    monkeypatch.setattr(sop_mod, "sop_asymptotic", counted)
+    return calls
+
+
+class TestAsymptoteOncePerSweep:
+    POWERS = (0.0, 10.0, 20.0, 30.0, 40.0)
+
+    def test_power_sweep_evaluates_asymptote_once(self, monkeypatch):
+        calls = count_asymptote_calls(monkeypatch)
+        spec = small_spec(x_values=self.POWERS, methods=(Method.ASYMPTOTIC,))
+        rows = run_sweep(spec).rows
+        assert len(calls) == 1
+        assert len(rows) == len(self.POWERS)
+
+    def test_power_sweep_csv_matches_per_point_evaluation(self):
+        spec = small_spec(x_values=self.POWERS, methods=(Method.ASYMPTOTIC,))
+        expected = []
+        for x in self.POWERS:
+            est = sop_mod.sop_asymptotic(config_at(spec.base, spec.x_axis, x))
+            expected.append(
+                SweepRow(x, Method.ASYMPTOTIC, est.value, est.stderr, est.order_or_trials)
+            )
+        assert run_sweep(spec).to_csv() == SweepResult(tuple(expected)).to_csv()
+
+    @pytest.mark.parametrize(
+        "axis, values",
+        [(Axis.RATE, (0.1, 0.5, 1.0)), (Axis.REGION_SIDE, (10.0, 20.0, 30.0))],
+    )
+    def test_other_axes_evaluate_asymptote_per_point(self, monkeypatch, axis, values):
+        calls = count_asymptote_calls(monkeypatch)
+        spec = small_spec(x_axis=axis, x_values=values, methods=(Method.ASYMPTOTIC,))
+        rows = run_sweep(spec).rows
+        assert len(calls) == len(values)
+        assert len({row.sop for row in rows}) == len(values)
 
 
 class TestDumpDistribution:

@@ -110,7 +110,11 @@ def build_parser() -> argparse.ArgumentParser:
     sw.add_argument("--trials", type=int, help="Monte Carlo trials per grid point")
     sw.add_argument("--workers", type=int, help="partitioning hint; never changes values")
     sw.add_argument("--chebyshev-order", type=int, help="quadrature order N")
-    sw.add_argument("--exact-tol", type=float, help="absolute tolerance of the exact integral")
+    sw.add_argument(
+        "--exact-tol",
+        type=float,
+        help="bound on the order-doubling error estimate of the exact integral",
+    )
     _add_config_flags(sw)
 
     ds = sub.add_parser("dist", help="dump a distribution on a grid as CSV")

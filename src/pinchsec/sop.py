@@ -2,10 +2,13 @@
 
 The outage event is log2(1+snr_bob) - log2(1+snr_eve) <= target_rate,
 equivalently (1 + snr_bob) <= C * (1 + snr_eve) with C = 2^target_rate.
-Four analytic routes are provided: the exact integral of the
-eavesdropper-SNR density against the legitimate-SNR CDF, its
-Chebyshev-quadrature approximation, the high-power asymptote (a
-constant in transmit power), and the two parameter-free lower bounds.
+Given the legitimate receiver's cross-track offset y, uniform on
+[0, D/2], the outage is the closed-form offset CDF at one threshold, so
+the exact SOP is a one-dimensional integral over y on fixed
+Gauss-Legendre panels. The high-power asymptote (a constant in transmit
+power) is the same integral at infinite SNR. Also provided are the
+paper's Chebyshev rule over the eavesdropper-SNR density and the two
+parameter-free lower bounds.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy import integrate
+from scipy.special import roots_legendre
 
 from . import distributions as dist
 from .system import SystemConfig
@@ -58,9 +61,9 @@ class Method(str, Enum):
 class SopEstimate:
     """An SOP value plus provenance.
 
-    ``order_or_trials`` is the Chebyshev order, the adaptive-quadrature
-    evaluation count, or the Monte Carlo trial count (0 for constants
-    and for results short-circuited without quadrature). ``stderr`` is
+    ``order_or_trials`` is the Chebyshev order, the rule evaluation
+    count, or the Monte Carlo trial count (0 for constants and for
+    results short-circuited without quadrature). ``stderr`` is
     present only for Monte Carlo estimates. ``raw_value`` keeps the
     unclamped quadrature sum for diagnostics when clamping to [0, 1]
     changed the value.
@@ -82,7 +85,7 @@ class SopEstimate:
 
 
 class AccuracyError(RuntimeError):
-    """Adaptive quadrature failed to reach the requested tolerance.
+    """The exact integral's error estimate exceeds the requested tolerance.
 
     Carries the best available estimate and its error estimate.
     """
@@ -93,66 +96,83 @@ class AccuracyError(RuntimeError):
         self.error_estimate = error_estimate
 
 
-def _outage_threshold_arg(t: float, cfg: SystemConfig) -> float:
-    """Argument C*t + C - 1 fed to the legitimate-SNR CDF."""
+# Gauss-Legendre rules of orders 64 and 128 on [0, 1], composed with the
+# smoothstep u -> 3u^2 - 2u^3. Its zero slope at both ends smooths the
+# (t - b)^(3/2) kinks of the offset CDF at the panel edges; the gap
+# between the two orders is the error estimate.
+_BASE_ORDER = 64
+
+
+def _smoothstep_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    x, w = roots_legendre(order)
+    u = 0.5 * (x + 1.0)
+    return u * u * (3.0 - 2.0 * u), 3.0 * u * (1.0 - u) * w
+
+
+_NODES, _WEIGHTS = map(
+    np.concatenate, zip(*(_smoothstep_rule(n) for n in (_BASE_ORDER, 2 * _BASE_ORDER)))
+)
+
+
+def _outage_integral(cfg: SystemConfig, snr: float) -> tuple[float, float, int]:
+    """Outage probability averaged over the receiver's cross-track offset.
+
+    Given the offset y, with a = y^2 + h^2, the outage is the offset CDF
+    at t(y) = C*a / (1 - (C-1)*a/snr) - h^2; ``snr = math.inf`` gives the
+    high-power limit t = C*a - h^2. t rises with y, so past the y where
+    it reaches 5*D^2/4 the integrand is exactly 1 and that tail is added
+    in closed form. The rest is split where t crosses D^2/4 and D^2 and
+    integrated panel by panel at both rule orders in one array call.
+
+    Returns the mean over y in [0, D/2] by the order-128 rule, its
+    distance to the order-64 value, and the number of CDF evaluations.
+    """
+    d2 = cfg.region_side**2
+    h2 = cfg.height**2
     c = cfg.rate_threshold
-    return c * t + c - 1.0
+    half = cfg.half_side
+
+    # offsets where t(y) = T, from a = u / (C + u*(C-1)/snr) with u = T + h^2
+    u = np.array([0.25 * d2, d2, 1.25 * d2]) + h2
+    a_cross = u / (c + u * (c - 1.0) / snr)
+    crossings = np.minimum(np.sqrt(np.maximum(a_cross - h2, 0.0)), half)
+    edges = np.unique(np.concatenate(([0.0], crossings)))
+    widths = np.diff(edges)
+
+    y = edges[:-1, None] + widths[:, None] * _NODES
+    a = y * y + h2
+    den = 1.0 - (c - 1.0) * a / snr
+    # den > 0 before the last crossing up to rounding; t is infinite past its pole
+    t = np.divide(c * a, den, out=np.full_like(a, np.inf), where=den > 0.0) - h2
+    parts = (dist.cdf_offset_sq(t, cfg) * widths[:, None] * _WEIGHTS).sum(axis=0)
+    coarse = float(parts[:_BASE_ORDER].sum())
+    fine = float(parts[_BASE_ORDER:].sum())
+    tail = half - float(crossings[-1])
+    return (fine + tail) / half, abs(fine - coarse) / half, y.size
 
 
 def sop_exact(cfg: SystemConfig, tol: float = 1e-8) -> SopEstimate:
-    """SOP by adaptive quadrature of the outage integral.
+    """SOP as the outage integral over the receiver's cross-track offset.
 
-    Integrates pdf_snr_eve(t) * cdf_snr_bob(C*t + C - 1) over the
-    eavesdropper-SNR support. The density's interior breakpoints and
-    the points where the CDF argument crosses its branch boundaries are
-    registered as panel boundaries; the result carries absolute error
-    <= tol or an :class:`AccuracyError` is raised.
+    Fixed Gauss-Legendre panels (see :func:`_outage_integral`); the
+    order-doubling error estimate must be <= tol, otherwise an
+    :class:`AccuracyError` is raised. When the outage is certain already
+    at y = 0 the result is exactly 1 with no evaluations.
     """
     if not 0.0 < tol <= 1e-3:
         raise ValueError(f"tol must be in (0, 1e-3], got {tol}")
-    lo, hi = dist.snr_eve_support(cfg)
-    bob_lo, bob_hi = dist.snr_bob_support(cfg)
-    c = cfg.rate_threshold
-
-    # CDF argument saturated over the whole range: the integral is the
-    # density's total mass, exactly 1.
-    if _outage_threshold_arg(lo, cfg) >= bob_hi:
-        return SopEstimate(1.0, Method.EXACT, 0)
-
-    points = {b for b in dist.snr_eve_breakpoints(cfg) if lo < b < hi}
-    for boundary in (bob_lo, bob_hi):
-        crossing = (boundary - c + 1.0) / c
-        if lo < crossing < hi:
-            points.add(crossing)
-
-    def integrand(t: float) -> float:
-        density = dist.pdf_snr_eve(t, cfg)
-        if density == 0.0:
-            return 0.0
-        return density * dist.cdf_snr_bob(_outage_threshold_arg(t, cfg), cfg)
-
-    out = integrate.quad(
-        integrand,
-        lo,
-        hi,
-        points=sorted(points) or None,
-        epsabs=tol,
-        epsrel=0.0,
-        limit=200,
-        full_output=1,
-    )
-    value, abserr = out[0], out[1]
-    if len(out) > 3 or abserr > tol:
+    value, error, evaluations = _outage_integral(cfg, cfg.effective_snr)
+    if error > tol:
         raise AccuracyError(
-            f"outage integral did not converge to {tol:g} (error estimate {abserr:g})",
+            f"outage integral did not converge to {tol:g} (error estimate {error:g})",
             estimate=value,
-            error_estimate=abserr,
+            error_estimate=error,
         )
     clamped = min(max(value, 0.0), 1.0)
     return SopEstimate(
         clamped,
         Method.EXACT,
-        int(out[2]["neval"]),
+        evaluations,
         raw_value=value if clamped != value else None,
     )
 
@@ -160,15 +180,17 @@ def sop_exact(cfg: SystemConfig, tol: float = 1e-8) -> SopEstimate:
 def sop_chebyshev(cfg: SystemConfig, order: int = 100) -> SopEstimate:
     """SOP by the N-point Gauss-Chebyshev quadrature closed form.
 
-    Affine map of the outage integral onto [-1, 1] followed by the
-    first-kind rule with nodes cos((2n-1)*pi/(2N)), n = 1..N, weighted
-    by sqrt(1 - node^2). The raw sum can fall slightly outside [0, 1]
-    at tiny N; the returned value is clamped, with the raw sum kept in
-    ``raw_value``.
+    Affine map of the outage integral (the eavesdropper-SNR density
+    against the legitimate-SNR CDF at C*t + C - 1) onto [-1, 1] followed
+    by the first-kind rule with nodes cos((2n-1)*pi/(2N)), n = 1..N,
+    weighted by sqrt(1 - node^2). The raw sum can fall slightly outside
+    [0, 1] at tiny N; the returned value is clamped, with the raw sum
+    kept in ``raw_value``.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     s = cfg.effective_snr
+    c = cfg.rate_threshold
     h2 = cfg.height**2
     d2 = cfg.region_side**2
     halfwidth = s / (2.0 * h2) - s / (2.0 * h2 + 2.5 * d2)
@@ -186,7 +208,7 @@ def sop_chebyshev(cfg: SystemConfig, order: int = 100) -> SopEstimate:
         density = dist.pdf_snr_eve(t, cfg)
         if density == 0.0:
             continue
-        total += weight * density * cdf_bob_at(t, cfg)
+        total += weight * density * dist.cdf_snr_bob(c * t + c - 1.0, cfg)
     raw = float((math.pi / order) * halfwidth * total)
     value = min(max(raw, 0.0), 1.0)
     return SopEstimate(
@@ -197,48 +219,15 @@ def sop_chebyshev(cfg: SystemConfig, order: int = 100) -> SopEstimate:
     )
 
 
-def cdf_bob_at(t: float, cfg: SystemConfig) -> float:
-    """Legitimate-SNR CDF evaluated at the outage threshold for SNR t."""
-    return dist.cdf_snr_bob(_outage_threshold_arg(t, cfg), cfg)
-
-
 def sop_asymptotic(cfg: SystemConfig) -> SopEstimate:
     """High-power limit of the SOP; independent of transmit power.
 
-    (2/D) * integral over t in [0, D/2] of
-    cdf_offset_sq(C*(t^2 + h^2) - h^2), by adaptive quadrature at
-    absolute tolerance 1e-8. Depends only on the region side, the
-    height, and the target rate.
+    The outage integral of :func:`sop_exact` at infinite SNR, where the
+    offset CDF is taken at C*(y^2 + h^2) - h^2. Depends only on the
+    region side, the height, and the target rate.
     """
-    d = cfg.region_side
-    h2 = cfg.height**2
-    c = cfg.rate_threshold
-    half = d / 2.0
-
-    # kinks of the offset CDF mapped back to the integration variable
-    points = set()
-    for b in (*dist.offset_sq_breakpoints(cfg), dist.offset_sq_support(cfg)[1]):
-        t2 = (b + h2) / c - h2
-        if t2 > 0.0:
-            t = math.sqrt(t2)
-            if 0.0 < t < half:
-                points.add(t)
-
-    def integrand(t: float) -> float:
-        return float(dist.cdf_offset_sq(c * (t * t + h2) - h2, cfg))
-
-    out = integrate.quad(
-        integrand,
-        0.0,
-        half,
-        points=sorted(points) or None,
-        epsabs=1e-8,
-        epsrel=0.0,
-        limit=200,
-        full_output=1,
-    )
-    value = min(max((2.0 / d) * out[0], 0.0), 1.0)
-    return SopEstimate(value, Method.ASYMPTOTIC, int(out[2]["neval"]))
+    value, _, evaluations = _outage_integral(cfg, math.inf)
+    return SopEstimate(min(max(value, 0.0), 1.0), Method.ASYMPTOTIC, evaluations)
 
 
 def sop_lower_bound_pas() -> SopEstimate:

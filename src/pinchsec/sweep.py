@@ -12,7 +12,7 @@ evaluates it once and repeats that estimate at every x value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -110,10 +110,10 @@ class SweepResult:
 def config_at(base: SystemConfig, axis: Axis, x: float) -> SystemConfig:
     """The fixed configuration with the swept variable set to x."""
     if axis is Axis.POWER_DBM:
-        return base.with_transmit_power(dbm_to_watts(x))
+        return replace(base, transmit_power=dbm_to_watts(x))
     if axis is Axis.RATE:
-        return base.with_target_rate(x)
-    return base.with_region_side(x)
+        return replace(base, target_rate=x)
+    return replace(base, region_side=x)
 
 
 def _point_seed(seed: int, index: int) -> int:

@@ -74,6 +74,8 @@ class SystemConfig:
 
     Derived values (wavelength, path gain, effective SNR, linear rate
     threshold) are computed once at construction and frozen.
+    ``dataclasses.replace`` gives a changed copy, validated and derived
+    anew.
     """
 
     region_side: float
@@ -126,28 +128,6 @@ class SystemConfig:
     def feed_point(self) -> Position:
         """The fixed waveguide feed at (-D/2, 0, h)."""
         return Position(-self.half_side, 0.0, self.height)
-
-    def with_transmit_power(self, transmit_power: float) -> "SystemConfig":
-        return self._replace(transmit_power=transmit_power)
-
-    def with_target_rate(self, target_rate: float) -> "SystemConfig":
-        return self._replace(target_rate=target_rate)
-
-    def with_region_side(self, region_side: float) -> "SystemConfig":
-        return self._replace(region_side=region_side)
-
-    def _replace(self, **changes: float) -> "SystemConfig":
-        kwargs = {
-            "region_side": self.region_side,
-            "height": self.height,
-            "carrier_freq": self.carrier_freq,
-            "refractive_index": self.refractive_index,
-            "transmit_power": self.transmit_power,
-            "noise_power": self.noise_power,
-            "target_rate": self.target_rate,
-        }
-        kwargs.update(changes)
-        return SystemConfig(**kwargs)
 
 
 def channel_coefficient(antenna: Position, receiver: Position, cfg: SystemConfig) -> complex:

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -80,7 +81,7 @@ class TestSnrBobCdf:
     @given(st.floats(0.25, 4.0), st.floats(0.05, 0.95))
     def test_scaling_with_effective_snr(self, k, frac):
         cfg = make_config()
-        scaled = cfg.with_transmit_power(cfg.transmit_power * k)
+        scaled = replace(cfg, transmit_power=cfg.transmit_power * k)
         lo, hi = dist.snr_bob_support(cfg)
         z = lo + frac * (hi - lo)
         ratio = scaled.effective_snr / cfg.effective_snr
@@ -302,7 +303,7 @@ class TestSnrEvePdf:
     def test_scaling_with_effective_snr(self, k, frac):
         # density transforms with Jacobian 1/k under snr scaling
         cfg = make_config()
-        scaled = cfg.with_transmit_power(cfg.transmit_power * k)
+        scaled = replace(cfg, transmit_power=cfg.transmit_power * k)
         ratio = scaled.effective_snr / cfg.effective_snr
         lo, hi = dist.snr_eve_support(cfg)
         z = lo + frac * (hi - lo)

@@ -1,7 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from pinchsec import (
@@ -98,8 +101,8 @@ class TestSopExact:
         assert abs(est.value - p) <= 3.0 * sigma
 
     def test_monotone_in_target_rate(self, cfg10):
-        low = sop_exact(cfg10.with_target_rate(0.1)).value
-        high = sop_exact(cfg10.with_target_rate(1.0)).value
+        low = sop_exact(replace(cfg10, target_rate=0.1)).value
+        high = sop_exact(replace(cfg10, target_rate=1.0)).value
         assert high >= low
 
     def test_nonincreasing_in_power_with_plateau(self):
@@ -117,11 +120,28 @@ class TestSopExact:
             sop_exact(cfg10, tol=1e-2)
 
     def test_unreachable_tolerance_raises_with_estimate(self, cfg10):
-        # an absurdly small tolerance exhausts the subdivision budget
+        # no rule meets an absurdly small tolerance
         with pytest.raises(AccuracyError) as err:
             sop_exact(cfg10, tol=1e-300)
         reference = sop_exact(cfg10, tol=1e-8).value
         assert err.value.estimate == pytest.approx(reference, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "region_side,height,seed",
+        [(10.0, 1e-4, 2025), (1e4, 3.0, 2026)],
+    )
+    def test_extreme_geometry_against_independent_mc(self, region_side, height, seed):
+        # an SNR-domain integral lost the outage mass at h = 1e-4 m
+        # and failed to converge at D = 1e4 m
+        cfg = make_config(region_side=region_side, height=height, power_dbm=20.0)
+        est = sop_exact(cfg)
+        p, sigma = mc_sop_pas_oracle(cfg, 1_000_000, seed=seed)
+        assert abs(est.value - p) <= 3.0 * sigma
+
+    def test_zero_rate_is_the_pas_floor_at_any_power(self):
+        # with C = 1 the outage event is offset_sq <= y1^2 whatever the SNR
+        cfg = make_config(height=1e-4, power_dbm=120.0, rate=0.0)
+        assert sop_exact(cfg).value == pytest.approx(LOWER_BOUND_PAS, abs=1e-9)
 
 
 class TestSopChebyshev:
@@ -237,3 +257,47 @@ class TestGridInvariants:
         for d, p, r in exact_on_grid:
             cfg = make_config(region_side=d, power_dbm=p, rate=r)
             assert sop_chebyshev(cfg, 100).value >= floor - 1e-3
+
+
+class TestNorthStarBox:
+    def test_exact_and_asymptote_hold_across_the_box(self):
+        """D in [1, 1e4] m, h/D in [1e-5, 10], -60..120 dBm, rate 0..30.
+
+        The Monte Carlo comparisons use 4 sigma as a family-wise bound
+        over 20 of them; sigma keeps a 1/n floor on p(1-p) so an estimate
+        of exactly 0 or 1 is not given zero width. They skip certain
+        outage (no evaluations) and rate 0 (the PAS floor), which have
+        tests of their own.
+        """
+        trials = 200_000
+        oracle_checks = []
+
+        @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+        @given(
+            st.floats(0.0, 4.0),
+            st.floats(-5.0, 1.0),
+            st.floats(-60.0, 120.0),
+            st.floats(0.0, 30.0),
+        )
+        def check(log_side, log_ratio, power_dbm, rate):
+            side = 10.0**log_side
+            cfg = make_config(
+                region_side=side,
+                height=side * 10.0**log_ratio,
+                power_dbm=power_dbm,
+                rate=rate,
+            )
+            est = sop_exact(cfg)
+            exact = est.value
+            asym = sop_asymptotic(cfg).value
+            assert exact >= asym - 1e-12
+            louder = replace(cfg, transmit_power=1e3 * cfg.transmit_power)
+            assert sop_asymptotic(louder).value == asym
+            if len(oracle_checks) < 20 and est.order_or_trials > 0 and rate > 0.0:
+                oracle_checks.append(cfg)
+                p, _ = mc_sop_pas_oracle(cfg, trials, seed=3000 + len(oracle_checks))
+                sigma = math.sqrt(max(p * (1.0 - p), 1.0 / trials) / trials)
+                assert abs(exact - p) <= 4.0 * sigma
+
+        check()
+        assert len(oracle_checks) == 20

@@ -1,5 +1,6 @@
 import cmath
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -52,6 +53,13 @@ class TestSystemConfig:
 
     def test_rate_threshold_floor(self):
         assert make_config(rate=0.0).rate_threshold == 1.0
+
+    def test_replace_rederives_and_revalidates(self, cfg10):
+        changed = replace(cfg10, transmit_power=2.0 * cfg10.transmit_power, target_rate=1.0)
+        assert changed.effective_snr == pytest.approx(2.0 * cfg10.effective_snr, rel=1e-15)
+        assert changed.rate_threshold == 2.0
+        with pytest.raises(ValueError, match="region_side"):
+            replace(cfg10, region_side=0.0)
 
     @pytest.mark.parametrize(
         "field,value",
@@ -178,7 +186,7 @@ class TestSnrFormulas:
     @given(st.floats(-5.0, 5.0), st.floats(0.25, 4.0))
     def test_linear_in_transmit_power(self, y1, k):
         cfg = make_config()
-        scaled = cfg.with_transmit_power(cfg.transmit_power * k)
+        scaled = replace(cfg, transmit_power=cfg.transmit_power * k)
         assert snr_bob_pinching(y1, scaled) == pytest.approx(
             k * snr_bob_pinching(y1, cfg), rel=1e-12
         )

@@ -5,7 +5,15 @@ by its trial index: positions x1, y1, x2, y2 are always columns 0-3 of
 the trial's block regardless of how trials are chunked across workers.
 Outage estimates are integer counts divided by the trial count, so any
 partitioning yields bit-identical results; sample streams preserve
-trial order. Memory stays bounded by a fixed per-chunk cap.
+trial order.
+
+Trials are split into one span per worker and each span into chunks of
+at most 2^17 trials. A span draws all its chunks into one workspace,
+allocated once per call: the (chunk, 4) uniforms, three float64 scratch
+rows and one bool row, about 7.1 MiB at the full chunk size. The event
+kernels compute in place inside it, and one pass over the draws can
+count several events, so the pinching and fixed-position outages of
+one configuration share their trials.
 """
 
 from __future__ import annotations
@@ -13,11 +21,14 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
+from typing import Any, Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .system import SystemConfig, snr_bob_pinching, snr_eve_pinching, snr_fpa
+# The kernels below compute these SNR expressions in place and no longer
+# call them; the names stay bound here because perfbench's tracer wraps
+# the system layer as ``pinchsec.montecarlo.snr_*``.
+from .system import SystemConfig, snr_bob_pinching, snr_eve_pinching, snr_fpa  # noqa: F401
 
 __all__ = [
     "McConfig",
@@ -31,6 +42,7 @@ __all__ = [
 
 _DRAWS_PER_TRIAL = 4  # one Philox counter block
 _CHUNK_TRIALS = 1 << 17
+_SCRATCH_ROWS = 3
 
 
 @dataclass(frozen=True)
@@ -64,67 +76,126 @@ class McResult:
     seed: int
 
 
-def _uniform_chunk(seed: int, start: int, stop: int) -> np.ndarray:
-    """Standard uniforms for trials [start, stop), shape (stop-start, 4)."""
+def _uniform_chunk(
+    seed: int, start: int, stop: int, out: np.ndarray | None = None
+) -> np.ndarray:
+    """Standard uniforms for trials [start, stop), shape (stop-start, 4).
+
+    With ``out`` (C-contiguous, that shape) the draws fill it in place.
+    """
     bits = np.random.Philox(key=seed)
     bits.advance(start)
-    return np.random.Generator(bits).random((stop - start, _DRAWS_PER_TRIAL))
+    return np.random.Generator(bits).random((stop - start, _DRAWS_PER_TRIAL), out=out)
 
 
-def _positions(u: np.ndarray, cfg: SystemConfig) -> tuple[np.ndarray, ...]:
-    """Map uniform columns to coordinates on [-D/2, D/2]."""
-    coords = (u - 0.5) * cfg.region_side
-    return coords[:, 0], coords[:, 1], coords[:, 2], coords[:, 3]
+class _Chunk(NamedTuple):
+    """One chunk of trials mapped to coordinates on [-D/2, D/2], with the
+    scratch its kernels write into: three float64 rows and one bool row.
+    Kernels never write the coordinates."""
+
+    x1: np.ndarray
+    y1: np.ndarray
+    x2: np.ndarray
+    y2: np.ndarray
+    tmp: np.ndarray
+    mask: np.ndarray
 
 
-def _chunk_bounds(trials: int, workers: int) -> list[tuple[int, int]]:
-    """Split [0, trials) by worker spans, capped at the chunk size."""
-    bounds: list[tuple[int, int]] = []
-    span = math.ceil(trials / workers)
-    for lo in range(0, trials, span):
-        hi = min(lo + span, trials)
-        for sub in range(lo, hi, _CHUNK_TRIALS):
-            bounds.append((sub, min(sub + _CHUNK_TRIALS, hi)))
-    return bounds
+def _draw_span(seed: int, lo: int, hi: int, side: float) -> Iterator[tuple[int, int, _Chunk]]:
+    """Yield (start, stop, chunk) for each chunk of trials [lo, hi).
+
+    Every chunk is drawn into one workspace allocated for the whole span,
+    so a span costs no allocation after its first chunk.
+    """
+    size = min(hi - lo, _CHUNK_TRIALS)
+    uniforms = np.empty((size, _DRAWS_PER_TRIAL))
+    tmp = np.empty((_SCRATCH_ROWS, size))
+    mask = np.empty(size, dtype=bool)
+    for start in range(lo, hi, _CHUNK_TRIALS):
+        stop = min(start + _CHUNK_TRIALS, hi)
+        n = stop - start
+        u = _uniform_chunk(seed, start, stop, out=uniforms[:n])
+        u -= 0.5
+        u *= side
+        yield start, stop, _Chunk(u[:, 0], u[:, 1], u[:, 2], u[:, 3], tmp[:, :n], mask[:n])
 
 
-def _count_event(
-    cfg: SystemConfig, mc: McConfig, event: Callable[[np.ndarray, SystemConfig], np.ndarray]
-) -> McResult:
-    chunks = _chunk_bounds(mc.trials, mc.workers)
-
-    def count(bound: tuple[int, int]) -> int:
-        u = _uniform_chunk(mc.seed, *bound)
-        return int(np.count_nonzero(event(u, cfg)))
-
-    if mc.workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=mc.workers) as pool:
-            total = sum(pool.map(count, chunks))
-    else:
-        total = sum(count(b) for b in chunks)
-
-    estimate = total / mc.trials
-    stderr = math.sqrt(estimate * (1.0 - estimate) / mc.trials)
-    return McResult(estimate, stderr, mc.trials, mc.seed)
+def _map_spans(mc: McConfig, task: Callable[[int, int], Any]) -> list:
+    """Run ``task(lo, hi)`` on each worker span of [0, trials), in order."""
+    width = math.ceil(mc.trials / mc.workers)
+    spans = [(lo, min(lo + width, mc.trials)) for lo in range(0, mc.trials, width)]
+    if len(spans) == 1:
+        return [task(*spans[0])]
+    with ThreadPoolExecutor(max_workers=len(spans)) as pool:
+        return list(pool.map(lambda span: task(*span), spans))
 
 
-def _outage_pas(u: np.ndarray, cfg: SystemConfig) -> np.ndarray:
-    x1, y1, x2, y2 = _positions(u, cfg)
-    gb = snr_bob_pinching(y1, cfg)
-    ge = snr_eve_pinching(x1, x2, y2, cfg)
-    return (1.0 + gb) <= cfg.rate_threshold * (1.0 + ge)
+def _count_events(
+    cfg: SystemConfig, mc: McConfig, events: Sequence[Callable[[_Chunk, SystemConfig], np.ndarray]]
+) -> tuple[McResult, ...]:
+    """Estimate the probability of every event in one pass over the draws."""
+
+    def count(lo: int, hi: int) -> list[int]:
+        counts = [0] * len(events)
+        for _, _, chunk in _draw_span(mc.seed, lo, hi, cfg.region_side):
+            for i, event in enumerate(events):
+                counts[i] += int(np.count_nonzero(event(chunk, cfg)))
+        return counts
+
+    results = []
+    for total in map(sum, zip(*_map_spans(mc, count))):
+        estimate = total / mc.trials
+        stderr = math.sqrt(estimate * (1.0 - estimate) / mc.trials)
+        results.append(McResult(estimate, stderr, mc.trials, mc.seed))
+    return tuple(results)
 
 
-def _outage_fpa(u: np.ndarray, cfg: SystemConfig) -> np.ndarray:
-    x1, y1, x2, y2 = _positions(u, cfg)
-    gb = snr_fpa(x1, y1, cfg)
-    ge = snr_fpa(x2, y2, cfg)
-    return (1.0 + gb) <= cfg.rate_threshold * (1.0 + ge)
+# The kernels below evaluate the system.snr_* expressions in place, with
+# the same operations in the same order, so every value is bit-identical.
 
 
-def _bound_event(u: np.ndarray, cfg: SystemConfig) -> np.ndarray:
-    x1, y1, x2, y2 = _positions(u, cfg)
-    return (x1 - x2) ** 2 + y2**2 <= y1**2
+def _norm_sq(x: np.ndarray, y: np.ndarray, c: _Chunk, out: np.ndarray) -> np.ndarray:
+    """out = x**2 + y**2, using scratch row 2; x may be out itself."""
+    np.square(x, out=out)
+    np.square(y, out=c.tmp[2])
+    out += c.tmp[2]
+    return out
+
+
+def _offset_sq(c: _Chunk, out: np.ndarray) -> np.ndarray:
+    """out = (x1 - x2)**2 + y2**2, using scratch row 2."""
+    return _norm_sq(np.subtract(c.x1, c.x2, out=out), c.y2, c, out)
+
+
+def _snr(dist_sq: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+    """effective_snr / (dist_sq + h**2), overwriting dist_sq."""
+    dist_sq += cfg.height**2
+    return np.divide(cfg.effective_snr, dist_sq, out=dist_sq)
+
+
+def _outage(gb: np.ndarray, ge: np.ndarray, c: _Chunk, cfg: SystemConfig) -> np.ndarray:
+    """(1 + gb) <= C * (1 + ge) into the chunk's mask, overwriting gb and ge."""
+    gb += 1.0
+    ge += 1.0
+    ge *= cfg.rate_threshold
+    return np.less_equal(gb, ge, out=c.mask)
+
+
+def _outage_pas(c: _Chunk, cfg: SystemConfig) -> np.ndarray:
+    gb = _snr(np.square(c.y1, out=c.tmp[0]), cfg)
+    ge = _snr(_offset_sq(c, c.tmp[1]), cfg)
+    return _outage(gb, ge, c, cfg)
+
+
+def _outage_fpa(c: _Chunk, cfg: SystemConfig) -> np.ndarray:
+    gb = _snr(_norm_sq(c.x1, c.y1, c, c.tmp[0]), cfg)
+    ge = _snr(_norm_sq(c.x2, c.y2, c, c.tmp[1]), cfg)
+    return _outage(gb, ge, c, cfg)
+
+
+def _bound_event(c: _Chunk, cfg: SystemConfig) -> np.ndarray:
+    lhs = _offset_sq(c, c.tmp[0])
+    return np.less_equal(lhs, np.square(c.y1, out=c.tmp[1]), out=c.mask)
 
 
 def simulate_sop_pas(cfg: SystemConfig, mc: McConfig) -> McResult:
@@ -133,12 +204,14 @@ def simulate_sop_pas(cfg: SystemConfig, mc: McConfig) -> McResult:
     Per trial, both receivers are drawn uniformly on the region and the
     outage event (1 + snr_bob) <= C * (1 + snr_eve) is counted.
     """
-    return _count_event(cfg, mc, _outage_pas)
+    (result,) = _count_events(cfg, mc, (_outage_pas,))
+    return result
 
 
 def simulate_sop_fpa(cfg: SystemConfig, mc: McConfig) -> McResult:
     """Empirical SOP of the fixed-position baseline (antenna at the center)."""
-    return _count_event(cfg, mc, _outage_fpa)
+    (result,) = _count_events(cfg, mc, (_outage_fpa,))
+    return result
 
 
 def simulate_lower_bound_event(cfg: SystemConfig, mc: McConfig) -> McResult:
@@ -147,38 +220,31 @@ def simulate_lower_bound_event(cfg: SystemConfig, mc: McConfig) -> McResult:
     The event (x1-x2)^2 + y2^2 <= y1^2 is scale-free: the estimate does
     not depend on the region size, the height, or the transmit power.
     """
-    return _count_event(cfg, mc, _bound_event)
+    (result,) = _count_events(cfg, mc, (_bound_event,))
+    return result
 
 
 def _collect_samples(
     cfg: SystemConfig,
     mc: McConfig,
-    transform: Callable[[np.ndarray, SystemConfig], np.ndarray],
+    transform: Callable[[_Chunk, np.ndarray, SystemConfig], np.ndarray],
 ) -> np.ndarray:
-    chunks = _chunk_bounds(mc.trials, mc.workers)
     out = np.empty(mc.trials, dtype=np.float64)
 
-    def fill(bound: tuple[int, int]) -> None:
-        lo, hi = bound
-        out[lo:hi] = transform(_uniform_chunk(mc.seed, lo, hi), cfg)
+    def fill(lo: int, hi: int) -> None:
+        for start, stop, chunk in _draw_span(mc.seed, lo, hi, cfg.region_side):
+            transform(chunk, out[start:stop], cfg)
 
-    if mc.workers > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=mc.workers) as pool:
-            list(pool.map(fill, chunks))
-    else:
-        for b in chunks:
-            fill(b)
+    _map_spans(mc, fill)
     return out
 
 
-def _eve_snr_values(u: np.ndarray, cfg: SystemConfig) -> np.ndarray:
-    x1, _, x2, y2 = _positions(u, cfg)
-    return snr_eve_pinching(x1, x2, y2, cfg)
+def _eve_snr_values(c: _Chunk, out: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+    return _snr(_offset_sq(c, out), cfg)
 
 
-def _offset_sq_values(u: np.ndarray, cfg: SystemConfig) -> np.ndarray:
-    x1, _, x2, y2 = _positions(u, cfg)
-    return (x1 - x2) ** 2 + y2**2
+def _offset_sq_values(c: _Chunk, out: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+    return _offset_sq(c, out)
 
 
 def sample_snr_eve(cfg: SystemConfig, mc: McConfig) -> np.ndarray:

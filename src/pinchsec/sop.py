@@ -14,6 +14,7 @@ parameter-free lower bounds.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 
@@ -185,7 +186,10 @@ def sop_chebyshev(cfg: SystemConfig, order: int = 100) -> SopEstimate:
     by the first-kind rule with nodes cos((2n-1)*pi/(2N)), n = 1..N,
     weighted by sqrt(1 - node^2). The raw sum can fall slightly outside
     [0, 1] at tiny N; the returned value is clamped, with the raw sum
-    kept in ``raw_value``.
+    kept in ``raw_value``. A raw sum below the pinching floor
+    ``LOWER_BOUND_PAS``, which no true SOP can fall under, emits a
+    ``RuntimeWarning``: the rule's error is at least that gap there. It
+    is slight near rate 0 and total at extreme D/h.
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
@@ -210,6 +214,13 @@ def sop_chebyshev(cfg: SystemConfig, order: int = 100) -> SopEstimate:
             continue
         total += weight * density * dist.cdf_snr_bob(c * t + c - 1.0, cfg)
     raw = float((math.pi / order) * halfwidth * total)
+    if raw < LOWER_BOUND_PAS - 1e-12:
+        warnings.warn(
+            "sop_chebyshev fell below the provable floor (2*pi-1)/24, so its "
+            "quadrature error is at least that gap; compare with sop_exact",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     value = min(max(raw, 0.0), 1.0)
     return SopEstimate(
         value,

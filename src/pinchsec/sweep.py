@@ -5,9 +5,11 @@ A sweep evaluates a set of SOP methods over one independent variable
 else held fixed. Monte Carlo points get independent per-point seeds
 derived from the sweep seed and the point index, so estimates at
 different x values are statistically independent yet fully reproducible
-and worker-count invariant. The high-power asymptote depends only on the
-region side, the height and the rate threshold, so a power sweep
-evaluates it once and repeats that estimate at every x value.
+and worker-count invariant. At one x, ``mc`` and ``mc-fpa`` count their
+outage events over the same trials, drawn once. The high-power
+asymptote depends only on the region side, the height and the rate
+threshold, so a power sweep evaluates it once and repeats that estimate
+at every x value.
 """
 
 from __future__ import annotations
@@ -121,9 +123,7 @@ def _point_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence((seed, index)).generate_state(1, np.uint64)[0])
 
 
-def _evaluate(
-    method: Method, cfg: SystemConfig, spec: SweepSpec, point_index: int
-) -> SopEstimate:
+def _evaluate(method: Method, cfg: SystemConfig, spec: SweepSpec) -> SopEstimate:
     if method is Method.EXACT:
         return sop_mod.sop_exact(cfg, spec.exact_tol)
     if method is Method.CHEBYSHEV:
@@ -132,40 +132,56 @@ def _evaluate(
         return sop_mod.sop_asymptotic(cfg)
     if method is Method.LOWER_PAS:
         return sop_mod.sop_lower_bound_pas()
-    if method is Method.LOWER_FPA:
-        return sop_mod.sop_lower_bound_fpa()
+    return sop_mod.sop_lower_bound_fpa()
+
+
+# Monte Carlo methods and the outage event each one counts.
+_MC_EVENTS = {Method.MC: mc_mod._outage_pas, Method.MC_FPA: mc_mod._outage_fpa}
+
+
+def _simulate(
+    methods: list[Method], cfg: SystemConfig, spec: SweepSpec, point_index: int
+) -> dict[Method, SopEstimate]:
+    """Every requested Monte Carlo method at one point, from one set of draws."""
+    if not methods:
+        return {}
     point_mc = McConfig(
         trials=spec.mc.trials,
         seed=_point_seed(spec.mc.seed, point_index),
         workers=spec.mc.workers,
     )
-    if method is Method.MC:
-        res = mc_mod.simulate_sop_pas(cfg, point_mc)
-    else:
-        res = mc_mod.simulate_sop_fpa(cfg, point_mc)
-    return SopEstimate(res.estimate, method, res.trials, stderr=res.stderr)
+    results = mc_mod._count_events(cfg, point_mc, [_MC_EVENTS[m] for m in methods])
+    return {
+        m: SopEstimate(res.estimate, m, res.trials, stderr=res.stderr)
+        for m, res in zip(methods, results)
+    }
 
 
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate every requested method at every x value.
 
     Rows come out sorted by (x, method name); output is deterministic
-    for a given seed and independent of the worker count. The
+    for a given seed and independent of the worker count. The Monte
+    Carlo methods at one x share one pass over that point's draws. The
     asymptote is evaluated once per distinct (region side, height,
     rate threshold), the only inputs it reads.
     """
     rows = []
     asymptotes: dict[tuple[float, float, float], SopEstimate] = {}
+    mc_methods = [m for m in spec.methods if m in _MC_EVENTS]
     for index, x in enumerate(spec.x_values):
         cfg = config_at(spec.base, spec.x_axis, x)
+        simulated = _simulate(mc_methods, cfg, spec, index)
         for method in spec.methods:
-            if method is Method.ASYMPTOTIC:
+            if method in simulated:
+                est = simulated[method]
+            elif method is Method.ASYMPTOTIC:
                 key = (cfg.region_side, cfg.height, cfg.rate_threshold)
                 if key not in asymptotes:
-                    asymptotes[key] = _evaluate(method, cfg, spec, index)
+                    asymptotes[key] = _evaluate(method, cfg, spec)
                 est = asymptotes[key]
             else:
-                est = _evaluate(method, cfg, spec, index)
+                est = _evaluate(method, cfg, spec)
             rows.append(
                 SweepRow(
                     x=x,

@@ -15,7 +15,9 @@ from pinchsec import (
     sop_chebyshev,
 )
 from pinchsec import distributions as dist
+from pinchsec import montecarlo as mc_mod
 from pinchsec.montecarlo import _uniform_chunk
+from pinchsec.system import snr_bob_pinching, snr_eve_pinching, snr_fpa
 
 from conftest import make_config
 
@@ -41,11 +43,12 @@ class TestSubstreams:
         assert np.array_equal(full, parts)
 
     def test_estimates_invariant_under_workers(self, cfg10):
-        results = [
-            simulate_sop_pas(cfg10, McConfig(trials=200_000, seed=9, workers=w))
-            for w in (1, 2, 3, 8)
-        ]
-        assert len({r.estimate for r in results}) == 1
+        for simulate in (simulate_sop_pas, simulate_sop_fpa, simulate_lower_bound_event):
+            results = [
+                simulate(cfg10, McConfig(trials=200_000, seed=9, workers=w))
+                for w in (1, 2, 3, 8)
+            ]
+            assert len({r.estimate for r in results}) == 1, simulate.__name__
 
     def test_sample_streams_invariant_under_workers(self, cfg10):
         a = sample_snr_eve(cfg10, McConfig(trials=150_000, seed=10, workers=1))
@@ -62,6 +65,87 @@ class TestSubstreams:
         a = simulate_sop_pas(cfg10, McConfig(trials=50_000, seed=12))
         b = simulate_sop_pas(cfg10, McConfig(trials=50_000, seed=13))
         assert a.estimate != b.estimate
+
+
+# two full chunks and a ragged half chunk
+KERNEL_TRIALS = int(2.5 * mc_mod._CHUNK_TRIALS)
+KERNEL_SEED = 31
+
+
+def reference_coordinates(cfg, trials=KERNEL_TRIALS, seed=KERNEL_SEED):
+    """x1, y1, x2, y2 by the out-of-place expressions, in one unchunked draw."""
+    coords = (_uniform_chunk(seed, 0, trials) - 0.5) * cfg.region_side
+    return coords[:, 0], coords[:, 1], coords[:, 2], coords[:, 3]
+
+
+def reference_outage_sides(kernel, cfg):
+    """Both sides of each outage test, (1 + gb) and C * (1 + ge), from system.snr_*."""
+    x1, y1, x2, y2 = reference_coordinates(cfg)
+    if kernel is mc_mod._outage_pas:
+        gb, ge = snr_bob_pinching(y1, cfg), snr_eve_pinching(x1, x2, y2, cfg)
+    else:
+        gb, ge = snr_fpa(x1, y1, cfg), snr_fpa(x2, y2, cfg)
+    return 1.0 + gb, cfg.rate_threshold * (1.0 + ge)
+
+
+class TestInPlaceKernels:
+    """The in-place kernels reproduce the system.snr_* expressions bit for bit."""
+
+    CONFIGS = [
+        dict(),
+        dict(region_side=30.0, power_dbm=20.0, rate=1.0),
+        dict(region_side=100.0, height=1.0, power_dbm=40.0, rate=2.0),
+    ]
+
+    @pytest.mark.parametrize("overrides", CONFIGS)
+    @pytest.mark.parametrize("kernel", [mc_mod._outage_pas, mc_mod._outage_fpa])
+    def test_outage_kernels_bitwise(self, kernel, overrides):
+        cfg = make_config(**overrides)
+        lhs, rhs = reference_outage_sides(kernel, cfg)
+        chunks = mc_mod._draw_span(KERNEL_SEED, 0, KERNEL_TRIALS, cfg.region_side)
+        for start, stop, chunk in chunks:
+            mask = kernel(chunk, cfg)
+            # the kernel leaves both sides of its comparison in scratch rows 0 and 1
+            assert np.array_equal(chunk.tmp[0], lhs[start:stop])
+            assert np.array_equal(chunk.tmp[1], rhs[start:stop])
+            assert np.array_equal(mask, lhs[start:stop] <= rhs[start:stop])
+        assert stop == KERNEL_TRIALS
+
+    def test_bound_kernel_bitwise(self, cfg30):
+        x1, y1, x2, y2 = reference_coordinates(cfg30)
+        expected = (x1 - x2) ** 2 + y2**2 <= y1**2
+        for start, stop, chunk in mc_mod._draw_span(KERNEL_SEED, 0, KERNEL_TRIALS, 30.0):
+            assert np.array_equal(mc_mod._bound_event(chunk, cfg30), expected[start:stop])
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_estimates_equal_reference_counts(self, cfg30, workers):
+        mc = McConfig(trials=KERNEL_TRIALS, seed=KERNEL_SEED, workers=workers)
+        x1, y1, x2, y2 = reference_coordinates(cfg30)
+        expected = {
+            simulate_sop_pas: np.less_equal(*reference_outage_sides(mc_mod._outage_pas, cfg30)),
+            simulate_sop_fpa: np.less_equal(*reference_outage_sides(mc_mod._outage_fpa, cfg30)),
+            simulate_lower_bound_event: (x1 - x2) ** 2 + y2**2 <= y1**2,
+        }
+        for simulate, events in expected.items():
+            count = np.count_nonzero(events)
+            assert simulate(cfg30, mc).estimate == count / KERNEL_TRIALS
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_sample_transforms_bitwise(self, cfg30, workers):
+        mc = McConfig(trials=KERNEL_TRIALS, seed=KERNEL_SEED, workers=workers)
+        x1, _, x2, y2 = reference_coordinates(cfg30)
+        assert np.array_equal(sample_snr_eve(cfg30, mc), snr_eve_pinching(x1, x2, y2, cfg30))
+        assert np.array_equal(sample_offset_sq(cfg30, mc), (x1 - x2) ** 2 + y2**2)
+
+    def test_shared_pass_equals_single_event_calls(self, cfg30):
+        mc = McConfig(trials=KERNEL_TRIALS, seed=KERNEL_SEED, workers=3)
+        events = (mc_mod._outage_pas, mc_mod._outage_fpa, mc_mod._bound_event)
+        shared = mc_mod._count_events(cfg30, mc, events)
+        assert shared == (
+            simulate_sop_pas(cfg30, mc),
+            simulate_sop_fpa(cfg30, mc),
+            simulate_lower_bound_event(cfg30, mc),
+        )
 
 
 class TestResultContract:

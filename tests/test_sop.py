@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -173,6 +174,24 @@ class TestSopChebyshev:
             assert est.order_or_trials == n
             if est.raw_value is not None:
                 assert not 0.0 <= est.raw_value <= 1.0 or est.raw_value != est.value
+
+    @pytest.mark.parametrize(
+        "region_side,height,exact",
+        [(10.0, 1e-4, 0.234), (1e4, 3.0, 0.937)],
+    )
+    def test_warns_below_pas_floor(self, region_side, height, exact):
+        # the rule collapses at extreme D/h; the exact value is far above it
+        cfg = make_config(region_side=region_side, height=height, power_dbm=20.0)
+        with pytest.warns(RuntimeWarning, match="below the provable floor"):
+            est = sop_chebyshev(cfg, 100)
+        assert est.value < LOWER_BOUND_PAS
+        assert sop_exact(cfg).value == pytest.approx(exact, abs=1e-3)
+
+    def test_silent_at_reference_geometry(self):
+        cfg = make_config(region_side=10.0, height=3.0, power_dbm=20.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert sop_chebyshev(cfg, 100).value >= LOWER_BOUND_PAS
 
 
 class TestSopAsymptotic:

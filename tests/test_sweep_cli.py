@@ -1,10 +1,12 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from pinchsec import McConfig, Method
 from pinchsec import cli
+from pinchsec import montecarlo as mc_mod
 from pinchsec import sop as sop_mod
 from pinchsec import validation
 from pinchsec.sop import SopEstimate
@@ -13,6 +15,7 @@ from pinchsec.sweep import (
     SweepRow,
     SweepResult,
     SweepSpec,
+    _point_seed,
     config_at,
     dump_distribution,
     format_float,
@@ -148,6 +151,79 @@ class TestAsymptoteOncePerSweep:
         rows = run_sweep(spec).rows
         assert len(calls) == len(values)
         assert len({row.sop for row in rows}) == len(values)
+
+
+def count_draw_passes(monkeypatch) -> list:
+    """Wrap montecarlo._uniform_chunk so every chunk drawn is recorded."""
+    calls = []
+    original = mc_mod._uniform_chunk
+
+    def counted(seed, start, stop, *args, **kwargs):
+        calls.append((seed, start, stop))
+        return original(seed, start, stop, *args, **kwargs)
+
+    monkeypatch.setattr(mc_mod, "_uniform_chunk", counted)
+    return calls
+
+
+class TestMonteCarloSharesDraws:
+    RATES = (0.1, 0.5, 1.0, 2.0)
+
+    def spec(self):
+        return small_spec(
+            x_axis=Axis.RATE,
+            x_values=self.RATES,
+            methods=(Method.MC, Method.MC_FPA),
+            mc=McConfig(trials=5_000, seed=8),
+        )
+
+    def test_one_draw_pass_per_point(self, monkeypatch):
+        calls = count_draw_passes(monkeypatch)
+        rows = run_sweep(self.spec()).rows
+        # 5000 trials fit one chunk, so one pass is one draw per point
+        assert len(calls) == len(self.RATES)
+        assert len({seed for seed, _, _ in calls}) == len(self.RATES)
+        assert len(rows) == 2 * len(self.RATES)
+
+    def test_csv_matches_per_point_simulation(self):
+        spec = self.spec()
+        expected = []
+        for index, x in enumerate(self.RATES):
+            cfg = config_at(spec.base, spec.x_axis, x)
+            mc = McConfig(spec.mc.trials, _point_seed(spec.mc.seed, index))
+            for method, simulate in (
+                (Method.MC, mc_mod.simulate_sop_pas),
+                (Method.MC_FPA, mc_mod.simulate_sop_fpa),
+            ):
+                res = simulate(cfg, mc)
+                expected.append(SweepRow(x, method, res.estimate, res.stderr, res.trials))
+        assert run_sweep(spec).to_csv() == SweepResult(tuple(expected)).to_csv()
+
+
+GOLDEN_CSV = Path(__file__).parent / "data" / "sweep_rate_golden.csv"
+
+
+class TestGoldenSweepBytes:
+    """A fixed-seed rate sweep, pinned byte for byte.
+
+    The file was written before the Monte Carlo kernels were rewritten in
+    place; any change to a draw, an operation or its order shows here.
+    It relies on numpy's Philox ``Generator.random`` stream, which numpy
+    may change between releases (NEP 19).
+    """
+
+    ARGS = [
+        "sweep", "--x", "rate", "--x-values", "0,0.5,1,1.5,2",
+        "--methods", "mc,mc-fpa,chebyshev,lower-pas,lower-fpa",
+        "--trials", "200000", "--seed", "2025",
+        "--region-side", "10", "--height", "3", "--power-dbm", "20",
+        "--freq-ghz", "28", "--n-eff", "1.4", "--noise-dbm", "-80",
+    ]
+
+    @pytest.mark.parametrize("workers", ["1", "3"])
+    def test_bytes_match_golden_file(self, capsys, workers):
+        assert cli.main(self.ARGS + ["--workers", workers]) == 0
+        assert capsys.readouterr().out == GOLDEN_CSV.read_text()
 
 
 class TestDumpDistribution:

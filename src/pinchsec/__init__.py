@@ -30,6 +30,7 @@ from .montecarlo import (
     simulate_lower_bound_event,
     simulate_sop_fpa,
     simulate_sop_pas,
+    simulate_sops,
 )
 from .sop import (
     LOWER_BOUND_FPA,
@@ -94,6 +95,7 @@ __all__ = [
     "simulate_lower_bound_event",
     "simulate_sop_fpa",
     "simulate_sop_pas",
+    "simulate_sops",
     "snr_bob_pinching",
     "snr_eve_pinching",
     "snr_fpa",

@@ -8,12 +8,11 @@ partitioning yields bit-identical results; sample streams preserve
 trial order.
 
 Trials are split into one span per worker and each span into chunks of
-at most 2^17 trials. A span draws all its chunks into one workspace,
-allocated once per call: the (chunk, 4) uniforms, three float64 scratch
-rows and one bool row, about 7.1 MiB at the full chunk size. The event
-kernels compute in place inside it, and one pass over the draws can
-count several events, so the pinching and fixed-position outages of
-one configuration share their trials.
+at most 2^17 trials. A span draws all its chunks into one buffer,
+allocated once per call: the (chunk, 4) uniforms, 4 MiB at the full
+chunk size, mapped to coordinates in place. One pass over the draws can
+count several events, so the pinching and fixed-position outages of one
+configuration share their trials (:func:`simulate_sops`).
 """
 
 from __future__ import annotations
@@ -21,20 +20,18 @@ from __future__ import annotations
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, NamedTuple, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 import numpy as np
 
-# The kernels below compute these SNR expressions in place and no longer
-# call them; the names stay bound here because perfbench's tracer wraps
-# the system layer as ``pinchsec.montecarlo.snr_*``.
-from .system import SystemConfig, snr_bob_pinching, snr_eve_pinching, snr_fpa  # noqa: F401
+from .system import SystemConfig, snr_bob_pinching, snr_eve_pinching, snr_fpa
 
 __all__ = [
     "McConfig",
     "McResult",
     "simulate_sop_pas",
     "simulate_sop_fpa",
+    "simulate_sops",
     "simulate_lower_bound_event",
     "sample_snr_eve",
     "sample_offset_sq",
@@ -42,7 +39,6 @@ __all__ = [
 
 _DRAWS_PER_TRIAL = 4  # one Philox counter block
 _CHUNK_TRIALS = 1 << 17
-_SCRATCH_ROWS = 3
 
 
 @dataclass(frozen=True)
@@ -76,48 +72,28 @@ class McResult:
     seed: int
 
 
-def _uniform_chunk(
-    seed: int, start: int, stop: int, out: np.ndarray | None = None
-) -> np.ndarray:
-    """Standard uniforms for trials [start, stop), shape (stop-start, 4).
-
-    With ``out`` (C-contiguous, that shape) the draws fill it in place.
-    """
+def _uniform_chunk(seed: int, start: int, out: np.ndarray) -> np.ndarray:
+    """Fill ``out`` (C-contiguous, shape (n, 4)) with the standard uniforms
+    of trials [start, start + n)."""
     bits = np.random.Philox(key=seed)
     bits.advance(start)
-    return np.random.Generator(bits).random((stop - start, _DRAWS_PER_TRIAL), out=out)
+    return np.random.Generator(bits).random(out.shape, out=out)
 
 
-class _Chunk(NamedTuple):
-    """One chunk of trials mapped to coordinates on [-D/2, D/2], with the
-    scratch its kernels write into: three float64 rows and one bool row.
-    Kernels never write the coordinates."""
+def _draw_span(seed: int, lo: int, hi: int, side: float) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Yield (start, stop, coords) for each chunk of trials [lo, hi).
 
-    x1: np.ndarray
-    y1: np.ndarray
-    x2: np.ndarray
-    y2: np.ndarray
-    tmp: np.ndarray
-    mask: np.ndarray
-
-
-def _draw_span(seed: int, lo: int, hi: int, side: float) -> Iterator[tuple[int, int, _Chunk]]:
-    """Yield (start, stop, chunk) for each chunk of trials [lo, hi).
-
-    Every chunk is drawn into one workspace allocated for the whole span,
-    so a span costs no allocation after its first chunk.
+    ``coords`` holds x1, y1, x2, y2 on [-D/2, D/2] in columns 0-3. Every
+    chunk is drawn into one buffer allocated for the whole span, so it is
+    only valid until the next chunk is drawn.
     """
-    size = min(hi - lo, _CHUNK_TRIALS)
-    uniforms = np.empty((size, _DRAWS_PER_TRIAL))
-    tmp = np.empty((_SCRATCH_ROWS, size))
-    mask = np.empty(size, dtype=bool)
+    buffer = np.empty((min(hi - lo, _CHUNK_TRIALS), _DRAWS_PER_TRIAL))
     for start in range(lo, hi, _CHUNK_TRIALS):
         stop = min(start + _CHUNK_TRIALS, hi)
-        n = stop - start
-        u = _uniform_chunk(seed, start, stop, out=uniforms[:n])
-        u -= 0.5
-        u *= side
-        yield start, stop, _Chunk(u[:, 0], u[:, 1], u[:, 2], u[:, 3], tmp[:, :n], mask[:n])
+        coords = _uniform_chunk(seed, start, buffer[: stop - start])
+        coords -= 0.5
+        coords *= side
+        yield start, stop, coords
 
 
 def _map_spans(mc: McConfig, task: Callable[[int, int], Any]) -> list:
@@ -131,15 +107,15 @@ def _map_spans(mc: McConfig, task: Callable[[int, int], Any]) -> list:
 
 
 def _count_events(
-    cfg: SystemConfig, mc: McConfig, events: Sequence[Callable[[_Chunk, SystemConfig], np.ndarray]]
+    cfg: SystemConfig, mc: McConfig, events: Sequence[Callable[[np.ndarray, SystemConfig], np.ndarray]]
 ) -> tuple[McResult, ...]:
     """Estimate the probability of every event in one pass over the draws."""
 
     def count(lo: int, hi: int) -> list[int]:
         counts = [0] * len(events)
-        for _, _, chunk in _draw_span(mc.seed, lo, hi, cfg.region_side):
+        for _, _, coords in _draw_span(mc.seed, lo, hi, cfg.region_side):
             for i, event in enumerate(events):
-                counts[i] += int(np.count_nonzero(event(chunk, cfg)))
+                counts[i] += int(np.count_nonzero(event(coords, cfg)))
         return counts
 
     results = []
@@ -150,52 +126,37 @@ def _count_events(
     return tuple(results)
 
 
-# The kernels below evaluate the system.snr_* expressions in place, with
-# the same operations in the same order, so every value is bit-identical.
+def _outage_pas(coords: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+    x1, y1, x2, y2 = coords.T
+    gb = snr_bob_pinching(y1, cfg)
+    ge = snr_eve_pinching(x1, x2, y2, cfg)
+    return (1.0 + gb) <= cfg.rate_threshold * (1.0 + ge)
 
 
-def _norm_sq(x: np.ndarray, y: np.ndarray, c: _Chunk, out: np.ndarray) -> np.ndarray:
-    """out = x**2 + y**2, using scratch row 2; x may be out itself."""
-    np.square(x, out=out)
-    np.square(y, out=c.tmp[2])
-    out += c.tmp[2]
-    return out
+def _outage_fpa(coords: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+    x1, y1, x2, y2 = coords.T
+    gb = snr_fpa(x1, y1, cfg)
+    ge = snr_fpa(x2, y2, cfg)
+    return (1.0 + gb) <= cfg.rate_threshold * (1.0 + ge)
 
 
-def _offset_sq(c: _Chunk, out: np.ndarray) -> np.ndarray:
-    """out = (x1 - x2)**2 + y2**2, using scratch row 2."""
-    return _norm_sq(np.subtract(c.x1, c.x2, out=out), c.y2, c, out)
+def _bound_event(coords: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+    x1, y1, x2, y2 = coords.T
+    return (x1 - x2) ** 2 + y2**2 <= y1**2
 
 
-def _snr(dist_sq: np.ndarray, cfg: SystemConfig) -> np.ndarray:
-    """effective_snr / (dist_sq + h**2), overwriting dist_sq."""
-    dist_sq += cfg.height**2
-    return np.divide(cfg.effective_snr, dist_sq, out=dist_sq)
+_OUTAGES = {"pas": _outage_pas, "fpa": _outage_fpa}
 
 
-def _outage(gb: np.ndarray, ge: np.ndarray, c: _Chunk, cfg: SystemConfig) -> np.ndarray:
-    """(1 + gb) <= C * (1 + ge) into the chunk's mask, overwriting gb and ge."""
-    gb += 1.0
-    ge += 1.0
-    ge *= cfg.rate_threshold
-    return np.less_equal(gb, ge, out=c.mask)
+def simulate_sops(cfg: SystemConfig, mc: McConfig, systems: Sequence[str]) -> tuple[McResult, ...]:
+    """Empirical SOP of each of ``systems`` over one shared set of trials.
 
-
-def _outage_pas(c: _Chunk, cfg: SystemConfig) -> np.ndarray:
-    gb = _snr(np.square(c.y1, out=c.tmp[0]), cfg)
-    ge = _snr(_offset_sq(c, c.tmp[1]), cfg)
-    return _outage(gb, ge, c, cfg)
-
-
-def _outage_fpa(c: _Chunk, cfg: SystemConfig) -> np.ndarray:
-    gb = _snr(_norm_sq(c.x1, c.y1, c, c.tmp[0]), cfg)
-    ge = _snr(_norm_sq(c.x2, c.y2, c, c.tmp[1]), cfg)
-    return _outage(gb, ge, c, cfg)
-
-
-def _bound_event(c: _Chunk, cfg: SystemConfig) -> np.ndarray:
-    lhs = _offset_sq(c, c.tmp[0])
-    return np.less_equal(lhs, np.square(c.y1, out=c.tmp[1]), out=c.mask)
+    ``"pas"`` is the pinching-antenna system, ``"fpa"`` the fixed-position
+    baseline. Each estimate equals the one-system call with the same
+    ``mc``; the systems are drawn once, so their estimates use common
+    random numbers.
+    """
+    return _count_events(cfg, mc, [_OUTAGES[s] for s in systems])
 
 
 def simulate_sop_pas(cfg: SystemConfig, mc: McConfig) -> McResult:
@@ -227,24 +188,26 @@ def simulate_lower_bound_event(cfg: SystemConfig, mc: McConfig) -> McResult:
 def _collect_samples(
     cfg: SystemConfig,
     mc: McConfig,
-    transform: Callable[[_Chunk, np.ndarray, SystemConfig], np.ndarray],
+    transform: Callable[[np.ndarray, SystemConfig], np.ndarray],
 ) -> np.ndarray:
     out = np.empty(mc.trials, dtype=np.float64)
 
     def fill(lo: int, hi: int) -> None:
-        for start, stop, chunk in _draw_span(mc.seed, lo, hi, cfg.region_side):
-            transform(chunk, out[start:stop], cfg)
+        for start, stop, coords in _draw_span(mc.seed, lo, hi, cfg.region_side):
+            out[start:stop] = transform(coords, cfg)
 
     _map_spans(mc, fill)
     return out
 
 
-def _eve_snr_values(c: _Chunk, out: np.ndarray, cfg: SystemConfig) -> np.ndarray:
-    return _snr(_offset_sq(c, out), cfg)
+def _eve_snr_values(coords: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+    x1, _, x2, y2 = coords.T
+    return snr_eve_pinching(x1, x2, y2, cfg)
 
 
-def _offset_sq_values(c: _Chunk, out: np.ndarray, cfg: SystemConfig) -> np.ndarray:
-    return _offset_sq(c, out)
+def _offset_sq_values(coords: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+    x1, _, x2, y2 = coords.T
+    return (x1 - x2) ** 2 + y2**2
 
 
 def sample_snr_eve(cfg: SystemConfig, mc: McConfig) -> np.ndarray:

@@ -135,8 +135,8 @@ def _evaluate(method: Method, cfg: SystemConfig, spec: SweepSpec) -> SopEstimate
     return sop_mod.sop_lower_bound_fpa()
 
 
-# Monte Carlo methods and the outage event each one counts.
-_MC_EVENTS = {Method.MC: mc_mod._outage_pas, Method.MC_FPA: mc_mod._outage_fpa}
+# Monte Carlo methods and the system each one simulates.
+_MC_SYSTEMS = {Method.MC: "pas", Method.MC_FPA: "fpa"}
 
 
 def _simulate(
@@ -150,7 +150,7 @@ def _simulate(
         seed=_point_seed(spec.mc.seed, point_index),
         workers=spec.mc.workers,
     )
-    results = mc_mod._count_events(cfg, point_mc, [_MC_EVENTS[m] for m in methods])
+    results = mc_mod.simulate_sops(cfg, point_mc, [_MC_SYSTEMS[m] for m in methods])
     return {
         m: SopEstimate(res.estimate, m, res.trials, stderr=res.stderr)
         for m, res in zip(methods, results)
@@ -168,7 +168,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     """
     rows = []
     asymptotes: dict[tuple[float, float, float], SopEstimate] = {}
-    mc_methods = [m for m in spec.methods if m in _MC_EVENTS]
+    mc_methods = [m for m in spec.methods if m in _MC_SYSTEMS]
     for index, x in enumerate(spec.x_values):
         cfg = config_at(spec.base, spec.x_axis, x)
         simulated = _simulate(mc_methods, cfg, spec, index)

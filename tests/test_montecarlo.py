@@ -12,11 +12,11 @@ from pinchsec import (
     simulate_lower_bound_event,
     simulate_sop_fpa,
     simulate_sop_pas,
+    simulate_sops,
     sop_chebyshev,
 )
 from pinchsec import distributions as dist
 from pinchsec import montecarlo as mc_mod
-from pinchsec.montecarlo import _uniform_chunk
 from pinchsec.system import snr_bob_pinching, snr_eve_pinching, snr_fpa
 
 from conftest import make_config
@@ -34,12 +34,15 @@ class TestConfigValidation:
             McConfig(trials=10, seed=1, workers=0)
 
 
+def uniforms(seed, start, stop):
+    """Standard uniforms of trials [start, stop), shape (stop - start, 4)."""
+    return mc_mod._uniform_chunk(seed, start, np.empty((stop - start, 4)))
+
+
 class TestSubstreams:
     def test_chunked_stream_is_bit_identical(self):
-        full = _uniform_chunk(321, 0, 5000)
-        parts = np.vstack(
-            [_uniform_chunk(321, lo, hi) for lo, hi in ((0, 1), (1, 700), (700, 5000))]
-        )
+        full = uniforms(321, 0, 5000)
+        parts = np.vstack([uniforms(321, lo, hi) for lo, hi in ((0, 1), (1, 700), (700, 5000))])
         assert np.array_equal(full, parts)
 
     def test_estimates_invariant_under_workers(self, cfg10):
@@ -74,22 +77,23 @@ KERNEL_SEED = 31
 
 def reference_coordinates(cfg, trials=KERNEL_TRIALS, seed=KERNEL_SEED):
     """x1, y1, x2, y2 by the out-of-place expressions, in one unchunked draw."""
-    coords = (_uniform_chunk(seed, 0, trials) - 0.5) * cfg.region_side
+    coords = (uniforms(seed, 0, trials) - 0.5) * cfg.region_side
     return coords[:, 0], coords[:, 1], coords[:, 2], coords[:, 3]
 
 
-def reference_outage_sides(kernel, cfg):
-    """Both sides of each outage test, (1 + gb) and C * (1 + ge), from system.snr_*."""
+def reference_events(cfg):
+    """The pinching outage, fixed-position outage and bound events, per trial."""
     x1, y1, x2, y2 = reference_coordinates(cfg)
-    if kernel is mc_mod._outage_pas:
-        gb, ge = snr_bob_pinching(y1, cfg), snr_eve_pinching(x1, x2, y2, cfg)
-    else:
-        gb, ge = snr_fpa(x1, y1, cfg), snr_fpa(x2, y2, cfg)
-    return 1.0 + gb, cfg.rate_threshold * (1.0 + ge)
+    pas = 1.0 + snr_bob_pinching(y1, cfg) <= cfg.rate_threshold * (
+        1.0 + snr_eve_pinching(x1, x2, y2, cfg)
+    )
+    fpa = 1.0 + snr_fpa(x1, y1, cfg) <= cfg.rate_threshold * (1.0 + snr_fpa(x2, y2, cfg))
+    bound = (x1 - x2) ** 2 + y2**2 <= y1**2
+    return {mc_mod._outage_pas: pas, mc_mod._outage_fpa: fpa, mc_mod._bound_event: bound}
 
 
-class TestInPlaceKernels:
-    """The in-place kernels reproduce the system.snr_* expressions bit for bit."""
+class TestReusedDrawBuffer:
+    """Chunks drawn into one reused buffer reproduce an unchunked draw bit for bit."""
 
     CONFIGS = [
         dict(),
@@ -98,36 +102,26 @@ class TestInPlaceKernels:
     ]
 
     @pytest.mark.parametrize("overrides", CONFIGS)
-    @pytest.mark.parametrize("kernel", [mc_mod._outage_pas, mc_mod._outage_fpa])
-    def test_outage_kernels_bitwise(self, kernel, overrides):
+    def test_chunk_coordinates_and_events_bitwise(self, overrides):
         cfg = make_config(**overrides)
-        lhs, rhs = reference_outage_sides(kernel, cfg)
-        chunks = mc_mod._draw_span(KERNEL_SEED, 0, KERNEL_TRIALS, cfg.region_side)
-        for start, stop, chunk in chunks:
-            mask = kernel(chunk, cfg)
-            # the kernel leaves both sides of its comparison in scratch rows 0 and 1
-            assert np.array_equal(chunk.tmp[0], lhs[start:stop])
-            assert np.array_equal(chunk.tmp[1], rhs[start:stop])
-            assert np.array_equal(mask, lhs[start:stop] <= rhs[start:stop])
+        coords = np.column_stack(reference_coordinates(cfg))
+        expected = reference_events(cfg)
+        for start, stop, chunk in mc_mod._draw_span(KERNEL_SEED, 0, KERNEL_TRIALS, cfg.region_side):
+            assert np.array_equal(chunk, coords[start:stop])
+            for event, mask in expected.items():
+                assert np.array_equal(event(chunk, cfg), mask[start:stop]), event.__name__
         assert stop == KERNEL_TRIALS
-
-    def test_bound_kernel_bitwise(self, cfg30):
-        x1, y1, x2, y2 = reference_coordinates(cfg30)
-        expected = (x1 - x2) ** 2 + y2**2 <= y1**2
-        for start, stop, chunk in mc_mod._draw_span(KERNEL_SEED, 0, KERNEL_TRIALS, 30.0):
-            assert np.array_equal(mc_mod._bound_event(chunk, cfg30), expected[start:stop])
 
     @pytest.mark.parametrize("workers", [1, 3])
     def test_estimates_equal_reference_counts(self, cfg30, workers):
         mc = McConfig(trials=KERNEL_TRIALS, seed=KERNEL_SEED, workers=workers)
-        x1, y1, x2, y2 = reference_coordinates(cfg30)
-        expected = {
-            simulate_sop_pas: np.less_equal(*reference_outage_sides(mc_mod._outage_pas, cfg30)),
-            simulate_sop_fpa: np.less_equal(*reference_outage_sides(mc_mod._outage_fpa, cfg30)),
-            simulate_lower_bound_event: (x1 - x2) ** 2 + y2**2 <= y1**2,
-        }
-        for simulate, events in expected.items():
-            count = np.count_nonzero(events)
+        expected = reference_events(cfg30)
+        for simulate, event in (
+            (simulate_sop_pas, mc_mod._outage_pas),
+            (simulate_sop_fpa, mc_mod._outage_fpa),
+            (simulate_lower_bound_event, mc_mod._bound_event),
+        ):
+            count = np.count_nonzero(expected[event])
             assert simulate(cfg30, mc).estimate == count / KERNEL_TRIALS
 
     @pytest.mark.parametrize("workers", [1, 3])
@@ -137,15 +131,13 @@ class TestInPlaceKernels:
         assert np.array_equal(sample_snr_eve(cfg30, mc), snr_eve_pinching(x1, x2, y2, cfg30))
         assert np.array_equal(sample_offset_sq(cfg30, mc), (x1 - x2) ** 2 + y2**2)
 
-    def test_shared_pass_equals_single_event_calls(self, cfg30):
-        mc = McConfig(trials=KERNEL_TRIALS, seed=KERNEL_SEED, workers=3)
-        events = (mc_mod._outage_pas, mc_mod._outage_fpa, mc_mod._bound_event)
-        shared = mc_mod._count_events(cfg30, mc, events)
-        assert shared == (
-            simulate_sop_pas(cfg30, mc),
-            simulate_sop_fpa(cfg30, mc),
-            simulate_lower_bound_event(cfg30, mc),
-        )
+    @pytest.mark.parametrize("workers", [1, 3])
+    def test_shared_pass_equals_one_system_calls(self, cfg30, workers):
+        mc = McConfig(trials=KERNEL_TRIALS, seed=KERNEL_SEED, workers=workers)
+        pas, fpa = simulate_sop_pas(cfg30, mc), simulate_sop_fpa(cfg30, mc)
+        assert simulate_sops(cfg30, mc, ("pas", "fpa")) == (pas, fpa)
+        assert simulate_sops(cfg30, mc, ("fpa", "pas")) == (fpa, pas)
+        assert simulate_sops(cfg30, mc, ("pas",)) == (pas,)
 
 
 class TestResultContract:

@@ -158,9 +158,9 @@ def count_draw_passes(monkeypatch) -> list:
     calls = []
     original = mc_mod._uniform_chunk
 
-    def counted(seed, start, stop, *args, **kwargs):
-        calls.append((seed, start, stop))
-        return original(seed, start, stop, *args, **kwargs)
+    def counted(seed, start, out):
+        calls.append((seed, start, len(out)))
+        return original(seed, start, out)
 
     monkeypatch.setattr(mc_mod, "_uniform_chunk", counted)
     return calls
@@ -206,8 +206,8 @@ GOLDEN_CSV = Path(__file__).parent / "data" / "sweep_rate_golden.csv"
 class TestGoldenSweepBytes:
     """A fixed-seed rate sweep, pinned byte for byte.
 
-    The file was written before the Monte Carlo kernels were rewritten in
-    place; any change to a draw, an operation or its order shows here.
+    The file was written before sweeps shared one draw between ``mc`` and
+    ``mc-fpa``; any change to a draw, an operation or its order shows here.
     It relies on numpy's Philox ``Generator.random`` stream, which numpy
     may change between releases (NEP 19).
     """

@@ -26,7 +26,7 @@ from .sweep import (
     run_sweep,
 )
 from .system import SystemConfig, dbm_to_watts
-from .validation import run_checks
+from .validation import check_seed, run_checks
 
 DEFAULT_SEED = 12345
 SEED_ENV_VAR = "PINCH_SEED"
@@ -264,6 +264,10 @@ def _cmd_dist(args: argparse.Namespace) -> int:
 
 def _cmd_validate(args: argparse.Namespace) -> int:
     seed = _resolve_seed({} if args.seed is None else {"seed": args.seed})
+    try:
+        check_seed(seed)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     results = run_checks(level=args.level, seed=seed)
     failed = 0
     for r in results:

@@ -76,6 +76,8 @@ class SweepSpec:
             raise ValueError("chebyshev_order must be >= 1")
         if not 0.0 < self.exact_tol <= 1e-3:
             raise ValueError("exact_tol must be in (0, 1e-3]")
+        for x in self.x_values:
+            config_at(self.base, self.x_axis, x)  # raises on an out-of-domain x
 
 
 @dataclass(frozen=True)
@@ -145,11 +147,7 @@ def _simulate(
     """Every requested Monte Carlo method at one point, from one set of draws."""
     if not methods:
         return {}
-    point_mc = McConfig(
-        trials=spec.mc.trials,
-        seed=_point_seed(spec.mc.seed, point_index),
-        workers=spec.mc.workers,
-    )
+    point_mc = replace(spec.mc, seed=_point_seed(spec.mc.seed, point_index))
     results = mc_mod.simulate_sops(cfg, point_mc, [_MC_SYSTEMS[m] for m in methods])
     return {
         m: SopEstimate(res.estimate, m, res.trials, stderr=res.stderr)

@@ -1,266 +1,66 @@
-"""Acceptance gate: every criterion at its stated tolerance.
+"""Acceptance gate: every criterion as named checks of the `validate` suite.
 
-Heavy shared computations (the 54-point reference grid with exact,
-Chebyshev, and 1e5-trial Monte Carlo values) are built once per module.
-Each criterion prints one PASS/FAIL line with the measured margin.
+`pinchsec.validation.run_checks` holds every grid, seed, quadrature and
+tolerance; this module runs it once at full level and the CLI's default
+seed, and maps its named checks onto the numbered criteria. Each
+criterion prints one PASS/FAIL line with the margins from the details
+of its checks.
 """
 
-import math
-
-import numpy as np
 import pytest
-from scipy import integrate, stats
 
-from pinchsec import (
-    LOWER_BOUND_PAS,
-    McConfig,
-    cli,
-    simulate_lower_bound_event,
-    simulate_sop_fpa,
-    simulate_sop_pas,
-    sop_asymptotic,
-    sop_chebyshev,
-    sop_exact,
-    sop_lower_bound_fpa,
-    sop_lower_bound_pas,
-)
-from pinchsec import distributions as dist
+from pinchsec.cli import DEFAULT_SEED
+from pinchsec.validation import run_checks
 
-from conftest import make_config
-
-TRIALS = 100_000
-GRID = [
-    (d, float(p), r)
-    for d in (10.0, 30.0)
-    for p in range(0, 45, 5)
-    for r in (0.1, 0.5, 1.0)
-]
+CRITERIA = {
+    1: ("lower-bound-pas-constant", "lower-bound-pas-integral", "lower-bound-fpa-constant"),
+    2: ("chebyshev-vs-exact",),
+    3: ("mc-vs-chebyshev",),
+    4: ("pas-floor-on-grid", "lower-bound-event-mc"),
+    5: ("asymptotic-plateau", "asymptotic-power-invariance"),
+    6: ("offset-pdf-normalization", "eve-pdf-normalization", "eve-pdf-dual-route",
+        "eve-pdf-continuity", "offset-cdf-closed-vs-quadrature", "offset-sampler-ks",
+        "eve-sampler-chi2"),
+    7: ("pas-beats-fpa-ordering",),
+    8: ("mc-determinism", "sweep-csv-worker-invariance"),
+    9: ("saturated-outage",),
+}
 
 
-def report(criterion: int, ok: bool, detail: str) -> None:
+@pytest.fixture(scope="module")
+def results():
+    return run_checks("full", DEFAULT_SEED)
+
+
+def report(criterion: int, results) -> None:
+    by_name = {r.name: r for r in results}
+    checks = [by_name[name] for name in CRITERIA[criterion]]
+    ok = all(r.passed for r in checks)
+    detail = "; ".join(f"{r.name} {'ok' if r.passed else 'FAILED'}: {r.detail}" for r in checks)
     print(f"ACCEPTANCE {criterion} {'PASS' if ok else 'FAIL'}: {detail}")
     assert ok, f"criterion {criterion}: {detail}"
 
 
-@pytest.fixture(scope="module")
-def grid_results():
-    out = {}
-    for i, (d, p, r) in enumerate(GRID):
-        cfg = make_config(region_side=d, power_dbm=p, rate=r)
-        out[(d, p, r)] = {
-            "exact": sop_exact(cfg, tol=1e-8).value,
-            "cheb": sop_chebyshev(cfg, 100).value,
-            "mc": simulate_sop_pas(cfg, McConfig(TRIALS, seed=50_000 + i)),
-            "fpa": simulate_sop_fpa(cfg, McConfig(TRIALS, seed=70_000 + i)),
-        }
-    return out
+def test_every_check_belongs_to_exactly_one_criterion(results):
+    mapped = [name for names in CRITERIA.values() for name in names]
+    assert sorted(r.name for r in results) == sorted(mapped)
 
 
-def test_criterion_1_lower_bound_constants():
-    pas = sop_lower_bound_pas().value
-    fpa = sop_lower_bound_fpa().value
-    exact_ok = pas == (2.0 * math.pi - 1.0) / 24.0 and fpa == 0.5
+def criterion(n: int):
+    """The test of criterion n: every check mapped to it passes."""
 
-    j1, _ = integrate.quad(lambda z: math.pi * z * z / 4.0, 0.0, 0.5, epsabs=1e-15)
-    j2, _ = integrate.quad(lambda z: z**3 / 3.0, 0.0, 0.5, epsabs=1e-15)
-    rebuilt = 8.0 * j1 - 8.0 * j2
-    quad_gap = abs(rebuilt - pas)
+    def test(results):
+        report(n, results)
 
-    report(
-        1,
-        exact_ok and quad_gap <= 1e-12,
-        f"pas={pas!r} fpa={fpa!r} quadrature cross-check gap={quad_gap:.2e}",
-    )
+    return test
 
 
-def test_criterion_2_chebyshev_vs_exact(grid_results):
-    worst = max(abs(v["cheb"] - v["exact"]) for v in grid_results.values())
-    report(2, worst <= 1e-3, f"max |chebyshev(100) - exact| = {worst:.3e} on 54 points")
-
-
-def test_criterion_3_mc_agreement(grid_results):
-    worst_ratio = 0.0
-    ok = True
-    for v in grid_results.values():
-        gap = abs(v["mc"].estimate - v["cheb"])
-        allowed = max(3.0 * v["mc"].stderr, 0.01)
-        worst_ratio = max(worst_ratio, gap / allowed)
-        ok = ok and gap <= allowed
-    report(
-        3,
-        ok,
-        f"max gap / max(3*stderr, 0.01) = {worst_ratio:.3f} at {TRIALS} trials per point",
-    )
-
-
-def test_criterion_4_lower_bound_floor(grid_results):
-    ok = True
-    for v in grid_results.values():
-        slack = 3.0 * v["mc"].stderr
-        if min(v["mc"].estimate, v["cheb"], v["exact"]) < LOWER_BOUND_PAS - slack:
-            ok = False
-        if v["fpa"].estimate < 0.5 - 3.0 * v["fpa"].stderr:
-            ok = False
-
-    deviations = []
-    for i, (d, h) in enumerate(((10.0, 3.0), (30.0, 7.5))):
-        cfg = make_config(region_side=d, height=h)
-        res = simulate_lower_bound_event(cfg, McConfig(1_000_000, seed=90_000 + i))
-        deviations.append(abs(res.estimate - LOWER_BOUND_PAS) / res.stderr)
-    ok = ok and all(dev <= 3.0 for dev in deviations)
-    report(
-        4,
-        ok,
-        "floors held on the grid; direct-event deviations = "
-        + ", ".join(f"{d:.2f} sigma" for d in deviations),
-    )
-
-
-def test_criterion_5_asymptotic_plateau():
-    worst = 0.0
-    for d in (10.0, 30.0):
-        for r in (0.1, 1.0):
-            cfg = make_config(region_side=d, power_dbm=60.0, rate=r)
-            worst = max(
-                worst, abs(sop_exact(cfg, tol=1e-8).value - sop_asymptotic(cfg).value)
-            )
-    a = sop_asymptotic(make_config(power_dbm=0.0)).value
-    b = sop_asymptotic(make_config(power_dbm=50.0)).value
-    report(
-        5,
-        worst <= 1e-2 and a == b,
-        f"max |exact(60 dBm) - asymptotic| = {worst:.3e}; power invariance {'bit-exact' if a == b else 'BROKEN'}",
-    )
-
-
-def test_criterion_6_distribution_validity():
-    cfg = make_config()
-    d2 = cfg.region_side**2
-    lo, hi = dist.snr_eve_support(cfg)
-
-    mass_eve, _ = integrate.quad(
-        lambda z: dist.pdf_snr_eve(z, cfg),
-        lo,
-        hi,
-        points=list(dist.snr_eve_breakpoints(cfg)),
-        epsabs=1e-10,
-        limit=200,
-    )
-    mass_off, _ = integrate.quad(
-        lambda w: dist.pdf_offset_sq(w, cfg),
-        0.0,
-        1.25 * d2,
-        points=[0.25 * d2, d2],
-        epsabs=1e-10,
-        limit=200,
-    )
-    norm_ok = abs(mass_eve - 1.0) <= 1e-6 and abs(mass_off - 1.0) <= 1e-6
-
-    # relative agreement anchored at the density scale (the density has
-    # a root at the lower support edge)
-    rng = np.random.default_rng(606)
-    zs = rng.uniform(lo, hi, size=10_000)
-    scale = 1.0 / (hi - lo)
-    dual_worst = max(
-        abs(dist.pdf_snr_eve(float(z), cfg) - dist.pdf_snr_eve_via_offset(float(z), cfg))
-        / max(dist.pdf_snr_eve(float(z), cfg), scale)
-        for z in zs
-    )
-
-    b_outer, b_inner = dist.snr_eve_breakpoints(cfg)
-    jumps = [
-        abs(dist._eve_branch_mid(b_inner, cfg) - dist._eve_branch_near(b_inner, cfg))
-        / dist._eve_branch_near(b_inner, cfg),
-        abs(dist._eve_branch_far(b_outer, cfg) - dist._eve_branch_mid(b_outer, cfg))
-        / dist._eve_branch_mid(b_outer, cfg),
-    ]
-
-    n = 1_000_000
-    from pinchsec import sample_offset_sq, sample_snr_eve
-
-    snr = sample_snr_eve(cfg, McConfig(n, seed=616))
-    edges = np.linspace(lo, hi, 201)
-    observed, _ = np.histogram(snr, bins=edges)
-    expected = np.array(
-        [
-            n * integrate.quad(lambda z: dist.pdf_snr_eve(z, cfg), a, b, limit=100)[0]
-            for a, b in zip(edges[:-1], edges[1:])
-        ]
-    )
-    obs_m, exp_m, acc_o, acc_e = [], [], 0.0, 0.0
-    for o, e in zip(observed, expected):
-        acc_o += o
-        acc_e += e
-        if acc_e >= 5.0:
-            obs_m.append(acc_o)
-            exp_m.append(acc_e)
-            acc_o = acc_e = 0.0
-    obs_arr, exp_arr = np.asarray(obs_m), np.asarray(exp_m)
-    exp_arr *= obs_arr.sum() / exp_arr.sum()
-    chi2_stat = float(np.sum((obs_arr - exp_arr) ** 2 / exp_arr))
-    chi2_crit = float(stats.chi2.ppf(0.99, len(obs_arr) - 1))
-
-    offs = sample_offset_sq(cfg, McConfig(n, seed=626))
-    ks = stats.kstest(offs, lambda t: dist.cdf_offset_sq(t, cfg))
-
-    ok = (
-        norm_ok
-        and dual_worst <= 1e-9
-        and all(j <= 1e-9 for j in jumps)
-        and chi2_stat < chi2_crit
-        and ks.pvalue > 0.01
-    )
-    report(
-        6,
-        ok,
-        f"masses=({mass_eve:.9f}, {mass_off:.9f}) dual={dual_worst:.2e} "
-        f"jumps=({jumps[0]:.2e}, {jumps[1]:.2e}) chi2={chi2_stat:.1f}<{chi2_crit:.1f} "
-        f"KS p={ks.pvalue:.3f}",
-    )
-
-
-def test_criterion_7_fig3_ordering():
-    ok = True
-    min_margin = math.inf
-    points = 0
-    for i, rate in enumerate(r / 10.0 for r in range(1, 21)):
-        cfg = make_config(region_side=30.0, power_dbm=20.0, rate=rate)
-        pas = simulate_sop_pas(cfg, McConfig(TRIALS, seed=91_000 + i)).estimate
-        fpa = simulate_sop_fpa(cfg, McConfig(TRIALS, seed=92_000 + i)).estimate
-        cheb = sop_chebyshev(cfg, 100).value
-        ok = ok and pas <= fpa and cheb <= fpa
-        min_margin = min(min_margin, fpa - max(pas, cheb))
-        points += 1
-    for i, power in enumerate(range(0, 45, 5)):
-        cfg = make_config(region_side=30.0, power_dbm=float(power), rate=0.1)
-        pas = simulate_sop_pas(cfg, McConfig(TRIALS, seed=93_000 + i)).estimate
-        fpa = simulate_sop_fpa(cfg, McConfig(TRIALS, seed=94_000 + i)).estimate
-        cheb = sop_chebyshev(cfg, 100).value
-        ok = ok and pas <= fpa and cheb <= fpa
-        min_margin = min(min_margin, fpa - max(pas, cheb))
-        points += 1
-    report(7, ok, f"pinching <= fixed at all {points} points; min margin = {min_margin:.4f}")
-
-
-def test_criterion_8_deterministic_csv(capsys):
-    args = [
-        "sweep",
-        "--x-values",
-        "0,20,40",
-        "--methods",
-        "mc,mc-fpa,chebyshev",
-        "--trials",
-        "20000",
-        "--seed",
-        "31337",
-    ]
-    assert cli.main(args + ["--workers", "1"]) == 0
-    first = capsys.readouterr().out
-    assert cli.main(args + ["--workers", "4"]) == 0
-    second = capsys.readouterr().out
-    with capsys.disabled():
-        report(
-            8,
-            first == second and len(first) > 0,
-            f"byte-identical CSV ({len(first)} bytes) for workers 1 vs 4",
-        )
+test_criterion_1_lower_bound_constants = criterion(1)
+test_criterion_2_chebyshev_vs_exact = criterion(2)
+test_criterion_3_mc_agreement = criterion(3)
+test_criterion_4_lower_bound_floor = criterion(4)
+test_criterion_5_asymptotic_plateau = criterion(5)
+test_criterion_6_distribution_validity = criterion(6)
+test_criterion_7_fig3_ordering = criterion(7)
+test_criterion_8_deterministic_csv = criterion(8)
+test_criterion_9_saturated_outage = criterion(9)

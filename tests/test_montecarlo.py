@@ -167,7 +167,8 @@ class TestAgainstAnalytics:
                 )
 
     def test_fpa_respects_half_floor(self, cfg10, cfg30):
-        for cfg in (cfg10, cfg30):
+        grid = [make_config(region_side=d, rate=r) for d in (10.0, 30.0) for r in (0.1, 0.5, 1.0)]
+        for cfg in (cfg10, cfg30, *grid):
             res = simulate_sop_fpa(cfg, McConfig(trials=100_000, seed=17))
             assert res.estimate >= 0.5 - 3.0 * res.stderr
 

@@ -193,6 +193,14 @@ class TestSopChebyshev:
             warnings.simplefilter("error")
             assert sop_chebyshev(cfg, 100).value >= LOWER_BOUND_PAS
 
+    def test_silent_for_a_dip_inside_the_tolerance(self):
+        # at rate 0 the N = 100 sum sits about 5e-5 below the floor
+        cfg = make_config(region_side=10.0, height=3.0, power_dbm=20.0, rate=0.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = sop_chebyshev(cfg, 100).value
+        assert 0.0 < LOWER_BOUND_PAS - value <= 1e-3
+
 
 class TestSopAsymptotic:
     def test_independent_of_transmit_power(self):

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -6,10 +7,10 @@ import pytest
 
 from pinchsec import McConfig, Method
 from pinchsec import cli
+from pinchsec import distributions as dist_mod
 from pinchsec import montecarlo as mc_mod
 from pinchsec import sop as sop_mod
 from pinchsec import validation
-from pinchsec.sop import SopEstimate
 from pinchsec.sweep import (
     Axis,
     SweepRow,
@@ -313,6 +314,14 @@ class TestCliSweep:
         assert code == 2
         assert "height" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args", ["--x-values nan", "--x region --x-values=-5,10", "--x rate --x-values 0,nan"]
+    )
+    def test_out_of_domain_x_is_usage_error_before_any_point(self, capsys, monkeypatch, args):
+        monkeypatch.setattr(mc_mod, "simulate_sops", None)  # computing a point would raise
+        assert cli.main(["sweep", "--methods", "mc,chebyshev", *args.split()]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_default_grid_matches_builtin_defaults(self, capsys):
         assert cli.main(["sweep", "--methods", "lower-pas"]) == 0
         lines = capsys.readouterr().out.strip().split("\n")
@@ -375,6 +384,23 @@ class TestCliDist:
         assert cli.main(["dist", "--which", "w-pdf", "--grid", "1"]) == 2
 
 
+# Corruptions of the library, each with the checks of the suite it must fail.
+CORRUPTIONS = {
+    "pas-floor-constant": (
+        sop_mod, "sop_lower_bound_pas", lambda f: lambda: replace(f(), value=0.25),
+        "_check_bound_constants", ["lower-bound-pas-constant", "lower-bound-pas-integral"]),
+    "chebyshev-shifted": (
+        sop_mod, "sop_chebyshev", lambda f: lambda *a: replace(f(*a), value=f(*a).value + 2e-3),
+        "_check_sop_agreement", ["chebyshev-vs-exact"]),
+    "eve-pdf-scaled": (
+        dist_mod, "pdf_snr_eve", lambda f: lambda z, c: 1.01 * f(z, c),
+        "_check_distributions", ["eve-pdf-normalization", "eve-pdf-dual-route"]),
+    "mc-worker-dependent": (
+        mc_mod, "simulate_sop_pas", lambda f: lambda c, m: f(c, replace(m, seed=m.seed + m.workers)),
+        "_check_determinism", ["mc-determinism"]),
+}
+
+
 class TestCliValidate:
     def test_exit_zero_when_all_pass(self, capsys, monkeypatch):
         monkeypatch.setattr(
@@ -391,14 +417,27 @@ class TestCliValidate:
         assert cli.main(["validate"]) == 1
         assert "FAIL bad" in capsys.readouterr().out
 
-    def test_corrupted_constant_detected(self, monkeypatch):
-        # the check suite must catch a corrupted bound implementation
-        monkeypatch.setattr(
-            sop_mod,
-            "sop_lower_bound_pas",
-            lambda: SopEstimate(0.25, Method.LOWER_PAS, 0),
-        )
-        results = validation._check_bound_constants(fast=True, seed=1)
-        by_name = {r.name: r for r in results}
-        assert not by_name["lower-bound-pas-constant"].passed
-        assert not by_name["lower-bound-pas-integral"].passed
+    @pytest.mark.parametrize(
+        "argv,env", [(["--seed", "-1"], None), ([], "-3"), (["--seed", str(2**64 - 950)], None)]
+    )
+    def test_out_of_range_seed_is_usage_error(self, capsys, monkeypatch, argv, env):
+        monkeypatch.setattr(validation, "_check_bound_constants", None)  # no check may run
+        if env is not None:
+            monkeypatch.setenv("PINCH_SEED", env)
+        assert cli.main(["validate", *argv]) == 2
+        assert capsys.readouterr().err.startswith("error: seed must be in")
+        validation.check_seed(2**64 - 951)  # the largest seed whose derived seeds fit
+
+    def test_fast_and_full_run_the_same_checks_in_order(self):
+        fast, full = ([r.name for r in validation.run_checks(lv)] for lv in ("fast", "full"))
+        assert fast == full
+
+    @pytest.mark.parametrize(
+        "module,attr,corrupt,check,failing", CORRUPTIONS.values(), ids=list(CORRUPTIONS)
+    )
+    def test_corrupted_implementation_detected(
+        self, monkeypatch, module, attr, corrupt, check, failing
+    ):
+        monkeypatch.setattr(module, attr, corrupt(getattr(module, attr)))
+        passed = {r.name: r.passed for r in getattr(validation, check)(fast=True, seed=1)}
+        assert not any(passed[name] for name in failing)

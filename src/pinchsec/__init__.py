@@ -11,7 +11,6 @@ from .distributions import (
     cdf_offset_sq,
     cdf_offset_sq_quadrature,
     cdf_snr_bob,
-    cdf_x_offset_sq,
     make_offset_sq_cdf,
     make_offset_sq_pdf,
     make_snr_bob_cdf,
@@ -19,8 +18,6 @@ from .distributions import (
     pdf_offset_sq,
     pdf_snr_eve,
     pdf_snr_eve_via_offset,
-    pdf_x_offset_sq,
-    pdf_y_offset_sq,
 )
 from .montecarlo import (
     McConfig,
@@ -46,15 +43,11 @@ from .sop import (
 )
 from .sweep import Axis, SweepResult, SweepSpec, dump_distribution, run_sweep
 from .system import (
-    Position,
     SystemConfig,
-    channel_coefficient,
     dbm_to_watts,
     snr_bob_pinching,
     snr_eve_pinching,
     snr_fpa,
-    watts_to_dbm,
-    waveguide_phase,
 )
 
 __version__ = "0.1.0"
@@ -68,7 +61,6 @@ __all__ = [
     "McResult",
     "Method",
     "PiecewiseDensity",
-    "Position",
     "SopEstimate",
     "SweepResult",
     "SweepSpec",
@@ -76,8 +68,6 @@ __all__ = [
     "cdf_offset_sq",
     "cdf_offset_sq_quadrature",
     "cdf_snr_bob",
-    "cdf_x_offset_sq",
-    "channel_coefficient",
     "dbm_to_watts",
     "dump_distribution",
     "make_offset_sq_cdf",
@@ -87,8 +77,6 @@ __all__ = [
     "pdf_offset_sq",
     "pdf_snr_eve",
     "pdf_snr_eve_via_offset",
-    "pdf_x_offset_sq",
-    "pdf_y_offset_sq",
     "run_sweep",
     "sample_offset_sq",
     "sample_snr_eve",
@@ -104,7 +92,5 @@ __all__ = [
     "sop_exact",
     "sop_lower_bound_fpa",
     "sop_lower_bound_pas",
-    "watts_to_dbm",
-    "waveguide_phase",
     "__version__",
 ]

@@ -13,6 +13,7 @@ import argparse
 import os
 import sys
 from pathlib import Path
+from typing import Any, Callable, NamedTuple
 
 from .distributions import DISTRIBUTION_TAGS
 from .montecarlo import McConfig
@@ -31,43 +32,57 @@ from .validation import check_seed, run_checks
 DEFAULT_SEED = 12345
 SEED_ENV_VAR = "PINCH_SEED"
 
-# zero-flag defaults: 28 GHz carrier, 3 m height, -80 dBm noise,
-# Chebyshev order 100, 1e5 trials
-_DEFAULTS: dict[str, float | int | str] = {
-    "region_side": 10.0,
-    "height": 3.0,
-    "freq_ghz": 28.0,
-    "n_eff": 1.4,
-    "power_dbm": 20.0,
-    "noise_dbm": -80.0,
-    "rate": 0.1,
-    "trials": 100_000,
-    "workers": 1,
-    "chebyshev_order": 100,
-    "exact_tol": 1e-8,
-    "grid": 1000,
-    "x_min": 0.0,
-    "x_max": 40.0,
-    "x_step": 5.0,
-    "x": "power-dbm",
-    "which": "gamma-e-pdf",
-    "methods": "mc,chebyshev",
-}
 
-_CONFIG_FILE_KEYS = {
-    "region-side": float,
-    "height": float,
-    "freq-ghz": float,
-    "n-eff": float,
-    "power-dbm": float,
-    "noise-dbm": float,
-    "rate": float,
-    "trials": int,
-    "seed": int,
-    "workers": int,
-    "chebyshev-order": int,
-    "exact-tol": float,
-    "grid": int,
+class _Param(NamedTuple):
+    """One option ``--<key>`` of the parameter table."""
+
+    section: str  # "sweep" or "dist" options, "system" group, or "io" on both
+    type: Callable[[str], Any]
+    default: Any  # None: no built-in default
+    help: str | None
+    in_file: bool = False  # may also be set from a --config file
+    choices: list[str] | None = None
+
+
+# every option of `sweep` and `dist` but --log-grid, in help order; the
+# zero-flag defaults are a 28 GHz carrier, 3 m height, -80 dBm noise,
+# Chebyshev order 100 and 1e5 trials
+_PARAMS: dict[str, _Param] = {
+    "x": _Param("sweep", str, "power-dbm", "swept variable", choices=[a.value for a in Axis]),
+    "x-min": _Param("sweep", float, 0.0, None),
+    "x-max": _Param("sweep", float, 40.0, None),
+    "x-step": _Param("sweep", float, 5.0, None),
+    "x-values": _Param("sweep", str, None, "explicit comma-separated x values"),
+    "methods": _Param(
+        "sweep",
+        str,
+        "mc,chebyshev",
+        "comma-separated subset of: " + ",".join(m.value for m in Method),
+    ),
+    "trials": _Param("sweep", int, 100_000, "Monte Carlo trials per grid point", True),
+    "workers": _Param(
+        "sweep", int, 1, "partitioning hint run on one thread; never changes values", True
+    ),
+    "chebyshev-order": _Param("sweep", int, 100, "quadrature order N", True),
+    "exact-tol": _Param(
+        "sweep",
+        float,
+        1e-8,
+        "bound on the order-doubling error estimate of the exact integral",
+        True,
+    ),
+    "which": _Param("dist", str, "gamma-e-pdf", None, choices=sorted(DISTRIBUTION_TAGS)),
+    "grid": _Param("dist", int, 1000, "number of grid points (>= 2)", True),
+    "region-side": _Param("system", float, 10.0, "region side D in meters", True),
+    "height": _Param("system", float, 3.0, "antenna height h in meters", True),
+    "freq-ghz": _Param("system", float, 28.0, "carrier frequency in GHz", True),
+    "n-eff": _Param("system", float, 1.4, "waveguide effective refractive index", True),
+    "power-dbm": _Param("system", float, 20.0, "transmit power in dBm", True),
+    "noise-dbm": _Param("system", float, -80.0, "noise power in dBm", True),
+    "rate": _Param("system", float, 0.1, "target secrecy rate in bits/s/Hz", True),
+    "config": _Param("io", Path, None, "key=value file merged beneath flags"),
+    "out": _Param("io", Path, None, "write CSV here instead of stdout"),
+    "seed": _Param("io", int, None, f"RNG seed (default ${SEED_ENV_VAR} or {DEFAULT_SEED})", True),
 }
 
 
@@ -75,18 +90,10 @@ class UsageError(Exception):
     pass
 
 
-def _add_config_flags(parser: argparse.ArgumentParser) -> None:
-    g = parser.add_argument_group("system parameters")
-    g.add_argument("--region-side", type=float, help="region side D in meters")
-    g.add_argument("--height", type=float, help="antenna height h in meters")
-    g.add_argument("--freq-ghz", type=float, help="carrier frequency in GHz")
-    g.add_argument("--n-eff", type=float, help="waveguide effective refractive index")
-    g.add_argument("--power-dbm", type=float, help="transmit power in dBm")
-    g.add_argument("--noise-dbm", type=float, help="noise power in dBm")
-    g.add_argument("--rate", type=float, help="target secrecy rate in bits/s/Hz")
-    parser.add_argument("--config", type=Path, help="key=value file merged beneath flags")
-    parser.add_argument("--out", type=Path, help="write CSV here instead of stdout")
-    parser.add_argument("--seed", type=int, help=f"RNG seed (default ${SEED_ENV_VAR} or {DEFAULT_SEED})")
+def _add_params(parser: argparse._ActionsContainer, section: str) -> None:
+    for key, p in _PARAMS.items():
+        if p.section == section:
+            parser.add_argument(f"--{key}", type=p.type, choices=p.choices, help=p.help)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -97,31 +104,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sw = sub.add_parser("sweep", help="evaluate SOP methods over a parameter grid")
-    sw.add_argument("--x", choices=[a.value for a in Axis], help="swept variable")
-    sw.add_argument("--x-min", type=float)
-    sw.add_argument("--x-max", type=float)
-    sw.add_argument("--x-step", type=float)
-    sw.add_argument("--x-values", type=str, help="explicit comma-separated x values")
-    sw.add_argument(
-        "--methods",
-        type=str,
-        help="comma-separated subset of: " + ",".join(m.value for m in Method),
-    )
-    sw.add_argument("--trials", type=int, help="Monte Carlo trials per grid point")
-    sw.add_argument("--workers", type=int, help="partitioning hint; never changes values")
-    sw.add_argument("--chebyshev-order", type=int, help="quadrature order N")
-    sw.add_argument(
-        "--exact-tol",
-        type=float,
-        help="bound on the order-doubling error estimate of the exact integral",
-    )
-    _add_config_flags(sw)
-
+    _add_params(sw, "sweep")
     ds = sub.add_parser("dist", help="dump a distribution on a grid as CSV")
-    ds.add_argument("--which", choices=sorted(DISTRIBUTION_TAGS))
-    ds.add_argument("--grid", type=int, help="number of grid points (>= 2)")
+    _add_params(ds, "dist")
     ds.add_argument("--log-grid", action="store_true", help="logarithmic grid")
-    _add_config_flags(ds)
+    for cmd in (sw, ds):
+        _add_params(cmd.add_argument_group("system parameters"), "system")
+        _add_params(cmd, "io")
 
     va = sub.add_parser("validate", help="run the cross-validation check suite")
     va.add_argument("--level", choices=["fast", "full"], default="fast")
@@ -141,10 +130,11 @@ def _read_config_file(path: Path) -> dict[str, float | int]:
             raise UsageError(f"{path}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
         key = key.strip()
-        if key not in _CONFIG_FILE_KEYS:
+        param = _PARAMS.get(key)
+        if param is None or not param.in_file:
             raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
         try:
-            values[key.replace("-", "_")] = _CONFIG_FILE_KEYS[key](value.strip())
+            values[key.replace("-", "_")] = param.type(value.strip())
         except ValueError as exc:
             raise UsageError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
     return values
@@ -152,7 +142,9 @@ def _read_config_file(path: Path) -> dict[str, float | int]:
 
 def _resolve(args: argparse.Namespace) -> dict:
     """Merge precedence: flag > config file > built-in default."""
-    merged = dict(_DEFAULTS)
+    merged = {
+        key.replace("-", "_"): p.default for key, p in _PARAMS.items() if p.default is not None
+    }
     if getattr(args, "config", None) is not None:
         merged.update(_read_config_file(args.config))
     for key, value in vars(args).items():

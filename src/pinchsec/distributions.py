@@ -38,9 +38,6 @@ __all__ = [
     "cdf_snr_bob",
     "pdf_snr_eve",
     "pdf_snr_eve_via_offset",
-    "cdf_x_offset_sq",
-    "pdf_x_offset_sq",
-    "pdf_y_offset_sq",
     "pdf_offset_sq",
     "cdf_offset_sq",
     "cdf_offset_sq_quadrature",
@@ -103,44 +100,6 @@ def cdf_snr_bob(z: float, cfg: SystemConfig) -> float:
 
 # ---------------------------------------------------------------------------
 # Squared offsets between the active antenna and the eavesdropper
-
-
-def cdf_x_offset_sq(t: float, cfg: SystemConfig) -> float:
-    """CDF of the squared along-track offset (x1 - x2)^2.
-
-    The offset itself is triangular on [-D, D], hence
-    F(t) = (2*D*sqrt(t) - t) / D^2 on [0, D^2].
-    """
-    if t < 0.0:
-        raise ValueError(f"squared offset must be >= 0, got {t}")
-    d = cfg.region_side
-    if t >= d * d:
-        return 1.0
-    return (2.0 * d * math.sqrt(t) - t) / (d * d)
-
-
-def pdf_x_offset_sq(t: float, cfg: SystemConfig) -> float:
-    """Density of (x1 - x2)^2: 1/(D sqrt(t)) - 1/D^2 on (0, D^2].
-
-    Integrable singularity at t -> 0+; exactly 0 is rejected so callers
-    fall back to the CDF near the origin.
-    """
-    if t == 0.0:
-        raise ValueError("density of the squared x-offset is singular at 0; use the CDF")
-    d = cfg.region_side
-    if t < 0.0 or t > d * d:
-        return 0.0
-    return 1.0 / (d * math.sqrt(t)) - 1.0 / (d * d)
-
-
-def pdf_y_offset_sq(t: float, cfg: SystemConfig) -> float:
-    """Density of y2^2: 1/(D sqrt(t)) on (0, D^2/4]. Singular at 0."""
-    if t == 0.0:
-        raise ValueError("density of the squared y-offset is singular at 0; use the CDF")
-    d = cfg.region_side
-    if t < 0.0 or t > d * d / 4.0:
-        return 0.0
-    return 1.0 / (d * math.sqrt(t))
 
 
 def offset_sq_support(cfg: SystemConfig) -> tuple[float, float]:

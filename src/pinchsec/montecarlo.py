@@ -8,17 +8,18 @@ partitioning yields bit-identical results; sample streams preserve
 trial order.
 
 Trials are split into one span per worker and each span into chunks of
-at most 2^17 trials. A span draws all its chunks into one buffer,
-allocated once per call: the (chunk, 4) uniforms, 4 MiB at the full
-chunk size, mapped to coordinates in place. One pass over the draws can
-count several events, so the pinching and fixed-position outages of one
-configuration share their trials (:func:`simulate_sops`).
+at most 2^17 trials; the spans run in order on the calling thread, so
+``workers`` is a partitioning hint only. A span draws all its chunks
+into one buffer, allocated once per call: the (chunk, 4) uniforms,
+4 MiB at the full chunk size, mapped to coordinates in place. One pass
+over the draws can count several events, so the pinching and
+fixed-position outages of one configuration share their trials
+(:func:`simulate_sops`).
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Sequence
 
@@ -45,7 +46,8 @@ _CHUNK_TRIALS = 1 << 17
 class McConfig:
     """Trial count, seed, and a partitioning hint.
 
-    ``workers`` shapes chunking (and threading) only; estimates are
+    ``workers`` sets how many spans the trials are cut into; the spans
+    run one after another on the calling thread, and estimates are
     bit-identical for any value.
     """
 
@@ -99,11 +101,7 @@ def _draw_span(seed: int, lo: int, hi: int, side: float) -> Iterator[tuple[int, 
 def _map_spans(mc: McConfig, task: Callable[[int, int], Any]) -> list:
     """Run ``task(lo, hi)`` on each worker span of [0, trials), in order."""
     width = math.ceil(mc.trials / mc.workers)
-    spans = [(lo, min(lo + width, mc.trials)) for lo in range(0, mc.trials, width)]
-    if len(spans) == 1:
-        return [task(*spans[0])]
-    with ThreadPoolExecutor(max_workers=len(spans)) as pool:
-        return list(pool.map(lambda span: task(*span), spans))
+    return [task(lo, min(lo + width, mc.trials)) for lo in range(0, mc.trials, width)]
 
 
 def _count_events(

@@ -12,11 +12,21 @@ antenna at the region center ``(0, 0, h)``.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
+
+# (field, lower bound, bound is strict) for every numeric SystemConfig input
+_FIELD_BOUNDS = (
+    ("region_side", 0.0, True),
+    ("height", 0.0, True),
+    ("carrier_freq", 0.0, True),
+    ("refractive_index", 1.0, False),
+    ("transmit_power", 0.0, True),
+    ("noise_power", 0.0, True),
+    ("target_rate", 0.0, False),
+)
 
 
 def dbm_to_watts(power_dbm: float) -> float:
@@ -24,27 +34,6 @@ def dbm_to_watts(power_dbm: float) -> float:
     if not math.isfinite(power_dbm):
         raise ValueError(f"power level must be finite, got {power_dbm}")
     return 10.0 ** ((power_dbm - 30.0) / 10.0)
-
-
-def watts_to_dbm(power_watts: float) -> float:
-    """Convert watts to dBm. Inverse of :func:`dbm_to_watts`."""
-    if not power_watts > 0.0:
-        raise ValueError(f"power must be positive, got {power_watts}")
-    return 10.0 * math.log10(power_watts) + 30.0
-
-
-@dataclass(frozen=True)
-class Position:
-    """A 3D point in meters. Ground nodes have z = 0, antennas z = h."""
-
-    x: float
-    y: float
-    z: float
-
-    def distance_to(self, other: "Position") -> float:
-        return math.sqrt(
-            (self.x - other.x) ** 2 + (self.y - other.y) ** 2 + (self.z - other.z) ** 2
-        )
 
 
 @dataclass(frozen=True)
@@ -61,9 +50,9 @@ class SystemConfig:
     carrier_freq:
         Carrier frequency in Hz; the wavelength is derived as c / f.
     refractive_index:
-        Effective refractive index of the waveguide (>= 1). Sets the
-        guided wavelength; affects only the in-waveguide phase, never
-        an SNR.
+        Effective refractive index of the waveguide (>= 1). It sets only
+        the in-waveguide phase, which cancels under the modulus, so it
+        affects no SNR; it is kept as a validated model parameter.
     transmit_power:
         Transmit power in watts.
     noise_power:
@@ -72,8 +61,9 @@ class SystemConfig:
         Target secrecy rate in bits/s/Hz. Zero is allowed (the outage
         threshold degenerates to the rate-free comparison of SNRs).
 
-    Derived values (wavelength, path gain, effective SNR, linear rate
-    threshold) are computed once at construction and frozen.
+    Every input must be finite. Derived values (wavelength, path gain,
+    effective SNR, linear rate threshold) are computed once at
+    construction and frozen.
     ``dataclasses.replace`` gives a changed copy, validated and derived
     anew.
     """
@@ -87,32 +77,21 @@ class SystemConfig:
     target_rate: float
 
     wavelength: float = field(init=False)
-    guided_wavelength: float = field(init=False)
     path_gain: float = field(init=False)
     effective_snr: float = field(init=False)
     rate_threshold: float = field(init=False)
 
     def __post_init__(self) -> None:
-        if not self.region_side > 0.0:
-            raise ValueError(f"region_side must be > 0, got {self.region_side}")
-        if not self.height > 0.0:
-            raise ValueError(f"height must be > 0, got {self.height}")
-        if not self.carrier_freq > 0.0:
-            raise ValueError(f"carrier_freq must be > 0, got {self.carrier_freq}")
-        if not self.refractive_index >= 1.0:
-            raise ValueError(
-                f"refractive_index must be >= 1, got {self.refractive_index}"
-            )
-        if not self.transmit_power > 0.0:
-            raise ValueError(f"transmit_power must be > 0, got {self.transmit_power}")
-        if not self.noise_power > 0.0:
-            raise ValueError(f"noise_power must be > 0, got {self.noise_power}")
-        if not self.target_rate >= 0.0:
-            raise ValueError(f"target_rate must be >= 0, got {self.target_rate}")
+        for name, bound, strict in _FIELD_BOUNDS:
+            value = getattr(self, name)
+            if not (value > bound if strict else value >= bound):
+                op = ">" if strict else ">="
+                raise ValueError(f"{name} must be {op} {bound:g}, got {value}")
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
 
         wavelength = SPEED_OF_LIGHT / self.carrier_freq
         object.__setattr__(self, "wavelength", wavelength)
-        object.__setattr__(self, "guided_wavelength", wavelength / self.refractive_index)
         # free-space gain of the spherical-wave model at unit distance
         object.__setattr__(self, "path_gain", wavelength**2 / (16.0 * math.pi**2))
         object.__setattr__(
@@ -124,40 +103,6 @@ class SystemConfig:
     def half_side(self) -> float:
         """D/2, the coordinate bound of the deployment region."""
         return self.region_side / 2.0
-
-    def feed_point(self) -> Position:
-        """The fixed waveguide feed at (-D/2, 0, h)."""
-        return Position(-self.half_side, 0.0, self.height)
-
-
-def channel_coefficient(antenna: Position, receiver: Position, cfg: SystemConfig) -> complex:
-    """Spherical-wave channel between an antenna point and a receiver.
-
-    Returns sqrt(path_gain) * exp(-j*2*pi*d/wavelength) / d where d is the
-    Euclidean distance. The squared magnitude is path_gain / d^2.
-    """
-    d = antenna.distance_to(receiver)
-    if d == 0.0:
-        raise ValueError("antenna and receiver coincide; channel is singular")
-    phase = -2.0 * math.pi * d / cfg.wavelength
-    return math.sqrt(cfg.path_gain) * cmath.exp(1j * phase) / d
-
-
-def waveguide_phase(activation: Position, cfg: SystemConfig, feed: Position | None = None) -> float:
-    """Phase accumulated from the feed point to the activation point.
-
-    Both points must lie on the waveguide line (y = 0, z = height). The
-    phase cancels under the modulus, so it never affects an SNR or an
-    outage probability; it is kept for model completeness.
-    """
-    if feed is None:
-        feed = cfg.feed_point()
-    for name, p in (("activation", activation), ("feed", feed)):
-        if p.y != 0.0 or p.z != cfg.height:
-            raise ValueError(
-                f"{name} point {p} is not on the waveguide line y=0, z={cfg.height}"
-            )
-    return 2.0 * math.pi * activation.distance_to(feed) / cfg.guided_wavelength
 
 
 def snr_bob_pinching(y1, cfg: SystemConfig):

@@ -12,7 +12,6 @@ from pinchsec.distributions import (
     cdf_offset_sq,
     cdf_offset_sq_quadrature,
     cdf_snr_bob,
-    cdf_x_offset_sq,
     make_offset_sq_cdf,
     make_offset_sq_pdf,
     make_snr_bob_cdf,
@@ -20,8 +19,6 @@ from pinchsec.distributions import (
     pdf_offset_sq,
     pdf_snr_eve,
     pdf_snr_eve_via_offset,
-    pdf_x_offset_sq,
-    pdf_y_offset_sq,
 )
 
 from conftest import make_config
@@ -88,51 +85,6 @@ class TestSnrBobCdf:
         assert cdf_snr_bob(ratio * z, scaled) == pytest.approx(
             cdf_snr_bob(z, cfg), rel=1e-12, abs=1e-12
         )
-
-
-class TestSquaredOffsetMarginals:
-    def test_x_offset_cdf_values(self, cfg10):
-        d = cfg10.region_side
-        assert cdf_x_offset_sq(0.0, cfg10) == 0.0
-        assert cdf_x_offset_sq(d * d, cfg10) == 1.0
-        # (2*D*(D/2) - D^2/4)/D^2 = 3/4
-        assert cdf_x_offset_sq(d * d / 4.0, cfg10) == pytest.approx(0.75, rel=1e-15)
-        with pytest.raises(ValueError):
-            cdf_x_offset_sq(-1.0, cfg10)
-
-    def test_x_offset_pdf_edges(self, cfg10):
-        d = cfg10.region_side
-        assert pdf_x_offset_sq(d * d, cfg10) == pytest.approx(0.0, abs=1e-18)
-        assert pdf_x_offset_sq(2.0 * d * d, cfg10) == 0.0
-        assert pdf_x_offset_sq(-0.5, cfg10) == 0.0
-        with pytest.raises(ValueError, match="singular"):
-            pdf_x_offset_sq(0.0, cfg10)
-
-    def test_y_offset_pdf_edge(self, cfg10):
-        d = cfg10.region_side
-        assert pdf_y_offset_sq(d * d / 4.0, cfg10) == pytest.approx(2.0 / d**2, rel=1e-15)
-        assert pdf_y_offset_sq(d * d, cfg10) == 0.0
-        with pytest.raises(ValueError, match="singular"):
-            pdf_y_offset_sq(0.0, cfg10)
-
-    def test_marginal_pdfs_normalize(self, cfg10):
-        # substitute t = u^2 to remove the 1/sqrt(t) endpoint singularity
-        d = cfg10.region_side
-        mass_x, _ = integrate.quad(
-            lambda u: 2.0 * u * pdf_x_offset_sq(u * u, cfg10), 1e-12, d, epsabs=1e-11
-        )
-        mass_y, _ = integrate.quad(
-            lambda u: 2.0 * u * pdf_y_offset_sq(u * u, cfg10), 1e-12, d / 2.0, epsabs=1e-11
-        )
-        assert mass_x == pytest.approx(1.0, abs=1e-9)
-        assert mass_y == pytest.approx(1.0, abs=1e-9)
-
-    def test_x_offset_pdf_consistent_with_cdf(self, cfg10):
-        d = cfg10.region_side
-        val, _ = integrate.quad(
-            lambda u: 2.0 * u * pdf_x_offset_sq(u * u, cfg10), 1e-12, d / 3.0, epsabs=1e-11
-        )
-        assert val == pytest.approx(cdf_x_offset_sq(d * d / 9.0, cfg10), abs=1e-9)
 
 
 class TestOffsetSqPdf:

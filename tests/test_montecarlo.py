@@ -1,4 +1,5 @@
 import math
+import threading
 
 import numpy as np
 import pytest
@@ -57,6 +58,19 @@ class TestSubstreams:
         a = sample_snr_eve(cfg10, McConfig(trials=150_000, seed=10, workers=1))
         b = sample_snr_eve(cfg10, McConfig(trials=150_000, seed=10, workers=5))
         assert np.array_equal(a, b)
+
+    def test_workers_start_no_thread(self, cfg10, monkeypatch):
+        one = McConfig(trials=200_000, seed=14, workers=1)
+        sops = simulate_sops(cfg10, one, ["pas", "fpa"])
+        samples = sample_snr_eve(cfg10, one)
+
+        def refuse(thread):
+            raise AssertionError("Monte Carlo started a thread")
+
+        monkeypatch.setattr(threading.Thread, "start", refuse)
+        four = McConfig(trials=200_000, seed=14, workers=4)
+        assert simulate_sops(cfg10, four, ["pas", "fpa"]) == sops
+        assert np.array_equal(sample_snr_eve(cfg10, four), samples)
 
     def test_same_seed_same_estimate(self, cfg10):
         mc = McConfig(trials=50_000, seed=11)

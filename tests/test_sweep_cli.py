@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from pinchsec import McConfig, Method
+from pinchsec import McConfig, Method, dbm_to_watts
 from pinchsec import cli
 from pinchsec import distributions as dist_mod
 from pinchsec import montecarlo as mc_mod
@@ -315,7 +315,15 @@ class TestCliSweep:
         assert "height" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "args", ["--x-values nan", "--x region --x-values=-5,10", "--x rate --x-values 0,nan"]
+        "args",
+        [
+            "--x-values nan",
+            "--x region --x-values=-5,10",
+            "--x rate --x-values 0,nan",
+            "--x region --x-values inf",
+            "--x rate --x-values 0,inf",
+            "--height inf",
+        ],
     )
     def test_out_of_domain_x_is_usage_error_before_any_point(self, capsys, monkeypatch, args):
         monkeypatch.setattr(mc_mod, "simulate_sops", None)  # computing a point would raise
@@ -370,6 +378,67 @@ class TestCliSweep:
         monkeypatch.setenv("PINCH_SEED", "1")
         assert cli.main(args + ["--seed", "424242"]) == 0
         assert capsys.readouterr().out == via_flag
+
+
+# Every config-file key, a value for it, and where that value must land:
+# in the SweepSpec of `sweep` or in the arguments of the `dist` dump.
+CONFIG_FILE_KEYS = [
+    ("region-side", "30", "sweep", lambda spec: spec.base.region_side, 30.0),
+    ("height", "2.5", "sweep", lambda spec: spec.base.height, 2.5),
+    ("freq-ghz", "60", "sweep", lambda spec: spec.base.carrier_freq, 60e9),
+    ("n-eff", "2.5", "sweep", lambda spec: spec.base.refractive_index, 2.5),
+    ("power-dbm", "33", "sweep", lambda spec: spec.base.transmit_power, dbm_to_watts(33.0)),
+    ("noise-dbm", "-70", "sweep", lambda spec: spec.base.noise_power, dbm_to_watts(-70.0)),
+    ("rate", "0.7", "sweep", lambda spec: spec.base.target_rate, 0.7),
+    ("trials", "1234", "sweep", lambda spec: spec.mc.trials, 1234),
+    ("seed", "77", "sweep", lambda spec: spec.mc.seed, 77),
+    ("workers", "3", "sweep", lambda spec: spec.mc.workers, 3),
+    ("chebyshev-order", "64", "sweep", lambda spec: spec.chebyshev_order, 64),
+    ("exact-tol", "1e-6", "sweep", lambda spec: spec.exact_tol, 1e-6),
+    ("grid", "17", "dist", lambda call: call[1], 17),
+]
+
+
+class TestConfigFileKeys:
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The argument of run_sweep and the arguments of dump_distribution."""
+        seen = {}
+
+        def fake_sweep(spec):
+            seen["sweep"] = spec
+            return SweepResult(rows=())
+
+        def fake_dump(*args, **kwargs):
+            seen["dist"] = args
+            return []
+
+        monkeypatch.setattr(cli, "run_sweep", fake_sweep)
+        monkeypatch.setattr(cli, "dump_distribution", fake_dump)
+        return seen
+
+    @pytest.mark.parametrize(
+        "key,text,command,read,expected",
+        CONFIG_FILE_KEYS,
+        ids=[row[0] for row in CONFIG_FILE_KEYS],
+    )
+    def test_key_reaches_its_parameter(self, tmp_path, calls, key, text, command, read, expected):
+        conf = tmp_path / "params.cfg"
+        conf.write_text(f"{key} = {text}\n")
+        assert cli.main([command, "--config", str(conf)]) == 0
+        assert read(calls[command]) == expected
+        assert cli.main([command]) == 0
+        assert read(calls[command]) != expected  # not the built-in default
+
+    @pytest.mark.parametrize(
+        "key",
+        ["x", "x-min", "x-max", "x-step", "x-values", "methods", "which", "log-grid", "config", "out"],
+    )
+    def test_flag_only_options_are_not_keys(self, tmp_path, capsys, key):
+        conf = tmp_path / "params.cfg"
+        conf.write_text(f"{key}=1\n")
+        assert cli.main(["sweep", "--config", str(conf)]) == 2
+        assert "unknown key" in capsys.readouterr().err
 
 
 class TestCliDist:

@@ -27,7 +27,6 @@ from .sweep import (
     run_sweep,
 )
 from .system import SystemConfig, dbm_to_watts
-from .validation import check_seed, run_checks
 
 DEFAULT_SEED = 12345
 SEED_ENV_VAR = "PINCH_SEED"
@@ -255,6 +254,9 @@ def _cmd_dist(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
+    # imported here: the check suite loads scipy, which sweep and dist never need
+    from .validation import check_seed, run_checks
+
     seed = _resolve_seed({} if args.seed is None else {"seed": args.seed})
     try:
         check_seed(seed)

@@ -29,7 +29,6 @@ from functools import lru_cache
 from typing import Callable, Literal
 
 import numpy as np
-from scipy import integrate
 
 from .system import SystemConfig
 
@@ -192,6 +191,8 @@ def cdf_offset_sq(t, cfg: SystemConfig):
 @lru_cache(maxsize=64)
 def _offset_sq_panel_masses(d: float) -> tuple[float, float, float]:
     """Cumulative integrals of the offset density up to each breakpoint."""
+    from scipy import integrate
+
     d2 = d * d
     edges = (0.0, 0.25 * d2, d2, 1.25 * d2)
     masses = []
@@ -210,8 +211,11 @@ def cdf_offset_sq_quadrature(t: float, cfg: SystemConfig) -> float:
 
     Integrates the density panel by panel (breakpoints are panel
     boundaries; prefixes are cached per region size) at absolute
-    tolerance 1e-10. Independent route used to validate the closed form.
+    tolerance 1e-10. Independent route used to validate the closed form;
+    scipy is imported on first call, so the closed forms load numpy alone.
     """
+    from scipy import integrate
+
     d = cfg.region_side
     d2 = d * d
     if t <= 0.0:

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from . import distributions as dist
 from .system import SystemConfig
@@ -103,9 +102,71 @@ class AccuracyError(RuntimeError):
 # between the two orders is the error estimate.
 _BASE_ORDER = 64
 
+# The nodes are frozen from scipy.special.roots_legendre, so that no
+# evaluator loads scipy; tests/test_sop.py rebuilds them from it and
+# requires equal arrays. Both rules are antisymmetric bit for bit, so
+# each order keeps only its order/2 negative nodes (ascending), then as
+# many weights, as round-trip decimal literals.
+_HALF_RULES = {
+    64: """
+        -0.9993050417357721 -0.9963401167719552 -0.9910133714767442 -0.983336253884626
+        -0.973326827789911 -0.9610087996520538 -0.9464113748584028 -0.9295691721319396
+        -0.9105221370785028 -0.889315445995114 -0.8659993981540928 -0.8406292962525803
+        -0.8132653151227975 -0.7839723589433414 -0.7528199072605319 -0.7198818501716109
+        -0.6852363130542332 -0.6489654712546573 -0.6111553551723933 -0.5718956462026339
+        -0.5312794640198946 -0.489403145707053 -0.44636601725346414 -0.4022701579639916
+        -0.3572201583376682 -0.3113228719902109 -0.2646871622087674 -0.21742364374000703
+        -0.16964442042399283 -0.12146281929612057 -0.07299312178779904 -0.024350292663424374
+        0.0017832807216983117 0.00414703326056217 0.006504457968979944 0.0088467598263635
+        0.011168139460130634 0.013463047896718951 0.01572603047602452 0.017951715775696795
+        0.020134823153530858 0.022270173808383264 0.024352702568710975 0.026377469715054197
+        0.028339672614259487 0.03023465707240202 0.03205792835485138 0.03380516183714145
+        0.03547221325688267 0.03705512854024002 0.038550153178615335 0.03995374113272041
+        0.041262563242623396 0.04247351512365328 0.04358372452932331 0.04459055816375637
+        0.04549162792741793 0.046284796581314465 0.046968182816209854 0.047540165714830315
+        0.04799938859645825 0.048344762234802906 0.04857546744150339 0.04869095700913963
+    """,
+    128: """
+        -0.9998248879471319 -0.9990774599773758 -0.9977332486255139 -0.9957927585349813
+        -0.9932571129002129 -0.9901278184917344 -0.9864067427245862 -0.9820961084357185
+        -0.9771984914639074 -0.9717168187471366 -0.9656543664319652 -0.9590147578536999
+        -0.9518019613412644 -0.9440202878302202 -0.9356743882779164 -0.9267692508789478
+        -0.9173101980809606 -0.9073028834017569 -0.8967532880491582 -0.8856677173453973
+        -0.8740527969580318 -0.8619154689395485 -0.8492629875779689 -0.8361029150609068
+        -0.8224431169556439 -0.8082917575079136 -0.7936572947621934 -0.7785484755064118
+        -0.7629743300440948 -0.746944166797062 -0.7304675667419088 -0.7135543776835874
+        -0.6962147083695144 -0.6784589224477192 -0.6602976322726459 -0.6417416925623074
+        -0.6228021939105849 -0.6034904561585486 -0.5838180216287631 -0.5637966482266181
+        -0.5434383024128102 -0.5227551520511755 -0.5017595591361445 -0.480464072404172
+        -0.45888141983355213 -0.4370245010371041 -0.414906379552275 -0.3925402750332674
+        -0.3699395553498591 -0.34711772859763546 -0.3240884350244133 -0.30086543887767725
+        -0.2774626201779044 -0.2538939664226943 -0.23017356422666002 -0.20631559090207924
+        -0.18233430598533712 -0.15824404271422493 -0.13405919946118777 -0.10979423112764372
+        -0.08546364050451549 -0.061081969604139495 -0.0366637909687335 -0.012223698960615793
+        0.0004493809603166402 0.0010458126793390444 0.0016425030186704719 0.002238288430960837
+        0.0028327514714570423 0.0034255260409127176 0.004016254983737187 0.0046045842567034485
+        0.005190161832676412 0.005772637542865938 0.006351663161707539 0.006926892566897848
+        0.00749798192563405 0.008064589890485903 0.008626377798615605 0.009183009871660175
+        0.00973415341500651 0.010279479015831604 0.010818660739502666 0.011351376324080047
+        0.011877307372739803 0.01239613954395095 0.012907562739266722 0.013411271288615821
+        0.013906964132951576 0.014394345004167027 0.014873122602146788 0.015343010768865191
+        0.01580372865939887 0.01625500090978482 0.0166965578015886 0.01712813542311115
+        0.017549475827116984 0.017960327185008552 0.018360443937331047 0.018749586940544516
+        0.01912752360995046 0.01949402805870621 0.01984888123283039 0.020191871042129512
+        0.020522792486959793 0.020841447780750887 0.02114764646822099 0.021441205539207985
+        0.02172194953805169 0.02198971066846008 0.022244328893799254 0.02248565203274455
+        0.02271353585023585 0.02292784414368636 0.02312844882438658 0.023315229994062176
+        0.023488076016535388 0.023646883584447144 0.023791557781002882 0.023922012136702867
+        0.02403816868102358 0.024139957989018742 0.024227319222814653 0.02430020016797128
+        0.02435855726469005 0.024402355633849085 0.024431569097849506 0.02444618019626196
+    """,
+}
+
 
 def _smoothstep_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = roots_legendre(order)
+    hx, hw = np.array([float(v) for v in _HALF_RULES[order].split()]).reshape(2, -1)
+    x = np.concatenate((hx, -hx[::-1]))
+    w = np.concatenate((hw, hw[::-1]))
     u = 0.5 * (x + 1.0)
     return u * u * (3.0 - 2.0 * u), 3.0 * u * (1.0 - u) * w
 

@@ -28,12 +28,32 @@ _FIELD_BOUNDS = (
     ("target_rate", 0.0, False),
 )
 
+# (derived field, its formula) for every value SystemConfig derives; each
+# must be finite and > 0, which finite inputs alone do not guarantee
+_DERIVED = (
+    ("wavelength", "c / carrier_freq"),
+    ("path_gain", "(c / carrier_freq)^2 / (16 pi^2)"),
+    ("effective_snr", "path_gain * transmit_power / noise_power"),
+    ("rate_threshold", "2^target_rate"),
+)
+
+
+def _pow(base: float, exponent: float) -> float:
+    """base**exponent, inf where it overflows (Python raises instead)."""
+    try:
+        return base**exponent
+    except OverflowError:
+        return math.inf
+
 
 def dbm_to_watts(power_dbm: float) -> float:
     """Convert a power level in dBm to watts: 10^((p - 30)/10)."""
     if not math.isfinite(power_dbm):
         raise ValueError(f"power level must be finite, got {power_dbm}")
-    return 10.0 ** ((power_dbm - 30.0) / 10.0)
+    try:
+        return 10.0 ** ((power_dbm - 30.0) / 10.0)
+    except OverflowError:
+        raise ValueError(f"power level {power_dbm:g} dBm overflows in watts") from None
 
 
 @dataclass(frozen=True)
@@ -63,7 +83,8 @@ class SystemConfig:
 
     Every input must be finite. Derived values (wavelength, path gain,
     effective SNR, linear rate threshold) are computed once at
-    construction and frozen.
+    construction and frozen; each must be finite and > 0, so inputs that
+    overflow or underflow one of them are rejected.
     ``dataclasses.replace`` gives a changed copy, validated and derived
     anew.
     """
@@ -93,11 +114,15 @@ class SystemConfig:
         wavelength = SPEED_OF_LIGHT / self.carrier_freq
         object.__setattr__(self, "wavelength", wavelength)
         # free-space gain of the spherical-wave model at unit distance
-        object.__setattr__(self, "path_gain", wavelength**2 / (16.0 * math.pi**2))
+        object.__setattr__(self, "path_gain", _pow(wavelength, 2) / (16.0 * math.pi**2))
         object.__setattr__(
             self, "effective_snr", self.path_gain * self.transmit_power / self.noise_power
         )
-        object.__setattr__(self, "rate_threshold", 2.0**self.target_rate)
+        object.__setattr__(self, "rate_threshold", _pow(2.0, self.target_rate))
+        for name, formula in _DERIVED:
+            value = getattr(self, name)
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} = {formula} must be finite and > 0, got {value}")
 
     @property
     def half_side(self) -> float:

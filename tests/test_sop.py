@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
+from scipy.special import roots_legendre
 
+from pinchsec import sop as sop_mod
 from pinchsec import (
     LOWER_BOUND_FPA,
     LOWER_BOUND_PAS,
@@ -85,6 +87,20 @@ class TestLowerBounds:
         p = np.count_nonzero(u[:, 0] ** 2 + u[:, 1] ** 2 >= u[:, 2] ** 2 + u[:, 3] ** 2) / len(u)
         sigma = math.sqrt(p * (1.0 - p) / len(u))
         assert abs(p - 0.5) <= 3.0 * sigma
+
+
+class TestFrozenRule:
+    def test_nodes_equal_the_scipy_rule(self):
+        # the smoothstep-composed rules as built from roots_legendre before
+        # its nodes were frozen; any change to a table literal shows here
+        def rule(order):
+            x, w = roots_legendre(order)
+            u = 0.5 * (x + 1.0)
+            return u * u * (3.0 - 2.0 * u), 3.0 * u * (1.0 - u) * w
+
+        nodes, weights = map(np.concatenate, zip(rule(64), rule(128)))
+        assert np.array_equal(sop_mod._NODES, nodes)
+        assert np.array_equal(sop_mod._WEIGHTS, weights)
 
 
 class TestSopExact:

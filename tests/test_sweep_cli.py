@@ -1,4 +1,7 @@
+import json
 import math
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -227,6 +230,89 @@ class TestGoldenSweepBytes:
         assert capsys.readouterr().out == GOLDEN_CSV.read_text()
 
 
+EXACT_GOLDEN_CSV = Path(__file__).parent / "data" / "sweep_exact_golden.csv"
+
+
+class TestGoldenExactBytes:
+    """Exact and asymptotic rows at D = 10 m, h = 3 m, pinned byte for byte.
+
+    The file holds a power sweep over -10..60 dBm and then a rate sweep
+    over 0..2, written while ``sop`` still took its Gauss-Legendre nodes
+    from scipy; a change to a node, a weight or the outage integral's
+    arithmetic shows in the 17-digit values.
+    """
+
+    POWER = ["--x", "power-dbm", "--x-min", "-10", "--x-max", "60", "--x-step", "5"]
+    RATE = ["--x", "rate", "--x-min", "0", "--x-max", "2", "--x-step", "0.25"]
+    SYSTEM = [
+        "--methods", "exact,asymptotic",
+        "--power-dbm", "20", "--rate", "0.1", "--region-side", "10", "--height", "3",
+        "--freq-ghz", "28", "--n-eff", "1.4", "--noise-dbm", "-80",
+    ]
+
+    @pytest.mark.parametrize("workers", ["1", "3"])
+    def test_bytes_match_golden_file(self, capsys, workers):
+        for axis in (self.POWER, self.RATE):
+            assert cli.main(["sweep", *axis, *self.SYSTEM, "--workers", workers]) == 0
+        assert capsys.readouterr().out == EXACT_GOLDEN_CSV.read_text()
+
+
+# run in a fresh interpreter that cannot import scipy: prints [exit code,
+# stdout] of cli.main for each argv of the JSON list in argv[2]
+BLOCKED_SCIPY_RUN = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+sys.modules["scipy"] = None  # importing scipy or a submodule now raises
+from pinchsec import cli
+results = []
+for argv in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        code = cli.main(argv)
+    results.append([code, out.getvalue()])
+print(json.dumps(results))
+"""
+
+# prints the scipy modules loaded after importing the CLI, then after a
+# default sweep of the three analytic methods
+SCIPY_MODULES_RUN = """
+import contextlib, io, json, sys
+sys.path.insert(0, sys.argv[1])
+import pinchsec.cli
+loaded = [sorted(m for m in sys.modules if m.startswith("scipy"))]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert pinchsec.cli.main(["sweep", "--methods", "exact,asymptotic,chebyshev"]) == 0
+loaded.append(sorted(m for m in sys.modules if m.startswith("scipy")))
+print(json.dumps(loaded))
+"""
+
+
+def run_fresh(code: str, *args: str):
+    src = str(Path(cli.__file__).parents[1])
+    done = subprocess.run([sys.executable, "-c", code, src, *args], capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+class TestScipyFreeStart:
+    """``sweep`` and ``dist`` run on numpy alone; only ``validate`` loads scipy."""
+
+    METHODS = ",".join(m.value for m in Method)
+    COMMANDS = [
+        ["sweep", "--x-values", "0,20", "--methods", METHODS, "--trials", "2000", "--seed", "7"],
+        *(["dist", "--which", tag, "--grid", "40"] for tag in sorted(dist_mod.DISTRIBUTION_TAGS)),
+    ]
+
+    def test_sweep_and_dist_match_without_scipy(self, capsys):
+        blocked = run_fresh(BLOCKED_SCIPY_RUN, json.dumps(self.COMMANDS))
+        assert len(blocked) == len(self.COMMANDS)
+        for argv, (code, out) in zip(self.COMMANDS, blocked):
+            assert cli.main(argv) == 0
+            assert (code, out) == (0, capsys.readouterr().out)
+
+    def test_cli_import_and_analytic_sweep_load_no_scipy(self):
+        assert run_fresh(SCIPY_MODULES_RUN) == [[], []]
+
+
 class TestDumpDistribution:
     def test_eve_pdf_rows(self, cfg10):
         rows = dump_distribution("gamma-e-pdf", 1000, cfg10)
@@ -323,6 +409,12 @@ class TestCliSweep:
             "--x region --x-values inf",
             "--x rate --x-values 0,inf",
             "--height inf",
+            "--power-dbm 4000",
+            "--x-values 4000",
+            "--rate 1e6",
+            "--freq-ghz 1e-300",
+            "--power-dbm 3000 --noise-dbm -3000 --x-values 3000",
+            "--power-dbm -3000 --noise-dbm 3000 --x-values -3000",
         ],
     )
     def test_out_of_domain_x_is_usage_error_before_any_point(self, capsys, monkeypatch, args):
@@ -475,13 +567,12 @@ class TestCliValidate:
         monkeypatch.setattr(
             validation, "run_checks", lambda level, seed: [CheckResult("x", True, "ok")]
         )
-        monkeypatch.setattr(cli, "run_checks", validation.run_checks)
         assert cli.main(["validate", "--level", "fast"]) == 0
         assert "PASS x" in capsys.readouterr().out
 
     def test_exit_one_on_any_failure(self, capsys, monkeypatch):
         monkeypatch.setattr(
-            cli, "run_checks", lambda level, seed: [CheckResult("bad", False, "broken")]
+            validation, "run_checks", lambda level, seed: [CheckResult("bad", False, "broken")]
         )
         assert cli.main(["validate"]) == 1
         assert "FAIL bad" in capsys.readouterr().out

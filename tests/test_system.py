@@ -30,6 +30,11 @@ class TestUnitConversion:
         with pytest.raises(ValueError):
             dbm_to_watts(math.inf)
 
+    def test_overflow_rejected(self):
+        with pytest.raises(ValueError, match="overflows"):
+            dbm_to_watts(4000.0)
+        assert dbm_to_watts(3000.0) == pytest.approx(1e297, rel=1e-12)
+
 
 class TestSystemConfig:
     def test_derived_quantities(self, cfg10):
@@ -70,6 +75,14 @@ class TestSystemConfig:
             ("target_rate", math.inf),
             ("height", -math.inf),
             ("target_rate", math.nan),
+            # finite inputs whose derived values overflow or underflow
+            ("carrier_freq", 1e-300),
+            ("carrier_freq", 1e300),
+            ("transmit_power", 1e308),
+            ("noise_power", 1e-320),
+            ("transmit_power", 1e-320),
+            ("target_rate", 1024.0),
+            ("target_rate", 1e6),
         ],
     )
     def test_invalid_fields_rejected(self, field, value):

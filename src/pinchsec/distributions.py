@@ -14,6 +14,12 @@ variables z = effective_snr / (offset_sq + h^2); both the direct branch
 form and the change-of-variables route are implemented and are expected
 to agree to roundoff.
 
+Every closed form is one masked numpy kernel: it takes a scalar, and
+returns a Python float, or an array of any shape, and returns an array
+of that shape. A kernel evaluates each branch only on inputs inside the
+branch's domain, masked or clamped into it, so none divides by zero or
+takes the root of a negative number.
+
 Branch selection at breakpoints follows the closed forms' printed
 inequalities (upper-interval branch owns its closed lower endpoint);
 the branches agree at every boundary, so this is a determinism choice,
@@ -25,7 +31,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Callable, Literal
 
 import numpy as np
@@ -58,15 +63,31 @@ class PiecewiseDensity:
     """An evaluable PDF or CDF with explicit support and branch boundaries.
 
     ``breakpoints`` lists the interior branch boundaries only; the
-    support endpoints are carried separately. ``evaluate`` is pure and
-    safe to call concurrently.
+    support endpoints are carried separately. ``evaluate`` takes a
+    scalar, returning a float, or an array, returning an array of the
+    same shape; it is pure and safe to call concurrently.
     """
 
     support_lo: float
     support_hi: float
     breakpoints: tuple[float, ...]
-    evaluate: Callable[[float], float]
+    evaluate: Callable[[float | np.ndarray], float | np.ndarray]
     kind: Literal["pdf", "cdf"]
+
+
+def _elementwise(kernel, x, *args):
+    """Apply an array kernel to a scalar, giving a float, or to an array of any shape."""
+    arr = np.asarray(x, dtype=np.float64)
+    out = kernel(np.atleast_1d(arr), *args)
+    return float(out[0]) if arr.ndim == 0 else out
+
+
+def _positive_snr(z) -> np.ndarray:
+    arr = np.asarray(z, dtype=np.float64)
+    bad = arr[~(arr > 0.0)]
+    if bad.size:
+        raise ValueError(f"SNR argument must be > 0, got {bad[0]}")
+    return arr
 
 
 # ---------------------------------------------------------------------------
@@ -80,21 +101,23 @@ def snr_bob_support(cfg: SystemConfig) -> tuple[float, float]:
     return cfg.effective_snr / (h2 + d**2 / 4.0), cfg.effective_snr / h2
 
 
-def cdf_snr_bob(z: float, cfg: SystemConfig) -> float:
+def _cdf_snr_bob(z: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+    lo, hi = snr_bob_support(cfg)
+    out = np.zeros_like(z)
+    out[z >= hi] = 1.0
+    inside = (z > lo) & (z < hi)
+    radicand = np.maximum(cfg.effective_snr / z[inside] - cfg.height**2, 0.0)
+    out[inside] = 1.0 - (2.0 / cfg.region_side) * np.sqrt(radicand)
+    return out
+
+
+def cdf_snr_bob(z, cfg: SystemConfig):
     """CDF of the legitimate receiver's SNR, three-branch closed form.
 
     The branch boundaries coincide with the support endpoints, so the
     CDF rises from exactly 0 to exactly 1 across the support.
     """
-    if not z > 0.0:
-        raise ValueError(f"SNR argument must be > 0, got {z}")
-    lo, hi = snr_bob_support(cfg)
-    if z >= hi:
-        return 1.0
-    if z <= lo:
-        return 0.0
-    radicand = max(cfg.effective_snr / z - cfg.height**2, 0.0)
-    return 1.0 - (2.0 / cfg.region_side) * math.sqrt(radicand)
+    return _elementwise(_cdf_snr_bob, _positive_snr(z), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +135,7 @@ def offset_sq_breakpoints(cfg: SystemConfig) -> tuple[float, float]:
     return 0.25 * d2, d2
 
 
-def _pdf_offset_sq(w: float, d: float) -> float:
+def _pdf_offset_sq(w: np.ndarray, d: float) -> np.ndarray:
     """Density of (x1-x2)^2 + y2^2 as the convolution of the squared parts.
 
     The convolution window [A, B] self-clamps: A >= B exactly when w is
@@ -120,26 +143,29 @@ def _pdf_offset_sq(w: float, d: float) -> float:
     construction, so no epsilon guards are needed. The w -> 0 limit is
     pi/D^2 (taken by continuity, keeping quadrature over [0, eps] stable).
     """
-    if w < 0.0:
-        raise ValueError(f"squared offset must be >= 0, got {w}")
     d2 = d * d
-    if w == 0.0:
-        return math.pi / d2
-    a = max(0.0, w - 0.25 * d2)
-    b = min(w, d2)
-    if a >= b:
-        return 0.0
-    arc = 2.0 * (math.asin(math.sqrt(b / w)) - math.asin(math.sqrt(a / w)))
-    edge = 2.0 * (math.sqrt(w - a) - math.sqrt(w - b))
-    return arc / d2 - edge / (d2 * d)
+    out = np.zeros_like(w)
+    out[w == 0.0] = math.pi / d2
+    a = np.maximum(0.0, w - 0.25 * d2)
+    b = np.minimum(w, d2)
+    inside = (w > 0.0) & (a < b)
+    w, a, b = w[inside], a[inside], b[inside]
+    arc = 2.0 * (np.arcsin(np.sqrt(b / w)) - np.arcsin(np.sqrt(a / w)))
+    edge = 2.0 * (np.sqrt(w - a) - np.sqrt(w - b))
+    out[inside] = arc / d2 - edge / (d2 * d)
+    return out
 
 
-def pdf_offset_sq(w: float, cfg: SystemConfig) -> float:
+def pdf_offset_sq(w, cfg: SystemConfig):
     """Density of the squared horizontal offset (x1-x2)^2 + y2^2."""
-    return _pdf_offset_sq(w, cfg.region_side)
+    arr = np.asarray(w, dtype=np.float64)
+    bad = arr[~(arr >= 0.0)]
+    if bad.size:
+        raise ValueError(f"squared offset must be >= 0, got {bad[0]}")
+    return _elementwise(_pdf_offset_sq, arr, cfg.region_side)
 
 
-def _cdf_offset_sq_array(t: np.ndarray, d: float) -> np.ndarray:
+def _cdf_offset_sq(t: np.ndarray, d: float) -> np.ndarray:
     """Vectorized closed-form CDF of the squared horizontal offset.
 
     Piecewise antiderivative of the convolution density; the panel
@@ -177,62 +203,37 @@ def _cdf_offset_sq_array(t: np.ndarray, d: float) -> np.ndarray:
 def cdf_offset_sq(t, cfg: SystemConfig):
     """CDF of the squared horizontal offset, closed form.
 
-    Total on the reals: 0 for t <= 0 and 1 for t >= 5*D^2/4. Accepts
-    scalars or numpy arrays. Validated against
-    :func:`cdf_offset_sq_quadrature` to 1e-8.
+    Total on the reals: 0 for t <= 0 and 1 for t >= 5*D^2/4. Validated
+    against :func:`cdf_offset_sq_quadrature` to 1e-8.
     """
-    arr = np.asarray(t, dtype=np.float64)
-    out = _cdf_offset_sq_array(np.atleast_1d(arr), cfg.region_side)
-    if arr.ndim == 0:
-        return float(out[0])
-    return out.reshape(arr.shape)
+    return _elementwise(_cdf_offset_sq, t, cfg.region_side)
 
 
-@lru_cache(maxsize=64)
-def _offset_sq_panel_masses(d: float) -> tuple[float, float, float]:
-    """Cumulative integrals of the offset density up to each breakpoint."""
-    from scipy import integrate
+def _cdf_offset_sq_tanhsinh(t: np.ndarray, d: float) -> np.ndarray:
+    from scipy.integrate import tanhsinh
 
     d2 = d * d
-    edges = (0.0, 0.25 * d2, d2, 1.25 * d2)
-    masses = []
-    acc = 0.0
-    for lo, hi in zip(edges[:-1], edges[1:]):
-        val, _ = integrate.quad(
-            _pdf_offset_sq, lo, hi, args=(d,), epsabs=1e-12, epsrel=1e-12, limit=200
-        )
-        acc += val
-        masses.append(acc)
-    return tuple(masses)
+    edges = np.array([0.0, 0.25 * d2, d2, 1.25 * d2])
+    # each t takes the panels below it whole and its own panel up to t;
+    # the panels above it have zero width and add exactly 0
+    upper = np.clip(t[..., None], edges[:-1], edges[1:])
+    panels = tanhsinh(lambda w: _pdf_offset_sq(w, d), edges[:-1], upper, atol=1e-10)
+    out = np.minimum(panels.integral.sum(axis=-1), 1.0)
+    out[t <= 0.0] = 0.0
+    out[t >= 1.25 * d2] = 1.0
+    return out
 
 
-def cdf_offset_sq_quadrature(t: float, cfg: SystemConfig) -> float:
+def cdf_offset_sq_quadrature(t, cfg: SystemConfig):
     """CDF of the squared horizontal offset by adaptive quadrature.
 
     Integrates the density panel by panel (breakpoints are panel
-    boundaries; prefixes are cached per region size) at absolute
-    tolerance 1e-10. Independent route used to validate the closed form;
-    scipy is imported on first call, so the closed forms load numpy alone.
+    boundaries) with scipy's vectorised tanh-sinh rule at absolute
+    tolerance 1e-10, all t in one call. Independent route used to
+    validate the closed form; scipy is imported on first call, so the
+    closed forms load numpy alone.
     """
-    from scipy import integrate
-
-    d = cfg.region_side
-    d2 = d * d
-    if t <= 0.0:
-        return 0.0
-    if t >= 1.25 * d2:
-        return 1.0
-    edges = (0.0, 0.25 * d2, d2)
-    masses = _offset_sq_panel_masses(d)
-    idx = 0
-    for i, e in enumerate(edges):
-        if t > e:
-            idx = i
-    base = masses[idx - 1] if idx > 0 else 0.0
-    tail, _ = integrate.quad(
-        _pdf_offset_sq, edges[idx], t, args=(d,), epsabs=1e-10, epsrel=1e-12, limit=200
-    )
-    return min(base + tail, 1.0)
+    return _elementwise(_cdf_offset_sq_tanhsinh, t, cfg.region_side)
 
 
 # ---------------------------------------------------------------------------
@@ -262,67 +263,67 @@ def snr_eve_breakpoints(cfg: SystemConfig) -> tuple[float, float]:
     return b[1], b[2]
 
 
-def _eve_branch_near(z: float, cfg: SystemConfig) -> float:
-    """Branch for offsets in [0, D^2/4] (highest SNR interval)."""
+def _eve_branches(z, cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The density's near, mid and far branches at each z of the support.
+
+    near holds for offsets in [0, D^2/4] (highest SNR interval), mid for
+    [D^2/4, D^2] and far for [D^2, 5*D^2/4] (lowest SNR interval). mid
+    and far apply only below the inner breakpoint, so they are taken at
+    min(z, b_inner): above it their sqrt(w) falls to 0 at the top of the
+    support, where they would divide by it.
+    """
     s = cfg.effective_snr
     d = cfg.region_side
-    w = max(s / z - cfg.height**2, 0.0)
-    return (s / z**2) * (math.pi / (d * d) - (2.0 / d**3) * math.sqrt(w))
+    h2 = cfg.height**2
+    w = np.maximum(s / z - h2, 0.0)
+    near = (s / z**2) * (math.pi / (d * d) - (2.0 / d**3) * np.sqrt(w))
 
-
-def _eve_branch_mid(z: float, cfg: SystemConfig) -> float:
-    """Branch for offsets in [D^2/4, D^2]."""
-    s = cfg.effective_snr
-    d = cfg.region_side
-    w = s / z - cfg.height**2
-    asin_arg = min(d / (2.0 * math.sqrt(w)), 1.0)
-    return (2.0 * s / (z**2 * d * d)) * (math.asin(asin_arg) - 0.5)
-
-
-def _eve_branch_far(z: float, cfg: SystemConfig) -> float:
-    """Branch for offsets in [D^2, 5*D^2/4] (lowest SNR interval)."""
-    s = cfg.effective_snr
-    d = cfg.region_side
-    w = s / z - cfg.height**2
-    root = math.sqrt(w)
-    asin_arg = min(d / (2.0 * root), 1.0)
-    acos_arg = min(d / root, 1.0)
-    bracket = d * (math.asin(asin_arg) - math.acos(acos_arg)) - (
-        0.5 * d - math.sqrt(max(w - d * d, 0.0))
+    zm = np.minimum(z, snr_eve_breakpoints(cfg)[1])
+    w = s / zm - h2
+    root = np.sqrt(w)
+    arcsin = np.arcsin(np.minimum(d / (2.0 * root), 1.0))
+    mid = (2.0 * s / (zm**2 * d * d)) * (arcsin - 0.5)
+    bracket = d * (arcsin - np.arccos(np.minimum(d / root, 1.0))) - (
+        0.5 * d - np.sqrt(np.maximum(w - d * d, 0.0))
     )
     # the bracket is >= 0 on this branch; cancellation at the support
     # edge (where the true value is 0) can leave -1e-19-scale noise
-    return (2.0 * s / (z**2 * d**3)) * max(bracket, 0.0)
+    far = (2.0 * s / (zm**2 * d**3)) * np.maximum(bracket, 0.0)
+    return near, mid, far
 
 
-def pdf_snr_eve(z: float, cfg: SystemConfig) -> float:
-    """Density of the eavesdropper's SNR, four-branch closed form."""
-    if not z > 0.0:
-        raise ValueError(f"SNR argument must be > 0, got {z}")
+def _pdf_snr_eve(z: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     lo, b_outer, b_inner, hi = _eve_boundaries(cfg)
-    if b_inner <= z <= hi:
-        return _eve_branch_near(z, cfg)
-    if b_outer <= z < b_inner:
-        return _eve_branch_mid(z, cfg)
-    if lo <= z < b_outer:
-        return _eve_branch_far(z, cfg)
-    return 0.0
+    out = np.zeros_like(z)
+    inside = (z >= lo) & (z <= hi)
+    z = z[inside]
+    near, mid, far = _eve_branches(z, cfg)
+    out[inside] = np.where(z >= b_inner, near, np.where(z >= b_outer, mid, far))
+    return out
 
 
-def pdf_snr_eve_via_offset(z: float, cfg: SystemConfig) -> float:
+def pdf_snr_eve(z, cfg: SystemConfig):
+    """Density of the eavesdropper's SNR, four-branch closed form."""
+    return _elementwise(_pdf_snr_eve, _positive_snr(z), cfg)
+
+
+def _pdf_snr_eve_via_offset(z: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+    s = cfg.effective_snr
+    w = s / z - cfg.height**2
+    out = np.zeros_like(z)
+    inside = w >= 0.0
+    out[inside] = (s / z[inside] ** 2) * _pdf_offset_sq(w[inside], cfg.region_side)
+    return out
+
+
+def pdf_snr_eve_via_offset(z, cfg: SystemConfig):
     """Density of the eavesdropper's SNR through the offset density.
 
     Change of variables z = effective_snr / (offset_sq + h^2):
     f(z) = (effective_snr / z^2) * f_offset(effective_snr / z - h^2).
     Dual route to :func:`pdf_snr_eve`; the two agree to roundoff.
     """
-    if not z > 0.0:
-        raise ValueError(f"SNR argument must be > 0, got {z}")
-    s = cfg.effective_snr
-    w = s / z - cfg.height**2
-    if w < 0.0:
-        return 0.0
-    return (s / z**2) * _pdf_offset_sq(w, cfg.region_side)
+    return _elementwise(_pdf_snr_eve_via_offset, _positive_snr(z), cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -351,7 +352,7 @@ def make_offset_sq_pdf(cfg: SystemConfig) -> PiecewiseDensity:
 def make_offset_sq_cdf(cfg: SystemConfig) -> PiecewiseDensity:
     lo, hi = offset_sq_support(cfg)
     return PiecewiseDensity(
-        lo, hi, offset_sq_breakpoints(cfg), lambda t: float(cdf_offset_sq(t, cfg)), "cdf"
+        lo, hi, offset_sq_breakpoints(cfg), lambda t: cdf_offset_sq(t, cfg), "cdf"
     )
 
 

@@ -194,16 +194,19 @@ def _outage_integral(cfg: SystemConfig, snr: float) -> tuple[float, float, int]:
     c = cfg.rate_threshold
     half = cfg.half_side
 
+    # at infinite SNR the terms divided by snr are 0; computing them gives
+    # inf/inf = nan once (C-1) times an offset overflows, from rate ~1017 on
+    finite = math.isfinite(snr)
     # offsets where t(y) = T, from a = u / (C + u*(C-1)/snr) with u = T + h^2
     u = np.array([0.25 * d2, d2, 1.25 * d2]) + h2
-    a_cross = u / (c + u * (c - 1.0) / snr)
+    a_cross = u / (c + (u * (c - 1.0) / snr if finite else 0.0))
     crossings = np.minimum(np.sqrt(np.maximum(a_cross - h2, 0.0)), half)
     edges = np.unique(np.concatenate(([0.0], crossings)))
     widths = np.diff(edges)
 
     y = edges[:-1, None] + widths[:, None] * _NODES
     a = y * y + h2
-    den = 1.0 - (c - 1.0) * a / snr
+    den = 1.0 - ((c - 1.0) * a / snr if finite else 0.0)
     # den > 0 before the last crossing up to rounding; t is infinite past its pole
     t = np.divide(c * a, den, out=np.full_like(a, np.inf), where=den > 0.0) - h2
     parts = (dist.cdf_offset_sq(t, cfg) * widths[:, None] * _WEIGHTS).sum(axis=0)
@@ -265,15 +268,12 @@ def sop_chebyshev(cfg: SystemConfig, order: int = 100) -> SopEstimate:
     nodes = np.cos((2.0 * n - 1.0) * math.pi / (2.0 * order))
     weights = np.sqrt(np.maximum(1.0 - nodes**2, 0.0))
 
+    t = halfwidth * nodes + midpoint
+    terms = weights * dist.pdf_snr_eve(t, cfg) * dist.cdf_snr_bob(c * t + c - 1.0, cfg)
+    # left to right in node order: np.sum and (from Python 3.12) sum() round differently
     total = 0.0
-    for node, weight in zip(nodes, weights):
-        if weight == 0.0:
-            continue
-        t = halfwidth * node + midpoint
-        density = dist.pdf_snr_eve(t, cfg)
-        if density == 0.0:
-            continue
-        total += weight * density * dist.cdf_snr_bob(c * t + c - 1.0, cfg)
+    for term in terms.tolist():
+        total += term
     raw = float((math.pi / order) * halfwidth * total)
     if LOWER_BOUND_PAS - raw > 1e-3:
         warnings.warn(

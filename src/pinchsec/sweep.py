@@ -219,4 +219,5 @@ def dump_distribution(
     rows = [(float(z), 0) for z in zs]
     rows.extend((float(b), 1) for b in obj.breakpoints)
     rows.sort()
-    return [(z, obj.evaluate(z), flag) for z, flag in rows]
+    values = obj.evaluate(np.array([z for z, _ in rows])).tolist()
+    return [(z, v, flag) for (z, flag), v in zip(rows, values)]

@@ -113,19 +113,18 @@ def _check_bound_constants(fast: bool, seed: int) -> list[CheckResult]:
     return results
 
 
+def _panel_mass(pdf, edges) -> float:
+    """Integral of a density over consecutive panels, by tanh-sinh at atol 1e-10."""
+    edges = np.asarray(edges)
+    return float(integrate.tanhsinh(pdf, edges[:-1], edges[1:], atol=1e-10).integral.sum())
+
+
 def _check_distributions(fast: bool, seed: int) -> list[CheckResult]:
     results = []
     cfg = reference_config()
     d2 = cfg.region_side**2
 
-    mass, _ = integrate.quad(
-        lambda w: dist_mod.pdf_offset_sq(w, cfg),
-        0.0,
-        1.25 * d2,
-        points=[0.25 * d2, d2],
-        epsabs=1e-10,
-        limit=200,
-    )
+    mass = _panel_mass(lambda w: dist_mod.pdf_offset_sq(w, cfg), (0.0, 0.25 * d2, d2, 1.25 * d2))
     results.append(
         CheckResult(
             "offset-pdf-normalization", abs(mass - 1.0) <= 1e-6, f"integral={mass!r}"
@@ -133,14 +132,8 @@ def _check_distributions(fast: bool, seed: int) -> list[CheckResult]:
     )
 
     lo, hi = dist_mod.snr_eve_support(cfg)
-    mass, _ = integrate.quad(
-        lambda z: dist_mod.pdf_snr_eve(z, cfg),
-        lo,
-        hi,
-        points=list(dist_mod.snr_eve_breakpoints(cfg)),
-        epsabs=1e-10,
-        limit=200,
-    )
+    b_outer, b_inner = dist_mod.snr_eve_breakpoints(cfg)
+    mass = _panel_mass(lambda z: dist_mod.pdf_snr_eve(z, cfg), (lo, b_outer, b_inner, hi))
     results.append(
         CheckResult(
             "eve-pdf-normalization", abs(mass - 1.0) <= 1e-6, f"integral={mass!r}"
@@ -152,12 +145,10 @@ def _check_distributions(fast: bool, seed: int) -> list[CheckResult]:
     # algebraically different forms can agree in pure relative terms
     rng = np.random.default_rng(seed)
     zs = rng.uniform(lo, hi, size=10_000)
-    scale = 1.0 / (hi - lo)
-    worst = 0.0
-    for z in zs:
-        a = dist_mod.pdf_snr_eve(float(z), cfg)
-        b = dist_mod.pdf_snr_eve_via_offset(float(z), cfg)
-        worst = max(worst, abs(a - b) / max(abs(a), abs(b), scale))
+    a = dist_mod.pdf_snr_eve(zs, cfg)
+    b = dist_mod.pdf_snr_eve_via_offset(zs, cfg)
+    scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0 / (hi - lo))
+    worst = float((np.abs(a - b) / scale).max())
     results.append(
         CheckResult(
             "eve-pdf-dual-route",
@@ -166,15 +157,11 @@ def _check_distributions(fast: bool, seed: int) -> list[CheckResult]:
         )
     )
 
-    b_outer, b_inner = dist_mod.snr_eve_breakpoints(cfg)
-    jumps = []
-    for z, branches in (
-        (b_inner, (dist_mod._eve_branch_mid, dist_mod._eve_branch_near)),
-        (b_outer, (dist_mod._eve_branch_far, dist_mod._eve_branch_mid)),
-    ):
-        left = branches[0](z, cfg)
-        right = branches[1](z, cfg)
-        jumps.append(abs(left - right) / max(abs(left), abs(right), 1e-300))
+    near, mid, far = dist_mod._eve_branches(np.array([b_inner, b_outer]), cfg)
+    jumps = [
+        abs(left - right) / max(abs(left), abs(right), 1e-300)
+        for left, right in ((mid[0], near[0]), (far[1], mid[1]))
+    ]
     results.append(
         CheckResult(
             "eve-pdf-continuity",
@@ -184,9 +171,8 @@ def _check_distributions(fast: bool, seed: int) -> list[CheckResult]:
     )
 
     ts = np.linspace(0.0, 1.25 * d2, 41)
-    worst = max(
-        abs(float(dist_mod.cdf_offset_sq(t, cfg)) - dist_mod.cdf_offset_sq_quadrature(t, cfg))
-        for t in ts
+    worst = float(
+        np.abs(dist_mod.cdf_offset_sq(ts, cfg) - dist_mod.cdf_offset_sq_quadrature(ts, cfg)).max()
     )
     results.append(
         CheckResult(

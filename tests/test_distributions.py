@@ -58,8 +58,8 @@ class TestSnrBobCdf:
     def test_nondecreasing_on_fine_grid(self, cfg10):
         lo, hi = dist.snr_bob_support(cfg10)
         zs = np.linspace(0.5 * lo, 1.5 * hi, 10_000)
-        vals = [cdf_snr_bob(float(z), cfg10) for z in zs]
-        assert all(b >= a for a, b in zip(vals, vals[1:]))
+        vals = cdf_snr_bob(zs, cfg10)
+        assert np.all(np.diff(vals) >= 0.0)
         assert vals[0] == 0.0 and vals[-1] == 1.0
 
     def test_derivative_matches_implied_density(self, cfg10):
@@ -160,18 +160,39 @@ class TestOffsetSqCdf:
         ts = np.concatenate(
             [np.linspace(0.0, 1.25 * d2, 41), rng.uniform(0.0, 1.25 * d2, 60)]
         )
-        worst = max(
-            abs(float(cdf_offset_sq(t, cfg10)) - cdf_offset_sq_quadrature(float(t), cfg10))
-            for t in ts
-        )
-        assert worst <= 1e-8
+        assert np.abs(cdf_offset_sq(ts, cfg10) - cdf_offset_sq_quadrature(ts, cfg10)).max() <= 1e-8
 
-    def test_vectorized_matches_scalar(self, cfg10):
-        ts = np.array([-1.0, 0.0, 10.0, 60.0, 110.0, 130.0])
-        vec = cdf_offset_sq(ts, cfg10)
-        assert vec.shape == ts.shape
-        for t, v in zip(ts, vec):
-            assert v == cdf_offset_sq(float(t), cfg10)
+    @pytest.mark.parametrize(
+        "func,make",
+        [
+            (cdf_snr_bob, make_snr_bob_cdf),
+            (pdf_snr_eve, make_snr_eve_pdf),
+            (pdf_snr_eve_via_offset, make_snr_eve_pdf),
+            (pdf_offset_sq, make_offset_sq_pdf),
+            (cdf_offset_sq, make_offset_sq_cdf),
+            (cdf_offset_sq_quadrature, make_offset_sq_cdf),
+        ],
+        ids=lambda f: f.__name__,
+    )
+    def test_vectorized_matches_scalar(self, cfg10, func, make):
+        # support ends, points past them, branch boundaries and a grid
+        obj = make(cfg10)
+        lo, hi = obj.support_lo, obj.support_hi
+        zs = np.concatenate(
+            ([0.5 * lo, lo, hi, 1.5 * hi], obj.breakpoints, np.linspace(lo, hi, 20))
+        )
+        scalars = [func(float(z), cfg10) for z in zs]
+        assert all(type(v) is float for v in scalars)
+        assert func(zs, cfg10).tolist() == scalars
+        grid = zs.reshape(2, -1)
+        assert func(grid, cfg10).tolist() == np.reshape(scalars, grid.shape).tolist()
+        if func in (cdf_snr_bob, pdf_snr_eve, pdf_snr_eve_via_offset):
+            for bad in (0.0, -1.0, math.nan):
+                with pytest.raises(ValueError, match="SNR argument"):
+                    func(np.array([lo, bad, hi]), cfg10)
+        if func is pdf_offset_sq:
+            with pytest.raises(ValueError, match="squared offset"):
+                func(np.array([1.0, -1e-9]), cfg10)
 
     def test_quarter_point_against_mc_oracle(self, cfg10):
         # empirical CDF at D^2/4 from 10^7 independent samples
@@ -200,17 +221,14 @@ class TestSnrEvePdf:
         s, d = cfg10.effective_snr, cfg10.region_side
         _, b_inner = dist.snr_eve_breakpoints(cfg10)
         expected = (s / b_inner**2) * (math.pi - 1.0) / d**2
-        assert dist._eve_branch_near(b_inner, cfg10) == pytest.approx(expected, rel=1e-12)
-        assert dist._eve_branch_mid(b_inner, cfg10) == pytest.approx(expected, rel=1e-12)
+        near, mid, _ = dist._eve_branches(b_inner, cfg10)
+        assert near == pytest.approx(expected, rel=1e-12)
+        assert mid == pytest.approx(expected, rel=1e-12)
 
     def test_continuity_at_both_breakpoints(self, cfg10):
         b_outer, b_inner = dist.snr_eve_breakpoints(cfg10)
-        pairs = (
-            (b_inner, dist._eve_branch_mid, dist._eve_branch_near),
-            (b_outer, dist._eve_branch_far, dist._eve_branch_mid),
-        )
-        for z, left, right in pairs:
-            a, b = left(z, cfg10), right(z, cfg10)
+        near, mid, far = dist._eve_branches(np.array([b_inner, b_outer]), cfg10)
+        for a, b in ((mid[0], near[0]), (far[1], mid[1])):
             assert abs(a - b) / max(abs(a), abs(b)) <= 1e-9
 
     def test_normalizes(self, cfg10):
@@ -233,13 +251,10 @@ class TestSnrEvePdf:
         lo, hi = dist.snr_eve_support(cfg10)
         rng = np.random.default_rng(11)
         zs = rng.uniform(lo, hi, size=10_000)
-        scale = 1.0 / (hi - lo)
-        worst = 0.0
-        for z in zs:
-            a = pdf_snr_eve(float(z), cfg10)
-            b = pdf_snr_eve_via_offset(float(z), cfg10)
-            worst = max(worst, abs(a - b) / max(abs(a), abs(b), scale))
-        assert worst <= 1e-9
+        a = pdf_snr_eve(zs, cfg10)
+        b = pdf_snr_eve_via_offset(zs, cfg10)
+        scale = np.maximum(np.maximum(np.abs(a), np.abs(b)), 1.0 / (hi - lo))
+        assert (np.abs(a - b) / scale).max() <= 1e-9
 
     def test_domain_handling(self, cfg10):
         lo, hi = dist.snr_eve_support(cfg10)
@@ -287,7 +302,7 @@ class TestDistributionObjects:
         for make in (make_snr_eve_pdf, make_offset_sq_pdf):
             obj = make(cfg10)
             zs = np.linspace(obj.support_lo, obj.support_hi, 2_000)
-            assert all(obj.evaluate(float(z)) >= 0.0 for z in zs)
+            assert np.all(obj.evaluate(zs) >= 0.0)
 
     def test_cdf_objects_monotone(self, cfg10):
         for make in (make_snr_bob_cdf, make_offset_sq_cdf):
@@ -297,5 +312,4 @@ class TestDistributionObjects:
                 obj.support_hi,
                 2_000,
             )
-            vals = [obj.evaluate(float(z)) for z in zs]
-            assert all(b >= a - 1e-15 for a, b in zip(vals, vals[1:]))
+            assert np.all(np.diff(obj.evaluate(zs)) >= -1e-15)

@@ -238,6 +238,12 @@ class TestSopAsymptotic:
         high = make_config(region_side=30.0, power_dbm=60.0)
         assert abs(sop_exact(high).value - sop_asymptotic(high).value) <= 1e-2
 
+    @pytest.mark.parametrize("rate", [1017.0, 1020.0, 1023.0])
+    def test_certain_outage_where_the_rate_threshold_nearly_overflows(self, rate):
+        # (C - 1) times an offset overflows to inf there; divided by the
+        # infinite SNR that was nan
+        assert sop_asymptotic(make_config(rate=rate)).value == 1.0
+
 
 class TestSopEstimateType:
     def test_value_domain_enforced(self):

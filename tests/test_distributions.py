@@ -162,37 +162,39 @@ class TestOffsetSqCdf:
         )
         assert np.abs(cdf_offset_sq(ts, cfg10) - cdf_offset_sq_quadrature(ts, cfg10)).max() <= 1e-8
 
-    @pytest.mark.parametrize(
-        "func,make",
-        [
+    def test_vectorized_matches_scalar(self, cfg10):
+        ts = np.array([-1.0, 0.0, 10.0, 60.0, 110.0, 130.0])
+        vec = cdf_offset_sq(ts, cfg10)
+        assert vec.shape == ts.shape
+        for t, v in zip(ts, vec):
+            assert v == cdf_offset_sq(float(t), cfg10)
+        # every array-first closed form, at its support ends, points past
+        # them, its branch boundaries and a grid
+        for func, make in (
             (cdf_snr_bob, make_snr_bob_cdf),
             (pdf_snr_eve, make_snr_eve_pdf),
             (pdf_snr_eve_via_offset, make_snr_eve_pdf),
             (pdf_offset_sq, make_offset_sq_pdf),
             (cdf_offset_sq, make_offset_sq_cdf),
             (cdf_offset_sq_quadrature, make_offset_sq_cdf),
-        ],
-        ids=lambda f: f.__name__,
-    )
-    def test_vectorized_matches_scalar(self, cfg10, func, make):
-        # support ends, points past them, branch boundaries and a grid
-        obj = make(cfg10)
-        lo, hi = obj.support_lo, obj.support_hi
-        zs = np.concatenate(
-            ([0.5 * lo, lo, hi, 1.5 * hi], obj.breakpoints, np.linspace(lo, hi, 20))
-        )
-        scalars = [func(float(z), cfg10) for z in zs]
-        assert all(type(v) is float for v in scalars)
-        assert func(zs, cfg10).tolist() == scalars
-        grid = zs.reshape(2, -1)
-        assert func(grid, cfg10).tolist() == np.reshape(scalars, grid.shape).tolist()
-        if func in (cdf_snr_bob, pdf_snr_eve, pdf_snr_eve_via_offset):
-            for bad in (0.0, -1.0, math.nan):
-                with pytest.raises(ValueError, match="SNR argument"):
-                    func(np.array([lo, bad, hi]), cfg10)
-        if func is pdf_offset_sq:
-            with pytest.raises(ValueError, match="squared offset"):
-                func(np.array([1.0, -1e-9]), cfg10)
+        ):
+            obj = make(cfg10)
+            lo, hi = obj.support_lo, obj.support_hi
+            zs = np.concatenate(
+                ([0.5 * lo, lo, hi, 1.5 * hi], obj.breakpoints, np.linspace(lo, hi, 20))
+            )
+            scalars = [func(float(z), cfg10) for z in zs]
+            assert all(type(v) is float for v in scalars), func.__name__
+            assert func(zs, cfg10).tolist() == scalars, func.__name__
+            grid = zs.reshape(2, -1)
+            assert func(grid, cfg10).tolist() == np.reshape(scalars, grid.shape).tolist()
+            if func in (cdf_snr_bob, pdf_snr_eve, pdf_snr_eve_via_offset):
+                for bad in (0.0, -1.0, math.nan):
+                    with pytest.raises(ValueError, match="SNR argument"):
+                        func(np.array([lo, bad, hi]), cfg10)
+            if func is pdf_offset_sq:
+                with pytest.raises(ValueError, match="squared offset"):
+                    func(np.array([1.0, -1e-9]), cfg10)
 
     def test_quarter_point_against_mc_oracle(self, cfg10):
         # empirical CDF at D^2/4 from 10^7 independent samples

@@ -7,14 +7,9 @@ that emits CSV.
 """
 
 from .distributions import (
-    PiecewiseDensity,
     cdf_offset_sq,
     cdf_offset_sq_quadrature,
     cdf_snr_bob,
-    make_offset_sq_cdf,
-    make_offset_sq_pdf,
-    make_snr_bob_cdf,
-    make_snr_eve_pdf,
     pdf_offset_sq,
     pdf_snr_eve,
     pdf_snr_eve_via_offset,
@@ -60,7 +55,6 @@ __all__ = [
     "McConfig",
     "McResult",
     "Method",
-    "PiecewiseDensity",
     "SopEstimate",
     "SweepResult",
     "SweepSpec",
@@ -70,10 +64,6 @@ __all__ = [
     "cdf_snr_bob",
     "dbm_to_watts",
     "dump_distribution",
-    "make_offset_sq_cdf",
-    "make_offset_sq_pdf",
-    "make_snr_bob_cdf",
-    "make_snr_eve_pdf",
     "pdf_offset_sq",
     "pdf_snr_eve",
     "pdf_snr_eve_via_offset",

@@ -212,14 +212,24 @@ def _methods(spec: str) -> tuple[Method, ...]:
     return tuple(methods)
 
 
+def _check_out(out: Path | None) -> None:
+    """Reject an --out path that cannot be written, before any computation."""
+    if out is not None and not out.parent.is_dir():
+        raise UsageError(f"--out: {out.parent} is not an existing directory")
+
+
 def _emit(text: str, out: Path | None) -> None:
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         out.write_text(text)
+    except OSError as exc:
+        raise UsageError(f"--out: {exc}") from exc
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    _check_out(args.out)
     p = _resolve(args)
     seed = _resolve_seed(p)
     try:
@@ -239,6 +249,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_dist(args: argparse.Namespace) -> int:
+    _check_out(args.out)
     p = _resolve(args)
     try:
         cfg = _system_config(p)

@@ -30,15 +30,13 @@ quadrature over an enclosing interval is safe.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Literal
+from typing import Callable
 
 import numpy as np
 
 from .system import SystemConfig
 
 __all__ = [
-    "PiecewiseDensity",
     "cdf_snr_bob",
     "pdf_snr_eve",
     "pdf_snr_eve_via_offset",
@@ -50,29 +48,8 @@ __all__ = [
     "snr_eve_breakpoints",
     "offset_sq_support",
     "offset_sq_breakpoints",
-    "make_snr_bob_cdf",
-    "make_snr_eve_pdf",
-    "make_offset_sq_pdf",
-    "make_offset_sq_cdf",
     "DISTRIBUTION_TAGS",
 ]
-
-
-@dataclass(frozen=True)
-class PiecewiseDensity:
-    """An evaluable PDF or CDF with explicit support and branch boundaries.
-
-    ``breakpoints`` lists the interior branch boundaries only; the
-    support endpoints are carried separately. ``evaluate`` takes a
-    scalar, returning a float, or an array, returning an array of the
-    same shape; it is pure and safe to call concurrently.
-    """
-
-    support_lo: float
-    support_hi: float
-    breakpoints: tuple[float, ...]
-    evaluate: Callable[[float | np.ndarray], float | np.ndarray]
-    kind: Literal["pdf", "cdf"]
 
 
 def _elementwise(kernel, x, *args):
@@ -327,39 +304,19 @@ def pdf_snr_eve_via_offset(z, cfg: SystemConfig):
 
 
 # ---------------------------------------------------------------------------
-# Distribution objects for dumping and inspection
+# Tags of the `dist` subcommand
 
 
-def make_snr_bob_cdf(cfg: SystemConfig) -> PiecewiseDensity:
-    lo, hi = snr_bob_support(cfg)
-    return PiecewiseDensity(lo, hi, (), lambda z: cdf_snr_bob(z, cfg), "cdf")
-
-
-def make_snr_eve_pdf(cfg: SystemConfig) -> PiecewiseDensity:
-    lo, hi = snr_eve_support(cfg)
-    return PiecewiseDensity(
-        lo, hi, snr_eve_breakpoints(cfg), lambda z: pdf_snr_eve(z, cfg), "pdf"
-    )
-
-
-def make_offset_sq_pdf(cfg: SystemConfig) -> PiecewiseDensity:
+def _offset_sq_knots(cfg: SystemConfig) -> tuple[float, ...]:
     lo, hi = offset_sq_support(cfg)
-    return PiecewiseDensity(
-        lo, hi, offset_sq_breakpoints(cfg), lambda w: pdf_offset_sq(w, cfg), "pdf"
-    )
+    return lo, *offset_sq_breakpoints(cfg), hi
 
 
-def make_offset_sq_cdf(cfg: SystemConfig) -> PiecewiseDensity:
-    lo, hi = offset_sq_support(cfg)
-    return PiecewiseDensity(
-        lo, hi, offset_sq_breakpoints(cfg), lambda t: cdf_offset_sq(t, cfg), "cdf"
-    )
-
-
-# CLI tags for the `dist` subcommand
-DISTRIBUTION_TAGS: dict[str, Callable[[SystemConfig], PiecewiseDensity]] = {
-    "gamma-b-cdf": make_snr_bob_cdf,
-    "gamma-e-pdf": make_snr_eve_pdf,
-    "chi-cdf": make_offset_sq_cdf,
-    "w-pdf": make_offset_sq_pdf,
+# tag -> (closed form, its knots): the knots of a configuration are
+# (support low edge, *interior branch boundaries, support high edge), ascending
+DISTRIBUTION_TAGS: dict[str, tuple[Callable, Callable[[SystemConfig], tuple[float, ...]]]] = {
+    "gamma-b-cdf": (cdf_snr_bob, snr_bob_support),
+    "gamma-e-pdf": (pdf_snr_eve, _eve_boundaries),
+    "chi-cdf": (cdf_offset_sq, _offset_sq_knots),
+    "w-pdf": (pdf_offset_sq, _offset_sq_knots),
 }

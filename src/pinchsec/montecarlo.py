@@ -124,18 +124,21 @@ def _count_events(
     return tuple(results)
 
 
+def _outage(gb: np.ndarray, ge: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+    """The outage event (1 + snr_bob) <= C * (1 + snr_eve)."""
+    # from rate ~1011 on the right side overflows to inf: an outage, as it should be
+    with np.errstate(over="ignore"):
+        return (1.0 + gb) <= cfg.rate_threshold * (1.0 + ge)
+
+
 def _outage_pas(coords: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     x1, y1, x2, y2 = coords.T
-    gb = snr_bob_pinching(y1, cfg)
-    ge = snr_eve_pinching(x1, x2, y2, cfg)
-    return (1.0 + gb) <= cfg.rate_threshold * (1.0 + ge)
+    return _outage(snr_bob_pinching(y1, cfg), snr_eve_pinching(x1, x2, y2, cfg), cfg)
 
 
 def _outage_fpa(coords: np.ndarray, cfg: SystemConfig) -> np.ndarray:
     x1, y1, x2, y2 = coords.T
-    gb = snr_fpa(x1, y1, cfg)
-    ge = snr_fpa(x2, y2, cfg)
-    return (1.0 + gb) <= cfg.rate_threshold * (1.0 + ge)
+    return _outage(snr_fpa(x1, y1, cfg), snr_fpa(x2, y2, cfg), cfg)
 
 
 def _bound_event(coords: np.ndarray, cfg: SystemConfig) -> np.ndarray:

@@ -197,11 +197,14 @@ def _outage_integral(cfg: SystemConfig, snr: float) -> tuple[float, float, int]:
     # at infinite SNR the terms divided by snr are 0; computing them gives
     # inf/inf = nan once (C-1) times an offset overflows, from rate ~1017 on
     finite = math.isfinite(snr)
-    # offsets where t(y) = T, from a = u / (C + u*(C-1)/snr) with u = T + h^2
-    u = np.array([0.25 * d2, d2, 1.25 * d2]) + h2
-    a_cross = u / (c + (u * (c - 1.0) / snr if finite else 0.0))
-    crossings = np.minimum(np.sqrt(np.maximum(a_cross - h2, 0.0)), half)
-    edges = np.unique(np.concatenate(([0.0], crossings)))
+    # offsets where t(y) = T, from a = u / (C + u*(C-1)/snr) with u = T + h^2,
+    # in Python floats: where u*(C-1) overflows (rate ~1017 on) they give
+    # a = 0 without numpy's overflow warning
+    crossings = []
+    for u in (0.25 * d2 + h2, d2 + h2, 1.25 * d2 + h2):
+        a = u / (c + (u * (c - 1.0) / snr if finite else 0.0))
+        crossings.append(min(math.sqrt(max(a - h2, 0.0)), half))
+    edges = np.unique([0.0, *crossings])
     widths = np.diff(edges)
 
     y = edges[:-1, None] + widths[:, None] * _NODES
@@ -212,7 +215,7 @@ def _outage_integral(cfg: SystemConfig, snr: float) -> tuple[float, float, int]:
     parts = (dist.cdf_offset_sq(t, cfg) * widths[:, None] * _WEIGHTS).sum(axis=0)
     coarse = float(parts[:_BASE_ORDER].sum())
     fine = float(parts[_BASE_ORDER:].sum())
-    tail = half - float(crossings[-1])
+    tail = half - crossings[-1]
     return (fine + tail) / half, abs(fine - coarse) / half, y.size
 
 
@@ -257,19 +260,20 @@ def sop_chebyshev(cfg: SystemConfig, order: int = 100) -> SopEstimate:
     """
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    s = cfg.effective_snr
     c = cfg.rate_threshold
-    h2 = cfg.height**2
-    d2 = cfg.region_side**2
-    halfwidth = s / (2.0 * h2) - s / (2.0 * h2 + 2.5 * d2)
-    midpoint = s / (2.0 * h2) + s / (2.0 * h2 + 2.5 * d2)
+    lo, hi = dist.snr_eve_support(cfg)
+    halfwidth = 0.5 * (hi - lo)
+    midpoint = 0.5 * (hi + lo)
 
     n = np.arange(1, order + 1)
     nodes = np.cos((2.0 * n - 1.0) * math.pi / (2.0 * order))
     weights = np.sqrt(np.maximum(1.0 - nodes**2, 0.0))
 
     t = halfwidth * nodes + midpoint
-    terms = weights * dist.pdf_snr_eve(t, cfg) * dist.cdf_snr_bob(c * t + c - 1.0, cfg)
+    # from rate ~1011 on C*t overflows to inf, where the legitimate CDF is 1
+    with np.errstate(over="ignore"):
+        bob_snr = c * t + c - 1.0
+    terms = weights * dist.pdf_snr_eve(t, cfg) * dist.cdf_snr_bob(bob_snr, cfg)
     # left to right in node order: np.sum and (from Python 3.12) sum() round differently
     total = 0.0
     for term in terms.tolist():

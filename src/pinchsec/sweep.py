@@ -196,7 +196,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
 def dump_distribution(
     which: str, grid: int, cfg: SystemConfig, log_grid: bool = False
 ) -> list[tuple[float, float, int]]:
-    """(z, value, is_breakpoint) rows for one distribution object.
+    """(z, value, is_breakpoint) rows for one tag of ``DISTRIBUTION_TAGS``.
 
     A uniform (or logarithmic) grid over the support, endpoints
     included, with every interior branch boundary inserted as an extra
@@ -207,17 +207,16 @@ def dump_distribution(
         raise ValueError(f"unknown distribution tag {which!r}; expected one of: {known}")
     if grid < 2:
         raise ValueError(f"grid must be >= 2, got {grid}")
-    obj = DISTRIBUTION_TAGS[which](cfg)
+    func, knots = DISTRIBUTION_TAGS[which]
+    lo, *breakpoints, hi = knots(cfg)
     if log_grid:
-        if obj.support_lo <= 0.0:
-            raise ValueError(
-                f"log grid needs a positive support; {which} starts at {obj.support_lo}"
-            )
-        zs = np.geomspace(obj.support_lo, obj.support_hi, grid)
+        if lo <= 0.0:
+            raise ValueError(f"log grid needs a positive support; {which} starts at {lo}")
+        zs = np.geomspace(lo, hi, grid)
     else:
-        zs = np.linspace(obj.support_lo, obj.support_hi, grid)
+        zs = np.linspace(lo, hi, grid)
     rows = [(float(z), 0) for z in zs]
-    rows.extend((float(b), 1) for b in obj.breakpoints)
+    rows.extend((float(b), 1) for b in breakpoints)
     rows.sort()
-    values = obj.evaluate(np.array([z for z, _ in rows])).tolist()
+    values = func(np.array([z for z, _ in rows]), cfg).tolist()
     return [(z, v, flag) for (z, flag), v in zip(rows, values)]

@@ -13,6 +13,7 @@ antenna at the region center ``(0, 0, h)``.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
@@ -28,13 +29,19 @@ _FIELD_BOUNDS = (
     ("target_rate", 0.0, False),
 )
 
-# (derived field, its formula) for every value SystemConfig derives; each
-# must be finite and > 0, which finite inputs alone do not guarantee
+# every value SystemConfig derives, then every scale the closed forms
+# compute from the inputs alone, in the order they are checked; each must
+# be finite and normal, which finite inputs alone do not guarantee
 _DERIVED = (
-    ("wavelength", "c / carrier_freq"),
-    ("path_gain", "(c / carrier_freq)^2 / (16 pi^2)"),
-    ("effective_snr", "path_gain * transmit_power / noise_power"),
-    ("rate_threshold", "2^target_rate"),
+    "wavelength = c / carrier_freq",
+    "path_gain = (c / carrier_freq)^2 / (16 pi^2)",
+    "effective_snr = path_gain * transmit_power / noise_power",
+    "rate_threshold = 2^target_rate",
+    "height^2",
+    "region_side^2",
+    "region_side^3",
+    "5 region_side^2 / 4 + height^2",
+    "peak SNR effective_snr / height^2",
 )
 
 
@@ -83,8 +90,9 @@ class SystemConfig:
 
     Every input must be finite. Derived values (wavelength, path gain,
     effective SNR, linear rate threshold) are computed once at
-    construction and frozen; each must be finite and > 0, so inputs that
-    overflow or underflow one of them are rejected.
+    construction and frozen. They, h^2, D^2, D^3, 5D^2/4 + h^2 and the
+    peak SNR effective_snr / h^2 must each be finite and normal, so
+    inputs that overflow or underflow one of them are rejected.
     ``dataclasses.replace`` gives a changed copy, validated and derived
     anew.
     """
@@ -119,10 +127,22 @@ class SystemConfig:
             self, "effective_snr", self.path_gain * self.transmit_power / self.noise_power
         )
         object.__setattr__(self, "rate_threshold", _pow(2.0, self.target_rate))
-        for name, formula in _DERIVED:
-            value = getattr(self, name)
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} = {formula} must be finite and > 0, got {value}")
+        h2 = _pow(self.height, 2)
+        d2 = _pow(self.region_side, 2)
+        derived = (
+            wavelength,
+            self.path_gain,
+            self.effective_snr,
+            self.rate_threshold,
+            h2,
+            d2,
+            _pow(self.region_side, 3),
+            1.25 * d2 + h2,
+            self.effective_snr / h2 if h2 else math.inf,  # h2 = 0 fails first
+        )
+        for formula, value in zip(_DERIVED, derived):
+            if not sys.float_info.min <= value < math.inf:
+                raise ValueError(f"{formula} must be finite and normal (> 0), got {value}")
 
     @property
     def half_side(self) -> float:

@@ -9,17 +9,15 @@ from scipy import integrate, stats
 
 from pinchsec import distributions as dist
 from pinchsec.distributions import (
+    DISTRIBUTION_TAGS,
     cdf_offset_sq,
     cdf_offset_sq_quadrature,
     cdf_snr_bob,
-    make_offset_sq_cdf,
-    make_offset_sq_pdf,
-    make_snr_bob_cdf,
-    make_snr_eve_pdf,
     pdf_offset_sq,
     pdf_snr_eve,
     pdf_snr_eve_via_offset,
 )
+from pinchsec.sweep import dump_distribution
 
 from conftest import make_config
 
@@ -170,18 +168,17 @@ class TestOffsetSqCdf:
             assert v == cdf_offset_sq(float(t), cfg10)
         # every array-first closed form, at its support ends, points past
         # them, its branch boundaries and a grid
-        for func, make in (
-            (cdf_snr_bob, make_snr_bob_cdf),
-            (pdf_snr_eve, make_snr_eve_pdf),
-            (pdf_snr_eve_via_offset, make_snr_eve_pdf),
-            (pdf_offset_sq, make_offset_sq_pdf),
-            (cdf_offset_sq, make_offset_sq_cdf),
-            (cdf_offset_sq_quadrature, make_offset_sq_cdf),
+        for func, tag in (
+            (cdf_snr_bob, "gamma-b-cdf"),
+            (pdf_snr_eve, "gamma-e-pdf"),
+            (pdf_snr_eve_via_offset, "gamma-e-pdf"),
+            (pdf_offset_sq, "w-pdf"),
+            (cdf_offset_sq, "chi-cdf"),
+            (cdf_offset_sq_quadrature, "chi-cdf"),
         ):
-            obj = make(cfg10)
-            lo, hi = obj.support_lo, obj.support_hi
+            lo, *breakpoints, hi = DISTRIBUTION_TAGS[tag][1](cfg10)
             zs = np.concatenate(
-                ([0.5 * lo, lo, hi, 1.5 * hi], obj.breakpoints, np.linspace(lo, hi, 20))
+                ([0.5 * lo, lo, hi, 1.5 * hi], breakpoints, np.linspace(lo, hi, 20))
             )
             scalars = [func(float(z), cfg10) for z in zs]
             assert all(type(v) is float for v in scalars), func.__name__
@@ -284,34 +281,32 @@ class TestSnrEvePdf:
 class TestDistributionObjects:
     def test_metadata(self, cfg10):
         d2 = cfg10.region_side**2
-        bob = make_snr_bob_cdf(cfg10)
-        assert bob.kind == "cdf" and bob.breakpoints == ()
-        assert bob.evaluate(bob.support_hi) == 1.0
+        knots = {tag: k(cfg10) for tag, (_, k) in DISTRIBUTION_TAGS.items()}
+        assert sorted(knots) == ["chi-cdf", "gamma-b-cdf", "gamma-e-pdf", "w-pdf"]
+        for tag, ks in knots.items():
+            assert all(a < b for a, b in zip(ks, ks[1:])), tag
 
-        eve = make_snr_eve_pdf(cfg10)
-        assert eve.kind == "pdf" and len(eve.breakpoints) == 2
-        assert eve.support_lo < eve.breakpoints[0] < eve.breakpoints[1] < eve.support_hi
+        assert knots["gamma-b-cdf"] == dist.snr_bob_support(cfg10)
+        lo, b_outer, b_inner, hi = knots["gamma-e-pdf"]
+        assert (lo, hi) == dist.snr_eve_support(cfg10)
+        assert (b_outer, b_inner) == dist.snr_eve_breakpoints(cfg10)
+        assert knots["w-pdf"] == knots["chi-cdf"] == (0.0, 0.25 * d2, d2, 1.25 * d2)
 
-        wpdf = make_offset_sq_pdf(cfg10)
-        assert wpdf.support_lo == 0.0 and wpdf.support_hi == 1.25 * d2
-        assert wpdf.breakpoints == (0.25 * d2, d2)
-
-        wcdf = make_offset_sq_cdf(cfg10)
-        assert wcdf.evaluate(wcdf.support_hi) == 1.0
-        assert wcdf.evaluate(wcdf.support_lo) == 0.0
+        # the dump flags exactly the interior knots, and a CDF runs from
+        # exactly 0 to exactly 1 across the support
+        for tag, ks in knots.items():
+            rows = dump_distribution(tag, 50, cfg10)
+            assert (rows[0][0], rows[-1][0]) == (ks[0], ks[-1]), tag
+            assert [z for z, _, flag in rows if flag] == list(ks[1:-1]), tag
+            if tag.endswith("-cdf"):
+                assert (rows[0][1], rows[-1][1]) == (0.0, 1.0), tag
 
     def test_pdf_objects_nonnegative(self, cfg10):
-        for make in (make_snr_eve_pdf, make_offset_sq_pdf):
-            obj = make(cfg10)
-            zs = np.linspace(obj.support_lo, obj.support_hi, 2_000)
-            assert np.all(obj.evaluate(zs) >= 0.0)
+        for tag in ("gamma-e-pdf", "w-pdf"):
+            values = [v for _, v, _ in dump_distribution(tag, 2_000, cfg10)]
+            assert min(values) >= 0.0, tag
 
     def test_cdf_objects_monotone(self, cfg10):
-        for make in (make_snr_bob_cdf, make_offset_sq_cdf):
-            obj = make(cfg10)
-            zs = np.linspace(
-                obj.support_lo if obj.support_lo > 0 else obj.support_lo + 1e-12,
-                obj.support_hi,
-                2_000,
-            )
-            assert np.all(np.diff(obj.evaluate(zs)) >= -1e-15)
+        for tag in ("gamma-b-cdf", "chi-cdf"):
+            values = [v for _, v, _ in dump_distribution(tag, 2_000, cfg10)]
+            assert np.all(np.diff(values) >= -1e-15), tag

@@ -14,6 +14,7 @@ from pinchsec import (
     LOWER_BOUND_FPA,
     LOWER_BOUND_PAS,
     AccuracyError,
+    McConfig,
     Method,
     SopEstimate,
     sop_asymptotic,
@@ -21,6 +22,7 @@ from pinchsec import (
     sop_exact,
     sop_lower_bound_fpa,
     sop_lower_bound_pas,
+    simulate_sops,
 )
 
 from conftest import make_config
@@ -238,11 +240,17 @@ class TestSopAsymptotic:
         high = make_config(region_side=30.0, power_dbm=60.0)
         assert abs(sop_exact(high).value - sop_asymptotic(high).value) <= 1e-2
 
-    @pytest.mark.parametrize("rate", [1017.0, 1020.0, 1023.0])
+    @pytest.mark.parametrize("rate", [1011.1, 1017.0, 1020.0, 1023.0])
     def test_certain_outage_where_the_rate_threshold_nearly_overflows(self, rate):
-        # (C - 1) times an offset overflows to inf there; divided by the
-        # infinite SNR that was nan
-        assert sop_asymptotic(make_config(rate=rate)).value == 1.0
+        # C times an SNR overflows to inf from rate ~1011 on, and (C - 1)
+        # times an offset from ~1017 on; divided by the infinite SNR that
+        # was nan. The test suite turns an overflow warning into an error.
+        cfg = make_config(rate=rate)
+        assert sop_asymptotic(cfg).value == 1.0
+        assert sop_exact(cfg).value == 1.0
+        assert sop_chebyshev(cfg, 100).value == 1.0
+        mc = McConfig(trials=1_000, seed=3)
+        assert [r.estimate for r in simulate_sops(cfg, mc, ["pas", "fpa"])] == [1.0, 1.0]
 
 
 class TestSopEstimateType:

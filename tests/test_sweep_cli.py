@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -384,6 +385,29 @@ class TestCliSweep:
         assert capsys.readouterr().out == ""
         assert target.read_text().startswith("x,method,sop")
 
+    def test_out_file_is_checked_before_any_point(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(mc_mod, "simulate_sops", None)  # computing a point would raise
+        (tmp_path / "file").touch()
+        for target in (tmp_path / "missing" / "x.csv", tmp_path / "file" / "x.csv"):
+            assert cli.main(self.BASE + ["--out", str(target)]) == 2
+            assert capsys.readouterr().err.startswith("error: --out:")
+        monkeypatch.undo()
+        assert cli.main(self.BASE + ["--out", str(tmp_path)]) == 2  # fails on write
+        assert capsys.readouterr().err.startswith("error: --out:")
+
+    def test_silent_where_the_rate_threshold_nearly_overflows(self):
+        argv = ["sweep", "--methods", "exact,chebyshev,asymptotic,mc,mc-fpa"]
+        argv += ["--rate", "1020", "--x-values", "20", "--trials", "1000"]
+        src = str(Path(cli.__file__).parents[1])
+        done = subprocess.run(
+            [sys.executable, "-m", "pinchsec.cli", *argv],
+            capture_output=True,
+            text=True,
+            env={**os.environ, "PYTHONPATH": src},
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert [line.split(",")[2] for line in done.stdout.split()[1:]] == ["1"] * 5
+
     def test_unknown_method_is_usage_error(self, capsys):
         code = cli.main(["sweep", "--methods", "bogus"])
         assert code == 2
@@ -415,6 +439,13 @@ class TestCliSweep:
             "--freq-ghz 1e-300",
             "--power-dbm 3000 --noise-dbm -3000 --x-values 3000",
             "--power-dbm -3000 --noise-dbm 3000 --x-values -3000",
+            "--height 1e-200",
+            "--height 1e-160",
+            "--height 1e155",
+            "--height 1e-152 --x-values 60",
+            "--region-side 1.5e154",
+            "--region-side 1e150",
+            "--x region --x-values 1,1.2e154",
         ],
     )
     def test_out_of_domain_x_is_usage_error_before_any_point(self, capsys, monkeypatch, args):
@@ -543,6 +574,21 @@ class TestCliDist:
 
     def test_grid_too_small(self, capsys):
         assert cli.main(["dist", "--which", "w-pdf", "--grid", "1"]) == 2
+
+    @pytest.mark.parametrize("args", ["--height 1e-200", "--height 1e155", "--region-side 1.5e154"])
+    def test_overflowing_square_is_usage_error(self, capsys, args):
+        assert cli.main(["dist", *args.split()]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_out_file_is_checked_before_any_point(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "dump_distribution", None)  # computing would raise
+        (tmp_path / "file").touch()
+        for target in (tmp_path / "missing" / "x.csv", tmp_path / "file" / "x.csv"):
+            assert cli.main(["dist", "--out", str(target)]) == 2
+            assert capsys.readouterr().err.startswith("error: --out:")
+        monkeypatch.undo()
+        assert cli.main(["dist", "--out", str(tmp_path)]) == 2  # fails on write
+        assert capsys.readouterr().err.startswith("error: --out:")
 
 
 # Corruptions of the library, each with the checks of the suite it must fail.

@@ -83,6 +83,16 @@ class TestSystemConfig:
             ("transmit_power", 1e-320),
             ("target_rate", 1024.0),
             ("target_rate", 1e6),
+            # powers of finite inputs, or the peak SNR, that overflow or underflow
+            ("height", 1e-200),
+            ("height", 1e-160),
+            ("height", 1e155),
+            ("height", 1e-152),
+            ("region_side", 1.5e154),
+            ("region_side", 1.2e154),
+            ("region_side", 1e-160),
+            ("region_side", 1e150),
+            ("region_side", 1e-110),
         ],
     )
     def test_invalid_fields_rejected(self, field, value):

@@ -8,11 +8,15 @@ partitioning yields bit-identical results; sample streams preserve
 trial order.
 
 Trials are split into one span per worker and each span into chunks of
-at most 2^17 trials; the spans run in order on the calling thread, so
-``workers`` is a partitioning hint only. A span draws all its chunks
-into one buffer, allocated once per call: the (chunk, 4) uniforms,
-4 MiB at the full chunk size, mapped to coordinates in place. One pass
-over the draws can count several events, so the pinching and
+at most 2^14 trials; the spans run in order on the calling thread, so
+``workers`` is a partitioning hint only. A span opens one Philox stream
+at its first trial and draws its chunks from it in order, into one
+buffer allocated once per call: the (chunk, 4) uniforms, 512 KiB at the
+full chunk size, mapped to coordinates in place. The chunk size sets
+cache use, never an answer: that buffer and the 128 KiB column
+temporaries of the event kernels fit a 2 MiB per-core L2 cache, where
+the 4 MiB buffer and 1 MiB temporaries of 2^17-trial chunks do not. One
+pass over the draws can count several events, so the pinching and
 fixed-position outages of one configuration share their trials
 (:func:`simulate_sops`).
 """
@@ -39,7 +43,7 @@ __all__ = [
 ]
 
 _DRAWS_PER_TRIAL = 4  # one Philox counter block
-_CHUNK_TRIALS = 1 << 17
+_CHUNK_TRIALS = 1 << 14  # trials per chunk; 2^13-2^15 measure fastest
 
 
 @dataclass(frozen=True)
@@ -74,25 +78,28 @@ class McResult:
     seed: int
 
 
-def _uniform_chunk(seed: int, start: int, out: np.ndarray) -> np.ndarray:
-    """Fill ``out`` (C-contiguous, shape (n, 4)) with the standard uniforms
-    of trials [start, start + n)."""
+def _span_generator(seed: int, start: int) -> np.random.Generator:
+    """A generator whose next uniforms are those of trial ``start`` on."""
     bits = np.random.Philox(key=seed)
     bits.advance(start)
-    return np.random.Generator(bits).random(out.shape, out=out)
+    return np.random.Generator(bits)
 
 
 def _draw_span(seed: int, lo: int, hi: int, side: float) -> Iterator[tuple[int, int, np.ndarray]]:
     """Yield (start, stop, coords) for each chunk of trials [lo, hi).
 
-    ``coords`` holds x1, y1, x2, y2 on [-D/2, D/2] in columns 0-3. Every
-    chunk is drawn into one buffer allocated for the whole span, so it is
-    only valid until the next chunk is drawn.
+    ``coords`` holds x1, y1, x2, y2 on [-D/2, D/2] in columns 0-3. The
+    span opens one Philox stream at trial ``lo`` and fills consecutive
+    chunks from it: a chunk takes whole counter blocks, so the next one
+    starts at its first trial's block. Every chunk is drawn into one
+    buffer allocated for the whole span, so it is only valid until the
+    next chunk is drawn.
     """
+    rng = _span_generator(seed, lo)
     buffer = np.empty((min(hi - lo, _CHUNK_TRIALS), _DRAWS_PER_TRIAL))
     for start in range(lo, hi, _CHUNK_TRIALS):
         stop = min(start + _CHUNK_TRIALS, hi)
-        coords = _uniform_chunk(seed, start, buffer[: stop - start])
+        coords = rng.random(out=buffer[: stop - start])
         coords -= 0.5
         coords *= side
         yield start, stop, coords

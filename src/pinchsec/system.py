@@ -92,7 +92,9 @@ class SystemConfig:
     effective SNR, linear rate threshold) are computed once at
     construction and frozen. They, h^2, D^2, D^3, 5D^2/4 + h^2 and the
     peak SNR effective_snr / h^2 must each be finite and normal, so
-    inputs that overflow or underflow one of them are rejected.
+    inputs that overflow or underflow one of them are rejected. So are
+    heights so far above the region that 5D^2/4 + h^2 no longer
+    resolves 5D^2/4 to 1e-6 relative (h/D beyond about 7e4).
     ``dataclasses.replace`` gives a changed copy, validated and derived
     anew.
     """
@@ -143,6 +145,13 @@ class SystemConfig:
         for formula, value in zip(_DERIVED, derived):
             if not sys.float_info.min <= value < math.inf:
                 raise ValueError(f"{formula} must be finite and normal (> 0), got {value}")
+        # Chebyshev recovers offsets as s/t - h^2 with t down to s/(5D^2/4 + h^2),
+        # so that sum must resolve 5D^2/4; 1e-6 admits h/D up to about 7e4
+        if math.ulp(1.25 * d2 + h2) > 1e-6 * 1.25 * d2:
+            raise ValueError(
+                f"height / region_side = {self.height / self.region_side:g} is too large: "
+                "5 region_side^2 / 4 + height^2 must resolve 5 region_side^2 / 4 to 1e-6"
+            )
 
     @property
     def half_side(self) -> float:

@@ -37,7 +37,7 @@ class TestConfigValidation:
 
 def uniforms(seed, start, stop):
     """Standard uniforms of trials [start, stop), shape (stop - start, 4)."""
-    return mc_mod._uniform_chunk(seed, start, np.empty((stop - start, 4)))
+    return mc_mod._span_generator(seed, start).random((stop - start, 4))
 
 
 class TestSubstreams:
@@ -152,6 +152,29 @@ class TestReusedDrawBuffer:
         assert simulate_sops(cfg30, mc, ("pas", "fpa")) == (pas, fpa)
         assert simulate_sops(cfg30, mc, ("fpa", "pas")) == (fpa, pas)
         assert simulate_sops(cfg30, mc, ("pas",)) == (pas,)
+
+
+class TestChunkSizeInvariance:
+    """The chunk size is a cache setting: no count or sample depends on it."""
+
+    TRIALS = 300_007  # a multiple of no chunk size below
+
+    def test_bitwise_across_chunk_sizes_and_workers(self, cfg30, monkeypatch):
+        runs = {}
+        for chunk in (1 << 10, 1 << 14, 1 << 17):
+            monkeypatch.setattr(mc_mod, "_CHUNK_TRIALS", chunk)
+            for workers in (1, 3):
+                mc = McConfig(trials=self.TRIALS, seed=KERNEL_SEED, workers=workers)
+                runs[chunk, workers] = (
+                    simulate_sops(cfg30, mc, ["pas", "fpa"]),
+                    simulate_lower_bound_event(cfg30, mc),
+                    sample_snr_eve(cfg30, mc),
+                    sample_offset_sq(cfg30, mc),
+                )
+        sops, bound, eve, offset = runs[1 << 17, 1]
+        for where, (other_sops, other_bound, other_eve, other_offset) in runs.items():
+            assert other_sops == sops and other_bound == bound, where
+            assert np.array_equal(other_eve, eve) and np.array_equal(other_offset, offset), where
 
 
 class TestResultContract:

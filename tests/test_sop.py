@@ -163,6 +163,17 @@ class TestSopExact:
         assert sop_exact(cfg).value == pytest.approx(LOWER_BOUND_PAS, abs=1e-9)
 
 
+def chebyshev_at_reference_geometry(cfg, order):
+    """sop_chebyshev at D = 10 m, h = 3 m, where only the two-node sum dips
+    below the pinching floor: that order must warn, every other stay silent."""
+    if order == 2:
+        with pytest.warns(RuntimeWarning, match="provable floor"):
+            return sop_chebyshev(cfg, order)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return sop_chebyshev(cfg, order)
+
+
 class TestSopChebyshev:
     def test_matches_exact_at_order_100(self, cfg10, cfg30):
         for cfg in (cfg10, cfg30):
@@ -177,7 +188,10 @@ class TestSopChebyshev:
     def test_doubling_ladder(self, cfg10):
         cfg = make_config(power_dbm=20.0)
         exact = sop_exact(cfg, tol=1e-8).value
-        errors = {n: abs(sop_chebyshev(cfg, n).value - exact) for n in (1, 2, 4, 8, 16, 32, 64, 128)}
+        errors = {
+            n: abs(chebyshev_at_reference_geometry(cfg, n).value - exact)
+            for n in (1, 2, 4, 8, 16, 32, 64, 128)
+        }
         print("chebyshev convergence ladder:", {n: f"{e:.2e}" for n, e in errors.items()})
         assert errors[128] <= errors[8]
 
@@ -187,7 +201,7 @@ class TestSopChebyshev:
 
     def test_value_always_in_unit_interval(self, cfg10):
         for n in (1, 2, 3, 5, 100):
-            est = sop_chebyshev(cfg10, n)
+            est = chebyshev_at_reference_geometry(cfg10, n)
             assert 0.0 <= est.value <= 1.0
             assert est.order_or_trials == n
             if est.raw_value is not None:
@@ -210,6 +224,21 @@ class TestSopChebyshev:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert sop_chebyshev(cfg, 100).value >= LOWER_BOUND_PAS
+
+    @pytest.mark.parametrize("region_side", [1.0, 10.0])
+    def test_accurate_at_the_largest_admitted_height(self, region_side):
+        # 5D^2/4 + h^2 still resolves 5D^2/4 to 1e-6 here; at rate 0 the SOP
+        # is the floor for any geometry, once the SNRs are large enough for
+        # 1 + snr to resolve them
+        height = 7e4 * region_side
+        cfg = make_config(region_side=region_side, height=height, power_dbm=120.0, rate=0.0)
+        assert cfg.effective_snr / height**2 > 1.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            value = sop_chebyshev(cfg, 100).value
+        assert value == pytest.approx(LOWER_BOUND_PAS, abs=1e-5)
+        with pytest.raises(ValueError, match="height / region_side"):
+            replace(cfg, height=1.2e5 * region_side)
 
     def test_silent_for_a_dip_inside_the_tolerance(self):
         # at rate 0 the N = 100 sum sits about 5e-5 below the floor

@@ -159,15 +159,15 @@ class TestAsymptoteOncePerSweep:
 
 
 def count_draw_passes(monkeypatch) -> list:
-    """Wrap montecarlo._uniform_chunk so every chunk drawn is recorded."""
+    """Wrap montecarlo._span_generator so every stream opened is recorded."""
     calls = []
-    original = mc_mod._uniform_chunk
+    original = mc_mod._span_generator
 
-    def counted(seed, start, out):
-        calls.append((seed, start, len(out)))
-        return original(seed, start, out)
+    def counted(seed, start):
+        calls.append((seed, start))
+        return original(seed, start)
 
-    monkeypatch.setattr(mc_mod, "_uniform_chunk", counted)
+    monkeypatch.setattr(mc_mod, "_span_generator", counted)
     return calls
 
 
@@ -185,9 +185,9 @@ class TestMonteCarloSharesDraws:
     def test_one_draw_pass_per_point(self, monkeypatch):
         calls = count_draw_passes(monkeypatch)
         rows = run_sweep(self.spec()).rows
-        # 5000 trials fit one chunk, so one pass is one draw per point
+        # one worker span per point, so one pass is one stream per point
         assert len(calls) == len(self.RATES)
-        assert len({seed for seed, _, _ in calls}) == len(self.RATES)
+        assert len({seed for seed, _ in calls}) == len(self.RATES)
         assert len(rows) == 2 * len(self.RATES)
 
     def test_csv_matches_per_point_simulation(self):
@@ -446,6 +446,10 @@ class TestCliSweep:
             "--region-side 1.5e154",
             "--region-side 1e150",
             "--x region --x-values 1,1.2e154",
+            "--region-side 1 --height 3e7",
+            "--region-side 1 --height 1e9",
+            "--region-side 1e-100 --height 1e100",
+            "--x region --x-values 10,1e-5",
         ],
     )
     def test_out_of_domain_x_is_usage_error_before_any_point(self, capsys, monkeypatch, args):

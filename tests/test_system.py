@@ -93,6 +93,10 @@ class TestSystemConfig:
             ("region_side", 1e-160),
             ("region_side", 1e150),
             ("region_side", 1e-110),
+            # so high above the region that 5D^2/4 + h^2 loses 5D^2/4
+            ("height", 3e6),
+            ("height", 3e8),
+            ("region_side", 1e-5),
         ],
     )
     def test_invalid_fields_rejected(self, field, value):

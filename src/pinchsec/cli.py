@@ -59,9 +59,6 @@ _PARAMS: dict[str, _Param] = {
         "comma-separated subset of: " + ",".join(m.value for m in Method),
     ),
     "trials": _Param("sweep", int, 100_000, "Monte Carlo trials per grid point", True),
-    "workers": _Param(
-        "sweep", int, 1, "partitioning hint run on one thread; never changes values", True
-    ),
     "chebyshev-order": _Param("sweep", int, 100, "quadrature order N", True),
     "exact-tol": _Param(
         "sweep",
@@ -75,7 +72,6 @@ _PARAMS: dict[str, _Param] = {
     "region-side": _Param("system", float, 10.0, "region side D in meters", True),
     "height": _Param("system", float, 3.0, "antenna height h in meters", True),
     "freq-ghz": _Param("system", float, 28.0, "carrier frequency in GHz", True),
-    "n-eff": _Param("system", float, 1.4, "waveguide effective refractive index", True),
     "power-dbm": _Param("system", float, 20.0, "transmit power in dBm", True),
     "noise-dbm": _Param("system", float, -80.0, "noise power in dBm", True),
     "rate": _Param("system", float, 0.1, "target secrecy rate in bits/s/Hz", True),
@@ -174,7 +170,6 @@ def _system_config(p: dict) -> SystemConfig:
         region_side=p["region_side"],
         height=p["height"],
         carrier_freq=p["freq_ghz"] * 1e9,
-        refractive_index=p["n_eff"],
         transmit_power=dbm_to_watts(p["power_dbm"]),
         noise_power=dbm_to_watts(p["noise_dbm"]),
         target_rate=p["rate"],
@@ -238,7 +233,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             x_values=_x_values(args, p),
             base=_system_config(p),
             methods=_methods(p["methods"]),
-            mc=McConfig(trials=int(p["trials"]), seed=seed, workers=int(p["workers"])),
+            mc=McConfig(trials=int(p["trials"]), seed=seed),
             chebyshev_order=int(p["chebyshev_order"]),
             exact_tol=float(p["exact_tol"]),
         )

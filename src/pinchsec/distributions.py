@@ -45,9 +45,8 @@ __all__ = [
     "cdf_offset_sq_quadrature",
     "snr_bob_support",
     "snr_eve_support",
-    "snr_eve_breakpoints",
     "offset_sq_support",
-    "offset_sq_breakpoints",
+    "offset_sq_knots",
     "DISTRIBUTION_TAGS",
 ]
 
@@ -106,10 +105,14 @@ def offset_sq_support(cfg: SystemConfig) -> tuple[float, float]:
     return 0.0, 1.25 * cfg.region_side**2
 
 
-def offset_sq_breakpoints(cfg: SystemConfig) -> tuple[float, float]:
-    """Interior branch boundaries D^2/4 and D^2 of the offset density."""
+def offset_sq_knots(cfg: SystemConfig) -> tuple[float, float, float, float]:
+    """Support ends and branch boundaries (0, D^2/4, D^2, 5*D^2/4) of the offset law.
+
+    Every knot of the SNR laws is one of these, mapped through the SNR
+    of its offset.
+    """
     d2 = cfg.region_side**2
-    return 0.25 * d2, d2
+    return 0.0, 0.25 * d2, d2, 1.25 * d2
 
 
 def _pdf_offset_sq(w: np.ndarray, d: float) -> np.ndarray:
@@ -225,19 +228,12 @@ def _eve_boundaries(cfg: SystemConfig) -> tuple[float, float, float, float]:
     """
     s = cfg.effective_snr
     h2 = cfg.height**2
-    d2 = cfg.region_side**2
-    return s / (h2 + 1.25 * d2), s / (h2 + d2), s / (h2 + 0.25 * d2), s / h2
+    return tuple(s / (w + h2) for w in reversed(offset_sq_knots(cfg)))
 
 
 def snr_eve_support(cfg: SystemConfig) -> tuple[float, float]:
     b = _eve_boundaries(cfg)
     return b[0], b[3]
-
-
-def snr_eve_breakpoints(cfg: SystemConfig) -> tuple[float, float]:
-    """Interior branch boundaries of the eavesdropper SNR density, ascending."""
-    b = _eve_boundaries(cfg)
-    return b[1], b[2]
 
 
 def _eve_branches(z, cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -255,7 +251,7 @@ def _eve_branches(z, cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray, np.ndar
     w = np.maximum(s / z - h2, 0.0)
     near = (s / z**2) * (math.pi / (d * d) - (2.0 / d**3) * np.sqrt(w))
 
-    zm = np.minimum(z, snr_eve_breakpoints(cfg)[1])
+    zm = np.minimum(z, _eve_boundaries(cfg)[2])
     w = s / zm - h2
     root = np.sqrt(w)
     arcsin = np.arcsin(np.minimum(d / (2.0 * root), 1.0))
@@ -307,16 +303,11 @@ def pdf_snr_eve_via_offset(z, cfg: SystemConfig):
 # Tags of the `dist` subcommand
 
 
-def _offset_sq_knots(cfg: SystemConfig) -> tuple[float, ...]:
-    lo, hi = offset_sq_support(cfg)
-    return lo, *offset_sq_breakpoints(cfg), hi
-
-
 # tag -> (closed form, its knots): the knots of a configuration are
 # (support low edge, *interior branch boundaries, support high edge), ascending
 DISTRIBUTION_TAGS: dict[str, tuple[Callable, Callable[[SystemConfig], tuple[float, ...]]]] = {
     "gamma-b-cdf": (cdf_snr_bob, snr_bob_support),
     "gamma-e-pdf": (pdf_snr_eve, _eve_boundaries),
-    "chi-cdf": (cdf_offset_sq, _offset_sq_knots),
-    "w-pdf": (pdf_offset_sq, _offset_sq_knots),
+    "chi-cdf": (cdf_offset_sq, offset_sq_knots),
+    "w-pdf": (pdf_offset_sq, offset_sq_knots),
 }

@@ -132,10 +132,15 @@ def _count_events(
 
 
 def _outage(gb: np.ndarray, ge: np.ndarray, cfg: SystemConfig) -> np.ndarray:
-    """The outage event (1 + snr_bob) <= C * (1 + snr_eve)."""
-    # from rate ~1011 on the right side overflows to inf: an outage, as it should be
+    """The outage event (1 + snr_bob) <= C * (1 + snr_eve), as gb - C*ge <= C - 1.
+
+    Adding 1 to an SNR far below 1 rounds it away; this form keeps it,
+    so at rate 0 the event stays snr_bob <= snr_eve however small both are.
+    """
+    c = cfg.rate_threshold
+    # from rate ~1011 on C*ge overflows to inf: an outage, as it should be
     with np.errstate(over="ignore"):
-        return (1.0 + gb) <= cfg.rate_threshold * (1.0 + ge)
+        return gb - c * ge <= c - 1.0
 
 
 def _outage_pas(coords: np.ndarray, cfg: SystemConfig) -> np.ndarray:

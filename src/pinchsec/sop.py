@@ -189,7 +189,6 @@ def _outage_integral(cfg: SystemConfig, snr: float) -> tuple[float, float, int]:
     Returns the mean over y in [0, D/2] by the order-128 rule, its
     distance to the order-64 value, and the number of CDF evaluations.
     """
-    d2 = cfg.region_side**2
     h2 = cfg.height**2
     c = cfg.rate_threshold
     half = cfg.half_side
@@ -201,7 +200,8 @@ def _outage_integral(cfg: SystemConfig, snr: float) -> tuple[float, float, int]:
     # in Python floats: where u*(C-1) overflows (rate ~1017 on) they give
     # a = 0 without numpy's overflow warning
     crossings = []
-    for u in (0.25 * d2 + h2, d2 + h2, 1.25 * d2 + h2):
+    for w in dist.offset_sq_knots(cfg)[1:]:
+        u = w + h2
         a = u / (c + (u * (c - 1.0) / snr if finite else 0.0))
         crossings.append(min(math.sqrt(max(a - h2, 0.0)), half))
     edges = np.unique([0.0, *crossings])
@@ -272,7 +272,7 @@ def sop_chebyshev(cfg: SystemConfig, order: int = 100) -> SopEstimate:
     t = halfwidth * nodes + midpoint
     # from rate ~1011 on C*t overflows to inf, where the legitimate CDF is 1
     with np.errstate(over="ignore"):
-        bob_snr = c * t + c - 1.0
+        bob_snr = c * t + (c - 1.0)
     terms = weights * dist.pdf_snr_eve(t, cfg) * dist.cdf_snr_bob(bob_snr, cfg)
     # left to right in node order: np.sum and (from Python 3.12) sum() round differently
     total = 0.0

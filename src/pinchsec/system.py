@@ -76,10 +76,6 @@ class SystemConfig:
         Waveguide/antenna height h above the region, meters.
     carrier_freq:
         Carrier frequency in Hz; the wavelength is derived as c / f.
-    refractive_index:
-        Effective refractive index of the waveguide (>= 1). It sets only
-        the in-waveguide phase, which cancels under the modulus, so it
-        affects no SNR; it is kept as a validated model parameter.
     transmit_power:
         Transmit power in watts.
     noise_power:
@@ -87,6 +83,11 @@ class SystemConfig:
     target_rate:
         Target secrecy rate in bits/s/Hz. Zero is allowed (the outage
         threshold degenerates to the rate-free comparison of SNRs).
+    refractive_index:
+        Keyword-only, default 1.4: the effective refractive index of the
+        waveguide (>= 1). It sets only the in-waveguide phase, which
+        cancels under the modulus, so it reaches no SNR and no output;
+        the CLI no longer sets it.
 
     Every input must be finite. Derived values (wavelength, path gain,
     effective SNR, linear rate threshold) are computed once at
@@ -102,10 +103,10 @@ class SystemConfig:
     region_side: float
     height: float
     carrier_freq: float
-    refractive_index: float
     transmit_power: float
     noise_power: float
     target_rate: float
+    refractive_index: float = field(default=1.4, kw_only=True)
 
     wavelength: float = field(init=False)
     path_gain: float = field(init=False)

@@ -46,12 +46,11 @@ def reference_config(
     rate: float = 0.1,
     height: float = 3.0,
 ) -> SystemConfig:
-    """Default operating point: 28 GHz carrier, n_eff 1.4, -80 dBm noise."""
+    """Default operating point: 28 GHz carrier, -80 dBm noise."""
     return SystemConfig(
         region_side=region_side,
         height=height,
         carrier_freq=28e9,
-        refractive_index=1.4,
         transmit_power=dbm_to_watts(power_dbm),
         noise_power=dbm_to_watts(-80.0),
         target_rate=rate,
@@ -122,18 +121,19 @@ def _panel_mass(pdf, edges) -> float:
 def _check_distributions(fast: bool, seed: int) -> list[CheckResult]:
     results = []
     cfg = reference_config()
-    d2 = cfg.region_side**2
+    knots = dist_mod.offset_sq_knots(cfg)
 
-    mass = _panel_mass(lambda w: dist_mod.pdf_offset_sq(w, cfg), (0.0, 0.25 * d2, d2, 1.25 * d2))
+    mass = _panel_mass(lambda w: dist_mod.pdf_offset_sq(w, cfg), knots)
     results.append(
         CheckResult(
             "offset-pdf-normalization", abs(mass - 1.0) <= 1e-6, f"integral={mass!r}"
         )
     )
 
-    lo, hi = dist_mod.snr_eve_support(cfg)
-    b_outer, b_inner = dist_mod.snr_eve_breakpoints(cfg)
-    mass = _panel_mass(lambda z: dist_mod.pdf_snr_eve(z, cfg), (lo, b_outer, b_inner, hi))
+    # the eavesdropper's SNR knots are the offset knots mapped through s / (w + h^2)
+    eve_knots = [cfg.effective_snr / (w + cfg.height**2) for w in reversed(knots)]
+    lo, b_outer, b_inner, hi = eve_knots
+    mass = _panel_mass(lambda z: dist_mod.pdf_snr_eve(z, cfg), eve_knots)
     results.append(
         CheckResult(
             "eve-pdf-normalization", abs(mass - 1.0) <= 1e-6, f"integral={mass!r}"
@@ -170,7 +170,7 @@ def _check_distributions(fast: bool, seed: int) -> list[CheckResult]:
         )
     )
 
-    ts = np.linspace(0.0, 1.25 * d2, 41)
+    ts = np.linspace(0.0, knots[-1], 41)
     worst = float(
         np.abs(dist_mod.cdf_offset_sq(ts, cfg) - dist_mod.cdf_offset_sq_quadrature(ts, cfg)).max()
     )
@@ -308,8 +308,8 @@ def _check_ordering(fast: bool, seed: int) -> list[CheckResult]:
     worst_margin = math.inf
     for i, (power, rate) in enumerate(points):
         cfg = reference_config(region_side=30.0, power_dbm=power, rate=rate)
-        pas = mc_mod.simulate_sop_pas(cfg, McConfig(trials, seed + 300 + i))
-        fpa = mc_mod.simulate_sop_fpa(cfg, McConfig(trials, seed + 600 + i))
+        # both systems on one draw: common random numbers pair the comparison
+        pas, fpa = mc_mod.simulate_sops(cfg, McConfig(trials, seed + 300 + i), ("pas", "fpa"))
         cheb = sop_mod.sop_chebyshev(cfg, 100).value
         if pas.estimate > fpa.estimate or cheb > fpa.estimate:
             ok = False

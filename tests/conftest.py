@@ -10,17 +10,24 @@ def make_config(
     height: float = 3.0,
     freq_ghz: float = 28.0,
     noise_dbm: float = -80.0,
-    n_eff: float = 1.4,
 ) -> SystemConfig:
     return SystemConfig(
         region_side=region_side,
         height=height,
         carrier_freq=freq_ghz * 1e9,
-        refractive_index=n_eff,
         transmit_power=dbm_to_watts(power_dbm),
         noise_power=dbm_to_watts(noise_dbm),
         target_rate=rate,
     )
+
+
+@pytest.fixture(scope="session")
+def full_checks():
+    """The full-level check suite at the CLI's default seed, run once per session."""
+    from pinchsec.cli import DEFAULT_SEED
+    from pinchsec.validation import run_checks
+
+    return run_checks("full", DEFAULT_SEED)
 
 
 @pytest.fixture

@@ -1,16 +1,11 @@
 """Acceptance gate: every criterion as named checks of the `validate` suite.
 
 `pinchsec.validation.run_checks` holds every grid, seed, quadrature and
-tolerance; this module runs it once at full level and the CLI's default
-seed, and maps its named checks onto the numbered criteria. Each
-criterion prints one PASS/FAIL line with the margins from the details
-of its checks.
+tolerance; the session fixture ``full_checks`` of conftest.py runs it
+once at full level and the CLI's default seed, and this module maps its
+named checks onto the numbered criteria. Each criterion prints one
+PASS/FAIL line with the margins from the details of its checks.
 """
-
-import pytest
-
-from pinchsec.cli import DEFAULT_SEED
-from pinchsec.validation import run_checks
 
 CRITERIA = {
     1: ("lower-bound-pas-constant", "lower-bound-pas-integral", "lower-bound-fpa-constant"),
@@ -27,11 +22,6 @@ CRITERIA = {
 }
 
 
-@pytest.fixture(scope="module")
-def results():
-    return run_checks("full", DEFAULT_SEED)
-
-
 def report(criterion: int, results) -> None:
     by_name = {r.name: r for r in results}
     checks = [by_name[name] for name in CRITERIA[criterion]]
@@ -41,16 +31,16 @@ def report(criterion: int, results) -> None:
     assert ok, f"criterion {criterion}: {detail}"
 
 
-def test_every_check_belongs_to_exactly_one_criterion(results):
+def test_every_check_belongs_to_exactly_one_criterion(full_checks):
     mapped = [name for names in CRITERIA.values() for name in names]
-    assert sorted(r.name for r in results) == sorted(mapped)
+    assert sorted(r.name for r in full_checks) == sorted(mapped)
 
 
 def criterion(n: int):
     """The test of criterion n: every check mapped to it passes."""
 
-    def test(results):
-        report(n, results)
+    def test(full_checks):
+        report(n, full_checks)
 
     return test
 

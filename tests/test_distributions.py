@@ -218,14 +218,14 @@ class TestSnrEvePdf:
     def test_branch_agreement_at_inner_breakpoint(self, cfg10):
         # both adjacent branches reduce to (s/z^2) * (pi - 1) / D^2 there
         s, d = cfg10.effective_snr, cfg10.region_side
-        _, b_inner = dist.snr_eve_breakpoints(cfg10)
+        b_inner = dist._eve_boundaries(cfg10)[2]
         expected = (s / b_inner**2) * (math.pi - 1.0) / d**2
         near, mid, _ = dist._eve_branches(b_inner, cfg10)
         assert near == pytest.approx(expected, rel=1e-12)
         assert mid == pytest.approx(expected, rel=1e-12)
 
     def test_continuity_at_both_breakpoints(self, cfg10):
-        b_outer, b_inner = dist.snr_eve_breakpoints(cfg10)
+        _, b_outer, b_inner, _ = dist._eve_boundaries(cfg10)
         near, mid, far = dist._eve_branches(np.array([b_inner, b_outer]), cfg10)
         for a, b in ((mid[0], near[0]), (far[1], mid[1])):
             assert abs(a - b) / max(abs(a), abs(b)) <= 1e-9
@@ -236,7 +236,7 @@ class TestSnrEvePdf:
             lambda z: pdf_snr_eve(z, cfg10),
             lo,
             hi,
-            points=list(dist.snr_eve_breakpoints(cfg10)),
+            points=list(dist._eve_boundaries(cfg10)[1:3]),
             epsabs=1e-10,
             limit=200,
         )
@@ -287,10 +287,14 @@ class TestDistributionObjects:
             assert all(a < b for a, b in zip(ks, ks[1:])), tag
 
         assert knots["gamma-b-cdf"] == dist.snr_bob_support(cfg10)
-        lo, b_outer, b_inner, hi = knots["gamma-e-pdf"]
+        lo, _, _, hi = knots["gamma-e-pdf"]
         assert (lo, hi) == dist.snr_eve_support(cfg10)
-        assert (b_outer, b_inner) == dist.snr_eve_breakpoints(cfg10)
         assert knots["w-pdf"] == knots["chi-cdf"] == (0.0, 0.25 * d2, d2, 1.25 * d2)
+        # each SNR knot is the SNR at an offset knot, s / (w + h^2)
+        s, h2 = cfg10.effective_snr, cfg10.height**2
+        offsets = dist.offset_sq_knots(cfg10)
+        assert knots["gamma-e-pdf"] == tuple(s / (w + h2) for w in reversed(offsets))
+        assert knots["gamma-b-cdf"] == tuple(s / (w + h2) for w in reversed(offsets[:2]))
 
         # the dump flags exactly the interior knots, and a CDF runs from
         # exactly 0 to exactly 1 across the support

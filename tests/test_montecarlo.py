@@ -249,7 +249,7 @@ class TestSampleStreams:
             lambda z: z * dist.pdf_snr_eve(z, cfg10),
             lo,
             hi,
-            points=list(dist.snr_eve_breakpoints(cfg10)),
+            points=list(dist._eve_boundaries(cfg10)[1:3]),
             limit=200,
         )
         sem = samples.std(ddof=1) / math.sqrt(len(samples))

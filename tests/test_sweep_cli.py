@@ -1,8 +1,10 @@
+import csv
 import json
 import math
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -222,12 +224,11 @@ class TestGoldenSweepBytes:
         "--methods", "mc,mc-fpa,chebyshev,lower-pas,lower-fpa",
         "--trials", "200000", "--seed", "2025",
         "--region-side", "10", "--height", "3", "--power-dbm", "20",
-        "--freq-ghz", "28", "--n-eff", "1.4", "--noise-dbm", "-80",
+        "--freq-ghz", "28", "--noise-dbm", "-80",
     ]
 
-    @pytest.mark.parametrize("workers", ["1", "3"])
-    def test_bytes_match_golden_file(self, capsys, workers):
-        assert cli.main(self.ARGS + ["--workers", workers]) == 0
+    def test_bytes_match_golden_file(self, capsys):
+        assert cli.main(self.ARGS) == 0
         assert capsys.readouterr().out == GOLDEN_CSV.read_text()
 
 
@@ -248,13 +249,12 @@ class TestGoldenExactBytes:
     SYSTEM = [
         "--methods", "exact,asymptotic",
         "--power-dbm", "20", "--rate", "0.1", "--region-side", "10", "--height", "3",
-        "--freq-ghz", "28", "--n-eff", "1.4", "--noise-dbm", "-80",
+        "--freq-ghz", "28", "--noise-dbm", "-80",
     ]
 
-    @pytest.mark.parametrize("workers", ["1", "3"])
-    def test_bytes_match_golden_file(self, capsys, workers):
+    def test_bytes_match_golden_file(self, capsys):
         for axis in (self.POWER, self.RATE):
-            assert cli.main(["sweep", *axis, *self.SYSTEM, "--workers", workers]) == 0
+            assert cli.main(["sweep", *axis, *self.SYSTEM]) == 0
         assert capsys.readouterr().out == EXACT_GOLDEN_CSV.read_text()
 
 
@@ -372,13 +372,6 @@ class TestCliSweep:
         assert lines[0] == "x,method,sop,stderr,order_or_trials"
         assert len(lines) == 5
 
-    def test_worker_invariance_bytes(self, capsys):
-        assert cli.main(self.BASE + ["--workers", "1"]) == 0
-        first = capsys.readouterr().out
-        assert cli.main(self.BASE + ["--workers", "4"]) == 0
-        second = capsys.readouterr().out
-        assert first == second
-
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "sweep.csv"
         assert cli.main(self.BASE + ["--out", str(target)]) == 0
@@ -407,6 +400,21 @@ class TestCliSweep:
         )
         assert (done.returncode, done.stderr) == (0, "")
         assert [line.split(",")[2] for line in done.stdout.split()[1:]] == ["1"] * 5
+
+    def test_rate_zero_gives_the_floors_far_above_the_region(self, capsys):
+        # at rate 0 the outage is snr_bob <= snr_eve, whose probability is
+        # the floor at any power and geometry, even where 1 + snr rounds to 1
+        argv = ["sweep", "--methods", "chebyshev,asymptotic,mc,mc-fpa,lower-pas"]
+        argv += ["--trials", "20000", "--region-side", "10", "--height", "7e5"]
+        argv += ["--x", "rate", "--x-values", "0", "--power-dbm", "30"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli.main(argv) == 0
+        rows = {row[1]: row for row in csv.reader(capsys.readouterr().out.split()[1:])}
+        assert abs(float(rows["chebyshev"][2]) - sop_mod.LOWER_BOUND_PAS) <= 1e-3
+        for method, floor in (("mc", sop_mod.LOWER_BOUND_PAS), ("mc-fpa", 0.5)):
+            _, _, value, stderr, _ = rows[method]
+            assert abs(float(value) - floor) <= 3.0 * float(stderr), method
 
     def test_unknown_method_is_usage_error(self, capsys):
         code = cli.main(["sweep", "--methods", "bogus"])
@@ -513,17 +521,35 @@ CONFIG_FILE_KEYS = [
     ("region-side", "30", "sweep", lambda spec: spec.base.region_side, 30.0),
     ("height", "2.5", "sweep", lambda spec: spec.base.height, 2.5),
     ("freq-ghz", "60", "sweep", lambda spec: spec.base.carrier_freq, 60e9),
-    ("n-eff", "2.5", "sweep", lambda spec: spec.base.refractive_index, 2.5),
     ("power-dbm", "33", "sweep", lambda spec: spec.base.transmit_power, dbm_to_watts(33.0)),
     ("noise-dbm", "-70", "sweep", lambda spec: spec.base.noise_power, dbm_to_watts(-70.0)),
     ("rate", "0.7", "sweep", lambda spec: spec.base.target_rate, 0.7),
     ("trials", "1234", "sweep", lambda spec: spec.mc.trials, 1234),
     ("seed", "77", "sweep", lambda spec: spec.mc.seed, 77),
-    ("workers", "3", "sweep", lambda spec: spec.mc.workers, 3),
     ("chebyshev-order", "64", "sweep", lambda spec: spec.chebyshev_order, 64),
     ("exact-tol", "1e-6", "sweep", lambda spec: spec.exact_tol, 1e-6),
     ("grid", "17", "dist", lambda call: call[1], 17),
 ]
+
+
+class TestRetiredSettings:
+    """--workers and --n-eff changed no output and are no longer options."""
+
+    @pytest.mark.parametrize("command", ["sweep", "dist"])
+    @pytest.mark.parametrize("flag", ["--workers 3", "--n-eff 1.4"])
+    def test_flag_exits_2(self, capsys, command, flag):
+        with pytest.raises(SystemExit) as exc:
+            cli.main([command, *flag.split()])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["sweep", "dist"])
+    @pytest.mark.parametrize("key", ["workers", "n-eff"])
+    def test_config_key_is_unknown(self, tmp_path, capsys, command, key):
+        conf = tmp_path / "params.cfg"
+        conf.write_text(f"{key}=3\n")
+        assert cli.main([command, "--config", str(conf)]) == 2
+        assert "unknown key" in capsys.readouterr().err
 
 
 class TestConfigFileKeys:
@@ -638,9 +664,9 @@ class TestCliValidate:
         assert capsys.readouterr().err.startswith("error: seed must be in")
         validation.check_seed(2**64 - 951)  # the largest seed whose derived seeds fit
 
-    def test_fast_and_full_run_the_same_checks_in_order(self):
-        fast, full = ([r.name for r in validation.run_checks(lv)] for lv in ("fast", "full"))
-        assert fast == full
+    def test_fast_and_full_run_the_same_checks_in_order(self, full_checks):
+        fast = validation.run_checks("fast", cli.DEFAULT_SEED)
+        assert [r.name for r in fast] == [r.name for r in full_checks]
 
     @pytest.mark.parametrize(
         "module,attr,corrupt,check,failing", CORRUPTIONS.values(), ids=list(CORRUPTIONS)

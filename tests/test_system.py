@@ -118,7 +118,7 @@ class TestWaveguidePhase:
     def test_phase_never_reaches_snr(self, cfg10):
         # the refractive index sets only the in-waveguide phase, which
         # cancels under the modulus: no SNR depends on it
-        other = make_config(n_eff=2.5)
+        other = replace(cfg10, refractive_index=2.5)
         for y1 in (-5.0, 0.0, 1.0, 3.3):
             assert snr_bob_pinching(y1, cfg10) == snr_bob_pinching(y1, other)
 

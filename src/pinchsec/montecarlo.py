@@ -7,25 +7,27 @@ Outage estimates are integer counts divided by the trial count, so any
 partitioning yields bit-identical results; sample streams preserve
 trial order.
 
-Trials are split into one span per worker and each span into chunks of
-at most 2^14 trials; the spans run in order on the calling thread, so
-``workers`` is a partitioning hint only. A span opens one Philox stream
-at its first trial and draws its chunks from it in order, into one
-buffer allocated once per call: the (chunk, 4) uniforms, 512 KiB at the
-full chunk size, mapped to coordinates in place. The chunk size sets
-cache use, never an answer: that buffer and the 128 KiB column
-temporaries of the event kernels fit a 2 MiB per-core L2 cache, where
-the 4 MiB buffer and 1 MiB temporaries of 2^17-trial chunks do not. One
-pass over the draws can count several events, so the pinching and
-fixed-position outages of one configuration share their trials
-(:func:`simulate_sops`).
+One generator, :func:`_chunks`, walks every draw: it cuts the trials
+into one span per worker and each span into chunks of at most 2^14
+trials, in order on the calling thread, so ``workers`` is a
+partitioning hint only. A span opens one Philox stream at its first
+trial and draws its chunks from it in order, into one buffer allocated
+once per call: the (chunk, 4) uniforms, 512 KiB at the full chunk size,
+mapped to coordinates in place. The chunk size sets cache use, never an
+answer: that buffer and the 128 KiB column temporaries of the event
+kernels fit a 2 MiB per-core L2 cache, where the 4 MiB buffer and 1 MiB
+temporaries of 2^17-trial chunks do not. The two reducers, event counts
+and sample streams, loop over the chunks and hand each kernel the
+columns x1, y1, x2, y2. One pass over the draws can count several
+events, so the pinching and fixed-position outages of one configuration
+share their trials (:func:`simulate_sops`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -85,46 +87,43 @@ def _span_generator(seed: int, start: int) -> np.random.Generator:
     return np.random.Generator(bits)
 
 
-def _draw_span(seed: int, lo: int, hi: int, side: float) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Yield (start, stop, coords) for each chunk of trials [lo, hi).
+def _chunks(mc: McConfig, side: float) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Yield (start, stop, coords) for each chunk of trials, in trial order.
 
     ``coords`` holds x1, y1, x2, y2 on [-D/2, D/2] in columns 0-3. The
-    span opens one Philox stream at trial ``lo`` and fills consecutive
-    chunks from it: a chunk takes whole counter blocks, so the next one
-    starts at its first trial's block. Every chunk is drawn into one
-    buffer allocated for the whole span, so it is only valid until the
-    next chunk is drawn.
+    trials are cut into one span per worker; each span opens one Philox
+    stream at its first trial and fills its chunks from it in order: a
+    chunk takes whole counter blocks, so the next one starts at its
+    first trial's block. Every chunk is drawn into one buffer allocated
+    per call, so it is only valid until the next chunk is drawn.
     """
-    rng = _span_generator(seed, lo)
-    buffer = np.empty((min(hi - lo, _CHUNK_TRIALS), _DRAWS_PER_TRIAL))
-    for start in range(lo, hi, _CHUNK_TRIALS):
-        stop = min(start + _CHUNK_TRIALS, hi)
-        coords = rng.random(out=buffer[: stop - start])
-        coords -= 0.5
-        coords *= side
-        yield start, stop, coords
-
-
-def _map_spans(mc: McConfig, task: Callable[[int, int], Any]) -> list:
-    """Run ``task(lo, hi)`` on each worker span of [0, trials), in order."""
+    buffer = np.empty((min(mc.trials, _CHUNK_TRIALS), _DRAWS_PER_TRIAL))
     width = math.ceil(mc.trials / mc.workers)
-    return [task(lo, min(lo + width, mc.trials)) for lo in range(0, mc.trials, width)]
+    for lo in range(0, mc.trials, width):
+        hi = min(lo + width, mc.trials)
+        rng = _span_generator(mc.seed, lo)
+        for start in range(lo, hi, _CHUNK_TRIALS):
+            stop = min(start + _CHUNK_TRIALS, hi)
+            coords = rng.random(out=buffer[: stop - start])
+            coords -= 0.5
+            coords *= side
+            yield start, stop, coords
+
+
+_Kernel = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray, SystemConfig], np.ndarray]
 
 
 def _count_events(
-    cfg: SystemConfig, mc: McConfig, events: Sequence[Callable[[np.ndarray, SystemConfig], np.ndarray]]
+    cfg: SystemConfig, mc: McConfig, events: Sequence[_Kernel]
 ) -> tuple[McResult, ...]:
     """Estimate the probability of every event in one pass over the draws."""
-
-    def count(lo: int, hi: int) -> list[int]:
-        counts = [0] * len(events)
-        for _, _, coords in _draw_span(mc.seed, lo, hi, cfg.region_side):
-            for i, event in enumerate(events):
-                counts[i] += int(np.count_nonzero(event(coords, cfg)))
-        return counts
-
+    counts = [0] * len(events)
+    for _, _, coords in _chunks(mc, cfg.region_side):
+        x1, y1, x2, y2 = coords.T
+        for i, event in enumerate(events):
+            counts[i] += int(np.count_nonzero(event(x1, y1, x2, y2, cfg)))
     results = []
-    for total in map(sum, zip(*_map_spans(mc, count))):
+    for total in counts:
         estimate = total / mc.trials
         stderr = math.sqrt(estimate * (1.0 - estimate) / mc.trials)
         results.append(McResult(estimate, stderr, mc.trials, mc.seed))
@@ -143,18 +142,15 @@ def _outage(gb: np.ndarray, ge: np.ndarray, cfg: SystemConfig) -> np.ndarray:
         return gb - c * ge <= c - 1.0
 
 
-def _outage_pas(coords: np.ndarray, cfg: SystemConfig) -> np.ndarray:
-    x1, y1, x2, y2 = coords.T
+def _outage_pas(x1, y1, x2, y2, cfg: SystemConfig) -> np.ndarray:
     return _outage(snr_bob_pinching(y1, cfg), snr_eve_pinching(x1, x2, y2, cfg), cfg)
 
 
-def _outage_fpa(coords: np.ndarray, cfg: SystemConfig) -> np.ndarray:
-    x1, y1, x2, y2 = coords.T
+def _outage_fpa(x1, y1, x2, y2, cfg: SystemConfig) -> np.ndarray:
     return _outage(snr_fpa(x1, y1, cfg), snr_fpa(x2, y2, cfg), cfg)
 
 
-def _bound_event(coords: np.ndarray, cfg: SystemConfig) -> np.ndarray:
-    x1, y1, x2, y2 = coords.T
+def _bound_event(x1, y1, x2, y2, cfg: SystemConfig) -> np.ndarray:
     return (x1 - x2) ** 2 + y2**2 <= y1**2
 
 
@@ -198,28 +194,18 @@ def simulate_lower_bound_event(cfg: SystemConfig, mc: McConfig) -> McResult:
     return result
 
 
-def _collect_samples(
-    cfg: SystemConfig,
-    mc: McConfig,
-    transform: Callable[[np.ndarray, SystemConfig], np.ndarray],
-) -> np.ndarray:
+def _collect_samples(cfg: SystemConfig, mc: McConfig, transform: _Kernel) -> np.ndarray:
     out = np.empty(mc.trials, dtype=np.float64)
-
-    def fill(lo: int, hi: int) -> None:
-        for start, stop, coords in _draw_span(mc.seed, lo, hi, cfg.region_side):
-            out[start:stop] = transform(coords, cfg)
-
-    _map_spans(mc, fill)
+    for start, stop, coords in _chunks(mc, cfg.region_side):
+        out[start:stop] = transform(*coords.T, cfg)
     return out
 
 
-def _eve_snr_values(coords: np.ndarray, cfg: SystemConfig) -> np.ndarray:
-    x1, _, x2, y2 = coords.T
+def _eve_snr_values(x1, y1, x2, y2, cfg: SystemConfig) -> np.ndarray:
     return snr_eve_pinching(x1, x2, y2, cfg)
 
 
-def _offset_sq_values(coords: np.ndarray, cfg: SystemConfig) -> np.ndarray:
-    x1, _, x2, y2 = coords.T
+def _offset_sq_values(x1, y1, x2, y2, cfg: SystemConfig) -> np.ndarray:
     return (x1 - x2) ** 2 + y2**2
 
 

@@ -180,11 +180,14 @@ def _outage_integral(cfg: SystemConfig, snr: float) -> tuple[float, float, int]:
     """Outage probability averaged over the receiver's cross-track offset.
 
     Given the offset y, with a = y^2 + h^2, the outage is the offset CDF
-    at t(y) = C*a / (1 - (C-1)*a/snr) - h^2; ``snr = math.inf`` gives the
-    high-power limit t = C*a - h^2. t rises with y, so past the y where
-    it reaches 5*D^2/4 the integrand is exactly 1 and that tail is added
-    in closed form. The rest is split where t crosses D^2/4 and D^2 and
-    integrated panel by panel at both rule orders in one array call.
+    at t(y) = (C*y^2 + (C-1)*h^2*(1 + a/snr)) / (1 - (C-1)*a/snr), which
+    is C*a / (1 - (C-1)*a/snr) - h^2 without subtracting h^2 from a
+    number near it, so t = y^2 exactly at C = 1 however far h exceeds y;
+    ``snr = math.inf`` gives the high-power limit t = C*y^2 + (C-1)*h^2.
+    t rises with y, so past the y where it reaches 5*D^2/4 the integrand
+    is exactly 1 and that tail is added in closed form. The rest is split
+    where t crosses D^2/4 and D^2 and integrated panel by panel at both
+    rule orders in one array call.
 
     Returns the mean over y in [0, D/2] by the order-128 rule, its
     distance to the order-64 value, and the number of CDF evaluations.
@@ -192,31 +195,37 @@ def _outage_integral(cfg: SystemConfig, snr: float) -> tuple[float, float, int]:
     h2 = cfg.height**2
     c = cfg.rate_threshold
     half = cfg.half_side
+    k = (c - 1.0) * h2
 
-    # at infinite SNR the terms divided by snr are 0; computing them gives
-    # inf/inf = nan once (C-1) times an offset overflows, from rate ~1017 on
-    finite = math.isfinite(snr)
-    # offsets where t(y) = T, from a = u / (C + u*(C-1)/snr) with u = T + h^2,
-    # in Python floats: where u*(C-1) overflows (rate ~1017 on) they give
-    # a = 0 without numpy's overflow warning
+    # offsets where t(y) = T, from y^2 = (T - k*(1 + v)) / (C + (C-1)*v)
+    # with v = (T + h^2)/snr, in Python floats: a value that is not
+    # positive, or the nan of inf/inf once (C-1)*v and k*(1 + v) overflow,
+    # puts the crossing at 0
     crossings = []
     for w in dist.offset_sq_knots(cfg)[1:]:
-        u = w + h2
-        a = u / (c + (u * (c - 1.0) / snr if finite else 0.0))
-        crossings.append(min(math.sqrt(max(a - h2, 0.0)), half))
+        v = (w + h2) / snr
+        y2 = (w - k * (1.0 + v)) / (c + (c - 1.0) * v)
+        crossings.append(min(math.sqrt(y2), half) if y2 > 0.0 else 0.0)
     edges = np.unique([0.0, *crossings])
     widths = np.diff(edges)
 
     y = edges[:-1, None] + widths[:, None] * _NODES
-    a = y * y + h2
-    den = 1.0 - ((c - 1.0) * a / snr if finite else 0.0)
+    y2 = y * y
+    a = y2 + h2
+    den = 1.0 - (c - 1.0) * (a / snr)
     # den > 0 before the last crossing up to rounding; t is infinite past its pole
-    t = np.divide(c * a, den, out=np.full_like(a, np.inf), where=den > 0.0) - h2
+    t = np.divide(c * y2 + k * (1.0 + a / snr), den, out=np.full_like(a, np.inf), where=den > 0.0)
     parts = (dist.cdf_offset_sq(t, cfg) * widths[:, None] * _WEIGHTS).sum(axis=0)
     coarse = float(parts[:_BASE_ORDER].sum())
     fine = float(parts[_BASE_ORDER:].sum())
     tail = half - crossings[-1]
     return (fine + tail) / half, abs(fine - coarse) / half, y.size
+
+
+def _clamped(raw: float, method: Method, order_or_trials: int) -> SopEstimate:
+    """``raw`` clamped to [0, 1], kept as ``raw_value`` where that changed it."""
+    value = min(max(raw, 0.0), 1.0)
+    return SopEstimate(value, method, order_or_trials, raw_value=raw if value != raw else None)
 
 
 def sop_exact(cfg: SystemConfig, tol: float = 1e-8) -> SopEstimate:
@@ -236,13 +245,7 @@ def sop_exact(cfg: SystemConfig, tol: float = 1e-8) -> SopEstimate:
             estimate=value,
             error_estimate=error,
         )
-    clamped = min(max(value, 0.0), 1.0)
-    return SopEstimate(
-        clamped,
-        Method.EXACT,
-        evaluations,
-        raw_value=value if clamped != value else None,
-    )
+    return _clamped(value, Method.EXACT, evaluations)
 
 
 def sop_chebyshev(cfg: SystemConfig, order: int = 100) -> SopEstimate:
@@ -286,13 +289,7 @@ def sop_chebyshev(cfg: SystemConfig, order: int = 100) -> SopEstimate:
             RuntimeWarning,
             stacklevel=2,
         )
-    value = min(max(raw, 0.0), 1.0)
-    return SopEstimate(
-        value,
-        Method.CHEBYSHEV,
-        order,
-        raw_value=raw if value != raw else None,
-    )
+    return _clamped(raw, Method.CHEBYSHEV, order)
 
 
 def sop_asymptotic(cfg: SystemConfig) -> SopEstimate:
@@ -303,7 +300,7 @@ def sop_asymptotic(cfg: SystemConfig) -> SopEstimate:
     region side, the height, and the target rate.
     """
     value, _, evaluations = _outage_integral(cfg, math.inf)
-    return SopEstimate(min(max(value, 0.0), 1.0), Method.ASYMPTOTIC, evaluations)
+    return _clamped(value, Method.ASYMPTOTIC, evaluations)
 
 
 def sop_lower_bound_pas() -> SopEstimate:

@@ -72,6 +72,9 @@ class SweepSpec:
             raise ValueError("x_values must be strictly increasing")
         if len(self.methods) == 0:
             raise ValueError("methods must be nonempty")
+        if len(set(self.methods)) < len(self.methods):
+            named = ",".join(m.value for m in self.methods)
+            raise ValueError(f"methods must not repeat, got {named}")
         if self.chebyshev_order < 1:
             raise ValueError("chebyshev_order must be >= 1")
         if not 0.0 < self.exact_tol <= 1e-3:

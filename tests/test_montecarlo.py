@@ -120,10 +120,11 @@ class TestReusedDrawBuffer:
         cfg = make_config(**overrides)
         coords = np.column_stack(reference_coordinates(cfg))
         expected = reference_events(cfg)
-        for start, stop, chunk in mc_mod._draw_span(KERNEL_SEED, 0, KERNEL_TRIALS, cfg.region_side):
+        mc = McConfig(KERNEL_TRIALS, KERNEL_SEED)
+        for start, stop, chunk in mc_mod._chunks(mc, cfg.region_side):
             assert np.array_equal(chunk, coords[start:stop])
             for event, mask in expected.items():
-                assert np.array_equal(event(chunk, cfg), mask[start:stop]), event.__name__
+                assert np.array_equal(event(*chunk.T, cfg), mask[start:stop]), event.__name__
         assert stop == KERNEL_TRIALS
 
     @pytest.mark.parametrize("workers", [1, 3])

@@ -162,6 +162,16 @@ class TestSopExact:
         cfg = make_config(height=1e-4, power_dbm=120.0, rate=0.0)
         assert sop_exact(cfg).value == pytest.approx(LOWER_BOUND_PAS, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "region_side,height,power_dbm",
+        [(10.0, 3e5, 110.0), (0.1, 7e3, -60.0), (1.0, 7e4, 30.0), (1e3, 7e7, 120.0)],
+    )
+    def test_zero_rate_is_the_pas_floor_far_above_the_region(self, region_side, height, power_dbm):
+        # the threshold C*a/den - h^2 lost y^2 to h^2 and did not converge;
+        # (C*y^2 + (C-1)*h^2*(1 + a/snr))/den is y^2 exactly at C = 1
+        cfg = make_config(region_side=region_side, height=height, power_dbm=power_dbm, rate=0.0)
+        assert sop_exact(cfg).value == pytest.approx(LOWER_BOUND_PAS, abs=1e-12)
+
 
 def chebyshev_at_reference_geometry(cfg, order):
     """sop_chebyshev at D = 10 m, h = 3 m, where only the two-node sum dips

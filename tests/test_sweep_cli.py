@@ -58,6 +58,10 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="methods"):
             small_spec(methods=())
 
+    def test_rejects_repeated_methods(self):
+        with pytest.raises(ValueError, match="methods must not repeat"):
+            small_spec(methods=(Method.MC, Method.EXACT, Method.MC))
+
     def test_rejects_bad_order_and_tol(self):
         with pytest.raises(ValueError, match="chebyshev_order"):
             small_spec(chebyshev_order=0)
@@ -404,13 +408,14 @@ class TestCliSweep:
     def test_rate_zero_gives_the_floors_far_above_the_region(self, capsys):
         # at rate 0 the outage is snr_bob <= snr_eve, whose probability is
         # the floor at any power and geometry, even where 1 + snr rounds to 1
-        argv = ["sweep", "--methods", "chebyshev,asymptotic,mc,mc-fpa,lower-pas"]
+        argv = ["sweep", "--methods", "exact,chebyshev,asymptotic,mc,mc-fpa,lower-pas"]
         argv += ["--trials", "20000", "--region-side", "10", "--height", "7e5"]
         argv += ["--x", "rate", "--x-values", "0", "--power-dbm", "30"]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert cli.main(argv) == 0
         rows = {row[1]: row for row in csv.reader(capsys.readouterr().out.split()[1:])}
+        assert abs(float(rows["exact"][2]) - sop_mod.LOWER_BOUND_PAS) <= 1e-12
         assert abs(float(rows["chebyshev"][2]) - sop_mod.LOWER_BOUND_PAS) <= 1e-3
         for method, floor in (("mc", sop_mod.LOWER_BOUND_PAS), ("mc-fpa", 0.5)):
             _, _, value, stderr, _ = rows[method]
@@ -458,6 +463,7 @@ class TestCliSweep:
             "--region-side 1 --height 1e9",
             "--region-side 1e-100 --height 1e100",
             "--x region --x-values 10,1e-5",
+            "--methods mc,mc",
         ],
     )
     def test_out_of_domain_x_is_usage_error_before_any_point(self, capsys, monkeypatch, args):

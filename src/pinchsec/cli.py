@@ -1,8 +1,9 @@
 """Command-line front end: `sweep`, `dist`, and `validate`.
 
-Unit conversions happen exactly once at this boundary: powers are
-accepted in dBm, the carrier frequency in GHz, rates in bits/s/Hz; all
-library computation is SI. CSV goes to stdout (or --out); everything
+Powers are accepted in dBm, the carrier frequency in GHz, rates in
+bits/s/Hz. This module converts the GHz and the base configuration's
+dBm to SI; a swept power axis stays in dBm and ``sweep.config_at``
+converts each of its points. CSV goes to stdout (or --out); everything
 else goes to stderr. Exit codes: 0 success, 1 validation failure,
 2 usage or parameter error.
 """
@@ -43,9 +44,7 @@ class _Param(NamedTuple):
     choices: list[str] | None = None
 
 
-# every option of `sweep` and `dist` but --log-grid, in help order; the
-# zero-flag defaults are a 28 GHz carrier, 3 m height, -80 dBm noise,
-# Chebyshev order 100 and 1e5 trials
+# every option of `sweep` and `dist` but --log-grid, in help order
 _PARAMS: dict[str, _Param] = {
     "x": _Param("sweep", str, "power-dbm", "swept variable", choices=[a.value for a in Axis]),
     "x-min": _Param("sweep", float, 0.0, None),
@@ -211,6 +210,8 @@ def _check_out(out: Path | None) -> None:
     """Reject an --out path that cannot be written, before any computation."""
     if out is not None and not out.parent.is_dir():
         raise UsageError(f"--out: {out.parent} is not an existing directory")
+    if out is not None and out.is_dir():
+        raise UsageError(f"--out: {out} is a directory")
 
 
 def _emit(text: str, out: Path | None) -> None:

@@ -118,10 +118,12 @@ def offset_sq_knots(cfg: SystemConfig) -> tuple[float, float, float, float]:
 def _pdf_offset_sq(w: np.ndarray, d: float) -> np.ndarray:
     """Density of (x1-x2)^2 + y2^2 as the convolution of the squared parts.
 
-    The convolution window [A, B] self-clamps: A >= B exactly when w is
-    past the support, and every radicand stays nonnegative by
-    construction, so no epsilon guards are needed. The w -> 0 limit is
-    pi/D^2 (taken by continuity, keeping quadrature over [0, eps] stable).
+    The convolution window [A, B] is empty past the support, and every
+    radicand stays nonnegative by construction. At the upper edge
+    w = 5D^2/4, w - D^2/4 can round one ulp below D^2, leaving the window
+    open where the density is 0; arc - edge then cancels to a negative
+    remainder, so the value is clamped at 0. The w -> 0 limit is pi/D^2
+    (taken by continuity, keeping quadrature over [0, eps] stable).
     """
     d2 = d * d
     out = np.zeros_like(w)
@@ -132,7 +134,7 @@ def _pdf_offset_sq(w: np.ndarray, d: float) -> np.ndarray:
     w, a, b = w[inside], a[inside], b[inside]
     arc = 2.0 * (np.arcsin(np.sqrt(b / w)) - np.arcsin(np.sqrt(a / w)))
     edge = 2.0 * (np.sqrt(w - a) - np.sqrt(w - b))
-    out[inside] = arc / d2 - edge / (d2 * d)
+    out[inside] = np.maximum(arc / d2 - edge / (d2 * d), 0.0)
     return out
 
 

@@ -16,11 +16,12 @@ once per call: the (chunk, 4) uniforms, 512 KiB at the full chunk size,
 mapped to coordinates in place. The chunk size sets cache use, never an
 answer: that buffer and the 128 KiB column temporaries of the event
 kernels fit a 2 MiB per-core L2 cache, where the 4 MiB buffer and 1 MiB
-temporaries of 2^17-trial chunks do not. The two reducers, event counts
-and sample streams, loop over the chunks and hand each kernel the
-columns x1, y1, x2, y2. One pass over the draws can count several
-events, so the pinching and fixed-position outages of one configuration
-share their trials (:func:`simulate_sops`).
+temporaries of 2^17-trial chunks do not. Two loops walk the chunks:
+the event counter hands each kernel the columns x1, y1, x2, y2, and
+:func:`sample_offset_sq` collects the squared offsets, of which
+:func:`sample_snr_eve` is the SNR map. One pass over the draws can count
+several events, so the pinching and fixed-position outages of one
+configuration share their trials (:func:`simulate_sops`).
 """
 
 from __future__ import annotations
@@ -194,26 +195,21 @@ def simulate_lower_bound_event(cfg: SystemConfig, mc: McConfig) -> McResult:
     return result
 
 
-def _collect_samples(cfg: SystemConfig, mc: McConfig, transform: _Kernel) -> np.ndarray:
+def sample_offset_sq(cfg: SystemConfig, mc: McConfig) -> np.ndarray:
+    """Per-trial squared horizontal offset samples, in trial order."""
     out = np.empty(mc.trials, dtype=np.float64)
     for start, stop, coords in _chunks(mc, cfg.region_side):
-        out[start:stop] = transform(*coords.T, cfg)
+        x1, _, x2, y2 = coords.T
+        out[start:stop] = (x1 - x2) ** 2 + y2**2
     return out
 
 
-def _eve_snr_values(x1, y1, x2, y2, cfg: SystemConfig) -> np.ndarray:
-    return snr_eve_pinching(x1, x2, y2, cfg)
-
-
-def _offset_sq_values(x1, y1, x2, y2, cfg: SystemConfig) -> np.ndarray:
-    return (x1 - x2) ** 2 + y2**2
-
-
 def sample_snr_eve(cfg: SystemConfig, mc: McConfig) -> np.ndarray:
-    """Per-trial eavesdropper SNR samples, in trial order."""
-    return _collect_samples(cfg, mc, _eve_snr_values)
+    """Per-trial eavesdropper SNR samples, in trial order.
 
-
-def sample_offset_sq(cfg: SystemConfig, mc: McConfig) -> np.ndarray:
-    """Per-trial squared horizontal offset samples, in trial order."""
-    return _collect_samples(cfg, mc, _offset_sq_values)
+    The offset samples mapped in place through effective_snr / (w + h^2),
+    the operations of :func:`snr_eve_pinching` in its order.
+    """
+    snr = sample_offset_sq(cfg, mc)
+    snr += cfg.height**2
+    return np.divide(cfg.effective_snr, snr, out=snr)

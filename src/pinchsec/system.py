@@ -1,7 +1,9 @@
 """Physical configuration, geometry, and instantaneous SNR formulas.
 
-All quantities are SI internally (meters, hertz, watts). dBm and GHz are
-accepted only at the CLI boundary and converted exactly once.
+All quantities are SI (meters, hertz, watts). :func:`dbm_to_watts` is the
+one dBm conversion: the CLI applies it to its power flags, the sweep to
+each point of a power axis, and the check suite to its reference powers;
+the CLI alone takes the carrier frequency in GHz.
 
 The transmit antenna is a radiating point on a dielectric waveguide that
 runs parallel to the x axis at height ``h``; it is activated at the point
@@ -28,22 +30,6 @@ _FIELD_BOUNDS = (
     ("noise_power", 0.0, True),
     ("target_rate", 0.0, False),
 )
-
-# every value SystemConfig derives, then every scale the closed forms
-# compute from the inputs alone, in the order they are checked; each must
-# be finite and normal, which finite inputs alone do not guarantee
-_DERIVED = (
-    "wavelength = c / carrier_freq",
-    "path_gain = (c / carrier_freq)^2 / (16 pi^2)",
-    "effective_snr = path_gain * transmit_power / noise_power",
-    "rate_threshold = 2^target_rate",
-    "height^2",
-    "region_side^2",
-    "region_side^3",
-    "5 region_side^2 / 4 + height^2",
-    "peak SNR effective_snr / height^2",
-)
-
 
 def _pow(base: float, exponent: float) -> float:
     """base**exponent, inf where it overflows (Python raises instead)."""
@@ -132,18 +118,22 @@ class SystemConfig:
         object.__setattr__(self, "rate_threshold", _pow(2.0, self.target_rate))
         h2 = _pow(self.height, 2)
         d2 = _pow(self.region_side, 2)
+        # every derived value, then every scale the closed forms compute
+        # from the inputs alone, in the order they are checked; each must
+        # be finite and normal, which finite inputs alone do not guarantee
         derived = (
-            wavelength,
-            self.path_gain,
-            self.effective_snr,
-            self.rate_threshold,
-            h2,
-            d2,
-            _pow(self.region_side, 3),
-            1.25 * d2 + h2,
-            self.effective_snr / h2 if h2 else math.inf,  # h2 = 0 fails first
+            ("wavelength = c / carrier_freq", wavelength),
+            ("path_gain = (c / carrier_freq)^2 / (16 pi^2)", self.path_gain),
+            ("effective_snr = path_gain * transmit_power / noise_power", self.effective_snr),
+            ("rate_threshold = 2^target_rate", self.rate_threshold),
+            ("height^2", h2),
+            ("region_side^2", d2),
+            ("region_side^3", _pow(self.region_side, 3)),
+            ("5 region_side^2 / 4 + height^2", 1.25 * d2 + h2),
+            # h2 = 0 fails first
+            ("peak SNR effective_snr / height^2", self.effective_snr / h2 if h2 else math.inf),
         )
-        for formula, value in zip(_DERIVED, derived):
+        for formula, value in derived:
             if not sys.float_info.min <= value < math.inf:
                 raise ValueError(f"{formula} must be finite and normal (> 0), got {value}")
         # Chebyshev recovers offsets as s/t - h^2 with t down to s/(5D^2/4 + h^2),

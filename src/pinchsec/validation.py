@@ -17,7 +17,7 @@ than masked.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy import integrate, stats
@@ -130,8 +130,7 @@ def _check_distributions(fast: bool, seed: int) -> list[CheckResult]:
         )
     )
 
-    # the eavesdropper's SNR knots are the offset knots mapped through s / (w + h^2)
-    eve_knots = [cfg.effective_snr / (w + cfg.height**2) for w in reversed(knots)]
+    eve_knots = dist_mod._eve_boundaries(cfg)
     lo, b_outer, b_inner, hi = eve_knots
     mass = _panel_mass(lambda z: dist_mod.pdf_snr_eve(z, cfg), eve_knots)
     results.append(
@@ -192,7 +191,7 @@ def _check_sampler_fit(fast: bool, seed: int) -> list[CheckResult]:
     results.append(
         CheckResult(
             "offset-sampler-ks",
-            ks.pvalue > 0.01,
+            bool(ks.pvalue > 0.01),
             f"D={ks.statistic:.4e} p={ks.pvalue:.4f} n={n}",
         )
     )
@@ -341,19 +340,15 @@ def _check_determinism(fast: bool, seed: int) -> list[CheckResult]:
         )
     )
 
-    spec = dict(
+    spec = sweep_mod.SweepSpec(
         x_axis=sweep_mod.Axis.POWER_DBM,
         x_values=(0.0, 20.0, 40.0),
         base=cfg,
         methods=(Method.MC, Method.CHEBYSHEV),
-        chebyshev_order=100,
+        mc=McConfig(trials, seed + 901, workers=1),
     )
-    csv_a = sweep_mod.run_sweep(
-        sweep_mod.SweepSpec(mc=McConfig(trials, seed + 901, workers=1), **spec)
-    ).to_csv()
-    csv_b = sweep_mod.run_sweep(
-        sweep_mod.SweepSpec(mc=McConfig(trials, seed + 901, workers=4), **spec)
-    ).to_csv()
+    csv_a = sweep_mod.run_sweep(spec).to_csv()
+    csv_b = sweep_mod.run_sweep(replace(spec, mc=replace(spec.mc, workers=4))).to_csv()
     results.append(
         CheckResult(
             "sweep-csv-worker-invariance",

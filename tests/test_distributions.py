@@ -94,6 +94,15 @@ class TestOffsetSqPdf:
         with pytest.raises(ValueError):
             pdf_offset_sq(-1e-9, cfg10)
 
+    @pytest.mark.parametrize("d", [0.10139113857366794, 0.5470159628939716, 653.1747574302946])
+    def test_upper_edge_is_zero_where_the_window_rounds_open(self, d):
+        # at these D, 5D^2/4 - D^2/4 rounds one ulp below D^2, so the
+        # convolution window stays open at the edge, where arc - edge cancels
+        cfg = make_config(region_side=d)
+        assert pdf_offset_sq(dist.offset_sq_knots(cfg)[-1], cfg) == 0.0
+        assert pdf_snr_eve_via_offset(dist.snr_eve_support(cfg)[0], cfg) >= 0.0
+        assert min(v for _, v, _ in dump_distribution("w-pdf", 5, cfg)) >= 0.0
+
     def test_origin_limit(self, cfg10):
         d2 = cfg10.region_side**2
         assert pdf_offset_sq(0.0, cfg10) == pytest.approx(math.pi / d2, rel=1e-15)

@@ -385,12 +385,9 @@ class TestCliSweep:
     def test_out_file_is_checked_before_any_point(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(mc_mod, "simulate_sops", None)  # computing a point would raise
         (tmp_path / "file").touch()
-        for target in (tmp_path / "missing" / "x.csv", tmp_path / "file" / "x.csv"):
+        for target in (tmp_path / "missing" / "x.csv", tmp_path / "file" / "x.csv", tmp_path):
             assert cli.main(self.BASE + ["--out", str(target)]) == 2
             assert capsys.readouterr().err.startswith("error: --out:")
-        monkeypatch.undo()
-        assert cli.main(self.BASE + ["--out", str(tmp_path)]) == 2  # fails on write
-        assert capsys.readouterr().err.startswith("error: --out:")
 
     def test_silent_where_the_rate_threshold_nearly_overflows(self):
         argv = ["sweep", "--methods", "exact,chebyshev,asymptotic,mc,mc-fpa"]
@@ -619,11 +616,16 @@ class TestCliDist:
     def test_out_file_is_checked_before_any_point(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(cli, "dump_distribution", None)  # computing would raise
         (tmp_path / "file").touch()
-        for target in (tmp_path / "missing" / "x.csv", tmp_path / "file" / "x.csv"):
+        for target in (tmp_path / "missing" / "x.csv", tmp_path / "file" / "x.csv", tmp_path):
             assert cli.main(["dist", "--out", str(target)]) == 2
             assert capsys.readouterr().err.startswith("error: --out:")
-        monkeypatch.undo()
-        assert cli.main(["dist", "--out", str(tmp_path)]) == 2  # fails on write
+
+    def test_failed_write_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        def full(self, text):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", full)
+        assert cli.main(["dist", "--grid", "5", "--out", str(tmp_path / "x.csv")]) == 2
         assert capsys.readouterr().err.startswith("error: --out:")
 
 
@@ -673,6 +675,11 @@ class TestCliValidate:
     def test_fast_and_full_run_the_same_checks_in_order(self, full_checks):
         fast = validation.run_checks("fast", cli.DEFAULT_SEED)
         assert [r.name for r in fast] == [r.name for r in full_checks]
+
+    def test_every_verdict_is_a_json_bool(self, full_checks):
+        for results in (validation.run_checks("fast", 1), full_checks):
+            assert [type(r.passed) for r in results] == [bool] * len(results)
+            json.dumps([r.passed for r in results])
 
     @pytest.mark.parametrize(
         "module,attr,corrupt,check,failing", CORRUPTIONS.values(), ids=list(CORRUPTIONS)

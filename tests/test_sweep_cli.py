@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -10,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy import special, stats
 
 from pinchsec import McConfig, Method, dbm_to_watts
 from pinchsec import cli
@@ -291,6 +293,17 @@ print(json.dumps(loaded))
 """
 
 
+# prints the scipy.stats modules loaded after importing the check suite
+# and running it at the fast level
+STATS_MODULES_RUN = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from pinchsec.validation import run_checks
+run_checks("fast", 1)
+print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy.stats"))))
+"""
+
+
 def run_fresh(code: str, *args: str):
     src = str(Path(cli.__file__).parents[1])
     done = subprocess.run([sys.executable, "-c", code, src, *args], capture_output=True, text=True)
@@ -316,6 +329,39 @@ class TestScipyFreeStart:
 
     def test_cli_import_and_analytic_sweep_load_no_scipy(self):
         assert run_fresh(SCIPY_MODULES_RUN) == [[], []]
+
+
+class TestChecksWithoutScipyStats:
+    """The check suite's KS and chi-square steps run on numpy and scipy.special."""
+
+    SEEDS = (12345, 7, 8, 101)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_ks_matches_scipy_kstest(self, seed, cfg10):
+        samples = mc_mod.sample_offset_sq(cfg10, McConfig(10_000, seed + 11))
+
+        def cdf(t):
+            return dist_mod.cdf_offset_sq(t, cfg10)
+
+        d, p = validation._ks_test(samples.copy(), cdf)
+        assert d == stats.kstest(samples, cdf).statistic
+        assert p == stats.kstest(samples, cdf, method="asymp").pvalue
+
+    def test_chdtri_matches_chi2_ppf(self):
+        dof = np.arange(1, 401)
+        ours = special.chdtri(dof, 0.01)
+        theirs = stats.chi2.ppf(0.99, dof)
+        assert np.all(np.abs(ours - theirs) <= 1e-12 * theirs)
+
+    def test_chi2_critical_text_is_scipy_stats(self, full_checks):
+        fast = [validation._check_sampler_fit(fast=True, seed=seed) for seed in self.SEEDS]
+        for results in (*fast, full_checks):
+            (detail,) = [r.detail for r in results if r.name == "eve-sampler-chi2"]
+            dof, critical = re.search(r"dof=(\d+)\)=(\S+) ", detail).groups()
+            assert critical == f"{stats.chi2.ppf(0.99, int(dof)):.1f}"
+
+    def test_fast_checks_load_no_scipy_stats(self):
+        assert run_fresh(STATS_MODULES_RUN) == []
 
 
 class TestDumpDistribution:

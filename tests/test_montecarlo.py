@@ -34,10 +34,54 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             McConfig(trials=10, seed=1, workers=0)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("trials", 1000.0),
+            ("trials", True),
+            ("trials", "1000"),
+            ("seed", 1.9),
+            ("seed", 1.0),
+            ("seed", False),
+            ("seed", np.float64(3.0)),
+            ("seed", np.True_),
+            ("workers", 2.0),
+            ("workers", True),
+            ("workers", None),
+        ],
+    )
+    def test_non_integer_rejected_at_construction(self, field, value):
+        args = dict(trials=1000, seed=1, workers=1)
+        args[field] = value
+        with pytest.raises(TypeError, match=f"{field} must be an integer"):
+            McConfig(**args)
+
+    def test_numpy_integers_accepted_as_ints(self, cfg10):
+        mc = McConfig(np.int64(5000), np.uint64(7), np.int32(2))
+        assert mc == McConfig(5000, 7, 2)
+        assert [type(v) for v in (mc.trials, mc.seed, mc.workers)] == [int] * 3
+        assert simulate_sop_pas(cfg10, mc) == simulate_sop_pas(cfg10, McConfig(5000, 7, 2))
+        assert McConfig(1, np.uint64(2**64 - 1)).seed == 2**64 - 1
+
 
 def uniforms(seed, start, stop):
     """Standard uniforms of trials [start, stop), shape (stop - start, 4)."""
     return mc_mod._span_generator(seed, start).random((stop - start, 4))
+
+
+class TestStreamDefinition:
+    """Trial t draws 4t..4t+3 of ``Generator(PCG64DXSM(seed)).random``.
+
+    The expected rows come from numpy alone, opened at draw 0, so a change
+    to the bit generator, its seeding or the addressing of a trial shows
+    here whatever ``_span_generator`` does.
+    """
+
+    @pytest.mark.parametrize("seed", [0, 1, 2025, 2**64 - 1])
+    @pytest.mark.parametrize("start,stop", [(0, 1), (0, 37), (1, 2), (5, 300), (299, 1000)])
+    def test_uniforms_are_rows_of_one_stream(self, seed, start, stop):
+        stream = np.random.Generator(np.random.PCG64DXSM(seed)).random((stop, 4))
+        assert np.array_equal(uniforms(seed, start, stop), stream[start:stop])
 
 
 class TestSubstreams:

@@ -219,10 +219,10 @@ GOLDEN_CSV = Path(__file__).parent / "data" / "sweep_rate_golden.csv"
 class TestGoldenSweepBytes:
     """A fixed-seed rate sweep, pinned byte for byte.
 
-    The file was written before sweeps shared one draw between ``mc`` and
-    ``mc-fpa``; any change to a draw, an operation or its order shows here.
-    It relies on numpy's Philox ``Generator.random`` stream, which numpy
-    may change between releases (NEP 19).
+    Its ``mc`` and ``mc-fpa`` rows come from numpy's PCG64DXSM
+    ``Generator.random`` stream, trial t taking draws 4t..4t+3 of it
+    (``advance(4 * t)``); any change to a draw, an operation or its order
+    shows here. numpy may change that stream between releases (NEP 19).
     """
 
     ARGS = [
@@ -721,6 +721,21 @@ class TestCliValidate:
     def test_fast_and_full_run_the_same_checks_in_order(self, full_checks):
         fast = validation.run_checks("fast", cli.DEFAULT_SEED)
         assert [r.name for r in fast] == [r.name for r in full_checks]
+
+    def test_ordering_evaluates_each_point_once(self, monkeypatch, full_checks):
+        points = []
+        simulate_sops = mc_mod.simulate_sops
+
+        def record(cfg, mc, systems):
+            points.append((cfg.transmit_power, cfg.target_rate))
+            return simulate_sops(cfg, mc, systems)
+
+        monkeypatch.setattr(mc_mod, "simulate_sops", record)
+        (fast,) = validation._check_ordering(fast=True, seed=1)
+        assert len(points) == len(set(points)) == 7
+        assert "over 7 points" in fast.detail
+        (full,) = [r for r in full_checks if r.name == "pas-beats-fpa-ordering"]
+        assert "over 28 points" in full.detail
 
     def test_every_verdict_is_a_json_bool(self, full_checks):
         for results in (validation.run_checks("fast", 1), full_checks):

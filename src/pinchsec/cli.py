@@ -261,8 +261,8 @@ def _cmd_dist(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    # imported here: the check suite loads scipy.integrate and scipy.special,
-    # which sweep and dist never need
+    # imported here: the check suite loads scipy.special, which sweep and
+    # dist never need
     from .validation import check_seed, run_checks
 
     seed = _resolve_seed({} if args.seed is None else {"seed": args.seed})

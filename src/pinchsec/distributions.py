@@ -164,16 +164,13 @@ def _cdf_offset_sq(t: np.ndarray, d: float) -> np.ndarray:
 
     m2 = (t > a) & (t < 1.25 * d2)
     t2 = t[m2]
-    asin_arg = np.minimum(d / (2.0 * np.sqrt(t2)), 1.0)
-    g2 = (2.0 / d2) * (
-        t2 * np.arcsin(asin_arg) + 0.5 * d * np.sqrt(np.maximum(t2 - a, 0.0))
-    ) - t2 / d2
+    # arcsin(D/(2*sqrt(t))) and arccos(D/sqrt(t)) by arctan2, exact near their knots
+    root2 = np.sqrt(t2 - a)
+    g2 = (2.0 / d2) * (t2 * np.arctan2(0.5 * d, root2) + 0.5 * d * root2) - t2 / d2
     # third-panel correction vanishes identically for t <= D^2
-    t3 = np.maximum(t2, b)
-    acos_arg = np.minimum(d / np.sqrt(t3), 1.0)
     rad = np.maximum(t2 - b, 0.0)
     x3 = (
-        -(2.0 / d2) * (t2 * np.arccos(acos_arg) - d * np.sqrt(rad))
+        -(2.0 / d2) * (t2 * np.arctan2(np.sqrt(rad), d) - d * np.sqrt(rad))
         + (4.0 / (3.0 * d2 * d)) * rad**1.5
     )
     out[m2] = g2 + x3 + 1.0 / 12.0
@@ -191,31 +188,27 @@ def cdf_offset_sq(t, cfg: SystemConfig):
     return _elementwise(_cdf_offset_sq, t, cfg.region_side)
 
 
-def _cdf_offset_sq_tanhsinh(t: np.ndarray, d: float) -> np.ndarray:
-    from scipy.integrate import tanhsinh
+def _cdf_offset_sq_panels(t: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+    from .sop import _panel_quadrature  # imported here: sop imports this module
 
-    d2 = d * d
-    edges = np.array([0.0, 0.25 * d2, d2, 1.25 * d2])
     # each t takes the panels below it whole and its own panel up to t;
     # the panels above it have zero width and add exactly 0
-    upper = np.clip(t[..., None], edges[:-1], edges[1:])
-    panels = tanhsinh(lambda w: _pdf_offset_sq(w, d), edges[:-1], upper, atol=1e-10)
-    out = np.minimum(panels.integral.sum(axis=-1), 1.0)
-    out[t <= 0.0] = 0.0
-    out[t >= 1.25 * d2] = 1.0
-    return out
+    knots = np.array(offset_sq_knots(cfg))
+    edges = np.clip(t[..., None], 0.0, knots)
+    mass, _, _ = _panel_quadrature(lambda w: _pdf_offset_sq(w, cfg.region_side), edges)
+    return np.where(t >= knots[-1], 1.0, np.minimum(mass, 1.0))
 
 
 def cdf_offset_sq_quadrature(t, cfg: SystemConfig):
-    """CDF of the squared horizontal offset by adaptive quadrature.
+    """CDF of the squared horizontal offset by quadrature of its density.
 
-    Integrates the density panel by panel (breakpoints are panel
-    boundaries) with scipy's vectorised tanh-sinh rule at absolute
-    tolerance 1e-10, all t in one call. Independent route used to
-    validate the closed form; scipy is imported on first call, so the
-    closed forms load numpy alone.
+    Integrates the density panel by panel, with the breakpoints as panel
+    edges, by the exact SOP's Gauss-Legendre rule
+    (:func:`pinchsec.sop._panel_quadrature`), all t in one call; no
+    panel is too narrow for it, down to one ulp. Independent route used
+    to validate the closed form.
     """
-    return _elementwise(_cdf_offset_sq_tanhsinh, t, cfg.region_side)
+    return _elementwise(_cdf_offset_sq_panels, t, cfg)
 
 
 # ---------------------------------------------------------------------------

@@ -176,6 +176,22 @@ _NODES, _WEIGHTS = map(
 )
 
 
+def _panel_quadrature(f, edges):
+    """Integral of ``f`` over each row of panel ``edges``, shape (..., k+1).
+
+    The edges should include every kink of ``f``, which is called once on
+    all order-64 and order-128 nodes. Returns the order-128 integrals,
+    their distances to the order-64 ones, and the number of evaluations.
+    """
+    edges = np.asarray(edges, dtype=np.float64)
+    widths = np.diff(edges)
+    x = edges[..., :-1, None] + widths[..., None] * _NODES
+    parts = (f(x) * widths[..., None] * _WEIGHTS).sum(axis=-2)
+    coarse = parts[..., :_BASE_ORDER].sum(axis=-1)
+    fine = parts[..., _BASE_ORDER:].sum(axis=-1)
+    return fine, np.abs(fine - coarse), x.size
+
+
 def _outage_integral(cfg: SystemConfig, snr: float) -> tuple[float, float, int]:
     """Outage probability averaged over the receiver's cross-track offset.
 
@@ -186,8 +202,8 @@ def _outage_integral(cfg: SystemConfig, snr: float) -> tuple[float, float, int]:
     ``snr = math.inf`` gives the high-power limit t = C*y^2 + (C-1)*h^2.
     t rises with y, so past the y where it reaches 5*D^2/4 the integrand
     is exactly 1 and that tail is added in closed form. The rest is split
-    where t crosses D^2/4 and D^2 and integrated panel by panel at both
-    rule orders in one array call.
+    where t crosses D^2/4 and D^2 and integrated by
+    :func:`_panel_quadrature`.
 
     Returns the mean over y in [0, D/2] by the order-128 rule, its
     distance to the order-64 value, and the number of CDF evaluations.
@@ -206,20 +222,18 @@ def _outage_integral(cfg: SystemConfig, snr: float) -> tuple[float, float, int]:
         v = (w + h2) / snr
         y2 = (w - k * (1.0 + v)) / (c + (c - 1.0) * v)
         crossings.append(min(math.sqrt(y2), half) if y2 > 0.0 else 0.0)
-    edges = np.unique([0.0, *crossings])
-    widths = np.diff(edges)
 
-    y = edges[:-1, None] + widths[:, None] * _NODES
-    y2 = y * y
-    a = y2 + h2
-    den = 1.0 - (c - 1.0) * (a / snr)
-    # den > 0 before the last crossing up to rounding; t is infinite past its pole
-    t = np.divide(c * y2 + k * (1.0 + a / snr), den, out=np.full_like(a, np.inf), where=den > 0.0)
-    parts = (dist.cdf_offset_sq(t, cfg) * widths[:, None] * _WEIGHTS).sum(axis=0)
-    coarse = float(parts[:_BASE_ORDER].sum())
-    fine = float(parts[_BASE_ORDER:].sum())
+    def outage(y: np.ndarray) -> np.ndarray:
+        y2 = y * y
+        a = y2 + h2
+        den = 1.0 - (c - 1.0) * (a / snr)
+        # den > 0 before the last crossing up to rounding; t is infinite past its pole
+        t = np.divide(c * y2 + k * (1.0 + a / snr), den, out=np.full_like(a, np.inf), where=den > 0)
+        return dist.cdf_offset_sq(t, cfg)
+
+    fine, error, evaluations = _panel_quadrature(outage, np.unique([0.0, *crossings]))
     tail = half - crossings[-1]
-    return (fine + tail) / half, abs(fine - coarse) / half, y.size
+    return (float(fine) + tail) / half, float(error) / half, evaluations
 
 
 def _clamped(raw: float, method: Method, order_or_trials: int) -> SopEstimate:

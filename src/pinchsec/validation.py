@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import integrate, special
+from scipy import special
 
 from . import distributions as dist_mod
 from . import montecarlo as mc_mod
@@ -82,9 +82,8 @@ def _check_bound_constants(fast: bool, seed: int) -> list[CheckResult]:
     )
 
     # the floor's defining double integral, D-independent (D=1 here)
-    j1, _ = integrate.quad(lambda z: math.pi * z * z / 4.0, 0.0, 0.5, epsabs=1e-14)
-    j2, _ = integrate.quad(lambda z: z**3 / 3.0, 0.0, 0.5, epsabs=1e-14)
-    rebuilt = 8.0 * j1 - 8.0 * j2
+    floor = sop_mod._panel_quadrature(lambda z: 2.0 * math.pi * z * z - 8.0 * z**3 / 3.0, (0, 0.5))
+    rebuilt = float(floor[0])
     results.append(
         CheckResult(
             "lower-bound-pas-integral",
@@ -112,18 +111,12 @@ def _check_bound_constants(fast: bool, seed: int) -> list[CheckResult]:
     return results
 
 
-def _panel_mass(pdf, edges) -> float:
-    """Integral of a density over consecutive panels, by tanh-sinh at atol 1e-10."""
-    edges = np.asarray(edges)
-    return float(integrate.tanhsinh(pdf, edges[:-1], edges[1:], atol=1e-10).integral.sum())
-
-
 def _check_distributions(fast: bool, seed: int) -> list[CheckResult]:
     results = []
     cfg = reference_config()
     knots = dist_mod.offset_sq_knots(cfg)
 
-    mass = _panel_mass(lambda w: dist_mod.pdf_offset_sq(w, cfg), knots)
+    mass = float(sop_mod._panel_quadrature(lambda w: dist_mod.pdf_offset_sq(w, cfg), knots)[0])
     results.append(
         CheckResult(
             "offset-pdf-normalization", abs(mass - 1.0) <= 1e-6, f"integral={mass!r}"
@@ -132,7 +125,7 @@ def _check_distributions(fast: bool, seed: int) -> list[CheckResult]:
 
     eve_knots = dist_mod._eve_boundaries(cfg)
     lo, b_outer, b_inner, hi = eve_knots
-    mass = _panel_mass(lambda z: dist_mod.pdf_snr_eve(z, cfg), eve_knots)
+    mass = float(sop_mod._panel_quadrature(lambda z: dist_mod.pdf_snr_eve(z, cfg), eve_knots)[0])
     results.append(
         CheckResult(
             "eve-pdf-normalization", abs(mass - 1.0) <= 1e-6, f"integral={mass!r}"

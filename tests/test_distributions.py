@@ -21,6 +21,9 @@ from pinchsec.sweep import dump_distribution
 
 from conftest import make_config
 
+# region sides D in meters, log-spaced over the valid range
+SIDES = np.logspace(-1.0, 3.0, 41)
+
 
 def sample_offset_sq_oracle(d: float, n: int, seed: int) -> np.ndarray:
     """Independent sampler of (x1-x2)^2 + y2^2 with plain numpy uniforms."""
@@ -168,6 +171,41 @@ class TestOffsetSqCdf:
             [np.linspace(0.0, 1.25 * d2, 41), rng.uniform(0.0, 1.25 * d2, 60)]
         )
         assert np.abs(cdf_offset_sq(ts, cfg10) - cdf_offset_sq_quadrature(ts, cfg10)).max() <= 1e-8
+
+    def test_continuous_one_ulp_past_the_breakpoints(self):
+        # arcsin(D/(2*sqrt(t))) and arccos(D/sqrt(t)) would lose up to 3e-8
+        # here, where their arguments round to just below 1
+        for d in SIDES:
+            cfg = make_config(region_side=float(d))
+            for knot in dist.offset_sq_knots(cfg)[1:3]:
+                at = cdf_offset_sq(knot, cfg)
+                for side in (-math.inf, math.inf):
+                    assert abs(cdf_offset_sq(math.nextafter(knot, side), cfg) - at) <= 1e-13
+
+    def test_quadrature_one_ulp_beside_every_knot(self):
+        # t one ulp past a knot leaves a one-ulp panel, on which an adaptive
+        # rule can fail; the fixed rule must not
+        for d in SIDES:
+            cfg = make_config(region_side=float(d))
+            knots = np.array(dist.offset_sq_knots(cfg))
+            ts = np.concatenate([np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf)])
+            quad = cdf_offset_sq_quadrature(ts, cfg)
+            assert np.isfinite(quad).all()
+            assert np.abs(quad - cdf_offset_sq(ts, cfg)).max() <= 1e-12
+
+    def test_quadrature_matches_scipy_tanhsinh(self):
+        # scipy's adaptive rule, panel by panel, at t at least 1e-6*D^2
+        # from every knot, where it converges on every panel
+        rng = np.random.default_rng(5)
+        for d in SIDES[::4]:
+            cfg = make_config(region_side=float(d))
+            knots = np.array(dist.offset_sq_knots(cfg))
+            ts = rng.uniform(-0.1, 1.35, 200) * d * d
+            ts = ts[np.abs(ts[:, None] - knots).min(axis=1) >= 1e-6 * d * d]
+            upper = np.clip(ts[:, None], knots[:-1], knots[1:])
+            panels = integrate.tanhsinh(lambda w: pdf_offset_sq(w, cfg), knots[:-1], upper)
+            expected = np.minimum(panels.integral.sum(axis=1), 1.0)
+            assert np.abs(cdf_offset_sq_quadrature(ts, cfg) - expected).max() <= 1e-13
 
     def test_vectorized_matches_scalar(self, cfg10):
         ts = np.array([-1.0, 0.0, 10.0, 60.0, 110.0, 130.0])

@@ -246,8 +246,10 @@ class TestGoldenExactBytes:
 
     The file holds a power sweep over -10..60 dBm and then a rate sweep
     over 0..2, written while ``sop`` still took its Gauss-Legendre nodes
-    from scipy; a change to a node, a weight or the outage integral's
-    arithmetic shows in the 17-digit values.
+    from scipy, and regenerated when the offset CDF took its angles by
+    arctan2 (three exact rows moved, by at most 1.1e-16); a change to a
+    node, a weight or the outage integral's arithmetic shows in the
+    17-digit values.
     """
 
     POWER = ["--x", "power-dbm", "--x-min", "-10", "--x-max", "60", "--x-step", "5"]
@@ -293,14 +295,15 @@ print(json.dumps(loaded))
 """
 
 
-# prints the scipy.stats modules loaded after importing the check suite
-# and running it at the fast level
+# prints the scipy.stats and scipy.integrate modules loaded after
+# importing the check suite and running it at the fast level
 STATS_MODULES_RUN = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 from pinchsec.validation import run_checks
 run_checks("fast", 1)
-print(json.dumps(sorted(m for m in sys.modules if m.startswith("scipy.stats"))))
+loaded = sorted(m for m in sys.modules if m.startswith(("scipy.stats", "scipy.integrate")))
+print(json.dumps(loaded))
 """
 
 
@@ -332,7 +335,11 @@ class TestScipyFreeStart:
 
 
 class TestChecksWithoutScipyStats:
-    """The check suite's KS and chi-square steps run on numpy and scipy.special."""
+    """The check suite runs on numpy and scipy.special.
+
+    Its KS and chi-square steps take no scipy.stats, and its integrals
+    take the exact SOP's fixed rule, not scipy.integrate.
+    """
 
     SEEDS = (12345, 7, 8, 101)
 
@@ -360,7 +367,7 @@ class TestChecksWithoutScipyStats:
             dof, critical = re.search(r"dof=(\d+)\)=(\S+) ", detail).groups()
             assert critical == f"{stats.chi2.ppf(0.99, int(dof)):.1f}"
 
-    def test_fast_checks_load_no_scipy_stats(self):
+    def test_fast_checks_load_no_scipy_stats_or_integrate(self):
         assert run_fresh(STATS_MODULES_RUN) == []
 
 

@@ -59,13 +59,6 @@ _PARAMS: dict[str, _Param] = {
     ),
     "trials": _Param("sweep", int, 100_000, "Monte Carlo trials per grid point", True),
     "chebyshev-order": _Param("sweep", int, 100, "quadrature order N", True),
-    "exact-tol": _Param(
-        "sweep",
-        float,
-        1e-8,
-        "bound on the order-doubling error estimate of the exact integral",
-        True,
-    ),
     "which": _Param("dist", str, "gamma-e-pdf", None, choices=sorted(DISTRIBUTION_TAGS)),
     "grid": _Param("dist", int, 1000, "number of grid points (>= 2)", True),
     "region-side": _Param("system", float, 10.0, "region side D in meters", True),
@@ -236,7 +229,6 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             methods=_methods(p["methods"]),
             mc=McConfig(trials=int(p["trials"]), seed=seed),
             chebyshev_order=int(p["chebyshev_order"]),
-            exact_tol=float(p["exact_tol"]),
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc

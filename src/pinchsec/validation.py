@@ -255,7 +255,7 @@ def _check_sop_agreement(fast: bool, seed: int) -> list[CheckResult]:
     mc_ok = True
     floor_ok = True
     for i, cfg in enumerate(configs):
-        exact = sop_mod.sop_exact(cfg, tol=1e-8).value
+        exact = sop_mod.sop_exact(cfg).value
         cheb = sop_mod.sop_chebyshev(cfg, 100).value
         worst_cheb = max(worst_cheb, abs(cheb - exact))
         mc = mc_mod.simulate_sop_pas(cfg, McConfig(trials, seed + 100 + i))
@@ -293,7 +293,7 @@ def _check_asymptotics(fast: bool, seed: int) -> list[CheckResult]:
     for d in (10.0, 30.0):
         for r in (0.1, 1.0):
             high = reference_config(region_side=d, power_dbm=60.0, rate=r)
-            exact = sop_mod.sop_exact(high, tol=1e-8).value
+            exact = sop_mod.sop_exact(high).value
             asym = sop_mod.sop_asymptotic(high).value
             worst = max(worst, abs(exact - asym))
     results.append(

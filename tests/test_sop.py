@@ -115,7 +115,7 @@ class TestSopExact:
         assert est.method is Method.EXACT
 
     def test_against_independent_mc(self, cfg30):
-        est = sop_exact(cfg30, tol=1e-8)
+        est = sop_exact(cfg30)
         p, sigma = mc_sop_pas_oracle(cfg30, 1_000_000, seed=2024)
         assert abs(est.value - p) <= 3.0 * sigma
 
@@ -128,22 +128,19 @@ class TestSopExact:
         values = []
         for p in range(0, 65, 5):
             cfg = make_config(power_dbm=float(p))
-            values.append(sop_exact(cfg, tol=1e-8).value)
+            values.append(sop_exact(cfg).value)
         assert all(b <= a + 1e-9 for a, b in zip(values, values[1:]))
         assert abs(values[-2] - values[-1]) <= 1e-3
 
-    def test_tolerance_domain(self, cfg10):
-        with pytest.raises(ValueError):
-            sop_exact(cfg10, tol=0.0)
-        with pytest.raises(ValueError):
-            sop_exact(cfg10, tol=1e-2)
-
-    def test_unreachable_tolerance_raises_with_estimate(self, cfg10):
-        # no rule meets an absurdly small tolerance
+    @pytest.mark.parametrize("evaluate", [sop_exact, sop_asymptotic])
+    def test_unreachable_tolerance_raises_with_estimate(self, cfg10, monkeypatch, evaluate):
+        # both evaluators share the one bound; no rule meets an absurdly small one
+        reference = evaluate(cfg10).value
+        monkeypatch.setattr(sop_mod, "_ERROR_BOUND", 1e-300)
         with pytest.raises(AccuracyError) as err:
-            sop_exact(cfg10, tol=1e-300)
-        reference = sop_exact(cfg10, tol=1e-8).value
+            evaluate(cfg10)
         assert err.value.estimate == pytest.approx(reference, abs=1e-6)
+        assert 0.0 < err.value.error_estimate <= 1e-8
 
     @pytest.mark.parametrize(
         "region_side,height,seed",
@@ -187,7 +184,7 @@ def chebyshev_at_reference_geometry(cfg, order):
 class TestSopChebyshev:
     def test_matches_exact_at_order_100(self, cfg10, cfg30):
         for cfg in (cfg10, cfg30):
-            exact = sop_exact(cfg, tol=1e-8).value
+            exact = sop_exact(cfg).value
             cheb = sop_chebyshev(cfg, 100).value
             assert abs(cheb - exact) <= 1e-3
 
@@ -197,7 +194,7 @@ class TestSopChebyshev:
 
     def test_doubling_ladder(self, cfg10):
         cfg = make_config(power_dbm=20.0)
-        exact = sop_exact(cfg, tol=1e-8).value
+        exact = sop_exact(cfg).value
         errors = {
             n: abs(chebyshev_at_reference_geometry(cfg, n).value - exact)
             for n in (1, 2, 4, 8, 16, 32, 64, 128)
@@ -335,7 +332,7 @@ REFERENCE_GRID = [
 @pytest.fixture(scope="module")
 def exact_on_grid():
     return {
-        (d, p, r): sop_exact(make_config(d, p, r), tol=1e-8).value
+        (d, p, r): sop_exact(make_config(d, p, r)).value
         for d, p, r in REFERENCE_GRID
     }
 

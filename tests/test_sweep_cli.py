@@ -64,11 +64,9 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="methods must not repeat"):
             small_spec(methods=(Method.MC, Method.EXACT, Method.MC))
 
-    def test_rejects_bad_order_and_tol(self):
+    def test_rejects_bad_order(self):
         with pytest.raises(ValueError, match="chebyshev_order"):
             small_spec(chebyshev_order=0)
-        with pytest.raises(ValueError, match="exact_tol"):
-            small_spec(exact_tol=1.0)
 
 
 class TestRunSweep:
@@ -583,16 +581,16 @@ CONFIG_FILE_KEYS = [
     ("trials", "1234", "sweep", lambda spec: spec.mc.trials, 1234),
     ("seed", "77", "sweep", lambda spec: spec.mc.seed, 77),
     ("chebyshev-order", "64", "sweep", lambda spec: spec.chebyshev_order, 64),
-    ("exact-tol", "1e-6", "sweep", lambda spec: spec.exact_tol, 1e-6),
     ("grid", "17", "dist", lambda call: call[1], 17),
 ]
 
 
 class TestRetiredSettings:
-    """--workers and --n-eff changed no output and are no longer options."""
+    """--workers and --n-eff changed no output, and --exact-tol could only
+    turn a result into an error: none is an option any more."""
 
     @pytest.mark.parametrize("command", ["sweep", "dist"])
-    @pytest.mark.parametrize("flag", ["--workers 3", "--n-eff 1.4"])
+    @pytest.mark.parametrize("flag", ["--workers 3", "--n-eff 1.4", "--exact-tol 1e-6"])
     def test_flag_exits_2(self, capsys, command, flag):
         with pytest.raises(SystemExit) as exc:
             cli.main([command, *flag.split()])
@@ -600,7 +598,7 @@ class TestRetiredSettings:
         assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["sweep", "dist"])
-    @pytest.mark.parametrize("key", ["workers", "n-eff"])
+    @pytest.mark.parametrize("key", ["workers", "n-eff", "exact-tol"])
     def test_config_key_is_unknown(self, tmp_path, capsys, command, key):
         conf = tmp_path / "params.cfg"
         conf.write_text(f"{key}=3\n")

@@ -32,6 +32,7 @@ from .sop import (
     SopEstimate,
     sop_asymptotic,
     sop_chebyshev,
+    sop_chebyshev_batch,
     sop_exact,
     sop_lower_bound_fpa,
     sop_lower_bound_pas,
@@ -79,6 +80,7 @@ __all__ = [
     "snr_fpa",
     "sop_asymptotic",
     "sop_chebyshev",
+    "sop_chebyshev_batch",
     "sop_exact",
     "sop_lower_bound_fpa",
     "sop_lower_bound_pas",

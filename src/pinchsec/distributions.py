@@ -18,7 +18,9 @@ Every closed form is one masked numpy kernel: it takes a scalar, and
 returns a Python float, or an array of any shape, and returns an array
 of that shape. A kernel evaluates each branch only on inputs inside the
 branch's domain, masked or clamped into it, so none divides by zero or
-takes the root of a negative number.
+takes the root of a negative number. The SNR kernels read their scalars
+from ``_Scales``: Python floats of one configuration, or (B, 1) columns
+of B configurations that broadcast against a (B, N) grid, row by row.
 
 Branch selection at breakpoints follows the closed forms' printed
 inequalities (upper-interval branch owns its closed lower endpoint);
@@ -29,6 +31,7 @@ quadrature over an enclosing interval is safe.
 
 from __future__ import annotations
 
+import collections
 import math
 from typing import Callable
 
@@ -66,6 +69,22 @@ def _positive_snr(z) -> np.ndarray:
     return arr
 
 
+# The scalars the SNR kernels read, each computed in Python floats from one
+# configuration (d3 as d**3: numpy's pow may round it differently): floats
+# for one configuration, or (B, 1) columns for B, which evaluate a (B, N)
+# grid row by row in one call.
+_Scales = collections.namedtuple(
+    "_Scales", "s d d3 h2 eve_lo eve_outer eve_inner eve_hi bob_lo bob_hi"
+)
+
+
+def _scales(cfg: SystemConfig) -> _Scales:
+    d = cfg.region_side
+    return _Scales(
+        cfg.effective_snr, d, d**3, cfg.height**2, *_eve_boundaries(cfg), *snr_bob_support(cfg)
+    )
+
+
 # ---------------------------------------------------------------------------
 # SNR of the legitimate receiver
 
@@ -77,14 +96,11 @@ def snr_bob_support(cfg: SystemConfig) -> tuple[float, float]:
     return cfg.effective_snr / (h2 + d**2 / 4.0), cfg.effective_snr / h2
 
 
-def _cdf_snr_bob(z: np.ndarray, cfg: SystemConfig) -> np.ndarray:
-    lo, hi = snr_bob_support(cfg)
-    out = np.zeros_like(z)
-    out[z >= hi] = 1.0
-    inside = (z > lo) & (z < hi)
-    radicand = np.maximum(cfg.effective_snr / z[inside] - cfg.height**2, 0.0)
-    out[inside] = 1.0 - (2.0 / cfg.region_side) * np.sqrt(radicand)
-    return out
+def _cdf_snr_bob(z: np.ndarray, p: _Scales) -> np.ndarray:
+    # z is clamped up to the support's low end, where the CDF is 0, so s/z stays finite
+    radicand = np.maximum(p.s / np.maximum(z, p.bob_lo) - p.h2, 0.0)
+    inside = 1.0 - (2.0 / p.d) * np.sqrt(radicand)
+    return np.where(z >= p.bob_hi, 1.0, np.where(z > p.bob_lo, inside, 0.0))
 
 
 def cdf_snr_bob(z, cfg: SystemConfig):
@@ -93,7 +109,7 @@ def cdf_snr_bob(z, cfg: SystemConfig):
     The branch boundaries coincide with the support endpoints, so the
     CDF rises from exactly 0 to exactly 1 across the support.
     """
-    return _elementwise(_cdf_snr_bob, _positive_snr(z), cfg)
+    return _elementwise(_cdf_snr_bob, _positive_snr(z), _scales(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +247,7 @@ def snr_eve_support(cfg: SystemConfig) -> tuple[float, float]:
     return b[0], b[3]
 
 
-def _eve_branches(z, cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _eve_branches(z, p: _Scales) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The density's near, mid and far branches at each z of the support.
 
     near holds for offsets in [0, D^2/4] (highest SNR interval), mid for
@@ -240,13 +256,11 @@ def _eve_branches(z, cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray, np.ndar
     min(z, b_inner): above it their sqrt(w) falls to 0 at the top of the
     support, where they would divide by it.
     """
-    s = cfg.effective_snr
-    d = cfg.region_side
-    h2 = cfg.height**2
+    s, d, d3, h2 = p.s, p.d, p.d3, p.h2
     w = np.maximum(s / z - h2, 0.0)
-    near = (s / z**2) * (math.pi / (d * d) - (2.0 / d**3) * np.sqrt(w))
+    near = (s / z**2) * (math.pi / (d * d) - (2.0 / d3) * np.sqrt(w))
 
-    zm = np.minimum(z, _eve_boundaries(cfg)[2])
+    zm = np.minimum(z, p.eve_inner)
     w = s / zm - h2
     root = np.sqrt(w)
     arcsin = np.arcsin(np.minimum(d / (2.0 * root), 1.0))
@@ -256,23 +270,21 @@ def _eve_branches(z, cfg: SystemConfig) -> tuple[np.ndarray, np.ndarray, np.ndar
     )
     # the bracket is >= 0 on this branch; cancellation at the support
     # edge (where the true value is 0) can leave -1e-19-scale noise
-    far = (2.0 * s / (zm**2 * d**3)) * np.maximum(bracket, 0.0)
+    far = (2.0 * s / (zm**2 * d3)) * np.maximum(bracket, 0.0)
     return near, mid, far
 
 
-def _pdf_snr_eve(z: np.ndarray, cfg: SystemConfig) -> np.ndarray:
-    lo, b_outer, b_inner, hi = _eve_boundaries(cfg)
-    out = np.zeros_like(z)
-    inside = (z >= lo) & (z <= hi)
-    z = z[inside]
-    near, mid, far = _eve_branches(z, cfg)
-    out[inside] = np.where(z >= b_inner, near, np.where(z >= b_outer, mid, far))
-    return out
+def _pdf_snr_eve(z: np.ndarray, p: _Scales) -> np.ndarray:
+    # the branches are taken at z clamped into the support, where they are finite
+    zc = np.minimum(np.maximum(z, p.eve_lo), p.eve_hi)
+    near, mid, far = _eve_branches(zc, p)
+    inside = np.where(zc >= p.eve_inner, near, np.where(zc >= p.eve_outer, mid, far))
+    return np.where((z >= p.eve_lo) & (z <= p.eve_hi), inside, 0.0)
 
 
 def pdf_snr_eve(z, cfg: SystemConfig):
     """Density of the eavesdropper's SNR, four-branch closed form."""
-    return _elementwise(_pdf_snr_eve, _positive_snr(z), cfg)
+    return _elementwise(_pdf_snr_eve, _positive_snr(z), _scales(cfg))
 
 
 def _pdf_snr_eve_via_offset(z: np.ndarray, cfg: SystemConfig) -> np.ndarray:

@@ -13,6 +13,7 @@ parameter-free lower bounds.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -29,6 +30,7 @@ __all__ = [
     "AccuracyError",
     "sop_exact",
     "sop_chebyshev",
+    "sop_chebyshev_batch",
     "sop_asymptotic",
     "sop_lower_bound_pas",
     "sop_lower_bound_fpa",
@@ -234,9 +236,9 @@ def _outage_integral(cfg: SystemConfig, snr: float) -> tuple[float, int]:
         den = 1.0 - (c - 1.0) * (a / snr)
         # den > 0 before the last crossing up to rounding; t is infinite past its pole
         t = np.divide(c * y2 + k * (1.0 + a / snr), den, out=np.full_like(a, np.inf), where=den > 0)
-        return dist.cdf_offset_sq(t, cfg)
+        return dist._cdf_offset_sq(t, cfg.region_side)
 
-    fine, error, evaluations = _panel_quadrature(outage, np.unique([0.0, *crossings]))
+    fine, error, evaluations = _panel_quadrature(outage, sorted({0.0, *crossings}))
     value = (float(fine) + (half - crossings[-1])) / half
     error = float(error) / half
     if error > _ERROR_BOUND:
@@ -266,48 +268,74 @@ def sop_exact(cfg: SystemConfig) -> SopEstimate:
     return _clamped(value, Method.EXACT, evaluations)
 
 
+@functools.lru_cache(maxsize=8)
+def _chebyshev_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
+    """First-kind nodes cos((2n-1)*pi/(2N)), n = 1..N, and weights sqrt(1 - node^2)."""
+    n = np.arange(1, order + 1)
+    nodes = np.cos((2.0 * n - 1.0) * math.pi / (2.0 * order))
+    weights = np.sqrt(np.maximum(1.0 - nodes**2, 0.0))
+    nodes.flags.writeable = weights.flags.writeable = False  # shared by every call
+    return nodes, weights
+
+
+def _chebyshev_batch(cfgs, order: int, stacklevel: int) -> list[SopEstimate]:
+    """The rule at each of ``cfgs``; a floor warning points ``stacklevel`` frames up."""
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
+    nodes, weights = _chebyshev_rule(order)
+    rows = [(cfg.rate_threshold, *dist._scales(cfg)) for cfg in cfgs]
+    if not rows:
+        return []
+    # (B, 1) columns; one configuration keeps its floats, which broadcast alike
+    c, *scales = rows[0] if len(rows) == 1 else np.array(rows).T[..., None]
+    p = dist._Scales(*scales)
+    halfwidth = 0.5 * (p.eve_hi - p.eve_lo)
+    t = halfwidth * nodes + 0.5 * (p.eve_hi + p.eve_lo)
+    # from rate ~1011 on C*t overflows to inf, where the legitimate CDF is 1
+    with np.errstate(over="ignore"):
+        bob_snr = c * t + (c - 1.0)
+    terms = weights * dist._pdf_snr_eve(t, p) * dist._cdf_snr_bob(bob_snr, p)
+    # each row left to right in node order: np.sum adds pairwise and rounds differently
+    raws = (math.pi / order) * halfwidth * np.cumsum(terms, axis=-1)[..., -1:]
+    estimates = []
+    for raw in raws.ravel().tolist():
+        if LOWER_BOUND_PAS - raw > 1e-3:
+            warnings.warn(
+                "sop_chebyshev fell below the provable floor (2*pi-1)/24, so its "
+                "quadrature error is at least that gap; compare with sop_exact",
+                RuntimeWarning,
+                stacklevel=stacklevel,
+            )
+        estimates.append(_clamped(raw, Method.CHEBYSHEV, order))
+    return estimates
+
+
+def sop_chebyshev_batch(cfgs, order: int = 100) -> list[SopEstimate]:
+    """:func:`sop_chebyshev` at each configuration of ``cfgs``, in one array call.
+
+    The scalars of each configuration are computed in Python floats as
+    for one, so every estimate equals that of :func:`sop_chebyshev` bit
+    for bit; each estimate below the floor warns once.
+    """
+    return _chebyshev_batch(cfgs, order, stacklevel=3)
+
+
 def sop_chebyshev(cfg: SystemConfig, order: int = 100) -> SopEstimate:
     """SOP by the N-point Gauss-Chebyshev quadrature closed form.
 
     Affine map of the outage integral (the eavesdropper-SNR density
     against the legitimate-SNR CDF at C*t + C - 1) onto [-1, 1] followed
     by the first-kind rule with nodes cos((2n-1)*pi/(2N)), n = 1..N,
-    weighted by sqrt(1 - node^2). The raw sum can fall slightly outside
-    [0, 1] at tiny N; the returned value is clamped, with the raw sum
-    kept in ``raw_value``. No true SOP falls under the pinching floor
-    ``LOWER_BOUND_PAS``, so a raw sum more than the 1e-3 acceptance
-    tolerance below it emits a ``RuntimeWarning``: that happens at
-    extreme D/h, while the slight dips near rate 0 stay silent.
+    weighted by sqrt(1 - node^2). It is :func:`sop_chebyshev_batch` for
+    one configuration; a sweep makes one batched call for all its
+    points. The raw sum can fall slightly outside [0, 1] at tiny N; the
+    returned value is clamped, with the raw sum kept in ``raw_value``.
+    No true SOP falls under the pinching floor ``LOWER_BOUND_PAS``, so a
+    raw sum more than the 1e-3 acceptance tolerance below it emits a
+    ``RuntimeWarning``: that happens at extreme D/h, while the slight
+    dips near rate 0 stay silent.
     """
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    c = cfg.rate_threshold
-    lo, hi = dist.snr_eve_support(cfg)
-    halfwidth = 0.5 * (hi - lo)
-    midpoint = 0.5 * (hi + lo)
-
-    n = np.arange(1, order + 1)
-    nodes = np.cos((2.0 * n - 1.0) * math.pi / (2.0 * order))
-    weights = np.sqrt(np.maximum(1.0 - nodes**2, 0.0))
-
-    t = halfwidth * nodes + midpoint
-    # from rate ~1011 on C*t overflows to inf, where the legitimate CDF is 1
-    with np.errstate(over="ignore"):
-        bob_snr = c * t + (c - 1.0)
-    terms = weights * dist.pdf_snr_eve(t, cfg) * dist.cdf_snr_bob(bob_snr, cfg)
-    # left to right in node order: np.sum and (from Python 3.12) sum() round differently
-    total = 0.0
-    for term in terms.tolist():
-        total += term
-    raw = float((math.pi / order) * halfwidth * total)
-    if LOWER_BOUND_PAS - raw > 1e-3:
-        warnings.warn(
-            "sop_chebyshev fell below the provable floor (2*pi-1)/24, so its "
-            "quadrature error is at least that gap; compare with sop_exact",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-    return _clamped(raw, Method.CHEBYSHEV, order)
+    return _chebyshev_batch((cfg,), order, stacklevel=3)[0]
 
 
 def sop_asymptotic(cfg: SystemConfig) -> SopEstimate:

@@ -6,15 +6,18 @@ else held fixed. Monte Carlo points get independent per-point seeds
 derived from the sweep seed and the point index, so estimates at
 different x values are statistically independent yet fully reproducible
 and worker-count invariant. At one x, ``mc`` and ``mc-fpa`` count their
-outage events over the same trials, drawn once. The high-power
-asymptote depends only on the region side, the height and the rate
-threshold, so a power sweep evaluates it once and repeats that estimate
-at every x value.
+outage events over the same trials, drawn once. The Chebyshev rule runs
+at all x values in one array call of ``sop.sop_chebyshev_batch``, whose
+rows equal per-point ``sop_chebyshev`` calls bit for bit; the exact SOP
+stays one ``sop.sop_exact`` call per point. The high-power asymptote
+depends only on the region side, the height and the rate threshold, so
+a power sweep evaluates it once and repeats that estimate at every x
+value. Each x value's configuration is built once, by ``SweepSpec``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
@@ -58,6 +61,7 @@ class SweepSpec:
     """One sweep: the x axis, its values, the methods, and their settings.
 
     Exact and asymptotic take none: ``sop`` fixes their accuracy bound.
+    ``configs`` holds the configuration at each x value, built once here.
     """
 
     x_axis: Axis
@@ -66,6 +70,7 @@ class SweepSpec:
     methods: tuple[Method, ...]
     mc: McConfig
     chebyshev_order: int = 100
+    configs: tuple[SystemConfig, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if len(self.x_values) == 0:
@@ -79,8 +84,9 @@ class SweepSpec:
             raise ValueError(f"methods must not repeat, got {named}")
         if self.chebyshev_order < 1:
             raise ValueError("chebyshev_order must be >= 1")
-        for x in self.x_values:
-            config_at(self.base, self.x_axis, x)  # raises on an out-of-domain x
+        # config_at raises on an out-of-domain x
+        configs = tuple(config_at(self.base, self.x_axis, x) for x in self.x_values)
+        object.__setattr__(self, "configs", configs)
 
 
 @dataclass(frozen=True)
@@ -128,11 +134,9 @@ def _point_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence((seed, index)).generate_state(1, np.uint64)[0])
 
 
-def _evaluate(method: Method, cfg: SystemConfig, spec: SweepSpec) -> SopEstimate:
+def _evaluate(method: Method, cfg: SystemConfig) -> SopEstimate:
     if method is Method.EXACT:
         return sop_mod.sop_exact(cfg)
-    if method is Method.CHEBYSHEV:
-        return sop_mod.sop_chebyshev(cfg, spec.chebyshev_order)
     if method is Method.ASYMPTOTIC:
         return sop_mod.sop_asymptotic(cfg)
     if method is Method.LOWER_PAS:
@@ -164,25 +168,32 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     Rows come out sorted by (x, method name); output is deterministic
     for a given seed and independent of the worker count. The Monte
     Carlo methods at one x share one pass over that point's draws. The
-    asymptote is evaluated once per distinct (region side, height,
-    rate threshold), the only inputs it reads.
+    Chebyshev rule runs once over all x values, as one array call. The
+    asymptote is evaluated once per distinct (region side, height, rate
+    threshold), the only inputs it reads.
     """
     rows = []
     asymptotes: dict[tuple[float, float, float], SopEstimate] = {}
     mc_methods = [m for m in spec.methods if m in _MC_SYSTEMS]
-    for index, x in enumerate(spec.x_values):
-        cfg = config_at(spec.base, spec.x_axis, x)
+    chebyshev = (
+        sop_mod.sop_chebyshev_batch(spec.configs, spec.chebyshev_order)
+        if Method.CHEBYSHEV in spec.methods
+        else None
+    )
+    for index, (x, cfg) in enumerate(zip(spec.x_values, spec.configs)):
         simulated = _simulate(mc_methods, cfg, spec, index)
         for method in spec.methods:
             if method in simulated:
                 est = simulated[method]
+            elif method is Method.CHEBYSHEV:
+                est = chebyshev[index]
             elif method is Method.ASYMPTOTIC:
                 key = (cfg.region_side, cfg.height, cfg.rate_threshold)
                 if key not in asymptotes:
-                    asymptotes[key] = _evaluate(method, cfg, spec)
+                    asymptotes[key] = _evaluate(method, cfg)
                 est = asymptotes[key]
             else:
-                est = _evaluate(method, cfg, spec)
+                est = _evaluate(method, cfg)
             rows.append(
                 SweepRow(
                     x=x,

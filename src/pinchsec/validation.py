@@ -149,7 +149,7 @@ def _check_distributions(fast: bool, seed: int) -> list[CheckResult]:
         )
     )
 
-    near, mid, far = dist_mod._eve_branches(np.array([b_inner, b_outer]), cfg)
+    near, mid, far = dist_mod._eve_branches(np.array([b_inner, b_outer]), dist_mod._scales(cfg))
     jumps = [
         abs(left - right) / max(abs(left), abs(right), 1e-300)
         for left, right in ((mid[0], near[0]), (far[1], mid[1]))

@@ -267,13 +267,13 @@ class TestSnrEvePdf:
         s, d = cfg10.effective_snr, cfg10.region_side
         b_inner = dist._eve_boundaries(cfg10)[2]
         expected = (s / b_inner**2) * (math.pi - 1.0) / d**2
-        near, mid, _ = dist._eve_branches(b_inner, cfg10)
+        near, mid, _ = dist._eve_branches(b_inner, dist._scales(cfg10))
         assert near == pytest.approx(expected, rel=1e-12)
         assert mid == pytest.approx(expected, rel=1e-12)
 
     def test_continuity_at_both_breakpoints(self, cfg10):
         _, b_outer, b_inner, _ = dist._eve_boundaries(cfg10)
-        near, mid, far = dist._eve_branches(np.array([b_inner, b_outer]), cfg10)
+        near, mid, far = dist._eve_branches(np.array([b_inner, b_outer]), dist._scales(cfg10))
         for a, b in ((mid[0], near[0]), (far[1], mid[1])):
             assert abs(a - b) / max(abs(a), abs(b)) <= 1e-9
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 from scipy.special import roots_legendre
 
+from pinchsec import distributions as dist_mod
 from pinchsec import sop as sop_mod
 from pinchsec import (
     LOWER_BOUND_FPA,
@@ -254,6 +255,59 @@ class TestSopChebyshev:
             warnings.simplefilter("error")
             value = sop_chebyshev(cfg, 100).value
         assert 0.0 < LOWER_BOUND_PAS - value <= 1e-3
+
+
+def chebyshev_by_loop(cfg, order: int) -> float:
+    """The raw Chebyshev sum of one configuration, with a Python loop for the sum."""
+    lo, hi = dist_mod.snr_eve_support(cfg)
+    halfwidth = 0.5 * (hi - lo)
+    n = np.arange(1, order + 1)
+    nodes = np.cos((2.0 * n - 1.0) * math.pi / (2.0 * order))
+    weights = np.sqrt(np.maximum(1.0 - nodes**2, 0.0))
+    t = halfwidth * nodes + 0.5 * (hi + lo)
+    c = cfg.rate_threshold
+    with np.errstate(over="ignore"):
+        bob_snr = c * t + (c - 1.0)
+    terms = weights * dist_mod.pdf_snr_eve(t, cfg) * dist_mod.cdf_snr_bob(bob_snr, cfg)
+    total = 0.0
+    for term in terms.tolist():
+        total += term
+    return (math.pi / order) * halfwidth * total
+
+
+def box_configs(count: int, seed: int) -> list:
+    """Seeded configurations over D 0.1-1000 m, h/D 1e-5 to 10, -60 to 120 dBm, rate 0-30."""
+    rng = np.random.default_rng(seed)
+    configs = []
+    for _ in range(count):
+        d = 10.0 ** rng.uniform(-1.0, 3.0)
+        configs.append(
+            make_config(
+                region_side=d,
+                height=d * 10.0 ** rng.uniform(-5.0, 1.0),
+                power_dbm=rng.uniform(-60.0, 120.0),
+                rate=rng.uniform(0.0, 30.0) if rng.random() < 0.5 else rng.uniform(0.0, 2.0),
+            )
+        )
+    return configs
+
+
+class TestChebyshevBatch:
+    @pytest.mark.parametrize("order", [1, 2, 100, 1000])
+    def test_every_row_equals_the_loop_sum_bit_for_bit(self, order):
+        configs = box_configs(60, seed=20261019)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the floor warning
+            batch = sop_mod.sop_chebyshev_batch(configs, order)
+            single = [sop_chebyshev(cfg, order) for cfg in configs]
+        assert batch == single
+        raws = [est.value if est.raw_value is None else est.raw_value for est in batch]
+        assert raws == [chebyshev_by_loop(cfg, order) for cfg in configs]
+
+    def test_empty_batch_and_bad_order(self):
+        assert sop_mod.sop_chebyshev_batch([]) == []
+        with pytest.raises(ValueError, match="order"):
+            sop_mod.sop_chebyshev_batch([make_config()], 0)
 
 
 class TestSopAsymptotic:

@@ -164,6 +164,74 @@ class TestAsymptoteOncePerSweep:
         assert len({row.sop for row in rows}) == len(values)
 
 
+class TestSpecConfigs:
+    def test_holds_the_config_at_each_x(self):
+        spec = small_spec()
+        assert spec.configs == tuple(config_at(spec.base, spec.x_axis, x) for x in spec.x_values)
+
+    def test_equality_replace_and_repr_ignore_it(self):
+        spec = small_spec()
+        assert spec == small_spec() and hash(spec) == hash(small_spec())
+        assert "configs" not in repr(spec)
+        moved = replace(spec, x_values=(5.0, 10.0))
+        assert moved.configs == tuple(config_at(spec.base, spec.x_axis, x) for x in (5.0, 10.0))
+        assert replace(moved, x_values=spec.x_values) == spec
+
+
+class TestChebyshevOncePerSweep:
+    AXES = [
+        (Axis.POWER_DBM, tuple(range(-60, 121, 20))),
+        (Axis.RATE, (0.0, 0.1, 0.5, 1.0, 2.0, 4.0, 30.0)),
+        (Axis.REGION_SIDE, (0.1, 1.0, 10.0, 100.0, 1000.0)),
+    ]
+
+    def test_one_batched_call_and_no_per_point_call(self, monkeypatch):
+        calls = []
+        batch = sop_mod.sop_chebyshev_batch
+        monkeypatch.setattr(
+            sop_mod, "sop_chebyshev_batch", lambda cfgs, order: calls.append(cfgs) or batch(cfgs, order)
+        )
+        monkeypatch.setattr(sop_mod, "sop_chebyshev", None)  # a per-point call would raise
+        spec = small_spec(methods=(Method.CHEBYSHEV, Method.EXACT))
+        run_sweep(spec)
+        assert calls == [spec.configs]
+
+    @pytest.mark.parametrize("axis, values", AXES)
+    def test_csv_matches_per_point_evaluation(self, axis, values):
+        spec = small_spec(x_axis=axis, x_values=values, methods=(Method.CHEBYSHEV,))
+        expected = []
+        for x in values:
+            est = sop_mod.sop_chebyshev(config_at(spec.base, axis, x))
+            expected.append(SweepRow(x, Method.CHEBYSHEV, est.value, est.stderr, est.order_or_trials))
+        assert run_sweep(spec).to_csv() == SweepResult(tuple(expected)).to_csv()
+
+    def test_warns_once_per_point_below_the_floor(self):
+        # at D/h = 200 the raw sum falls below the floor from 10 dBm on
+        spec = small_spec(
+            x_values=tuple(range(-60, 121, 10)),
+            base=make_config(region_side=100.0, height=0.5),
+            methods=(Method.CHEBYSHEV,),
+        )
+        with warnings.catch_warnings(record=True) as per_point:
+            warnings.simplefilter("always")
+            for cfg in spec.configs:
+                sop_mod.sop_chebyshev(cfg)
+        with warnings.catch_warnings(record=True) as swept:
+            warnings.simplefilter("always")
+            run_sweep(spec)
+        floor = [w for w in per_point if "provable floor" in str(w.message)]
+        assert 0 < len(floor) < len(spec.x_values)
+        assert [(w.category, str(w.message)) for w in swept] == [
+            (w.category, str(w.message)) for w in floor
+        ]
+
+    def test_silent_above_the_floor(self):
+        spec = small_spec(x_values=tuple(range(-60, 121, 10)), methods=(Method.CHEBYSHEV,))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            run_sweep(spec)
+
+
 def count_draw_passes(monkeypatch) -> list:
     """Wrap montecarlo._span_generator so every stream opened is recorded."""
     calls = []
@@ -262,6 +330,39 @@ class TestGoldenExactBytes:
         for axis in (self.POWER, self.RATE):
             assert cli.main(["sweep", *axis, *self.SYSTEM]) == 0
         assert capsys.readouterr().out == EXACT_GOLDEN_CSV.read_text()
+
+
+CHEBYSHEV_GOLDEN_CSV = Path(__file__).parent / "data" / "sweep_chebyshev_golden.csv"
+
+
+class TestGoldenChebyshevBytes:
+    """Chebyshev rows over every axis, pinned byte for byte.
+
+    At D = 10 m, h = 3 m: a power sweep over -60..120 dBm, a rate sweep
+    over 0..30 and a region sweep over 0.1..1000 m; then a power sweep at
+    D = 100 m, h = 0.5 m, whose raw sums fall below the floor from 10 dBm
+    on and warn. Written while each point still took its own
+    ``sop_chebyshev`` call, so the batched rule must round every node,
+    term and sum as that call did.
+    """
+
+    SYSTEM = ["--methods", "chebyshev", "--freq-ghz", "28", "--noise-dbm", "-80"]
+    SWEEPS = [
+        ["--x", "power-dbm", "--x-min", "-60", "--x-max", "120", "--x-step", "10",
+         "--region-side", "10", "--height", "3", "--rate", "0.1"],
+        ["--x", "rate", "--x-values", "0,0.05,0.1,0.25,0.5,0.75,1,1.5,2,2.5,3,4,6,10,20,30",
+         "--region-side", "10", "--height", "3", "--power-dbm", "20"],
+        ["--x", "region", "--x-values", "0.1,0.2,0.5,1,2,5,10,20,50,100,200,500,1000",
+         "--height", "3", "--power-dbm", "20", "--rate", "0.1"],
+        ["--x", "power-dbm", "--x-min", "-60", "--x-max", "120", "--x-step", "10",
+         "--region-side", "100", "--height", "0.5", "--rate", "0.1"],
+    ]
+
+    def test_bytes_match_golden_file(self, capsys):
+        with pytest.warns(RuntimeWarning, match="provable floor"):
+            for sweep in self.SWEEPS:
+                assert cli.main(["sweep", *sweep, *self.SYSTEM]) == 0
+        assert capsys.readouterr().out == CHEBYSHEV_GOLDEN_CSV.read_text()
 
 
 # run in a fresh interpreter that cannot import scipy: prints [exit code,

@@ -183,13 +183,16 @@ def _cdf_offset_sq(t: np.ndarray, d: float) -> np.ndarray:
     # arcsin(D/(2*sqrt(t))) and arccos(D/sqrt(t)) by arctan2, exact near their knots
     root2 = np.sqrt(t2 - a)
     g2 = (2.0 / d2) * (t2 * np.arctan2(0.5 * d, root2) + 0.5 * d * root2) - t2 / d2
-    # third-panel correction vanishes identically for t <= D^2
-    rad = np.maximum(t2 - b, 0.0)
-    x3 = (
-        -(2.0 / d2) * (t2 * np.arctan2(np.sqrt(rad), d) - d * np.sqrt(rad))
+    # the third-panel correction is exactly +0.0 up to D^2, and g2 + 0.0 == g2
+    # bit for bit, so it is added only above D^2
+    m3 = t2 > b
+    t3 = t2[m3]
+    rad = t3 - b
+    g2[m3] += (
+        -(2.0 / d2) * (t3 * np.arctan2(np.sqrt(rad), d) - d * np.sqrt(rad))
         + (4.0 / (3.0 * d2 * d)) * rad**1.5
     )
-    out[m2] = g2 + x3 + 1.0 / 12.0
+    out[m2] = g2 + 1.0 / 12.0
 
     out[t >= 1.25 * d2] = 1.0
     return out

@@ -38,6 +38,36 @@ def sample_offset_sq_oracle(d: float, n: int, seed: int) -> np.ndarray:
     return out
 
 
+def cdf_offset_sq_full_correction(t: np.ndarray, d: float) -> np.ndarray:
+    """The offset CDF kernel with its third-panel correction on every t above D^2/4.
+
+    The correction is exactly +0.0 up to D^2; ``distributions`` adds it
+    only above D^2 and must give the same bits as this form.
+    """
+    d2 = d * d
+    a = 0.25 * d2
+    b = d2
+    out = np.zeros_like(t, dtype=np.float64)
+
+    m1 = (t > 0.0) & (t <= a)
+    t1 = t[m1]
+    out[m1] = math.pi * t1 / d2 - (4.0 / 3.0) * t1**1.5 / (d2 * d)
+
+    m2 = (t > a) & (t < 1.25 * d2)
+    t2 = t[m2]
+    root2 = np.sqrt(t2 - a)
+    g2 = (2.0 / d2) * (t2 * np.arctan2(0.5 * d, root2) + 0.5 * d * root2) - t2 / d2
+    rad = np.maximum(t2 - b, 0.0)
+    x3 = (
+        -(2.0 / d2) * (t2 * np.arctan2(np.sqrt(rad), d) - d * np.sqrt(rad))
+        + (4.0 / (3.0 * d2 * d)) * rad**1.5
+    )
+    out[m2] = g2 + x3 + 1.0 / 12.0
+
+    out[t >= 1.25 * d2] = 1.0
+    return out
+
+
 class TestSnrBobCdf:
     def test_support_endpoints_exact(self, cfg10):
         lo, hi = dist.snr_bob_support(cfg10)
@@ -181,6 +211,22 @@ class TestOffsetSqCdf:
                 at = cdf_offset_sq(knot, cfg)
                 for side in (-math.inf, math.inf):
                     assert abs(cdf_offset_sq(math.nextafter(knot, side), cfg) - at) <= 1e-13
+
+    @pytest.mark.parametrize("d", [0.1, 1.0, 7.123456, 10.0, 33.3, 1000.0])
+    def test_kernel_matches_the_full_correction_form(self, d):
+        d2 = d * d
+        rng = np.random.default_rng(19)
+        inner = np.array([0.25 * d2, d2])
+        ts = np.concatenate(
+            [
+                rng.uniform(-0.1 * d2, 1.4 * d2, 200_000),
+                [0.0, 0.25 * d2, d2, 1.25 * d2, math.inf],
+                np.nextafter(inner, -np.inf),
+                np.nextafter(inner, np.inf),
+            ]
+        )
+        ours = dist._cdf_offset_sq(ts, d)
+        assert np.array_equal(ours, cdf_offset_sq_full_correction(ts, d))
 
     def test_quadrature_one_ulp_beside_every_knot(self):
         # t one ulp past a knot leaves a one-ulp panel, on which an adaptive

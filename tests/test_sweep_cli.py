@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -468,6 +469,55 @@ class TestChecksWithoutScipyStats:
 
     def test_fast_checks_load_no_scipy_stats_or_integrate(self):
         assert run_fresh(STATS_MODULES_RUN) == []
+
+
+CHUNK = validation._KS_CHUNK
+
+
+class TestChunkedKs:
+    """The KS step walks the sorted sample chunk by chunk.
+
+    It gives the same floats as ``kstest`` on the whole sample, and makes
+    no temporary as long as the sample.
+    """
+
+    @pytest.mark.parametrize(
+        "n", [1, 5, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5, 1_000_000]
+    )
+    def test_matches_scipy_kstest_across_chunk_boundaries(self, n, cfg10):
+        samples = mc_mod.sample_offset_sq(cfg10, McConfig(n, 12356))
+
+        def cdf(t):
+            return dist_mod.cdf_offset_sq(t, cfg10)
+
+        d, p = validation._ks_test(samples.copy(), cdf)
+        res = stats.kstest(samples, cdf, method="asymp")
+        assert d == res.statistic
+        assert p == res.pvalue
+
+    @pytest.mark.parametrize("k", [0, CHUNK - 1, CHUNK, 3 * CHUNK + 4])
+    @pytest.mark.parametrize("shift", [-0.3, 0.3])
+    def test_finds_a_deviation_planted_at_a_chunk_edge(self, k, shift):
+        # every other point sits 0.5/n from its ranks; the planted one 0.8/n
+        n = 3 * CHUNK + 5
+        samples = (np.arange(n) + 0.5) / n
+        samples[k] += shift / n
+        d, p = validation._ks_test(samples.copy(), lambda t: t)
+        res = stats.kstest(samples, lambda t: t, method="asymp")
+        assert (d, p) == (res.statistic, res.pvalue)
+        assert d == pytest.approx(0.8 / n, rel=1e-9)
+
+    def test_peak_memory_is_below_one_more_sample(self, cfg10):
+        # numpy reports its buffers to tracemalloc; the whole-sample form
+        # peaked at about four times the sample's own 8 MB
+        samples = mc_mod.sample_offset_sq(cfg10, McConfig(1_000_000, 12356))
+        tracemalloc.start()
+        try:
+            validation._ks_test(samples, lambda t: dist_mod.cdf_offset_sq(t, cfg10))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < samples.nbytes
 
 
 class TestDumpDistribution:

@@ -18,7 +18,8 @@ Every closed form is one masked numpy kernel: it takes a scalar, and
 returns a Python float, or an array of any shape, and returns an array
 of that shape. A kernel evaluates each branch only on inputs inside the
 branch's domain, masked or clamped into it, so none divides by zero or
-takes the root of a negative number. The SNR kernels read their scalars
+takes the root of a negative number, and a branch that owns none of the
+inputs is not evaluated at all. The SNR kernels read their scalars
 from ``_Scales``: Python floats of one configuration, or (B, 1) columns
 of B configurations that broadcast against a (B, N) grid, row by row.
 
@@ -167,44 +168,57 @@ def _cdf_offset_sq(t: np.ndarray, d: float) -> np.ndarray:
     """Vectorized closed-form CDF of the squared horizontal offset.
 
     Piecewise antiderivative of the convolution density; the panel
-    constants telescope so the value is exactly 1 at 5*D^2/4.
+    constants telescope so the value is exactly 1 at 5*D^2/4. Each
+    branch runs only on the inputs it owns, and not at all when it owns
+    none, which is common in the exact SOP's integrand.
     """
     d2 = d * d
     a = 0.25 * d2
     b = d2
-    out = np.zeros_like(t, dtype=np.float64)
+    out = np.zeros(t.shape)
 
     m1 = (t > 0.0) & (t <= a)
-    t1 = t[m1]
-    out[m1] = math.pi * t1 / d2 - (4.0 / 3.0) * t1**1.5 / (d2 * d)
+    if m1.any():
+        t1 = t[m1]
+        out[m1] = math.pi * t1 / d2 - (4.0 / 3.0) * t1**1.5 / (d2 * d)
 
     m2 = (t > a) & (t < 1.25 * d2)
-    t2 = t[m2]
-    # arcsin(D/(2*sqrt(t))) and arccos(D/sqrt(t)) by arctan2, exact near their knots
-    root2 = np.sqrt(t2 - a)
-    g2 = (2.0 / d2) * (t2 * np.arctan2(0.5 * d, root2) + 0.5 * d * root2) - t2 / d2
-    # the third-panel correction is exactly +0.0 up to D^2, and g2 + 0.0 == g2
-    # bit for bit, so it is added only above D^2
-    m3 = t2 > b
-    t3 = t2[m3]
-    rad = t3 - b
-    g2[m3] += (
-        -(2.0 / d2) * (t3 * np.arctan2(np.sqrt(rad), d) - d * np.sqrt(rad))
-        + (4.0 / (3.0 * d2 * d)) * rad**1.5
-    )
-    out[m2] = g2 + 1.0 / 12.0
+    if m2.any():
+        t2 = t[m2]
+        # arcsin(D/(2*sqrt(t))) and arccos(D/sqrt(t)) by arctan2, exact near their knots
+        root2 = np.sqrt(t2 - a)
+        g2 = (2.0 / d2) * (t2 * np.arctan2(0.5 * d, root2) + 0.5 * d * root2) - t2 / d2
+        # the third-panel correction is exactly +0.0 up to D^2, and g2 + 0.0 == g2
+        # bit for bit, so it is added only above D^2
+        m3 = t2 > b
+        if m3.any():
+            t3 = t2[m3]
+            rad = t3 - b
+            root3 = np.sqrt(rad)
+            g2[m3] += (
+                -(2.0 / d2) * (t3 * np.arctan2(root3, d) - d * root3)
+                + (4.0 / (3.0 * d2 * d)) * rad**1.5
+            )
+        out[m2] = g2 + 1.0 / 12.0
 
     out[t >= 1.25 * d2] = 1.0
     return out
 
 
+def _not_nan(t) -> np.ndarray:
+    arr = np.asarray(t, dtype=np.float64)
+    if np.isnan(arr).any():
+        raise ValueError("squared offset threshold must not be nan")
+    return arr
+
+
 def cdf_offset_sq(t, cfg: SystemConfig):
     """CDF of the squared horizontal offset, closed form.
 
-    Total on the reals: 0 for t <= 0 and 1 for t >= 5*D^2/4. Validated
-    against :func:`cdf_offset_sq_quadrature` to 1e-8.
+    Total on the reals: 0 for t <= 0 and 1 for t >= 5*D^2/4; nan is a
+    ValueError. Validated against :func:`cdf_offset_sq_quadrature` to 1e-8.
     """
-    return _elementwise(_cdf_offset_sq, t, cfg.region_side)
+    return _elementwise(_cdf_offset_sq, _not_nan(t), cfg.region_side)
 
 
 def _cdf_offset_sq_panels(t: np.ndarray, cfg: SystemConfig) -> np.ndarray:
@@ -225,9 +239,9 @@ def cdf_offset_sq_quadrature(t, cfg: SystemConfig):
     edges, by the exact SOP's Gauss-Legendre rule
     (:func:`pinchsec.sop._panel_quadrature`), all t in one call; no
     panel is too narrow for it, down to one ulp. Independent route used
-    to validate the closed form.
+    to validate the closed form. nan is a ValueError.
     """
-    return _elementwise(_cdf_offset_sq_panels, t, cfg)
+    return _elementwise(_cdf_offset_sq_panels, _not_nan(t), cfg)
 
 
 # ---------------------------------------------------------------------------

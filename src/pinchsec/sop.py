@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -190,7 +191,7 @@ def _panel_quadrature(f, edges):
     their distances to the order-64 ones, and the number of evaluations.
     """
     edges = np.asarray(edges, dtype=np.float64)
-    widths = np.diff(edges)
+    widths = edges[..., 1:] - edges[..., :-1]
     x = edges[..., :-1, None] + widths[..., None] * _NODES
     parts = (f(x) * widths[..., None] * _WEIGHTS).sum(axis=-2)
     coarse = parts[..., :_BASE_ORDER].sum(axis=-1)
@@ -232,10 +233,10 @@ def _outage_integral(cfg: SystemConfig, snr: float) -> tuple[float, int]:
 
     def outage(y: np.ndarray) -> np.ndarray:
         y2 = y * y
-        a = y2 + h2
-        den = 1.0 - (c - 1.0) * (a / snr)
+        v = (y2 + h2) / snr
+        den = 1.0 - (c - 1.0) * v
         # den > 0 before the last crossing up to rounding; t is infinite past its pole
-        t = np.divide(c * y2 + k * (1.0 + a / snr), den, out=np.full_like(a, np.inf), where=den > 0)
+        t = np.divide(c * y2 + k * (1.0 + v), den, out=np.full_like(v, np.inf), where=den > 0)
         return dist._cdf_offset_sq(t, cfg.region_side)
 
     fine, error, evaluations = _panel_quadrature(outage, sorted({0.0, *crossings}))
@@ -278,10 +279,18 @@ def _chebyshev_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+def _checked_order(order, name: str = "order") -> int:
+    """``order`` as an int >= 1; a float or a bool is a TypeError."""
+    if isinstance(order, bool) or not isinstance(order, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {order!r}")
+    if order < 1:
+        raise ValueError(f"{name} must be >= 1, got {order}")
+    return int(order)
+
+
 def _chebyshev_batch(cfgs, order: int, stacklevel: int) -> list[SopEstimate]:
     """The rule at each of ``cfgs``; a floor warning points ``stacklevel`` frames up."""
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
+    order = _checked_order(order)
     nodes, weights = _chebyshev_rule(order)
     rows = [(cfg.rate_threshold, *dist._scales(cfg)) for cfg in cfgs]
     if not rows:

@@ -62,6 +62,8 @@ class SweepSpec:
 
     Exact and asymptotic take none: ``sop`` fixes their accuracy bound.
     ``configs`` holds the configuration at each x value, built once here.
+    ``chebyshev_order`` is an integer >= 1 (a numpy integer is stored as
+    an int); a float or a bool is a TypeError.
     """
 
     x_axis: Axis
@@ -82,8 +84,8 @@ class SweepSpec:
         if len(set(self.methods)) < len(self.methods):
             named = ",".join(m.value for m in self.methods)
             raise ValueError(f"methods must not repeat, got {named}")
-        if self.chebyshev_order < 1:
-            raise ValueError("chebyshev_order must be >= 1")
+        order = sop_mod._checked_order(self.chebyshev_order, "chebyshev_order")
+        object.__setattr__(self, "chebyshev_order", order)
         # config_at raises on an out-of-domain x
         configs = tuple(config_at(self.base, self.x_axis, x) for x in self.x_values)
         object.__setattr__(self, "configs", configs)

@@ -227,6 +227,18 @@ class TestOffsetSqCdf:
         )
         ours = dist._cdf_offset_sq(ts, d)
         assert np.array_equal(ours, cdf_offset_sq_full_correction(ts, d))
+        # inputs that leave one or more branches empty, which the kernel skips
+        for part in (
+            np.linspace(-0.1 * d2, 0.25 * d2, 1001),  # all t <= D^2/4
+            np.linspace(0.25 * d2, d2, 1001)[1:],  # all t in (D^2/4, D^2]
+            np.linspace(d2, 1.4 * d2, 1001)[1:],  # all t > D^2
+            np.array([math.inf]),
+            np.linspace(0.0, 1.4 * d2, 384).reshape(2, 192),
+            np.empty((0, 192)),
+        ):
+            ours = dist._cdf_offset_sq(part, d)
+            assert ours.shape == part.shape
+            assert np.array_equal(ours, cdf_offset_sq_full_correction(part, d))
 
     def test_quadrature_one_ulp_beside_every_knot(self):
         # t one ulp past a knot leaves a one-ulp panel, on which an adaptive
@@ -285,6 +297,10 @@ class TestOffsetSqCdf:
             if func is pdf_offset_sq:
                 with pytest.raises(ValueError, match="squared offset"):
                     func(np.array([1.0, -1e-9]), cfg10)
+            if func in (cdf_offset_sq, cdf_offset_sq_quadrature):
+                for bad in (math.nan, np.array([lo, math.nan, hi])):
+                    with pytest.raises(ValueError, match="must not be nan"):
+                        func(bad, cfg10)
 
     def test_quarter_point_against_mc_oracle(self, cfg10):
         # empirical CDF at D^2/4 from 10^7 independent samples

@@ -309,6 +309,103 @@ class TestChebyshevBatch:
         with pytest.raises(ValueError, match="order"):
             sop_mod.sop_chebyshev_batch([make_config()], 0)
 
+    @pytest.mark.parametrize("order", [2.5, 100.7, 100.0, True, False])
+    def test_rejects_a_non_integer_order(self, order):
+        # int(2.5) would run a plausible order-2 rule; True would run order 1
+        with pytest.raises(TypeError, match="order must be an integer"):
+            sop_chebyshev(make_config(), order)
+        with pytest.raises(TypeError, match="order must be an integer"):
+            sop_mod.sop_chebyshev_batch([make_config()], order)
+
+    def test_numpy_integer_order_gives_the_int_order(self):
+        est = sop_chebyshev(make_config(), np.int64(100))
+        assert type(est.order_or_trials) is int
+        assert est == sop_chebyshev(make_config(), 100)
+
+
+def cdf_offset_sq_masked(t: np.ndarray, d: float) -> np.ndarray:
+    """The offset CDF kernel as it ran every branch's numpy ops on every call.
+
+    Frozen; ``distributions._cdf_offset_sq`` skips a branch that owns no
+    input and must give the same bits as this form.
+    """
+    d2 = d * d
+    a = 0.25 * d2
+    b = d2
+    out = np.zeros_like(t, dtype=np.float64)
+
+    m1 = (t > 0.0) & (t <= a)
+    t1 = t[m1]
+    out[m1] = math.pi * t1 / d2 - (4.0 / 3.0) * t1**1.5 / (d2 * d)
+
+    m2 = (t > a) & (t < 1.25 * d2)
+    t2 = t[m2]
+    root2 = np.sqrt(t2 - a)
+    g2 = (2.0 / d2) * (t2 * np.arctan2(0.5 * d, root2) + 0.5 * d * root2) - t2 / d2
+    m3 = t2 > b
+    t3 = t2[m3]
+    rad = t3 - b
+    g2[m3] += (
+        -(2.0 / d2) * (t3 * np.arctan2(np.sqrt(rad), d) - d * np.sqrt(rad))
+        + (4.0 / (3.0 * d2 * d)) * rad**1.5
+    )
+    out[m2] = g2 + 1.0 / 12.0
+
+    out[t >= 1.25 * d2] = 1.0
+    return out
+
+
+def outage_integral_frozen(cfg, snr: float) -> tuple[float, int]:
+    """``sop._outage_integral`` as it was before its per-call path was trimmed.
+
+    Frozen with its panel rule (widths by ``np.diff``) and its kernel
+    (:func:`cdf_offset_sq_masked`); the library must give the same value
+    and evaluation count bit for bit.
+    """
+    h2 = cfg.height**2
+    c = cfg.rate_threshold
+    half = cfg.half_side
+    k = (c - 1.0) * h2
+    crossings = []
+    for w in dist_mod.offset_sq_knots(cfg)[1:]:
+        v = (w + h2) / snr
+        y2 = (w - k * (1.0 + v)) / (c + (c - 1.0) * v)
+        crossings.append(min(math.sqrt(y2), half) if y2 > 0.0 else 0.0)
+
+    def outage(y):
+        y2 = y * y
+        a = y2 + h2
+        den = 1.0 - (c - 1.0) * (a / snr)
+        t = np.divide(c * y2 + k * (1.0 + a / snr), den, out=np.full_like(a, np.inf), where=den > 0)
+        return cdf_offset_sq_masked(t, cfg.region_side)
+
+    edges = np.asarray(sorted({0.0, *crossings}), dtype=np.float64)
+    widths = np.diff(edges)
+    x = edges[..., :-1, None] + widths[..., None] * sop_mod._NODES
+    parts = (outage(x) * widths[..., None] * sop_mod._WEIGHTS).sum(axis=-2)
+    fine = parts[..., sop_mod._BASE_ORDER:].sum(axis=-1)
+    coarse = parts[..., : sop_mod._BASE_ORDER].sum(axis=-1)
+    assert float(np.abs(fine - coarse)) / half <= sop_mod._ERROR_BOUND
+    return (float(fine) + (half - crossings[-1])) / half, x.size
+
+
+class TestTrimmedExactPath:
+    @pytest.mark.parametrize("evaluate,at_infinity", [(sop_exact, False), (sop_asymptotic, True)])
+    def test_equals_the_frozen_integral_bit_for_bit(self, evaluate, at_infinity):
+        configs = box_configs(600, seed=20261020) + [
+            make_config(region_side=d, power_dbm=float(p), rate=r)
+            for d in (5.0, 10.0, 30.0, 100.0)
+            for r in (0.0, 0.1, 1.0)
+            for p in range(-60, 125, 5)
+        ]
+        for cfg in configs:
+            value, evaluations = outage_integral_frozen(
+                cfg, math.inf if at_infinity else cfg.effective_snr
+            )
+            est = evaluate(cfg)
+            assert (est.value if est.raw_value is None else est.raw_value) == value, cfg
+            assert est.order_or_trials == evaluations, cfg
+
 
 class TestSopAsymptotic:
     def test_independent_of_transmit_power(self):

@@ -69,6 +69,14 @@ class TestSweepSpec:
         with pytest.raises(ValueError, match="chebyshev_order"):
             small_spec(chebyshev_order=0)
 
+    @pytest.mark.parametrize("order", [2.5, 100.7, 64.0, True, "64"])
+    def test_rejects_a_non_integer_order(self, order):
+        with pytest.raises(TypeError, match="chebyshev_order must be an integer"):
+            small_spec(chebyshev_order=order)
+
+    def test_stores_a_numpy_integer_order_as_int(self):
+        assert type(small_spec(chebyshev_order=np.int64(64)).chebyshev_order) is int
+
 
 class TestRunSweep:
     def test_row_structure(self):
@@ -837,7 +845,8 @@ CORRUPTIONS = {
         sop_mod, "sop_lower_bound_pas", lambda f: lambda: replace(f(), value=0.25),
         "_check_bound_constants", ["lower-bound-pas-constant", "lower-bound-pas-integral"]),
     "chebyshev-shifted": (
-        sop_mod, "sop_chebyshev", lambda f: lambda *a: replace(f(*a), value=f(*a).value + 2e-3),
+        sop_mod, "sop_chebyshev_batch",
+        lambda f: lambda *a: [replace(est, value=est.value + 2e-3) for est in f(*a)],
         "_check_sop_agreement", ["chebyshev-vs-exact"]),
     "eve-pdf-scaled": (
         dist_mod, "pdf_snr_eve", lambda f: lambda z, c: 1.01 * f(z, c),

@@ -253,8 +253,8 @@ def _cmd_dist(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    # imported here: the check suite loads scipy.special, which sweep and
-    # dist never need
+    # imported here, so that sweep and dist never load the check suite and
+    # CLI start-up stays flat
     from .validation import check_seed, run_checks
 
     seed = _resolve_seed({} if args.seed is None else {"seed": args.seed})

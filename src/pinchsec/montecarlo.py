@@ -174,8 +174,13 @@ def simulate_sops(cfg: SystemConfig, mc: McConfig, systems: Sequence[str]) -> tu
     ``"pas"`` is the pinching-antenna system, ``"fpa"`` the fixed-position
     baseline. Each estimate equals the one-system call with the same
     ``mc``; the systems are drawn once, so their estimates use common
-    random numbers.
+    random numbers. No systems give ``()`` without drawing; a name that
+    is not one of these, or a bare string, is a ValueError.
     """
+    if isinstance(systems, str) or not all(s in _OUTAGES for s in systems):
+        raise ValueError(f"systems must be a sequence of 'pas' and 'fpa', got {systems!r}")
+    if not systems:
+        return ()
     return _count_events(cfg, mc, [_OUTAGES[s] for s in systems])
 
 

@@ -11,16 +11,18 @@ outage. ``fast`` (1e4 trials, thinned grids) and ``full``
 
 Checks call the library through module attributes so a corrupted
 implementation (or a deliberately monkeypatched one) is caught rather
-than masked.
+than masked. The suite runs on numpy alone: the two laws its tests
+need, Kolmogorov's for the KS p-value and the chi-square quantile for
+the critical value, are computed here with :mod:`math`.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy import special
 
 from . import distributions as dist_mod
 from . import montecarlo as mc_mod
@@ -177,6 +179,120 @@ def _check_distributions(fast: bool, seed: int) -> list[CheckResult]:
 # Monte Carlo's chunk length: each chunk's temporaries stay in cache
 _KS_CHUNK = 1 << 14
 
+# up to this x, exp(-pi^2 / (8 x^2)) is under DBL_MIN and the law's survival
+# function rounds to 1
+_KOLMOGOROV_ONE = math.pi / math.sqrt(-8.0 * math.log(sys.float_info.min))
+_KOLMOGOROV_CUTOVER = 0.82
+
+
+def _kolmogorov_sf(x: float) -> float:
+    """The Kolmogorov law's survival function, ``scipy.special.kolmogorov``.
+
+    A port of scipy's algorithm (after Marsaglia, Tsang & Wang, J. Stat.
+    Softw. 8(18), 2003) in its order of operations, so it returns the same
+    floats: up to the cutover, 1 minus the theta series of the CDF,
+    w u (1 + u^8 + u^24 + u^48) with u = exp(-pi^2 / (8 x^2)) and
+    w = sqrt(2 pi) / x; above it, the alternating series
+    2 (v - v^4 + v^9 - v^16) with v = exp(-2 x^2). scipy switches to
+    logarithms when u underflows to 0, which no x above
+    ``_KOLMOGOROV_ONE`` reaches.
+    """
+    if x <= _KOLMOGOROV_ONE:
+        return 1.0
+    if x <= _KOLMOGOROV_CUTOVER:
+        w = math.sqrt(2.0 * math.pi) / x
+        logu8 = -math.pi * math.pi / (x * x)
+        u = math.exp(logu8 / 8.0)
+        u8 = math.exp(logu8)
+        cdf = 1.0 + u8**3
+        cdf = 1.0 + u8 * u8 * cdf
+        cdf = 1.0 + u8 * cdf
+        sf = 1.0 - w * u * cdf
+    else:
+        v = math.exp(-2.0 * x * x)
+        vsq = v * v
+        v3 = v**3
+        sf = 1.0 - v3 * v3 * v
+        sf = 1.0 - v3 * vsq * sf
+        sf = 1.0 - v3 * sf
+        sf = 2.0 * v * sf
+    return min(max(sf, 0.0), 1.0)
+
+
+_EPS = sys.float_info.epsilon
+_TINY = sys.float_info.min / _EPS
+
+
+def _gamma_pq(a: float, x: float) -> tuple[float, float]:
+    """The regularized incomplete gamma functions (P, Q) at a > 0, x >= 0.
+
+    Numerical Recipes, 3rd ed., section 6.2: the series of P below
+    x = a + 1, the continued fraction of Q (modified Lentz) above it. The
+    one computed is accurate to a few ulps; the other is 1 minus it.
+    """
+    if x <= 0.0:
+        return 0.0, 1.0
+    front = math.exp(a * math.log(x) - x - math.lgamma(a))
+    if x < a + 1.0:
+        term = total = 1.0 / a
+        n = a
+        while term > total * _EPS:
+            n += 1.0
+            term *= x / n
+            total += term
+        p = front * total
+        return p, 1.0 - p
+    b = x + 1.0 - a
+    c = 1.0 / _TINY
+    d = h = 1.0 / b
+    i = 0
+    while True:
+        i += 1
+        an = -i * (i - a)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) >= _TINY else _TINY)
+        c = b + an / c
+        if abs(c) < _TINY:
+            c = _TINY
+        h *= d * c
+        if abs(d * c - 1.0) <= _EPS:
+            q = front * h
+            return 1.0 - q, q
+
+
+def _chi2_isf(dof: float, p: float) -> float:
+    """The x at which the chi-square law with ``dof`` degrees has tail mass ``p``.
+
+    ``scipy.special.chdtri``: solves Q(dof/2, x/2) = p by bisection down
+    to adjacent floats. For p > 1/2 it solves P = 1 - p instead, which is
+    exact, so the lower tail keeps its precision too. Each evaluation
+    sums O(sqrt(dof)) terms, about 0.5 ms a call at dof 200.
+    """
+    if not (dof >= 1.0 and math.isfinite(dof)):
+        raise ValueError(f"dof must be finite and >= 1, got {dof!r}")
+    if not 0.0 < p < 1.0:
+        raise ValueError(f"p must be in (0, 1), got {p!r}")
+    a = 0.5 * dof
+    upper = p <= 0.5
+    target = p if upper else 1.0 - p
+
+    def below_root(t: float) -> bool:
+        lower_mass, upper_mass = _gamma_pq(a, t)
+        return upper_mass > target if upper else lower_mass < target
+
+    lo, hi = 0.0, max(1.0, a)
+    while below_root(hi):
+        lo, hi = hi, 2.0 * hi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return 2.0 * hi
+        if below_root(mid):
+            lo = mid
+        else:
+            hi = mid
+
 
 def _ks_test(samples: np.ndarray, cdf) -> tuple[float, float]:
     """Two-sided KS statistic of ``samples``, sorted in place, against ``cdf``.
@@ -194,7 +310,7 @@ def _ks_test(samples: np.ndarray, cdf) -> tuple[float, float]:
         f = cdf(samples[lo:hi])
         ranks = np.arange(lo, hi + 1) / n
         d = max(d, float((ranks[1:] - f).max()), float((f - ranks[:-1]).max()))
-    return d, float(special.kolmogorov(math.sqrt(n) * d))
+    return d, _kolmogorov_sf(math.sqrt(n) * d)
 
 
 def _check_sampler_fit(fast: bool, seed: int) -> list[CheckResult]:
@@ -248,7 +364,8 @@ def _check_sampler_fit(fast: bool, seed: int) -> list[CheckResult]:
     exp_arr *= obs_arr.sum() / exp_arr.sum()
     chi2_stat = float(np.sum((obs_arr - exp_arr) ** 2 / exp_arr))
     dof = len(obs_arr) - 1
-    critical = float(special.chdtri(dof, 0.01))
+    # a CDF so wrong that fewer than two bins survive fails, as scipy's nan did
+    critical = _chi2_isf(dof, 0.01) if dof >= 1 else math.nan
     results.append(
         CheckResult(
             "eve-sampler-chi2",

@@ -199,6 +199,28 @@ class TestReusedDrawBuffer:
         assert simulate_sops(cfg30, mc, ("pas",)) == (pas,)
 
 
+class TestSimulateSopsSystems:
+    """``simulate_sops`` checks its system names before drawing anything."""
+
+    @pytest.fixture
+    def no_draws(self, monkeypatch):
+        monkeypatch.setattr(mc_mod, "_span_generator", None)  # drawing would raise
+
+    @pytest.mark.parametrize("systems", [["pas", "bogus"], ["PAS"], ("fpa", None)])
+    def test_unknown_name_is_value_error(self, cfg10, no_draws, systems):
+        with pytest.raises(ValueError, match="'pas' and 'fpa'"):
+            simulate_sops(cfg10, McConfig(1000, 1), systems)
+
+    @pytest.mark.parametrize("systems", ["pas", "fpa", ""])
+    def test_bare_string_is_value_error(self, cfg10, no_draws, systems):
+        with pytest.raises(ValueError, match="'pas' and 'fpa'"):
+            simulate_sops(cfg10, McConfig(1000, 1), systems)
+
+    @pytest.mark.parametrize("systems", [[], ()])
+    def test_no_systems_draw_nothing(self, cfg10, no_draws, systems):
+        assert simulate_sops(cfg10, McConfig(2_000_000, 1), systems) == ()
+
+
 class TestChunkSizeInvariance:
     """The chunk size is a cache setting: no count or sample depends on it."""
 

@@ -12,16 +12,24 @@ into one span per worker and each span into chunks of at most 2^14
 trials, in order on the calling thread, so ``workers`` is a
 partitioning hint only. A span opens the seed's stream at its first
 trial and draws its chunks from it in order, into one buffer allocated
-once per call: the (chunk, 4) uniforms, 512 KiB at the full chunk size,
-mapped to coordinates in place. The chunk size sets cache use, never an
-answer: that buffer and the 128 KiB column temporaries of the event
-kernels fit a 2 MiB per-core L2 cache, where the 4 MiB buffer and 1 MiB
-temporaries of 2^17-trial chunks do not. Two loops walk the chunks:
-the event counter hands each kernel the columns x1, y1, x2, y2, and
-:func:`sample_offset_sq` collects the squared offsets, of which
-:func:`sample_snr_eve` is the SNR map. One pass over the draws can count
-several events, so the pinching and fixed-position outages of one
-configuration share their trials (:func:`simulate_sops`).
+once per call: the (chunk, 4) uniforms, mapped to coordinates in place.
+Two loops walk the chunks: the event counter hands each kernel the
+columns x1, y1, x2, y2, and :func:`sample_offset_sq` collects the
+squared offsets, of which :func:`sample_snr_eve` is the SNR map. One
+pass over the draws can count several events, so the pinching and
+fixed-position outages of one configuration share their trials
+(:func:`simulate_sops`).
+
+No chunk allocates. The event kernels evaluate in place, in a workspace
+of three float columns and one bool column allocated once per call,
+through the ``out=`` arguments of the SNR formulas; they keep the
+formulas' operations in their order, so every count is the one the
+out-of-place expressions give. The draw buffer and the workspace start
+on 64-byte boundaries, so the cost does not depend on where the
+allocator puts them: even with glibc's mmap threshold fixed at 64 KiB,
+a 1e6-trial two-system call takes about 200 minor page faults. The
+chunk size sets cache use, never an answer: at 2^14 trials the 512 KiB
+buffer and the 400 KiB workspace fit a 2 MiB per-core L2 cache.
 """
 
 from __future__ import annotations
@@ -47,9 +55,11 @@ __all__ = [
 ]
 
 _DRAWS_PER_TRIAL = 4  # trial t owns draws 4t..4t+3 of the seed's stream
-# trials per chunk; both systems over 1e6 trials on 2 vCPUs take a median
-# 46.2 ns/trial at 2^14, against 49.9 at 2^13, 50.0 at 2^15, 71.2 at 2^17
+# trials per chunk; both systems over 1e6 trials on 2 vCPUs (Xeon, PCG64DXSM,
+# in-place workspace) take a median 39.3 ns/trial at 2^14, against 43.7 at
+# 2^13 and 45.9 at 2^15, each neighbour faster in at most 3 of 10 pairs
 _CHUNK_TRIALS = 1 << 14
+_ALIGNMENT = 64  # bytes: a cache line, and the widest SIMD load
 
 
 @dataclass(frozen=True)
@@ -98,6 +108,14 @@ def _span_generator(seed: int, start: int) -> np.random.Generator:
     return np.random.Generator(bits)
 
 
+def _aligned(shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    """An uninitialised array whose data starts on a 64-byte boundary."""
+    nbytes = math.prod(shape) * np.dtype(dtype).itemsize
+    raw = np.empty(nbytes + _ALIGNMENT, dtype=np.uint8)
+    skip = -raw.ctypes.data % _ALIGNMENT
+    return raw[skip : skip + nbytes].view(dtype).reshape(shape)
+
+
 def _chunks(mc: McConfig, side: float) -> Iterator[tuple[int, int, np.ndarray]]:
     """Yield (start, stop, coords) for each chunk of trials, in trial order.
 
@@ -105,10 +123,10 @@ def _chunks(mc: McConfig, side: float) -> Iterator[tuple[int, int, np.ndarray]]:
     trials are cut into one span per worker; each span opens the seed's
     stream at its first trial and fills its chunks from it in order: a
     chunk takes four draws per trial, so the next one starts at its
-    first trial's draws. Every chunk is drawn into one buffer allocated
-    per call, so it is only valid until the next chunk is drawn.
+    first trial's draws. Every chunk is drawn into one aligned buffer
+    allocated per call, so it is only valid until the next chunk is drawn.
     """
-    buffer = np.empty((min(mc.trials, _CHUNK_TRIALS), _DRAWS_PER_TRIAL))
+    buffer = _aligned((min(mc.trials, _CHUNK_TRIALS), _DRAWS_PER_TRIAL))
     width = math.ceil(mc.trials / mc.workers)
     for lo in range(0, mc.trials, width):
         hi = min(lo + width, mc.trials)
@@ -121,18 +139,35 @@ def _chunks(mc: McConfig, side: float) -> Iterator[tuple[int, int, np.ndarray]]:
             yield start, stop, coords
 
 
-_Kernel = Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray, SystemConfig], np.ndarray]
+# three float columns and one bool column, one row per trial of a chunk
+_Workspace = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+# an event kernel takes a chunk's columns x1, y1, x2, y2, the system and
+# the workspace, and returns the workspace's bool column holding its event
+_Kernel = Callable[
+    [np.ndarray, np.ndarray, np.ndarray, np.ndarray, SystemConfig, _Workspace], np.ndarray
+]
+
+
+def _workspace(size: int) -> _Workspace:
+    """The event kernels' columns for chunks of up to ``size`` trials, aligned."""
+    return (_aligned((size,)), _aligned((size,)), _aligned((size,)), _aligned((size,), bool))
 
 
 def _count_events(
     cfg: SystemConfig, mc: McConfig, events: Sequence[_Kernel]
 ) -> tuple[McResult, ...]:
-    """Estimate the probability of every event in one pass over the draws."""
+    """Estimate the probability of every event in one pass over the draws.
+
+    The workspace is allocated once per call, and every kernel of every
+    chunk overwrites it.
+    """
+    workspace = _workspace(min(mc.trials, _CHUNK_TRIALS))
     counts = [0] * len(events)
-    for _, _, coords in _chunks(mc, cfg.region_side):
+    for start, stop, coords in _chunks(mc, cfg.region_side):
+        work = tuple(column[: stop - start] for column in workspace)
         x1, y1, x2, y2 = coords.T
         for i, event in enumerate(events):
-            counts[i] += int(np.count_nonzero(event(x1, y1, x2, y2, cfg)))
+            counts[i] += int(np.count_nonzero(event(x1, y1, x2, y2, cfg, work)))
     results = []
     for total in counts:
         estimate = total / mc.trials
@@ -141,28 +176,46 @@ def _count_events(
     return tuple(results)
 
 
-def _outage(gb: np.ndarray, ge: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+def _outage(gb: np.ndarray, ge: np.ndarray, cfg: SystemConfig, mask: np.ndarray) -> np.ndarray:
     """The outage event (1 + snr_bob) <= C * (1 + snr_eve), as gb - C*ge <= C - 1.
 
     Adding 1 to an SNR far below 1 rounds it away; this form keeps it,
     so at rate 0 the event stays snr_bob <= snr_eve however small both are.
+    Evaluated in place: ``ge`` and ``gb`` are overwritten, ``mask`` returned.
     """
     c = cfg.rate_threshold
     # from rate ~1011 on C*ge overflows to inf: an outage, as it should be
     with np.errstate(over="ignore"):
-        return gb - c * ge <= c - 1.0
+        np.multiply(c, ge, out=ge)
+    np.subtract(gb, ge, out=gb)
+    return np.less_equal(gb, c - 1.0, out=mask)
 
 
-def _outage_pas(x1, y1, x2, y2, cfg: SystemConfig) -> np.ndarray:
-    return _outage(snr_bob_pinching(y1, cfg), snr_eve_pinching(x1, x2, y2, cfg), cfg)
+def _outage_pas(x1, y1, x2, y2, cfg: SystemConfig, work: _Workspace) -> np.ndarray:
+    gb, ge, scratch, mask = work
+    snr_bob_pinching(y1, cfg, out=gb)
+    snr_eve_pinching(x1, x2, y2, cfg, out=ge, scratch=scratch)
+    return _outage(gb, ge, cfg, mask)
 
 
-def _outage_fpa(x1, y1, x2, y2, cfg: SystemConfig) -> np.ndarray:
-    return _outage(snr_fpa(x1, y1, cfg), snr_fpa(x2, y2, cfg), cfg)
+def _outage_fpa(x1, y1, x2, y2, cfg: SystemConfig, work: _Workspace) -> np.ndarray:
+    gb, ge, scratch, mask = work
+    snr_fpa(x1, y1, cfg, out=gb, scratch=scratch)
+    snr_fpa(x2, y2, cfg, out=ge, scratch=scratch)
+    return _outage(gb, ge, cfg, mask)
 
 
-def _bound_event(x1, y1, x2, y2, cfg: SystemConfig) -> np.ndarray:
-    return (x1 - x2) ** 2 + y2**2 <= y1**2
+def _offset_sq(x1, x2, y2, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """(x1 - x2)^2 + y2^2 into ``out``, with y2^2 in ``scratch``."""
+    np.subtract(x1, x2, out=out)
+    np.square(out, out=out)
+    return np.add(out, np.square(y2, out=scratch), out=out)
+
+
+def _bound_event(x1, y1, x2, y2, cfg: SystemConfig, work: _Workspace) -> np.ndarray:
+    offset, scratch, _, mask = work
+    _offset_sq(x1, x2, y2, offset, scratch)
+    return np.less_equal(offset, np.square(y1, out=scratch), out=mask)
 
 
 _OUTAGES = {"pas": _outage_pas, "fpa": _outage_fpa}
@@ -213,9 +266,10 @@ def simulate_lower_bound_event(cfg: SystemConfig, mc: McConfig) -> McResult:
 def sample_offset_sq(cfg: SystemConfig, mc: McConfig) -> np.ndarray:
     """Per-trial squared horizontal offset samples, in trial order."""
     out = np.empty(mc.trials, dtype=np.float64)
+    scratch = _aligned((min(mc.trials, _CHUNK_TRIALS),))
     for start, stop, coords in _chunks(mc, cfg.region_side):
         x1, _, x2, y2 = coords.T
-        out[start:stop] = (x1 - x2) ** 2 + y2**2
+        _offset_sq(x1, x2, y2, out[start:stop], scratch[: stop - start])
     return out
 
 

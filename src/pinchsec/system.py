@@ -18,6 +18,8 @@ import math
 import sys
 from dataclasses import dataclass, field
 
+import numpy as np
+
 SPEED_OF_LIGHT = 299_792_458.0  # m/s
 
 # (field, lower bound, bound is strict) for every numeric SystemConfig input
@@ -150,28 +152,40 @@ class SystemConfig:
         return self.region_side / 2.0
 
 
-def snr_bob_pinching(y1, cfg: SystemConfig):
+def snr_bob_pinching(y1, cfg: SystemConfig, out=None):
     """SNR of the legitimate receiver with the antenna activated at its x.
 
     gamma_B = effective_snr / (y1^2 + h^2). Independent of x1 because the
     activation point tracks the receiver along the waveguide. Accepts
-    scalars or numpy arrays.
+    scalars or numpy arrays; like a numpy ufunc, it writes into ``out``
+    (a float array of the result's shape) and returns it when given, and
+    allocates the result when not.
     """
-    return cfg.effective_snr / (y1**2 + cfg.height**2)
+    denominator = np.square(y1, out=out)
+    denominator = np.add(denominator, cfg.height**2, out=out)
+    return np.divide(cfg.effective_snr, denominator, out=out)
 
 
-def snr_eve_pinching(x1, x2, y2, cfg: SystemConfig):
+def snr_eve_pinching(x1, x2, y2, cfg: SystemConfig, out=None, *, scratch=None):
     """SNR of the eavesdropper under the activation-at-x1 rule.
 
-    gamma_E = effective_snr / ((x1 - x2)^2 + y2^2 + h^2). Accepts scalars
-    or numpy arrays.
+    gamma_E = effective_snr / ((x1 - x2)^2 + y2^2 + h^2): the
+    fixed-position formula :func:`snr_fpa` at the offset (x1 - x2, y2).
+    ``out`` and ``scratch`` are as there.
     """
-    return cfg.effective_snr / ((x1 - x2) ** 2 + y2**2 + cfg.height**2)
+    return snr_fpa(np.subtract(x1, x2, out=out), y2, cfg, out, scratch=scratch)
 
 
-def snr_fpa(x, y, cfg: SystemConfig):
+def snr_fpa(x, y, cfg: SystemConfig, out=None, *, scratch=None):
     """SNR under the fixed-position baseline, antenna at (0, 0, h).
 
     Same formula for both receivers: effective_snr / (x^2 + y^2 + h^2).
+    Accepts scalars or numpy arrays. Like a numpy ufunc, it writes into
+    ``out`` and returns it when given; ``scratch``, a second array of the
+    result's shape, then holds y^2, so the call makes no temporary. Each
+    one left out is allocated.
     """
-    return cfg.effective_snr / (x**2 + y**2 + cfg.height**2)
+    denominator = np.square(x, out=out)
+    denominator = np.add(denominator, np.square(y, out=scratch), out=out)
+    denominator = np.add(denominator, cfg.height**2, out=out)
+    return np.divide(cfg.effective_snr, denominator, out=out)

@@ -9,6 +9,17 @@ goodness of fit, pinching-vs-fixed ordering, determinism and saturated
 outage. ``fast`` (1e4 trials, thinned grids) and ``full``
 (acceptance-grade counts) return the same check names in the same order.
 
+Six checks are statistical, so they fail on correct code at a designed
+rate. At the fast level (1e4 trials or samples) the rates are:
+``lower-bound-event-mc`` 0.54% (two estimates, each within 3 sigma);
+``offset-sampler-ks`` and ``eve-sampler-chi2`` 1% each (tests at the 1%
+level); ``mc-vs-chebyshev`` 3.2% (12 points, each within max(3 sigma,
+0.01), where 3 sigma is at least 0.012); ``pas-floor-on-grid`` and
+``pas-beats-fpa-ordering`` below 1e-8 (every margin is above 6 sigma).
+About one fast run in eighteen fails one of them. At the full level
+the 0.01 floor is above 6 sigma for ``mc-vs-chebyshev``, and the suite
+fails about one run in forty, by its three other tests.
+
 Checks call the library through module attributes so a corrupted
 implementation (or a deliberately monkeypatched one) is caught rather
 than masked. The suite runs on numpy alone: the two laws its tests

@@ -1,5 +1,9 @@
 import math
+import os
+import subprocess
+import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -140,23 +144,38 @@ def reference_coordinates(cfg, trials=KERNEL_TRIALS, seed=KERNEL_SEED):
 
 
 def reference_events(cfg):
-    """The pinching outage, fixed-position outage and bound events, per trial."""
+    """The pinching outage, fixed-position outage and bound events, per trial.
+
+    Written out of place, one expression per SNR, in the operations and
+    order of the event kernels; the outage is gb - C*ge <= C - 1.
+    """
     x1, y1, x2, y2 = reference_coordinates(cfg)
-    pas = 1.0 + snr_bob_pinching(y1, cfg) <= cfg.rate_threshold * (
-        1.0 + snr_eve_pinching(x1, x2, y2, cfg)
-    )
-    fpa = 1.0 + snr_fpa(x1, y1, cfg) <= cfg.rate_threshold * (1.0 + snr_fpa(x2, y2, cfg))
+    s, h2, c = cfg.effective_snr, cfg.height**2, cfg.rate_threshold
+    bob = s / (y1**2 + h2)
+    eve = s / ((x1 - x2) ** 2 + y2**2 + h2)
+    fpa1, fpa2 = s / (x1**2 + y1**2 + h2), s / (x2**2 + y2**2 + h2)
+    with np.errstate(over="ignore"):
+        pas = bob - c * eve <= c - 1.0
+        fpa = fpa1 - c * fpa2 <= c - 1.0
     bound = (x1 - x2) ** 2 + y2**2 <= y1**2
     return {mc_mod._outage_pas: pas, mc_mod._outage_fpa: fpa, mc_mod._bound_event: bound}
 
 
 class TestReusedDrawBuffer:
-    """Chunks drawn into one reused buffer reproduce an unchunked draw bit for bit."""
+    """Chunks drawn into one reused buffer, and events evaluated in one
+    reused workspace, reproduce an unchunked out-of-place evaluation bit
+    for bit."""
 
     CONFIGS = [
         dict(),
         dict(region_side=30.0, power_dbm=20.0, rate=1.0),
         dict(region_side=100.0, height=1.0, power_dbm=40.0, rate=2.0),
+        # SNRs of order 1e-6: 1 + snr keeps only about ten of their digits
+        dict(power_dbm=-60.0, rate=0.0),
+        # SNRs of order 1e-15: 1 + snr keeps about one
+        dict(power_dbm=-150.0, rate=0.0),
+        # C = 2^1020, so C*ge overflows to inf inside the in-place multiply
+        dict(rate=1020.0),
     ]
 
     @pytest.mark.parametrize("overrides", CONFIGS)
@@ -165,10 +184,16 @@ class TestReusedDrawBuffer:
         coords = np.column_stack(reference_coordinates(cfg))
         expected = reference_events(cfg)
         mc = McConfig(KERNEL_TRIALS, KERNEL_SEED)
+        workspace = mc_mod._workspace(mc_mod._CHUNK_TRIALS)
+        assert all(column.ctypes.data % 64 == 0 for column in workspace)
         for start, stop, chunk in mc_mod._chunks(mc, cfg.region_side):
+            assert chunk.ctypes.data % 64 == 0
             assert np.array_equal(chunk, coords[start:stop])
+            work = tuple(column[: stop - start] for column in workspace)
             for event, mask in expected.items():
-                assert np.array_equal(event(*chunk.T, cfg), mask[start:stop]), event.__name__
+                got = event(*chunk.T, cfg, work)
+                assert got is work[3], event.__name__
+                assert np.array_equal(got, mask[start:stop]), event.__name__
         assert stop == KERNEL_TRIALS
 
     @pytest.mark.parametrize("workers", [1, 3])
@@ -197,6 +222,39 @@ class TestReusedDrawBuffer:
         assert simulate_sops(cfg30, mc, ("pas", "fpa")) == (pas, fpa)
         assert simulate_sops(cfg30, mc, ("fpa", "pas")) == (fpa, pas)
         assert simulate_sops(cfg30, mc, ("pas",)) == (pas,)
+
+
+# minor page faults per 1e6-trial two-system call, in a fresh process
+FAULTS_PER_CALL = """
+import resource, sys
+sys.path.insert(0, sys.argv[1])
+from pinchsec import McConfig, simulate_sops
+from pinchsec.validation import reference_config
+cfg, mc, calls = reference_config(), McConfig(1_000_000, 1), 3
+simulate_sops(cfg, mc, ["pas", "fpa"])
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(calls):
+    simulate_sops(cfg, mc, ["pas", "fpa"])
+print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / calls)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="glibc malloc settings")
+class TestHeapIndependence:
+    """Monte Carlo allocates per call, not per chunk, so its cost does not
+    hang on where the allocator puts chunk-sized temporaries."""
+
+    def test_minor_faults_per_call_with_a_low_mmap_threshold(self):
+        # a fixed 64 KiB threshold maps every 128 KiB chunk temporary afresh,
+        # 32 faults each: one per chunk alone would pass 1000 (62 chunks),
+        # where the per-call buffers cost about 200
+        src = str(Path(mc_mod.__file__).parents[1])
+        env = {**os.environ, "MALLOC_MMAP_THRESHOLD_": "65536"}
+        done = subprocess.run(
+            [sys.executable, "-c", FAULTS_PER_CALL, src], capture_output=True, text=True, env=env
+        )
+        assert done.returncode == 0, done.stderr
+        assert float(done.stdout) <= 1000
 
 
 class TestSimulateSopsSystems:

@@ -161,6 +161,34 @@ class TestSnrFormulas:
         assert out.shape == (3,)
         assert out[0] == snr_bob_pinching(0.0, cfg10)
 
+
+# each formula with its coordinate arguments
+SNR_CALLS = [(snr_bob_pinching, 1), (snr_eve_pinching, 3), (snr_fpa, 2)]
+
+
+class TestSnrOut:
+    """``out=`` (and ``scratch=``) evaluate the same formula in place."""
+
+    @pytest.mark.parametrize("formula,arity", SNR_CALLS)
+    @pytest.mark.parametrize("overrides", [dict(), dict(power_dbm=-150.0), dict(region_side=1e3)])
+    def test_out_is_returned_and_bitwise_equal(self, formula, arity, overrides):
+        cfg = make_config(**overrides)
+        half = cfg.half_side
+        # strided columns, like the Monte Carlo draw buffer's
+        coords = np.random.default_rng(3).uniform(-half, half, (1000, 4))[:, :arity].T
+        expected = formula(*coords, cfg)
+        buf = np.full(1000, np.nan)
+        extra = {} if formula is snr_bob_pinching else {"scratch": np.empty(1000)}
+        assert formula(*coords, cfg, out=buf, **extra) is buf
+        assert np.array_equal(buf, expected)
+        assert expected.tobytes() == buf.tobytes()
+
+    @pytest.mark.parametrize("formula,arity", SNR_CALLS)
+    def test_scalar_input_returns_a_float(self, formula, arity, cfg10):
+        value = formula(*[1.5] * arity, cfg10)
+        assert isinstance(value, float) and np.ndim(value) == 0
+        assert value == formula(*[np.array([1.5])] * arity, cfg10)[0]
+
     @given(st.floats(-5.0, 5.0), st.floats(0.25, 4.0))
     def test_linear_in_transmit_power(self, y1, k):
         cfg = make_config()

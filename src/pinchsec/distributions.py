@@ -164,6 +164,30 @@ def pdf_offset_sq(w, cfg: SystemConfig):
     return _elementwise(_pdf_offset_sq, arr, cfg.region_side)
 
 
+# The offset CDF's three branches: near on (0, D^2/4]; mid + 1/12 on
+# (D^2/4, D^2]; mid + far + 1/12 on (D^2, 5*D^2/4), where far is the
+# correction of the third panel. Each takes the t of its own branch only.
+
+
+def _near(t: np.ndarray, d: float) -> np.ndarray:
+    d2 = d * d
+    return math.pi * t / d2 - (4.0 / 3.0) * t**1.5 / (d2 * d)
+
+
+def _mid(t: np.ndarray, d: float) -> np.ndarray:
+    d2 = d * d
+    # arcsin(D/(2*sqrt(t))) and arccos(D/sqrt(t)) by arctan2, exact near their knots
+    root = np.sqrt(t - 0.25 * d2)
+    return (2.0 / d2) * (t * np.arctan2(0.5 * d, root) + 0.5 * d * root) - t / d2
+
+
+def _far(t: np.ndarray, d: float) -> np.ndarray:
+    d2 = d * d
+    rad = t - d2
+    root = np.sqrt(rad)
+    return -(2.0 / d2) * (t * np.arctan2(root, d) - d * root) + (4.0 / (3.0 * d2 * d)) * rad**1.5
+
+
 def _cdf_offset_sq(t: np.ndarray, d: float) -> np.ndarray:
     """Vectorized closed-form CDF of the squared horizontal offset.
 
@@ -173,35 +197,51 @@ def _cdf_offset_sq(t: np.ndarray, d: float) -> np.ndarray:
     none, which is common in the exact SOP's integrand.
     """
     d2 = d * d
-    a = 0.25 * d2
-    b = d2
     out = np.zeros(t.shape)
 
-    m1 = (t > 0.0) & (t <= a)
+    m1 = (t > 0.0) & (t <= 0.25 * d2)
     if m1.any():
-        t1 = t[m1]
-        out[m1] = math.pi * t1 / d2 - (4.0 / 3.0) * t1**1.5 / (d2 * d)
+        out[m1] = _near(t[m1], d)
 
-    m2 = (t > a) & (t < 1.25 * d2)
+    m2 = (t > 0.25 * d2) & (t < 1.25 * d2)
     if m2.any():
         t2 = t[m2]
-        # arcsin(D/(2*sqrt(t))) and arccos(D/sqrt(t)) by arctan2, exact near their knots
-        root2 = np.sqrt(t2 - a)
-        g2 = (2.0 / d2) * (t2 * np.arctan2(0.5 * d, root2) + 0.5 * d * root2) - t2 / d2
-        # the third-panel correction is exactly +0.0 up to D^2, and g2 + 0.0 == g2
+        g2 = _mid(t2, d)
+        # the far correction is exactly +0.0 up to D^2, and g2 + 0.0 == g2
         # bit for bit, so it is added only above D^2
-        m3 = t2 > b
+        m3 = t2 > d2
         if m3.any():
-            t3 = t2[m3]
-            rad = t3 - b
-            root3 = np.sqrt(rad)
-            g2[m3] += (
-                -(2.0 / d2) * (t3 * np.arctan2(root3, d) - d * root3)
-                + (4.0 / (3.0 * d2 * d)) * rad**1.5
-            )
+            g2[m3] += _far(t2[m3], d)
         out[m2] = g2 + 1.0 / 12.0
 
     out[t >= 1.25 * d2] = 1.0
+    return out
+
+
+def _cdf_offset_sq_rows(t: np.ndarray, d: float, branches) -> np.ndarray:
+    """:func:`_cdf_offset_sq` on a (k, n) array whose row i should lie in branch ``branches[i]``.
+
+    Branches 0, 1 and 2 are near, mid and far. A row whose least and
+    greatest t lie inside its branch takes that branch's closed form on
+    its contiguous slice, with no mask, gather or scatter; any other row
+    takes the masked kernel. Either way every value equals
+    :func:`_cdf_offset_sq` bit for bit.
+    """
+    d2 = d * d
+    # each branch's (lo, hi], the far one open at 5*D^2/4
+    bounds = ((0.0, 0.25 * d2), (0.25 * d2, d2), (d2, math.nextafter(1.25 * d2, 0.0)))
+    out = np.empty(t.shape)
+    rows = zip(t, out, t.min(axis=-1).tolist(), t.max(axis=-1).tolist(), branches)
+    for row, row_out, least, greatest, branch in rows:
+        lo, hi = bounds[branch]
+        if not lo < least <= greatest <= hi:
+            row_out[...] = _cdf_offset_sq(row, d)
+        elif branch == 0:
+            row_out[...] = _near(row, d)
+        elif branch == 1:
+            np.add(_mid(row, d), 1.0 / 12.0, out=row_out)
+        else:
+            np.add(_mid(row, d) + _far(row, d), 1.0 / 12.0, out=row_out)
     return out
 
 

@@ -208,9 +208,12 @@ def _outage_integral(cfg: SystemConfig, snr: float) -> tuple[float, int]:
     number near it, so t = y^2 exactly at C = 1 however far h exceeds y;
     ``snr = math.inf`` gives the high-power limit t = C*y^2 + (C-1)*h^2.
     t rises with y, so past the y where it reaches 5*D^2/4 the integrand
-    is exactly 1 and that tail is added in closed form. The rest is split
-    where t crosses D^2/4 and D^2 and integrated by
-    :func:`_panel_quadrature`.
+    is exactly 1 and that tail is added in closed form; when that y is 0
+    the outage is certain and the result is exactly 1, with no
+    evaluation. The rest is split where t crosses D^2/4 and D^2 and
+    integrated by :func:`_panel_quadrature`. Each panel's t lies in one
+    branch of the offset CDF, whose closed form it takes with no masks
+    (see :func:`pinchsec.distributions._cdf_offset_sq_rows`).
 
     Returns the mean over y in [0, D/2] by the order-128 rule and the
     number of CDF evaluations. Raises :class:`AccuracyError` when its
@@ -231,15 +234,23 @@ def _outage_integral(cfg: SystemConfig, snr: float) -> tuple[float, int]:
         y2 = (w - k * (1.0 + v)) / (c + (c - 1.0) * v)
         crossings.append(min(math.sqrt(y2), half) if y2 > 0.0 else 0.0)
 
+    edges = sorted({0.0, *crossings})
+    if len(edges) == 1:
+        # certain outage: t reaches 5*D^2/4 at y = 0, so no panel has width
+        return 1.0, 0
+    # the panel that ends at the crossing of D^2/4, D^2 or 5*D^2/4 lies in
+    # the offset CDF's near, mid or far branch
+    branches = [crossings.index(edge) for edge in edges[1:]]
+
     def outage(y: np.ndarray) -> np.ndarray:
         y2 = y * y
         v = (y2 + h2) / snr
         den = 1.0 - (c - 1.0) * v
         # den > 0 before the last crossing up to rounding; t is infinite past its pole
         t = np.divide(c * y2 + k * (1.0 + v), den, out=np.full_like(v, np.inf), where=den > 0)
-        return dist._cdf_offset_sq(t, cfg.region_side)
+        return dist._cdf_offset_sq_rows(t, cfg.region_side, branches)
 
-    fine, error, evaluations = _panel_quadrature(outage, sorted({0.0, *crossings}))
+    fine, error, evaluations = _panel_quadrature(outage, edges)
     value = (float(fine) + (half - crossings[-1])) / half
     error = float(error) / half
     if error > _ERROR_BOUND:

@@ -406,6 +406,43 @@ class TestTrimmedExactPath:
             assert (est.value if est.raw_value is None else est.raw_value) == value, cfg
             assert est.order_or_trials == evaluations, cfg
 
+    @pytest.mark.parametrize("evaluate,at_infinity", [(sop_exact, False), (sop_asymptotic, True)])
+    def test_a_panel_outside_its_branch_takes_the_masked_kernel(
+        self, monkeypatch, evaluate, at_infinity
+    ):
+        cfg = make_config(power_dbm=0.0, rate=1.0)
+        masked = dist_mod._cdf_offset_sq
+        calls = []
+
+        def counting(t, d):
+            calls.append(t.shape)
+            return masked(t, d)
+
+        monkeypatch.setattr(dist_mod, "_cdf_offset_sq", counting)
+        evaluate(cfg)
+        assert calls == []  # every panel lies inside its branch
+        # D^2/4 reported 1e-6 high moves its crossing, so the last nodes of
+        # the first panel pass D^2/4 and that panel alone falls back
+        knots = dist_mod.offset_sq_knots
+        monkeypatch.setattr(
+            dist_mod, "offset_sq_knots", lambda c: (0.0, knots(c)[1] * (1.0 + 1e-6), *knots(c)[2:])
+        )
+        value, evaluations = outage_integral_frozen(
+            cfg, math.inf if at_infinity else cfg.effective_snr
+        )
+        est = evaluate(cfg)
+        assert (est.value, est.order_or_trials) == (value, evaluations)
+        assert len(calls) == 1
+
+    def test_certain_outage_runs_no_quadrature(self, monkeypatch):
+        cfg = make_config(power_dbm=-30.0, rate=12.0)
+        for name in ("_cdf_offset_sq", "_cdf_offset_sq_rows"):
+            monkeypatch.setattr(dist_mod, name, None)
+        monkeypatch.setattr(sop_mod, "_panel_quadrature", None)
+        for evaluate in (sop_exact, sop_asymptotic):
+            est = evaluate(cfg)
+            assert (est.value, est.order_or_trials, est.raw_value) == (1.0, 0, None)
+
 
 class TestSopAsymptotic:
     def test_independent_of_transmit_power(self):

@@ -276,7 +276,7 @@ def cdf_offset_sq_quadrature(t, cfg: SystemConfig):
     """CDF of the squared horizontal offset by quadrature of its density.
 
     Integrates the density panel by panel, with the breakpoints as panel
-    edges, by the exact SOP's Gauss-Legendre rule
+    edges, by the exact SOP's nested Clenshaw-Curtis rule
     (:func:`pinchsec.sop._panel_quadrature`), all t in one call; no
     panel is too narrow for it, down to one ulp. Independent route used
     to validate the closed form. nan is a ValueError.

@@ -240,6 +240,28 @@ class TestOffsetSqCdf:
             assert ours.shape == part.shape
             assert np.array_equal(ours, cdf_offset_sq_full_correction(part, d))
 
+    @pytest.mark.parametrize("d", [0.3, 7.123456, 10.0, 1000.0])
+    def test_rows_take_the_branch_the_masked_kernel_chooses(self, d):
+        # a row inside its branch takes that closed form; a row with one t
+        # outside it (a knot, a neighbour of one, 0, 5D^2/4 or the inf of a
+        # pole) takes the masked kernel; both equal it bit for bit. At
+        # D = 0.3 and 10 the far form reads 1 -/+ 1 ulp at 5D^2/4, where
+        # the CDF is exactly 1
+        d2 = d * d
+        knots = np.array([0.0, 0.25 * d2, d2, 1.25 * d2])
+        stray = np.concatenate(
+            [knots, np.nextafter(knots, -np.inf), np.nextafter(knots, np.inf), [math.inf]]
+        )
+        interiors = [np.linspace(lo, hi, 129)[1:-1] for lo, hi in zip(knots[:-1], knots[1:])]
+        rows = np.array(
+            [row.copy() for row in interiors]
+            + [np.concatenate(([t], row[1:])) for row in interiors for t in stray]
+        )
+        expected = dist._cdf_offset_sq(rows, d)
+        for branch in range(3):
+            ours = dist._cdf_offset_sq_rows(rows, d, [branch] * len(rows))
+            assert np.array_equal(ours, expected), branch
+
     def test_quadrature_one_ulp_beside_every_knot(self):
         # t one ulp past a knot leaves a one-ulp panel, on which an adaptive
         # rule can fail; the fixed rule must not

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
-from scipy.special import roots_legendre
 
 from pinchsec import distributions as dist_mod
 from pinchsec import sop as sop_mod
@@ -92,18 +91,34 @@ class TestLowerBounds:
         assert abs(p - 0.5) <= 3.0 * sigma
 
 
-class TestFrozenRule:
-    def test_nodes_equal_the_scipy_rule(self):
-        # the smoothstep-composed rules as built from roots_legendre before
-        # its nodes were frozen; any change to a table literal shows here
-        def rule(order):
-            x, w = roots_legendre(order)
-            u = 0.5 * (x + 1.0)
-            return u * u * (3.0 - 2.0 * u), 3.0 * u * (1.0 - u) * w
+class TestNestedRule:
+    """The nested Clenshaw-Curtis pair behind every integral of the package."""
 
-        nodes, weights = map(np.concatenate, zip(rule(64), rule(128)))
-        assert np.array_equal(sop_mod._NODES, nodes)
-        assert np.array_equal(sop_mod._WEIGHTS, weights)
+    @pytest.mark.parametrize("n", [128, 64])
+    def test_integrates_every_polynomial_up_to_its_degree(self, n):
+        # before the smoothstep map, on [-1, 1], end nodes included
+        x, w = sop_mod._clenshaw_curtis(n)
+        for m in range(n + 1):
+            exact = 2.0 / (m + 1) if m % 2 == 0 else 0.0
+            assert math.fsum(w * x**m) == pytest.approx(exact, abs=4e-16), m
+
+    def test_coarse_nodes_are_every_other_fine_node(self):
+        fine, _ = sop_mod._clenshaw_curtis(128)
+        coarse, _ = sop_mod._clenshaw_curtis(64)
+        assert np.array_equal(coarse, fine[::2])
+        nodes, weights = sop_mod._smoothstep_rule(64)
+        assert np.array_equal(nodes, sop_mod._NODES[1::2])
+        assert np.array_equal(weights, sop_mod._COARSE_WEIGHTS)
+        assert sop_mod._NODES.shape == (127,)
+
+    def test_each_weight_row_sums_to_one(self):
+        # the dropped end nodes -1 and 1 map to u = 0 and 1, where the weight is 0
+        x, _ = sop_mod._clenshaw_curtis(128)
+        assert (x[0], x[-1]) == (-1.0, 1.0)
+        # on [0, 1] the smoothstep's slope 6u(1-u) integrates to 1
+        for weights in (sop_mod._WEIGHTS, sop_mod._COARSE_WEIGHTS):
+            assert math.fsum(weights) == pytest.approx(1.0, abs=2e-16)
+            assert (weights > 0.0).all()
 
 
 class TestSopExact:
@@ -134,14 +149,22 @@ class TestSopExact:
         assert abs(values[-2] - values[-1]) <= 1e-3
 
     @pytest.mark.parametrize("evaluate", [sop_exact, sop_asymptotic])
-    def test_unreachable_tolerance_raises_with_estimate(self, cfg10, monkeypatch, evaluate):
-        # both evaluators share the one bound; no rule meets an absurdly small one
-        reference = evaluate(cfg10).value
+    def test_unreachable_tolerance_raises_with_estimate(self, monkeypatch, evaluate):
+        # both evaluators share the one bound; a positive error estimate
+        # (1.1e-12 exact, 7.1e-17 asymptotic here) fails an absurdly small one
+        cfg = make_config(region_side=100.0, height=0.01, power_dbm=-20.0, rate=1.0)
+        reference = evaluate(cfg).value
         monkeypatch.setattr(sop_mod, "_ERROR_BOUND", 1e-300)
         with pytest.raises(AccuracyError) as err:
-            evaluate(cfg10)
-        assert err.value.estimate == pytest.approx(reference, abs=1e-6)
+            evaluate(cfg)
+        assert err.value.estimate == reference
         assert 0.0 < err.value.error_estimate <= 1e-8
+
+    @pytest.mark.parametrize("evaluate", [sop_exact, sop_asymptotic])
+    def test_an_error_estimate_of_zero_never_raises(self, monkeypatch, evaluate):
+        # at rate 0 both rules give the same sum bit for bit, and the bound is strict
+        monkeypatch.setattr(sop_mod, "_ERROR_BOUND", 0.0)
+        assert evaluate(make_config(rate=0.0)).value == pytest.approx(LOWER_BOUND_PAS, abs=1e-12)
 
     @pytest.mark.parametrize(
         "region_side,height,seed",
@@ -356,11 +379,12 @@ def cdf_offset_sq_masked(t: np.ndarray, d: float) -> np.ndarray:
 
 
 def outage_integral_frozen(cfg, snr: float) -> tuple[float, int]:
-    """``sop._outage_integral`` as it was before its per-call path was trimmed.
+    """``sop._outage_integral`` on the masked kernel, with no certain-outage exit.
 
-    Frozen with its panel rule (widths by ``np.diff``) and its kernel
-    (:func:`cdf_offset_sq_masked`); the library must give the same value
-    and evaluation count bit for bit.
+    Frozen with its panel rule on the library's nested nodes (widths by
+    ``np.diff``) and its kernel (:func:`cdf_offset_sq_masked`); the
+    library, which evaluates each panel in one branch and skips certain
+    outage, must give the same value and evaluation count bit for bit.
     """
     h2 = cfg.height**2
     c = cfg.rate_threshold
@@ -382,9 +406,9 @@ def outage_integral_frozen(cfg, snr: float) -> tuple[float, int]:
     edges = np.asarray(sorted({0.0, *crossings}), dtype=np.float64)
     widths = np.diff(edges)
     x = edges[..., :-1, None] + widths[..., None] * sop_mod._NODES
-    parts = (outage(x) * widths[..., None] * sop_mod._WEIGHTS).sum(axis=-2)
-    fine = parts[..., sop_mod._BASE_ORDER:].sum(axis=-1)
-    coarse = parts[..., : sop_mod._BASE_ORDER].sum(axis=-1)
+    parts = (outage(x) * widths[..., None]).sum(axis=-2)
+    fine = (parts * sop_mod._WEIGHTS).sum(axis=-1)
+    coarse = (parts[..., 1::2] * sop_mod._COARSE_WEIGHTS).sum(axis=-1)
     assert float(np.abs(fine - coarse)) / half <= sop_mod._ERROR_BOUND
     return (float(fine) + (half - crossings[-1])) / half, x.size
 

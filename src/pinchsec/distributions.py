@@ -164,14 +164,12 @@ def pdf_offset_sq(w, cfg: SystemConfig):
     return _elementwise(_pdf_offset_sq, arr, cfg.region_side)
 
 
-# The offset CDF's three branches: near on (0, D^2/4]; mid + 1/12 on
-# (D^2/4, D^2]; mid + far + 1/12 on (D^2, 5*D^2/4), where far is the
-# correction of the third panel. Each takes the t of its own branch only.
+# The offset CDF is near(t) on (0, D^2/4], mid(t) + 1/12 on (D^2/4, D^2]
+# and mid(t) + far(t) + 1/12 on (D^2, 5*D^2/4); each takes only its own t.
 
 
 def _near(t: np.ndarray, d: float) -> np.ndarray:
-    d2 = d * d
-    return math.pi * t / d2 - (4.0 / 3.0) * t**1.5 / (d2 * d)
+    return math.pi * t / (d * d) - (4.0 / 3.0) * t**1.5 / (d * d * d)
 
 
 def _mid(t: np.ndarray, d: float) -> np.ndarray:
@@ -219,13 +217,11 @@ def _cdf_offset_sq(t: np.ndarray, d: float) -> np.ndarray:
 
 
 def _cdf_offset_sq_rows(t: np.ndarray, d: float, branches) -> np.ndarray:
-    """:func:`_cdf_offset_sq` on a (k, n) array whose row i should lie in branch ``branches[i]``.
+    """:func:`_cdf_offset_sq`, bit for bit, of (k, n) t whose row i should lie in ``branches[i]``.
 
     Branches 0, 1 and 2 are near, mid and far. A row whose least and
-    greatest t lie inside its branch takes that branch's closed form on
-    its contiguous slice, with no mask, gather or scatter; any other row
-    takes the masked kernel. Either way every value equals
-    :func:`_cdf_offset_sq` bit for bit.
+    greatest t lie in its branch takes that form on its contiguous slice,
+    with no mask, gather or scatter; any other row the masked kernel.
     """
     d2 = d * d
     # each branch's (lo, hi], the far one open at 5*D^2/4
@@ -238,10 +234,9 @@ def _cdf_offset_sq_rows(t: np.ndarray, d: float, branches) -> np.ndarray:
             row_out[...] = _cdf_offset_sq(row, d)
         elif branch == 0:
             row_out[...] = _near(row, d)
-        elif branch == 1:
-            np.add(_mid(row, d), 1.0 / 12.0, out=row_out)
         else:
-            np.add(_mid(row, d) + _far(row, d), 1.0 / 12.0, out=row_out)
+            g = _mid(row, d)
+            np.add(g if branch == 1 else g + _far(row, d), 1.0 / 12.0, out=row_out)
     return out
 
 

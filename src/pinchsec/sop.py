@@ -4,13 +4,11 @@ The outage event is log2(1+snr_bob) - log2(1+snr_eve) <= target_rate,
 equivalently (1 + snr_bob) <= C * (1 + snr_eve) with C = 2^target_rate.
 Given the legitimate receiver's cross-track offset y, uniform on
 [0, D/2], the outage is the closed-form offset CDF at one threshold, so
-the exact SOP is a one-dimensional integral over y on fixed panels,
-each evaluated in one branch of that CDF by a nested Clenshaw-Curtis
-rule; when the outage is certain at y = 0 no panel is left and nothing
-is evaluated. The high-power asymptote (a constant in transmit power)
-is the same integral at infinite SNR. Also provided are the
-paper's Chebyshev rule over the eavesdropper-SNR density and the two
-parameter-free lower bounds.
+the exact SOP is a one-dimensional integral over y on fixed panels
+under a nested Clenshaw-Curtis rule. The high-power asymptote (a
+constant in transmit power) is the same integral at infinite SNR. Also
+provided are the paper's Chebyshev rule over the eavesdropper-SNR
+density and the two parameter-free lower bounds.
 """
 
 from __future__ import annotations
@@ -102,27 +100,22 @@ class AccuracyError(RuntimeError):
         self.error_estimate = error_estimate
 
 
-# Nested Clenshaw-Curtis rules of 128 and 64 intervals (Trefethen, "Is
-# Gauss quadrature better than Clenshaw-Curtis?", SIAM Review 50(1),
-# 2008) on [0, 1], composed with the smoothstep u -> 3u^2 - 2u^3. Its
+# Nested Clenshaw-Curtis rules of 128 and 64 intervals (Trefethen, SIAM
+# Review 50(1), 2008) composed with the smoothstep u -> 3u^2 - 2u^3, whose
 # zero slope at both ends smooths the (t - b)^(3/2) kinks of the offset
-# CDF at the panel edges and gives the two end nodes weight 0, so they
-# are dropped: 127 evaluations per panel, of which every other one also
-# serves the coarse rule, and the gap between the two rules is the error
-# estimate. The outage integral raises above _ERROR_BOUND; over D
-# 0.1-1000 m, h/D 1e-5 to 10, -60 to 120 dBm and rates 0-30 its estimate
-# stays below 1.2e-10.
-_INTERVALS = 128
+# CDF at the panel edges and gives the end nodes weight 0. The gap between
+# the two rules is the error estimate, above which the outage integral
+# raises; over D 0.1-1000 m, h/D 1e-5 to 10, -60 to 120 dBm and rates 0-30
+# it stays below 1.2e-10.
 _ERROR_BOUND = 1e-8
 
 
 def _clenshaw_curtis(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n-interval rule on [-1, 1]: nodes -cos(j*pi/n), j = 0..n, and weights.
+    """Nodes -cos(j*pi/n), j = 0..n, of the n-interval rule on [-1, 1], and weights.
 
     The weights are the closed-form cosine sum (c_j/n)*(1 - sum_k b_k *
     cos(2*k*j*pi/n)/(4k^2 - 1)), k = 1..n/2, with c_j = 2 but 1 at the
-    ends and b_k = 2 but 1 at k = n/2; each angle is reduced mod 2*pi in
-    integers and its cosine taken by libm, not by numpy's SIMD paths.
+    ends and b_k = 2 but 1 at k = n/2; the cosines are libm's.
     """
     cos = np.array([math.cos(math.pi * m / n) for m in range(2 * n)])
     j = np.arange(n + 1)[:, None]
@@ -134,25 +127,23 @@ def _clenshaw_curtis(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _smoothstep_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`_clenshaw_curtis` mapped to [0, 1] through the smoothstep, end nodes dropped."""
+    """:func:`_clenshaw_curtis` mapped to [0, 1] by the smoothstep, zero-weight ends dropped."""
     x, w = _clenshaw_curtis(n)
     u = 0.5 * (x[1:-1] + 1.0)
     return u * u * (3.0 - 2.0 * u), 3.0 * u * (1.0 - u) * w[1:-1]
 
 
-_NODES, _WEIGHTS = _smoothstep_rule(_INTERVALS)
-# the coarse rule's nodes are _NODES[1::2]
-_COARSE_WEIGHTS = _smoothstep_rule(_INTERVALS // 2)[1]
+_NODES, _WEIGHTS = _smoothstep_rule(128)
+_COARSE_WEIGHTS = _smoothstep_rule(64)[1]  # at _NODES[1::2]
 
 
 def _panel_quadrature(f, edges):
     """Integral of ``f`` over each row of panel ``edges``, shape (..., k+1).
 
     The edges should include every kink of ``f``, which is called once,
-    on a (..., k, 127) array of the fine rule's nodes. Returns the fine
-    integrals, their distances to the coarse ones, and the number of
-    evaluations. The sums are elementwise numpy sums, not BLAS, so their
-    order of addition does not depend on the CPU.
+    on a (..., k, 127) array of nodes. Returns the fine integrals, their
+    distances to the coarse ones, and the number of evaluations. No sum
+    goes through BLAS, whose order of addition depends on the CPU.
     """
     edges = np.asarray(edges, dtype=np.float64)
     widths = edges[..., 1:] - edges[..., :-1]
@@ -173,17 +164,14 @@ def _outage_integral(cfg: SystemConfig, snr: float) -> tuple[float, int]:
     number near it, so t = y^2 exactly at C = 1 however far h exceeds y;
     ``snr = math.inf`` gives the high-power limit t = C*y^2 + (C-1)*h^2.
     t rises with y, so past the y where it reaches 5*D^2/4 the integrand
-    is exactly 1 and that tail is added in closed form; when that y is 0
-    the outage is certain and the result is exactly 1, with no
-    evaluation. The rest is split where t crosses D^2/4 and D^2 and
-    integrated by :func:`_panel_quadrature`. Each panel's t lies in one
-    branch of the offset CDF, whose closed form it takes with no masks
-    (see :func:`pinchsec.distributions._cdf_offset_sq_rows`).
+    is exactly 1 and that tail is added in closed form (all of [0, D/2]
+    at certain outage, with no evaluation). The rest is split where t
+    crosses D^2/4 and D^2, so each panel lies in one branch of the offset
+    CDF, and integrated by :func:`_panel_quadrature`.
 
     Returns the mean over y in [0, D/2] by the fine rule and the number
     of CDF evaluations, 127 per panel. Raises :class:`AccuracyError`
-    when its distance to the coarse rule's value exceeds ``_ERROR_BOUND``;
-    an estimate of 0 never raises.
+    when its distance to the coarse rule's value exceeds ``_ERROR_BOUND``.
     """
     h2 = cfg.height**2
     c = cfg.rate_threshold
@@ -201,11 +189,9 @@ def _outage_integral(cfg: SystemConfig, snr: float) -> tuple[float, int]:
         crossings.append(min(math.sqrt(y2), half) if y2 > 0.0 else 0.0)
 
     edges = sorted({0.0, *crossings})
-    if len(edges) == 1:
-        # certain outage: t reaches 5*D^2/4 at y = 0, so no panel has width
+    if len(edges) == 1:  # certain outage
         return 1.0, 0
-    # the panel that ends at the crossing of D^2/4, D^2 or 5*D^2/4 lies in
-    # the offset CDF's near, mid or far branch
+    # a panel ending where t crosses D^2/4, D^2 or 5*D^2/4 is near, mid or far
     branches = [crossings.index(edge) for edge in edges[1:]]
 
     def outage(y: np.ndarray) -> np.ndarray:

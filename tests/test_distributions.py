@@ -254,8 +254,7 @@ class TestOffsetSqCdf:
         )
         interiors = [np.linspace(lo, hi, 129)[1:-1] for lo, hi in zip(knots[:-1], knots[1:])]
         rows = np.array(
-            [row.copy() for row in interiors]
-            + [np.concatenate(([t], row[1:])) for row in interiors for t in stray]
+            interiors + [np.concatenate(([t], row[1:])) for row in interiors for t in stray]
         )
         expected = dist._cdf_offset_sq(rows, d)
         for branch in range(3):

@@ -122,13 +122,18 @@ class TestNestedRule:
 
 
 class TestSopExact:
-    def test_saturated_outage_is_exactly_one(self):
-        # rate threshold above 1 + max snr makes the outage certain
+    def test_saturated_outage_is_exactly_one(self, monkeypatch):
+        # rate threshold above 1 + max snr makes the outage certain, which
+        # runs no quadrature and no CDF kernel
         cfg = make_config(power_dbm=-30.0, rate=12.0)
         assert cfg.rate_threshold >= 1.0 + cfg.effective_snr / cfg.height**2
+        for name in ("_cdf_offset_sq", "_cdf_offset_sq_rows"):
+            monkeypatch.setattr(dist_mod, name, None)
+        monkeypatch.setattr(sop_mod, "_panel_quadrature", None)
         est = sop_exact(cfg)
-        assert est.value == 1.0
+        assert (est.value, est.order_or_trials, est.raw_value) == (1.0, 0, None)
         assert est.method is Method.EXACT
+        assert sop_asymptotic(cfg).order_or_trials == 0
 
     def test_against_independent_mc(self, cfg30):
         est = sop_exact(cfg30)
@@ -457,15 +462,6 @@ class TestTrimmedExactPath:
         est = evaluate(cfg)
         assert (est.value, est.order_or_trials) == (value, evaluations)
         assert len(calls) == 1
-
-    def test_certain_outage_runs_no_quadrature(self, monkeypatch):
-        cfg = make_config(power_dbm=-30.0, rate=12.0)
-        for name in ("_cdf_offset_sq", "_cdf_offset_sq_rows"):
-            monkeypatch.setattr(dist_mod, name, None)
-        monkeypatch.setattr(sop_mod, "_panel_quadrature", None)
-        for evaluate in (sop_exact, sop_asymptotic):
-            est = evaluate(cfg)
-            assert (est.value, est.order_or_trials, est.raw_value) == (1.0, 0, None)
 
 
 class TestSopAsymptotic:

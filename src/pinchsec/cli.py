@@ -11,6 +11,7 @@ else goes to stderr. Exit codes: 0 success, 1 validation failure,
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from pathlib import Path
@@ -175,6 +176,9 @@ def _x_values(args: argparse.Namespace, p: dict) -> tuple[float, ...]:
         except ValueError as exc:
             raise UsageError(f"--x-values: {exc}") from exc
     lo, hi, step = p["x_min"], p["x_max"], p["x_step"]
+    for flag, value in (("--x-min", lo), ("--x-max", hi), ("--x-step", step)):
+        if not math.isfinite(value):
+            raise UsageError(f"{flag} must be finite, got {value}")
     if step <= 0.0:
         raise UsageError(f"--x-step must be > 0, got {step}")
     if hi < lo:

@@ -219,15 +219,17 @@ def _cdf_offset_sq(t: np.ndarray, d: float) -> np.ndarray:
 def _cdf_offset_sq_rows(t: np.ndarray, d: float, branches) -> np.ndarray:
     """:func:`_cdf_offset_sq`, bit for bit, of (k, n) t whose row i should lie in ``branches[i]``.
 
-    Branches 0, 1 and 2 are near, mid and far. A row whose least and
-    greatest t lie in its branch takes that form on its contiguous slice,
-    with no mask, gather or scatter; any other row the masked kernel.
+    Branches 0, 1 and 2 are near, mid and far. Each row of t must be
+    nondecreasing, so that its first and last t are its least and
+    greatest. A row whose ends lie in its branch takes that form on its
+    contiguous slice, with no mask, gather or scatter; any other row the
+    masked kernel.
     """
     d2 = d * d
     # each branch's (lo, hi], the far one open at 5*D^2/4
     bounds = ((0.0, 0.25 * d2), (0.25 * d2, d2), (d2, math.nextafter(1.25 * d2, 0.0)))
     out = np.empty(t.shape)
-    rows = zip(t, out, t.min(axis=-1).tolist(), t.max(axis=-1).tolist(), branches)
+    rows = zip(t, out, t[:, 0].tolist(), t[:, -1].tolist(), branches)
     for row, row_out, least, greatest, branch in rows:
         lo, hi = bounds[branch]
         if not lo < least <= greatest <= hi:

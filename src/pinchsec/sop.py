@@ -141,17 +141,20 @@ def _panel_quadrature(f, edges):
     """Integral of ``f`` over each row of panel ``edges``, shape (..., k+1).
 
     The edges should include every kink of ``f``, which is called once,
-    on a (..., k, 127) array of nodes. Returns the fine integrals, their
-    distances to the coarse ones, and the number of evaluations. No sum
-    goes through BLAS, whose order of addition depends on the CPU.
+    on a (..., k, 127) array of nodes, and returns a new float array of
+    that shape, which is scaled in place. Returns the fine integrals,
+    their distances to the coarse ones, and the number of evaluations.
+    No sum goes through BLAS, whose order of addition depends on the CPU.
     """
     edges = np.asarray(edges, dtype=np.float64)
-    widths = edges[..., 1:] - edges[..., :-1]
-    x = edges[..., :-1, None] + widths[..., None] * _NODES
+    widths = (edges[..., 1:] - edges[..., :-1])[..., None]
+    x = edges[..., :-1, None] + widths * _NODES
     # each node's sum over the panels, then each rule's sum over its nodes
-    parts = (f(x) * widths[..., None]).sum(axis=-2)
-    fine = (parts * _WEIGHTS).sum(axis=-1)
-    coarse = (parts[..., 1::2] * _COARSE_WEIGHTS).sum(axis=-1)
+    fx = f(x)
+    fx *= widths
+    parts = np.add.reduce(fx, axis=-2)
+    fine = np.add.reduce(parts * _WEIGHTS, axis=-1)
+    coarse = np.add.reduce(parts[..., 1::2] * _COARSE_WEIGHTS, axis=-1)
     return fine, np.abs(fine - coarse), x.size
 
 
@@ -195,11 +198,17 @@ def _outage_integral(cfg: SystemConfig, snr: float) -> tuple[float, int]:
     branches = [crossings.index(edge) for edge in edges[1:]]
 
     def outage(y: np.ndarray) -> np.ndarray:
-        y2 = y * y
-        v = (y2 + h2) / snr
+        t = y * y
+        v = t + h2
+        v /= snr
         den = 1.0 - (c - 1.0) * v
+        t *= c
+        t += k * (1.0 + v)
         # den > 0 before the last crossing up to rounding; t is infinite past its pole
-        t = np.divide(c * y2 + k * (1.0 + v), den, out=np.full_like(v, np.inf), where=den > 0)
+        if np.minimum.reduce(den, axis=None) > 0.0:
+            t /= den
+        else:
+            t = np.divide(t, den, out=np.full_like(t, np.inf), where=den > 0.0)
         return dist._cdf_offset_sq_rows(t, cfg.region_side, branches)
 
     fine, error, evaluations = _panel_quadrature(outage, edges)

@@ -167,8 +167,10 @@ def _simulate(
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate every requested method at every x value.
 
-    Rows come out sorted by (x, method name); output is deterministic
-    for a given seed and independent of the worker count. The Monte
+    Rows are emitted in (x, method name) order, whatever the order of
+    ``spec.methods``: the x values ascend and each point visits the
+    methods by name, so no sort follows. Output is deterministic for a
+    given seed and independent of the worker count. The Monte
     Carlo methods at one x share one pass over that point's draws. The
     Chebyshev rule runs once over all x values, as one array call. The
     asymptote is evaluated once per distinct (region side, height, rate
@@ -176,7 +178,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     """
     rows = []
     asymptotes: dict[tuple[float, float, float], SopEstimate] = {}
-    mc_methods = [m for m in spec.methods if m in _MC_SYSTEMS]
+    methods = sorted(spec.methods, key=lambda m: m.value)
+    mc_methods = [m for m in methods if m in _MC_SYSTEMS]
     chebyshev = (
         sop_mod.sop_chebyshev_batch(spec.configs, spec.chebyshev_order)
         if Method.CHEBYSHEV in spec.methods
@@ -184,7 +187,7 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     )
     for index, (x, cfg) in enumerate(zip(spec.x_values, spec.configs)):
         simulated = _simulate(mc_methods, cfg, spec, index)
-        for method in spec.methods:
+        for method in methods:
             if method in simulated:
                 est = simulated[method]
             elif method is Method.CHEBYSHEV:
@@ -205,7 +208,6 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
                     order_or_trials=est.order_or_trials,
                 )
             )
-    rows.sort(key=lambda r: (r.x, r.method.value))
     return SweepResult(tuple(rows))
 
 

@@ -243,8 +243,9 @@ class TestOffsetSqCdf:
     @pytest.mark.parametrize("d", [0.3, 7.123456, 10.0, 1000.0])
     def test_rows_take_the_branch_the_masked_kernel_chooses(self, d):
         # a row inside its branch takes that closed form; a row with one t
-        # outside it (a knot, a neighbour of one, 0, 5D^2/4 or the inf of a
-        # pole) takes the masked kernel; both equal it bit for bit. At
+        # outside it at either end, where a nondecreasing row has it (a
+        # knot, a neighbour of one, 0, 5D^2/4 or the inf of a pole), takes
+        # the masked kernel; both equal it bit for bit. At
         # D = 0.3 and 10 the far form reads 1 -/+ 1 ulp at 5D^2/4, where
         # the CDF is exactly 1
         d2 = d * d
@@ -254,7 +255,9 @@ class TestOffsetSqCdf:
         )
         interiors = [np.linspace(lo, hi, 129)[1:-1] for lo, hi in zip(knots[:-1], knots[1:])]
         rows = np.array(
-            interiors + [np.concatenate(([t], row[1:])) for row in interiors for t in stray]
+            interiors
+            + [np.concatenate(([t], row[1:])) for row in interiors for t in stray]
+            + [np.concatenate((row[:-1], [t])) for row in interiors for t in stray]
         )
         expected = dist._cdf_offset_sq(rows, d)
         for branch in range(3):

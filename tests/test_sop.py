@@ -383,13 +383,28 @@ def cdf_offset_sq_masked(t: np.ndarray, d: float) -> np.ndarray:
     return out
 
 
+def threshold_frozen(cfg, snr: float, y: np.ndarray) -> np.ndarray:
+    """The outage integrand's offset-CDF argument t at offsets ``y``, inf past its pole.
+
+    Frozen; ``sop._outage_integral``'s integrand must give the same bits.
+    """
+    h2 = cfg.height**2
+    c = cfg.rate_threshold
+    k = (c - 1.0) * h2
+    y2 = y * y
+    a = y2 + h2
+    den = 1.0 - (c - 1.0) * (a / snr)
+    return np.divide(c * y2 + k * (1.0 + a / snr), den, out=np.full_like(a, np.inf), where=den > 0)
+
+
 def outage_integral_frozen(cfg, snr: float) -> tuple[float, int]:
     """``sop._outage_integral`` on the masked kernel, with no certain-outage exit.
 
     Frozen with its panel rule on the library's nested nodes (widths by
-    ``np.diff``) and its kernel (:func:`cdf_offset_sq_masked`); the
-    library, which evaluates each panel in one branch and skips certain
-    outage, must give the same value and evaluation count bit for bit.
+    ``np.diff``), its integrand (:func:`threshold_frozen`) and its kernel
+    (:func:`cdf_offset_sq_masked`); the library, which evaluates each
+    panel in one branch and skips certain outage, must give the same
+    value and evaluation count bit for bit.
     """
     h2 = cfg.height**2
     c = cfg.rate_threshold
@@ -402,11 +417,7 @@ def outage_integral_frozen(cfg, snr: float) -> tuple[float, int]:
         crossings.append(min(math.sqrt(y2), half) if y2 > 0.0 else 0.0)
 
     def outage(y):
-        y2 = y * y
-        a = y2 + h2
-        den = 1.0 - (c - 1.0) * (a / snr)
-        t = np.divide(c * y2 + k * (1.0 + a / snr), den, out=np.full_like(a, np.inf), where=den > 0)
-        return cdf_offset_sq_masked(t, cfg.region_side)
+        return cdf_offset_sq_masked(threshold_frozen(cfg, snr, y), cfg.region_side)
 
     edges = np.asarray(sorted({0.0, *crossings}), dtype=np.float64)
     widths = np.diff(edges)
@@ -462,6 +473,61 @@ class TestTrimmedExactPath:
         est = evaluate(cfg)
         assert (est.value, est.order_or_trials) == (value, evaluations)
         assert len(calls) == 1
+
+
+def recording_thresholds(monkeypatch) -> list:
+    """Wrap ``distributions._cdf_offset_sq_rows`` so a copy of each t it gets is recorded."""
+    thresholds = []
+    rows = dist_mod._cdf_offset_sq_rows
+
+    def recording(t, d, branches):
+        thresholds.append(t.copy())
+        return rows(t, d, branches)
+
+    monkeypatch.setattr(dist_mod, "_cdf_offset_sq_rows", recording)
+    return thresholds
+
+
+class TestIntegrandAssumptions:
+    @pytest.mark.parametrize("evaluate", [sop_exact, sop_asymptotic])
+    def test_t_never_decreases_along_a_row(self, monkeypatch, evaluate):
+        # the offset CDF reads each row's least and greatest t at its ends
+        thresholds = recording_thresholds(monkeypatch)
+        evaluated = [evaluate(cfg).order_or_trials > 0 for cfg in box_configs(600, seed=20261020)]
+        assert len(thresholds) == sum(evaluated) > 300
+        for t in thresholds:
+            assert (t[:, 1:] >= t[:, :-1]).all()
+
+    @pytest.mark.parametrize("power_dbm,rate", [(20.0, 0.1), (0.0, 1.0)])
+    def test_past_the_pole_t_is_inf_as_in_the_frozen_integrand(self, monkeypatch, power_dbm, rate):
+        # the nodes stop short of the pole where the denominator reaches 0,
+        # so the integrand is captured and called on offsets across it
+        cfg = make_config(power_dbm=power_dbm, rate=rate)
+        integrands = []
+        quadrature = sop_mod._panel_quadrature
+
+        def capturing(f, edges):
+            integrands.append(f)
+            return quadrature(f, edges)
+
+        monkeypatch.setattr(sop_mod, "_panel_quadrature", capturing)
+        thresholds = recording_thresholds(monkeypatch)
+        sop_exact(cfg)
+        [outage], [at_nodes] = integrands, thresholds
+        assert np.isfinite(at_nodes).all()
+        snr, c = cfg.effective_snr, cfg.rate_threshold
+        pole = math.sqrt(snr / (c - 1.0) - cfg.height**2)
+        across = pole * (1.0 + np.linspace(-1e-12, 1e-12, 127))
+        y = np.tile(np.concatenate(([0.0], across[:-1])), (len(at_nodes), 1))
+        den = 1.0 - (c - 1.0) * ((y * y + cfg.height**2) / snr)
+        assert (den > 0.0).any() and (den <= 0.0).any()
+        thresholds.clear()
+        values = outage(y)
+        [t] = thresholds
+        expected = threshold_frozen(cfg, snr, y)
+        assert np.array_equal(t, expected)
+        assert (t[den <= 0.0] == math.inf).all()
+        assert np.array_equal(values, cdf_offset_sq_masked(expected, cfg.region_side))
 
 
 class TestSopAsymptotic:

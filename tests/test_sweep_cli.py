@@ -1,4 +1,5 @@
 import csv
+import itertools
 import json
 import math
 import os
@@ -92,6 +93,26 @@ class TestRunSweep:
                 assert row.order_or_trials == 2_000
             else:
                 assert row.stderr is None
+
+    def test_every_order_of_methods_gives_the_same_rows(self):
+        # rows are emitted in (x, method name) order as they are computed,
+        # with no sort after, and the two Monte Carlo systems share draws
+        methods = (
+            Method.EXACT,
+            Method.CHEBYSHEV,
+            Method.ASYMPTOTIC,
+            Method.LOWER_PAS,
+            Method.MC,
+            Method.MC_FPA,
+        )
+        spec = small_spec(methods=methods, mc=McConfig(trials=200, seed=5))
+        reference = run_sweep(spec)
+        keys = [(r.x, r.method.value) for r in reference.rows]
+        assert keys == [(x, m) for x in spec.x_values for m in sorted(m.value for m in methods)]
+        for order in itertools.permutations(methods):
+            result = run_sweep(replace(spec, methods=order))
+            assert result.to_csv() == reference.to_csv(), order
+            assert [(r.x, r.method.value) for r in result.rows] == keys, order
 
     def test_lower_bound_column_is_constant(self):
         result = run_sweep(small_spec(methods=(Method.LOWER_PAS,)))
@@ -666,6 +687,13 @@ class TestCliSweep:
         assert code == 2
         err = capsys.readouterr().err
         assert "x-min" in err and "x-max" in err
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize("flag", ["--x-min", "--x-max", "--x-step"])
+    def test_non_finite_grid_option_is_usage_error_naming_it(self, capsys, flag, value):
+        # checked before the grid's point count, which int() cannot take from inf or nan
+        assert cli.main(["sweep", "--methods", "lower-pas", f"{flag}={value}"]) == 2
+        assert capsys.readouterr().err == f"error: {flag} must be finite, got {float(value)}\n"
 
     def test_invalid_physics_is_usage_error(self, capsys):
         code = cli.main(self.BASE + ["--height", "-3"])

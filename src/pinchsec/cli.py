@@ -32,6 +32,7 @@ from .system import SystemConfig, dbm_to_watts
 
 DEFAULT_SEED = 12345
 SEED_ENV_VAR = "PINCH_SEED"
+MAX_GRID_POINTS = 1_000_000  # of a --x-step or --grid grid, checked before it is built
 
 
 class _Param(NamedTuple):
@@ -183,8 +184,10 @@ def _x_values(args: argparse.Namespace, p: dict) -> tuple[float, ...]:
         raise UsageError(f"--x-step must be > 0, got {step}")
     if hi < lo:
         raise UsageError(f"empty grid: --x-min {lo} exceeds --x-max {hi}")
-    count = int((hi - lo) / step + 1e-9) + 1
-    return tuple(lo + i * step for i in range(count))
+    steps = (hi - lo) / step + 1e-9
+    if not steps < MAX_GRID_POINTS:  # inf when the span overflows
+        raise UsageError(f"--x-step {step} gives more than {MAX_GRID_POINTS} grid points")
+    return tuple(lo + i * step for i in range(int(steps) + 1))
 
 
 def _methods(spec: str) -> tuple[Method, ...]:
@@ -243,6 +246,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 def _cmd_dist(args: argparse.Namespace) -> int:
     _check_out(args.out)
     p = _resolve(args)
+    if int(p["grid"]) > MAX_GRID_POINTS:
+        raise UsageError(f"--grid must be <= {MAX_GRID_POINTS}, got {p['grid']}")
     try:
         cfg = _system_config(p)
         rows = dump_distribution(p["which"], int(p["grid"]), cfg, log_grid=args.log_grid)

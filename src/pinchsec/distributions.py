@@ -24,10 +24,12 @@ from ``_Scales``: Python floats of one configuration, or (B, 1) columns
 of B configurations that broadcast against a (B, N) grid, row by row.
 
 Branch selection at breakpoints follows the closed forms' printed
-inequalities (upper-interval branch owns its closed lower endpoint);
-the branches agree at every boundary, so this is a determinism choice,
-not a value choice. Densities return 0 outside their support so blind
-quadrature over an enclosing interval is safe.
+inequalities: an SNR law's upper-interval branch owns its closed lower
+endpoint, and the offset CDF's branch below a knot owns it (its one
+table, ``_branches``, holds (lo, hi] intervals). The branches agree at
+every boundary, so this is a determinism choice, not a value choice.
+Densities return 0 outside their support so blind quadrature over an
+enclosing interval is safe.
 """
 
 from __future__ import annotations
@@ -164,26 +166,43 @@ def pdf_offset_sq(w, cfg: SystemConfig):
     return _elementwise(_pdf_offset_sq, arr, cfg.region_side)
 
 
-# The offset CDF is near(t) on (0, D^2/4], mid(t) + 1/12 on (D^2/4, D^2]
-# and mid(t) + far(t) + 1/12 on (D^2, 5*D^2/4); each takes only its own t.
+# The offset CDF in closed form on each of its branches: near(t) on
+# (0, D^2/4], mid(t) on (D^2/4, D^2] and far(t) on (D^2, 5*D^2/4); each
+# takes only its own t, and writes into ``out`` when given one.
 
 
-def _near(t: np.ndarray, d: float) -> np.ndarray:
-    return math.pi * t / (d * d) - (4.0 / 3.0) * t**1.5 / (d * d * d)
+def _near(t: np.ndarray, d: float, out=None) -> np.ndarray:
+    return np.subtract(math.pi * t / (d * d), (4.0 / 3.0) * t**1.5 / (d * d * d), out=out)
 
 
-def _mid(t: np.ndarray, d: float) -> np.ndarray:
+def _mid_part(t: np.ndarray, d: float) -> np.ndarray:
     d2 = d * d
     # arcsin(D/(2*sqrt(t))) and arccos(D/sqrt(t)) by arctan2, exact near their knots
     root = np.sqrt(t - 0.25 * d2)
     return (2.0 / d2) * (t * np.arctan2(0.5 * d, root) + 0.5 * d * root) - t / d2
 
 
-def _far(t: np.ndarray, d: float) -> np.ndarray:
+def _mid(t: np.ndarray, d: float, out=None) -> np.ndarray:
+    return np.add(_mid_part(t, d), 1.0 / 12.0, out=out)
+
+
+def _far(t: np.ndarray, d: float, out=None) -> np.ndarray:
     d2 = d * d
     rad = t - d2
     root = np.sqrt(rad)
-    return -(2.0 / d2) * (t * np.arctan2(root, d) - d * root) + (4.0 / (3.0 * d2 * d)) * rad**1.5
+    g = _mid_part(t, d)
+    g += -(2.0 / d2) * (t * np.arctan2(root, d) - d * root) + (4.0 / (3.0 * d2 * d)) * rad**1.5
+    return np.add(g, 1.0 / 12.0, out=out)
+
+
+def _branches(d: float) -> tuple:
+    """Each branch's (lo, hi, form): near, mid and far, the far one open at 5*D^2/4."""
+    d2 = d * d
+    return (
+        (0.0, 0.25 * d2, _near),
+        (0.25 * d2, d2, _mid),
+        (d2, math.nextafter(1.25 * d2, 0.0), _far),
+    )
 
 
 def _cdf_offset_sq(t: np.ndarray, d: float) -> np.ndarray:
@@ -191,54 +210,37 @@ def _cdf_offset_sq(t: np.ndarray, d: float) -> np.ndarray:
 
     Piecewise antiderivative of the convolution density; the panel
     constants telescope so the value is exactly 1 at 5*D^2/4. Each
-    branch runs only on the inputs it owns, and not at all when it owns
-    none, which is common in the exact SOP's integrand.
+    branch of :func:`_branches` runs only on the t in its (lo, hi], and
+    not at all when it owns none, which is common in the exact SOP's
+    integrand.
     """
-    d2 = d * d
     out = np.zeros(t.shape)
-
-    m1 = (t > 0.0) & (t <= 0.25 * d2)
-    if m1.any():
-        out[m1] = _near(t[m1], d)
-
-    m2 = (t > 0.25 * d2) & (t < 1.25 * d2)
-    if m2.any():
-        t2 = t[m2]
-        g2 = _mid(t2, d)
-        # the far correction is exactly +0.0 up to D^2, and g2 + 0.0 == g2
-        # bit for bit, so it is added only above D^2
-        m3 = t2 > d2
-        if m3.any():
-            g2[m3] += _far(t2[m3], d)
-        out[m2] = g2 + 1.0 / 12.0
-
-    out[t >= 1.25 * d2] = 1.0
+    branches = _branches(d)
+    for lo, hi, form in branches:
+        mask = (t > lo) & (t <= hi)
+        if mask.any():
+            out[mask] = form(t[mask], d)
+    out[t > branches[-1][1]] = 1.0  # from 5*D^2/4 on
     return out
 
 
-def _cdf_offset_sq_rows(t: np.ndarray, d: float, branches) -> np.ndarray:
-    """:func:`_cdf_offset_sq`, bit for bit, of (k, n) t whose row i should lie in ``branches[i]``.
+def _cdf_offset_sq_rows(t: np.ndarray, d: float) -> np.ndarray:
+    """:func:`_cdf_offset_sq`, bit for bit, of (k, n) t with nondecreasing rows.
 
-    Branches 0, 1 and 2 are near, mid and far. Each row of t must be
-    nondecreasing, so that its first and last t are its least and
-    greatest. A row whose ends lie in its branch takes that form on its
+    A row's first and last t are its least and greatest, so a row whose
+    ends lie in one branch of :func:`_branches` takes that form on its
     contiguous slice, with no mask, gather or scatter; any other row the
     masked kernel.
     """
-    d2 = d * d
-    # each branch's (lo, hi], the far one open at 5*D^2/4
-    bounds = ((0.0, 0.25 * d2), (0.25 * d2, d2), (d2, math.nextafter(1.25 * d2, 0.0)))
     out = np.empty(t.shape)
-    rows = zip(t, out, t[:, 0].tolist(), t[:, -1].tolist(), branches)
-    for row, row_out, least, greatest, branch in rows:
-        lo, hi = bounds[branch]
-        if not lo < least <= greatest <= hi:
-            row_out[...] = _cdf_offset_sq(row, d)
-        elif branch == 0:
-            row_out[...] = _near(row, d)
+    branches = _branches(d)
+    for row, row_out, least, greatest in zip(t, out, t[:, 0].tolist(), t[:, -1].tolist()):
+        for lo, hi, form in branches:
+            if lo < least <= greatest <= hi:
+                form(row, d, out=row_out)
+                break
         else:
-            g = _mid(row, d)
-            np.add(g if branch == 1 else g + _far(row, d), 1.0 / 12.0, out=row_out)
+            row_out[...] = _cdf_offset_sq(row, d)
     return out
 
 

@@ -194,8 +194,6 @@ def _outage_integral(cfg: SystemConfig, snr: float) -> tuple[float, int]:
     edges = sorted({0.0, *crossings})
     if len(edges) == 1:  # certain outage
         return 1.0, 0
-    # a panel ending where t crosses D^2/4, D^2 or 5*D^2/4 is near, mid or far
-    branches = [crossings.index(edge) for edge in edges[1:]]
 
     def outage(y: np.ndarray) -> np.ndarray:
         t = y * y
@@ -209,7 +207,7 @@ def _outage_integral(cfg: SystemConfig, snr: float) -> tuple[float, int]:
             t /= den
         else:
             t = np.divide(t, den, out=np.full_like(t, np.inf), where=den > 0.0)
-        return dist._cdf_offset_sq_rows(t, cfg.region_side, branches)
+        return dist._cdf_offset_sq_rows(t, cfg.region_side)
 
     fine, error, evaluations = _panel_quadrature(outage, edges)
     value = (float(fine) + (half - crossings[-1])) / half
@@ -261,8 +259,8 @@ def _checked_order(order, name: str = "order") -> int:
     return int(order)
 
 
-def _chebyshev_batch(cfgs, order: int, stacklevel: int) -> list[SopEstimate]:
-    """The rule at each of ``cfgs``; a floor warning points ``stacklevel`` frames up."""
+def _chebyshev_batch(cfgs, order: int) -> list[SopEstimate]:
+    """The rule at each of ``cfgs``; a floor warning names the public function's caller."""
     order = _checked_order(order)
     nodes, weights = _chebyshev_rule(order)
     rows = [(cfg.rate_threshold, *dist._scales(cfg)) for cfg in cfgs]
@@ -286,7 +284,7 @@ def _chebyshev_batch(cfgs, order: int, stacklevel: int) -> list[SopEstimate]:
                 "sop_chebyshev fell below the provable floor (2*pi-1)/24, so its "
                 "quadrature error is at least that gap; compare with sop_exact",
                 RuntimeWarning,
-                stacklevel=stacklevel,
+                stacklevel=3,
             )
         estimates.append(_clamped(raw, Method.CHEBYSHEV, order))
     return estimates
@@ -299,7 +297,7 @@ def sop_chebyshev_batch(cfgs, order: int = 100) -> list[SopEstimate]:
     for one, so every estimate equals that of :func:`sop_chebyshev` bit
     for bit; each estimate below the floor warns once.
     """
-    return _chebyshev_batch(cfgs, order, stacklevel=3)
+    return _chebyshev_batch(cfgs, order)
 
 
 def sop_chebyshev(cfg: SystemConfig, order: int = 100) -> SopEstimate:
@@ -317,7 +315,7 @@ def sop_chebyshev(cfg: SystemConfig, order: int = 100) -> SopEstimate:
     ``RuntimeWarning``: that happens at extreme D/h, while the slight
     dips near rate 0 stay silent.
     """
-    return _chebyshev_batch((cfg,), order, stacklevel=3)[0]
+    return _chebyshev_batch((cfg,), order)[0]
 
 
 def sop_asymptotic(cfg: SystemConfig) -> SopEstimate:

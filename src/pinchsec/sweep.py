@@ -6,13 +6,16 @@ else held fixed. Monte Carlo points get independent per-point seeds
 derived from the sweep seed and the point index, so estimates at
 different x values are statistically independent yet fully reproducible
 and worker-count invariant. At one x, ``mc`` and ``mc-fpa`` count their
-outage events over the same trials, drawn once. The Chebyshev rule runs
-at all x values in one array call of ``sop.sop_chebyshev_batch``, whose
-rows equal per-point ``sop_chebyshev`` calls bit for bit; the exact SOP
-stays one ``sop.sop_exact`` call per point. The high-power asymptote
-depends only on the region side, the height and the rate threshold, so
-a power sweep evaluates it once and repeats that estimate at every x
-value. Each x value's configuration is built once, by ``SweepSpec``.
+outage events over the same trials, drawn once.
+
+Each analytic method is one column over all x values, evaluated before
+any Monte Carlo draw: the Chebyshev rule in one array call of
+``sop.sop_chebyshev_batch``, whose rows equal per-point ``sop_chebyshev``
+calls bit for bit; the exact SOP in one ``sop.sop_exact`` call per
+point; the high-power asymptote, which depends only on the region side,
+the height and the rate threshold, once per distinct triple (so once
+for a power sweep); each floor as one constant. Each x value's
+configuration is built once, by ``SweepSpec``.
 """
 
 from __future__ import annotations
@@ -136,16 +139,6 @@ def _point_seed(seed: int, index: int) -> int:
     return int(np.random.SeedSequence((seed, index)).generate_state(1, np.uint64)[0])
 
 
-def _evaluate(method: Method, cfg: SystemConfig) -> SopEstimate:
-    if method is Method.EXACT:
-        return sop_mod.sop_exact(cfg)
-    if method is Method.ASYMPTOTIC:
-        return sop_mod.sop_asymptotic(cfg)
-    if method is Method.LOWER_PAS:
-        return sop_mod.sop_lower_bound_pas()
-    return sop_mod.sop_lower_bound_fpa()
-
-
 # Monte Carlo methods and the system each one simulates.
 _MC_SYSTEMS = {Method.MC: "pas", Method.MC_FPA: "fpa"}
 
@@ -164,50 +157,44 @@ def _simulate(
     }
 
 
+def _column(method: Method, spec: SweepSpec) -> list[SopEstimate]:
+    """An analytic method's estimate at each of ``spec.configs``, as the module describes."""
+    if method is Method.CHEBYSHEV:
+        return sop_mod.sop_chebyshev_batch(spec.configs, spec.chebyshev_order)
+    if method is Method.EXACT:
+        return [sop_mod.sop_exact(cfg) for cfg in spec.configs]
+    if method is Method.ASYMPTOTIC:
+        # it reads only these three, so any configuration of a key gives that key's estimate
+        keys = [(cfg.region_side, cfg.height, cfg.rate_threshold) for cfg in spec.configs]
+        one_each = dict(zip(keys, spec.configs))
+        by_key = {key: sop_mod.sop_asymptotic(cfg) for key, cfg in one_each.items()}
+        return [by_key[key] for key in keys]
+    if method is Method.LOWER_PAS:
+        return [sop_mod.sop_lower_bound_pas()] * len(spec.configs)
+    return [sop_mod.sop_lower_bound_fpa()] * len(spec.configs)
+
+
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate every requested method at every x value.
 
-    Rows are emitted in (x, method name) order, whatever the order of
-    ``spec.methods``: the x values ascend and each point visits the
-    methods by name, so no sort follows. Output is deterministic for a
-    given seed and independent of the worker count. The Monte
-    Carlo methods at one x share one pass over that point's draws. The
-    Chebyshev rule runs once over all x values, as one array call. The
-    asymptote is evaluated once per distinct (region side, height, rate
-    threshold), the only inputs it reads.
+    The analytic columns come first, so a failing analytic call stops the
+    sweep before any Monte Carlo draw; the Monte Carlo methods then run
+    point by point. Rows are emitted in (x, method name) order, whatever
+    the order of ``spec.methods``: the x values ascend and each point
+    visits the methods by name, so no sort follows. Output is
+    deterministic for a given seed and independent of the worker count.
     """
-    rows = []
-    asymptotes: dict[tuple[float, float, float], SopEstimate] = {}
     methods = sorted(spec.methods, key=lambda m: m.value)
     mc_methods = [m for m in methods if m in _MC_SYSTEMS]
-    chebyshev = (
-        sop_mod.sop_chebyshev_batch(spec.configs, spec.chebyshev_order)
-        if Method.CHEBYSHEV in spec.methods
-        else None
-    )
+    columns = {m: _column(m, spec) for m in methods if m not in _MC_SYSTEMS}
+    rows = []
     for index, (x, cfg) in enumerate(zip(spec.x_values, spec.configs)):
-        simulated = _simulate(mc_methods, cfg, spec, index)
-        for method in methods:
-            if method in simulated:
-                est = simulated[method]
-            elif method is Method.CHEBYSHEV:
-                est = chebyshev[index]
-            elif method is Method.ASYMPTOTIC:
-                key = (cfg.region_side, cfg.height, cfg.rate_threshold)
-                if key not in asymptotes:
-                    asymptotes[key] = _evaluate(method, cfg)
-                est = asymptotes[key]
-            else:
-                est = _evaluate(method, cfg)
-            rows.append(
-                SweepRow(
-                    x=x,
-                    method=method,
-                    sop=est.value,
-                    stderr=est.stderr,
-                    order_or_trials=est.order_or_trials,
-                )
-            )
+        point = {m: column[index] for m, column in columns.items()}
+        point.update(_simulate(mc_methods, cfg, spec, index))
+        rows.extend(
+            SweepRow(x, m, point[m].value, point[m].stderr, point[m].order_or_trials)
+            for m in methods
+        )
     return SweepResult(tuple(rows))
 
 

@@ -242,10 +242,11 @@ class TestOffsetSqCdf:
 
     @pytest.mark.parametrize("d", [0.3, 7.123456, 10.0, 1000.0])
     def test_rows_take_the_branch_the_masked_kernel_chooses(self, d):
-        # a row inside its branch takes that closed form; a row with one t
-        # outside it at either end, where a nondecreasing row has it (a
-        # knot, a neighbour of one, 0, 5D^2/4 or the inf of a pole), takes
-        # the masked kernel; both equal it bit for bit. At
+        # one call over every row: a row takes the closed form of the branch
+        # that holds both its ends; a row with one t outside its interior's
+        # branch at either end, where a nondecreasing row has it (a knot, a
+        # neighbour of one, 0, 5D^2/4 or the inf of a pole), takes the
+        # masked kernel; both equal it bit for bit. At
         # D = 0.3 and 10 the far form reads 1 -/+ 1 ulp at 5D^2/4, where
         # the CDF is exactly 1
         d2 = d * d
@@ -259,10 +260,26 @@ class TestOffsetSqCdf:
             + [np.concatenate(([t], row[1:])) for row in interiors for t in stray]
             + [np.concatenate((row[:-1], [t])) for row in interiors for t in stray]
         )
+        assert np.array_equal(dist._cdf_offset_sq_rows(rows, d), dist._cdf_offset_sq(rows, d))
+
+    @pytest.mark.parametrize("branch", [0, 1, 2])
+    @pytest.mark.parametrize("d", [0.3, 7.123456, 10.0, 1000.0])
+    def test_a_row_inside_one_branch_never_takes_the_masked_kernel(self, monkeypatch, d, branch):
+        # rows inside the branch's (lo, hi], up to its closed top knot (one
+        # ulp below 5D^2/4 for the far one) and from one ulp above its bottom
+        d2 = d * d
+        lo, hi = (0.0, 0.25 * d2, d2, math.nextafter(1.25 * d2, 0.0))[branch : branch + 2]
+        interior = np.linspace(lo, hi, 129)[1:-1]
+        rows = np.array(
+            [
+                interior,
+                np.concatenate((interior[:-1], [hi])),
+                np.concatenate(([math.nextafter(lo, math.inf)], interior[1:])),
+            ]
+        )
         expected = dist._cdf_offset_sq(rows, d)
-        for branch in range(3):
-            ours = dist._cdf_offset_sq_rows(rows, d, [branch] * len(rows))
-            assert np.array_equal(ours, expected), branch
+        monkeypatch.setattr(dist, "_cdf_offset_sq", None)  # a masked call would raise
+        assert np.array_equal(dist._cdf_offset_sq_rows(rows, d), expected)
 
     def test_quadrature_one_ulp_beside_every_knot(self):
         # t one ulp past a knot leaves a one-ulp panel, on which an adaptive

@@ -250,8 +250,11 @@ class TestSopChebyshev:
     def test_warns_below_pas_floor(self, region_side, height, exact):
         # the rule collapses at extreme D/h; the exact value is far above it
         cfg = make_config(region_side=region_side, height=height, power_dbm=20.0)
-        with pytest.warns(RuntimeWarning, match="below the provable floor"):
+        with pytest.warns(RuntimeWarning, match="below the provable floor") as record:
             est = sop_chebyshev(cfg, 100)
+            assert sop_mod.sop_chebyshev_batch([cfg, cfg]) == [est, est]
+        # each warning points at the caller of the public function
+        assert [w.filename for w in record] == [__file__] * 3
         assert est.value < LOWER_BOUND_PAS
         assert sop_exact(cfg).value == pytest.approx(exact, abs=1e-3)
 
@@ -480,9 +483,9 @@ def recording_thresholds(monkeypatch) -> list:
     thresholds = []
     rows = dist_mod._cdf_offset_sq_rows
 
-    def recording(t, d, branches):
+    def recording(t, d):
         thresholds.append(t.copy())
-        return rows(t, d, branches)
+        return rows(t, d)
 
     monkeypatch.setattr(dist_mod, "_cdf_offset_sq_rows", recording)
     return thresholds

@@ -294,6 +294,15 @@ class TestMonteCarloSharesDraws:
         assert len({seed for seed, _ in calls}) == len(self.RATES)
         assert len(rows) == 2 * len(self.RATES)
 
+    def test_a_failing_analytic_call_stops_the_sweep_before_any_draw(self, monkeypatch):
+        # the analytic columns come first, so no point's trials are drawn
+        calls = count_draw_passes(monkeypatch)
+        monkeypatch.setattr(sop_mod, "_ERROR_BOUND", 1e-300)
+        spec = replace(self.spec(), methods=(Method.EXACT, Method.MC))
+        with pytest.raises(sop_mod.AccuracyError):
+            run_sweep(spec)
+        assert calls == []
+
     def test_csv_matches_per_point_simulation(self):
         spec = self.spec()
         expected = []
@@ -695,6 +704,28 @@ class TestCliSweep:
         assert cli.main(["sweep", "--methods", "lower-pas", f"{flag}={value}"]) == 2
         assert capsys.readouterr().err == f"error: {flag} must be finite, got {float(value)}\n"
 
+    def test_grid_over_the_cap_is_usage_error_before_it_is_built(self, capsys, monkeypatch):
+        cap = cli.MAX_GRID_POINTS
+        built = []
+
+        def stop(**kwargs):
+            built.append(len(kwargs["x_values"]))
+            raise ValueError("stop")
+
+        monkeypatch.setattr(cli, "SweepSpec", stop)
+        for args in (
+            f"--x-min 0 --x-max {cap} --x-step 1",  # cap + 1 points
+            "--x-step 1e-300",
+            "--x-min=-1e308 --x-max 1e308 --x-step 1",  # the span overflows to inf
+        ):
+            assert cli.main(["sweep", *args.split()]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: --x-step ") and f"more than {cap} grid points" in err
+        assert built == []
+        assert cli.main(["sweep", "--x-min", "0", "--x-max", str(cap - 1), "--x-step", "1"]) == 2
+        assert capsys.readouterr().err == "error: stop\n"
+        assert built == [cap]
+
     def test_invalid_physics_is_usage_error(self, capsys):
         code = cli.main(self.BASE + ["--height", "-3"])
         assert code == 2
@@ -873,6 +904,18 @@ class TestCliDist:
 
     def test_grid_too_small(self, capsys):
         assert cli.main(["dist", "--which", "w-pdf", "--grid", "1"]) == 2
+
+    def test_grid_over_the_cap_is_usage_error_before_it_is_built(self, capsys, monkeypatch):
+        cap = cli.MAX_GRID_POINTS
+        grids = []
+        monkeypatch.setattr(
+            cli, "dump_distribution", lambda which, grid, cfg, log_grid: grids.append(grid) or []
+        )
+        assert cli.main(["dist", "--grid", str(cap + 1)]) == 2
+        assert capsys.readouterr().err == f"error: --grid must be <= {cap}, got {cap + 1}\n"
+        assert grids == []
+        assert cli.main(["dist", "--grid", str(cap)]) == 0
+        assert grids == [cap]
 
     @pytest.mark.parametrize("args", ["--height 1e-200", "--height 1e155", "--region-side 1.5e154"])
     def test_overflowing_square_is_usage_error(self, capsys, args):

@@ -1,11 +1,11 @@
 """Command-line front end: `sweep`, `dist`, and `validate`.
 
 Powers are accepted in dBm, the carrier frequency in GHz, rates in
-bits/s/Hz. This module converts the GHz and the base configuration's
-dBm to SI; a swept power axis stays in dBm and ``sweep.config_at``
-converts each of its points. CSV goes to stdout (or --out); everything
-else goes to stderr. Exit codes: 0 success, 1 validation failure,
-2 usage or parameter error.
+bits/s/Hz. The system options, their defaults and their conversion to
+SI are the rows of ``system.OPTIONS``, from which ``operating_point``
+builds the base configuration and ``sweep.config_at`` each swept point.
+CSV goes to stdout (or --out); everything else goes to stderr. Exit
+codes: 0 success, 1 validation failure, 2 usage or parameter error.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from typing import Any, Callable, NamedTuple
 
 from .distributions import DISTRIBUTION_TAGS
 from .montecarlo import McConfig
-from .sop import Method
+from .sop import CHEBYSHEV_ORDER, Method
 from .sweep import (
     DIST_CSV_HEADER,
     Axis,
@@ -28,11 +28,12 @@ from .sweep import (
     format_float,
     run_sweep,
 )
-from .system import SystemConfig, dbm_to_watts
+from .system import OPTIONS, operating_point
 
 DEFAULT_SEED = 12345
 SEED_ENV_VAR = "PINCH_SEED"
-MAX_GRID_POINTS = 1_000_000  # of a --x-step or --grid grid, checked before it is built
+MAX_GRID_POINTS = 1_000_000  # of a grid or a --chebyshev-order rule, checked before it is built
+_SYSTEM_KEYS = [key.replace("-", "_") for key in OPTIONS]  # what operating_point takes
 
 
 class _Param(NamedTuple):
@@ -60,15 +61,10 @@ _PARAMS: dict[str, _Param] = {
         "comma-separated subset of: " + ",".join(m.value for m in Method),
     ),
     "trials": _Param("sweep", int, 100_000, "Monte Carlo trials per grid point", True),
-    "chebyshev-order": _Param("sweep", int, 100, "quadrature order N", True),
+    "chebyshev-order": _Param("sweep", int, CHEBYSHEV_ORDER, "quadrature order N", True),
     "which": _Param("dist", str, "gamma-e-pdf", None, choices=sorted(DISTRIBUTION_TAGS)),
     "grid": _Param("dist", int, 1000, "number of grid points (>= 2)", True),
-    "region-side": _Param("system", float, 10.0, "region side D in meters", True),
-    "height": _Param("system", float, 3.0, "antenna height h in meters", True),
-    "freq-ghz": _Param("system", float, 28.0, "carrier frequency in GHz", True),
-    "power-dbm": _Param("system", float, 20.0, "transmit power in dBm", True),
-    "noise-dbm": _Param("system", float, -80.0, "noise power in dBm", True),
-    "rate": _Param("system", float, 0.1, "target secrecy rate in bits/s/Hz", True),
+    **{key: _Param("system", float, row[1], row[3], True) for key, row in OPTIONS.items()},
     "config": _Param("io", Path, None, "key=value file merged beneath flags"),
     "out": _Param("io", Path, None, "write CSV here instead of stdout"),
     "seed": _Param("io", int, None, f"RNG seed (default ${SEED_ENV_VAR} or {DEFAULT_SEED})", True),
@@ -159,17 +155,6 @@ def _resolve_seed(merged: dict) -> int:
     return DEFAULT_SEED
 
 
-def _system_config(p: dict) -> SystemConfig:
-    return SystemConfig(
-        region_side=p["region_side"],
-        height=p["height"],
-        carrier_freq=p["freq_ghz"] * 1e9,
-        transmit_power=dbm_to_watts(p["power_dbm"]),
-        noise_power=dbm_to_watts(p["noise_dbm"]),
-        target_rate=p["rate"],
-    )
-
-
 def _x_values(args: argparse.Namespace, p: dict) -> tuple[float, ...]:
     if getattr(args, "x_values", None):
         try:
@@ -228,14 +213,17 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     _check_out(args.out)
     p = _resolve(args)
     seed = _resolve_seed(p)
+    order = p["chebyshev_order"]
+    if order > MAX_GRID_POINTS:
+        raise UsageError(f"--chebyshev-order must be <= {MAX_GRID_POINTS}, got {order}")
     try:
         spec = SweepSpec(
             x_axis=Axis(p["x"]),
             x_values=_x_values(args, p),
-            base=_system_config(p),
+            base=operating_point(**{k: p[k] for k in _SYSTEM_KEYS}),
             methods=_methods(p["methods"]),
             mc=McConfig(trials=int(p["trials"]), seed=seed),
-            chebyshev_order=int(p["chebyshev_order"]),
+            chebyshev_order=order,
         )
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -249,7 +237,7 @@ def _cmd_dist(args: argparse.Namespace) -> int:
     if int(p["grid"]) > MAX_GRID_POINTS:
         raise UsageError(f"--grid must be <= {MAX_GRID_POINTS}, got {p['grid']}")
     try:
-        cfg = _system_config(p)
+        cfg = operating_point(**{k: p[k] for k in _SYSTEM_KEYS})
         rows = dump_distribution(p["which"], int(p["grid"]), cfg, log_grid=args.log_grid)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc

@@ -37,11 +37,13 @@ __all__ = [
     "sop_lower_bound_fpa",
     "LOWER_BOUND_PAS",
     "LOWER_BOUND_FPA",
+    "CHEBYSHEV_ORDER",
 ]
 
 # Exact parameter-free floors, computed from pi rather than transcribed.
 LOWER_BOUND_PAS = (2.0 * math.pi - 1.0) / 24.0
 LOWER_BOUND_FPA = 0.5
+CHEBYSHEV_ORDER = 100  # the paper's Gauss-Chebyshev order N
 
 
 class Method(str, Enum):
@@ -290,7 +292,7 @@ def _chebyshev_batch(cfgs, order: int) -> list[SopEstimate]:
     return estimates
 
 
-def sop_chebyshev_batch(cfgs, order: int = 100) -> list[SopEstimate]:
+def sop_chebyshev_batch(cfgs, order: int = CHEBYSHEV_ORDER) -> list[SopEstimate]:
     """:func:`sop_chebyshev` at each configuration of ``cfgs``, in one array call.
 
     The scalars of each configuration are computed in Python floats as
@@ -300,7 +302,7 @@ def sop_chebyshev_batch(cfgs, order: int = 100) -> list[SopEstimate]:
     return _chebyshev_batch(cfgs, order)
 
 
-def sop_chebyshev(cfg: SystemConfig, order: int = 100) -> SopEstimate:
+def sop_chebyshev(cfg: SystemConfig, order: int = CHEBYSHEV_ORDER) -> SopEstimate:
     """SOP by the N-point Gauss-Chebyshev quadrature closed form.
 
     Affine map of the outage integral (the eavesdropper-SNR density

@@ -30,7 +30,7 @@ from . import sop as sop_mod
 from .distributions import DISTRIBUTION_TAGS
 from .montecarlo import McConfig
 from .sop import Method, SopEstimate
-from .system import SystemConfig, dbm_to_watts
+from .system import OPTIONS, SystemConfig
 
 __all__ = [
     "Axis",
@@ -74,7 +74,7 @@ class SweepSpec:
     base: SystemConfig
     methods: tuple[Method, ...]
     mc: McConfig
-    chebyshev_order: int = 100
+    chebyshev_order: int = sop_mod.CHEBYSHEV_ORDER
     configs: tuple[SystemConfig, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -126,12 +126,9 @@ class SweepResult:
 
 
 def config_at(base: SystemConfig, axis: Axis, x: float) -> SystemConfig:
-    """The fixed configuration with the swept variable set to x."""
-    if axis is Axis.POWER_DBM:
-        return replace(base, transmit_power=dbm_to_watts(x))
-    if axis is Axis.RATE:
-        return replace(base, target_rate=x)
-    return replace(base, region_side=x)
+    """The fixed configuration with the swept variable set to x, in its option's unit."""
+    name, _, to_si, _ = OPTIONS["region-side" if axis is Axis.REGION_SIDE else axis.value]
+    return replace(base, **{name: x if to_si is None else to_si(x)})
 
 
 def _point_seed(seed: int, index: int) -> int:

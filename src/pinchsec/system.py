@@ -1,9 +1,9 @@
 """Physical configuration, geometry, and instantaneous SNR formulas.
 
-All quantities are SI (meters, hertz, watts). :func:`dbm_to_watts` is the
-one dBm conversion: the CLI applies it to its power flags, the sweep to
-each point of a power axis, and the check suite to its reference powers;
-the CLI alone takes the carrier frequency in GHz.
+All quantities are SI (meters, hertz, watts). :data:`OPTIONS` is the one
+table of the operating point in the CLI's units (GHz, dBm): the CLI and
+the check suite build configurations from it by :func:`operating_point`,
+and a sweep converts each point of its axis by the axis's row.
 
 The transmit antenna is a radiating point on a dielectric waveguide that
 runs parallel to the x axis at height ``h``; it is activated at the point
@@ -150,6 +150,29 @@ class SystemConfig:
     def half_side(self) -> float:
         """D/2, the coordinate bound of the deployment region."""
         return self.region_side / 2.0
+
+
+# CLI option -> (SystemConfig field, default in the option's unit, conversion to
+# SI or None where the unit is SI, help): the paper's operating point, in help order
+OPTIONS = {
+    "region-side": ("region_side", 10.0, None, "region side D in meters"),
+    "height": ("height", 3.0, None, "antenna height h in meters"),
+    "freq-ghz": ("carrier_freq", 28.0, lambda ghz: ghz * 1e9, "carrier frequency in GHz"),
+    "power-dbm": ("transmit_power", 20.0, dbm_to_watts, "transmit power in dBm"),
+    "noise-dbm": ("noise_power", -80.0, dbm_to_watts, "noise power in dBm"),
+    "rate": ("target_rate", 0.1, None, "target secrecy rate in bits/s/Hz"),
+}
+
+
+def operating_point(**values: float) -> SystemConfig:
+    """The configuration at option values keyed with underscores, defaults elsewhere."""
+    fields = {}
+    for key, (name, default, to_si, _) in OPTIONS.items():
+        value = values.pop(key.replace("-", "_"), default)
+        fields[name] = value if to_si is None else to_si(value)
+    if values:  # a misspelt key is never silently dropped
+        raise TypeError(f"unknown operating-point option {next(iter(values))!r}")
+    return SystemConfig(**fields)
 
 
 def snr_bob_pinching(y1, cfg: SystemConfig, out=None):

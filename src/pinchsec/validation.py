@@ -41,7 +41,7 @@ from . import sop as sop_mod
 from . import sweep as sweep_mod
 from .montecarlo import McConfig
 from .sop import Method
-from .system import SystemConfig, dbm_to_watts
+from .system import SystemConfig, operating_point
 
 __all__ = ["CheckResult", "check_seed", "run_checks", "reference_config"]
 
@@ -53,21 +53,9 @@ class CheckResult:
     detail: str
 
 
-def reference_config(
-    region_side: float = 10.0,
-    power_dbm: float = 30.0,
-    rate: float = 0.1,
-    height: float = 3.0,
-) -> SystemConfig:
-    """Default operating point: 28 GHz carrier, -80 dBm noise."""
-    return SystemConfig(
-        region_side=region_side,
-        height=height,
-        carrier_freq=28e9,
-        transmit_power=dbm_to_watts(power_dbm),
-        noise_power=dbm_to_watts(-80.0),
-        target_rate=rate,
-    )
+def reference_config(**values: float) -> SystemConfig:
+    """The check suite's reference point: ``system.operating_point`` at 30 dBm by default."""
+    return operating_point(**{"power_dbm": 30.0, **values})
 
 
 def _grid_configs(fast: bool) -> list[SystemConfig]:
@@ -397,7 +385,7 @@ def _check_sop_agreement(fast: bool, seed: int) -> list[CheckResult]:
     worst_mc = 0.0
     mc_ok = True
     floor_ok = True
-    chebs = [est.value for est in sop_mod.sop_chebyshev_batch(configs, 100)]
+    chebs = [est.value for est in sop_mod.sop_chebyshev_batch(configs, sop_mod.CHEBYSHEV_ORDER)]
     for i, (cfg, cheb) in enumerate(zip(configs, chebs)):
         exact = sop_mod.sop_exact(cfg).value
         worst_cheb = max(worst_cheb, abs(cheb - exact))
@@ -459,7 +447,7 @@ def _check_ordering(fast: bool, seed: int) -> list[CheckResult]:
     # share (20 dBm, 0.1), which is evaluated once
     points = list(dict.fromkeys([(20.0, r) for r in rates] + [(p, 0.1) for p in powers]))
     configs = [reference_config(region_side=30.0, power_dbm=p, rate=r) for p, r in points]
-    chebs = [est.value for est in sop_mod.sop_chebyshev_batch(configs, 100)]
+    chebs = [est.value for est in sop_mod.sop_chebyshev_batch(configs, sop_mod.CHEBYSHEV_ORDER)]
     ok = True
     worst_margin = math.inf
     for i, (cfg, cheb) in enumerate(zip(configs, chebs)):
@@ -517,7 +505,7 @@ def _check_determinism(fast: bool, seed: int) -> list[CheckResult]:
 def _check_saturation(fast: bool, seed: int) -> list[CheckResult]:
     cfg = reference_config(power_dbm=-30.0, rate=12.0)
     exact = sop_mod.sop_exact(cfg).value
-    cheb = sop_mod.sop_chebyshev(cfg, 100).value
+    cheb = sop_mod.sop_chebyshev(cfg, sop_mod.CHEBYSHEV_ORDER).value
     mc = mc_mod.simulate_sop_pas(cfg, McConfig(10_000, seed + 950)).estimate
     ok = exact == 1.0 and abs(cheb - 1.0) <= 1e-6 and mc == 1.0
     return [

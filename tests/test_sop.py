@@ -609,7 +609,7 @@ REFERENCE_GRID = [
 @pytest.fixture(scope="module")
 def exact_on_grid():
     return {
-        (d, p, r): sop_exact(make_config(d, p, r)).value
+        (d, p, r): sop_exact(make_config(region_side=d, power_dbm=p, rate=r)).value
         for d, p, r in REFERENCE_GRID
     }
 
@@ -642,7 +642,7 @@ class TestNorthStarBox:
         trials = 200_000
         oracle_checks = []
 
-        @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+        @settings(max_examples=300, deadline=None)
         @given(
             st.floats(0.0, 4.0),
             st.floats(-5.0, 1.0),

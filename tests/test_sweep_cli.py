@@ -1,3 +1,4 @@
+import argparse
 import csv
 import itertools
 import json
@@ -32,6 +33,7 @@ from pinchsec.sweep import (
     format_float,
     run_sweep,
 )
+from pinchsec.system import OPTIONS, operating_point
 from pinchsec.validation import CheckResult
 
 from conftest import make_config
@@ -195,6 +197,18 @@ class TestAsymptoteOncePerSweep:
 
 
 class TestSpecConfigs:
+    @pytest.mark.parametrize(
+        "axis,x,expected",
+        [
+            (Axis.POWER_DBM, 33.0, lambda cfg: replace(cfg, transmit_power=dbm_to_watts(33.0))),
+            (Axis.RATE, 0.7, lambda cfg: replace(cfg, target_rate=0.7)),
+            (Axis.REGION_SIDE, 30.0, lambda cfg: replace(cfg, region_side=30.0)),
+        ],
+    )
+    def test_config_at_sets_the_axis_field_in_si(self, axis, x, expected):
+        base = make_config()
+        assert config_at(base, axis, x) == expected(base)
+
     def test_holds_the_config_at_each_x(self):
         spec = small_spec()
         assert spec.configs == tuple(config_at(spec.base, spec.x_axis, x) for x in spec.x_values)
@@ -726,6 +740,21 @@ class TestCliSweep:
         assert capsys.readouterr().err == "error: stop\n"
         assert built == [cap]
 
+    def test_chebyshev_order_over_the_cap_is_usage_error_before_any_point(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        cap = cli.MAX_GRID_POINTS
+        monkeypatch.setattr(sop_mod, "sop_chebyshev_batch", None)  # computing would raise
+        conf = tmp_path / "params.cfg"
+        conf.write_text(f"chebyshev-order={cap + 1}\n")
+        argv = ["sweep", "--methods", "chebyshev", "--x-values", "0"]
+        for source in (["--chebyshev-order", str(cap + 1)], ["--config", str(conf)]):
+            assert cli.main(argv + source) == 2
+            err = capsys.readouterr().err
+            assert err == f"error: --chebyshev-order must be <= {cap}, got {cap + 1}\n"
+        argv = ["sweep", "--methods", "lower-pas", "--x-values", "0"]
+        assert cli.main(argv + ["--chebyshev-order", str(cap)]) == 0
+
     def test_invalid_physics_is_usage_error(self, capsys):
         code = cli.main(self.BASE + ["--height", "-3"])
         assert code == 2
@@ -831,6 +860,27 @@ CONFIG_FILE_KEYS = [
 ]
 
 
+class TestSystemOptions:
+    @pytest.mark.parametrize("command", ["sweep", "dist"])
+    def test_group_lists_the_table_in_help_order(self, command):
+        sub = next(
+            a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        )
+        (group,) = [
+            g for g in sub.choices[command]._action_groups if g.title == "system parameters"
+        ]
+        listed = [(a.option_strings, a.help, a.type) for a in group._group_actions]
+        assert listed == [
+            (["--region-side"], "region side D in meters", float),
+            (["--height"], "antenna height h in meters", float),
+            (["--freq-ghz"], "carrier frequency in GHz", float),
+            (["--power-dbm"], "transmit power in dBm", float),
+            (["--noise-dbm"], "noise power in dBm", float),
+            (["--rate"], "target secrecy rate in bits/s/Hz", float),
+        ]
+        assert [a.dest for a in group._group_actions] == [k.replace("-", "_") for k in OPTIONS]
+
+
 class TestRetiredSettings:
     """--workers and --n-eff changed no output, and --exact-tol could only
     turn a result into an error: none is an option any more."""
@@ -882,6 +932,11 @@ class TestConfigFileKeys:
         assert read(calls[command]) == expected
         assert cli.main([command]) == 0
         assert read(calls[command]) != expected  # not the built-in default
+
+    def test_default_configuration_is_the_operating_point(self, calls):
+        assert cli.main(["sweep"]) == 0
+        assert cli.main(["dist"]) == 0
+        assert calls["sweep"].base == calls["dist"][2] == operating_point()
 
     @pytest.mark.parametrize(
         "key",

@@ -1,5 +1,5 @@
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -13,6 +13,7 @@ from pinchsec import (
     snr_eve_pinching,
     snr_fpa,
 )
+from pinchsec.system import OPTIONS, operating_point
 
 from conftest import make_config
 
@@ -34,6 +35,41 @@ class TestUnitConversion:
         with pytest.raises(ValueError, match="overflows"):
             dbm_to_watts(4000.0)
         assert dbm_to_watts(3000.0) == pytest.approx(1e297, rel=1e-12)
+
+
+class TestOperatingPoint:
+    def test_every_field_but_the_refractive_index_is_one_option(self):
+        inputs = [f.name for f in fields(SystemConfig) if f.init and f.name != "refractive_index"]
+        assert sorted(row[0] for row in OPTIONS.values()) == sorted(inputs)
+
+    def test_defaults_in_each_unit(self):
+        assert operating_point() == SystemConfig(
+            region_side=10.0,
+            height=3.0,
+            carrier_freq=28e9,
+            transmit_power=dbm_to_watts(20.0),
+            noise_power=dbm_to_watts(-80.0),
+            target_rate=0.1,
+        )
+
+    def test_values_are_converted_to_si(self):
+        cfg = operating_point(freq_ghz=60.0, power_dbm=33.0, noise_dbm=-70.0, height=2.5)
+        assert (cfg.carrier_freq, cfg.height) == (60e9, 2.5)
+        assert (cfg.transmit_power, cfg.noise_power) == (dbm_to_watts(33.0), dbm_to_watts(-70.0))
+
+    def test_si_values_keep_their_type(self):
+        assert type(operating_point(region_side=7, rate=1).region_side) is int
+
+    def test_reference_config_is_the_operating_point_at_30_dbm(self):
+        assert make_config() == operating_point(power_dbm=30.0)
+        assert make_config(power_dbm=20.0) == operating_point()
+
+    @pytest.mark.parametrize("build", [operating_point, make_config])
+    def test_unknown_key_is_a_type_error(self, build):
+        with pytest.raises(TypeError, match="'heigth'"):
+            build(heigth=3.0)
+        with pytest.raises(TypeError):
+            build(10.0)  # values are keywords only
 
 
 class TestSystemConfig:

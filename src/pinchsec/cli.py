@@ -33,6 +33,8 @@ from .system import OPTIONS, operating_point
 DEFAULT_SEED = 12345
 SEED_ENV_VAR = "PINCH_SEED"
 MAX_GRID_POINTS = 1_000_000  # of a grid or a --chebyshev-order rule, checked before it is built
+# of a sweep's Chebyshev rule, points times order: the default order on the largest grid
+MAX_CHEBYSHEV_NODES = MAX_GRID_POINTS * CHEBYSHEV_ORDER
 _SYSTEM_KEYS = [key.replace("-", "_") for key in OPTIONS]  # what operating_point takes
 
 
@@ -216,10 +218,16 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     order = p["chebyshev_order"]
     if order > MAX_GRID_POINTS:
         raise UsageError(f"--chebyshev-order must be <= {MAX_GRID_POINTS}, got {order}")
+    x_values = _x_values(args, p)
+    if len(x_values) * order > MAX_CHEBYSHEV_NODES:
+        raise UsageError(
+            f"--chebyshev-order {order} at {len(x_values)} grid points gives more than "
+            f"{MAX_CHEBYSHEV_NODES} Chebyshev nodes"
+        )
     try:
         spec = SweepSpec(
             x_axis=Axis(p["x"]),
-            x_values=_x_values(args, p),
+            x_values=x_values,
             base=operating_point(**{k: p[k] for k in _SYSTEM_KEYS}),
             methods=_methods(p["methods"]),
             mc=McConfig(trials=int(p["trials"]), seed=seed),

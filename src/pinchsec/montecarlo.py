@@ -12,13 +12,19 @@ into one span per worker and each span into chunks of at most 2^14
 trials, in order on the calling thread, so ``workers`` is a
 partitioning hint only. A span opens the seed's stream at its first
 trial and draws its chunks from it in order, into one buffer allocated
-once per call: the (chunk, 4) uniforms, mapped to coordinates in place.
-Two loops walk the chunks: the event counter hands each kernel the
-columns x1, y1, x2, y2, and :func:`sample_offset_sq` collects the
-squared offsets, of which :func:`sample_snr_eve` is the SNR map. One
-pass over the draws can count several events, so the pinching and
-fixed-position outages of one configuration share their trials
-(:func:`simulate_sops`).
+once per call: the (chunk, 4) uniforms u, which :func:`_coordinates`
+maps to x1, y1, x2, y2 as (u - 0.5) * D. Two loops walk the chunks: the
+event counter hands each kernel the coordinate columns, and
+:func:`sample_offset_sq` collects the squared offsets, of which
+:func:`sample_snr_eve` is the SNR map.
+
+One pass over the draws counts every event at every configuration.
+:func:`simulate_sops` takes a sequence of configurations, such as the
+points of a sweep, and counts both systems at all of them over the same
+trials: each chunk is drawn once and mapped once per distinct region
+side. These are common random numbers: each estimate has the
+distribution of its own one-configuration call, and equals that call
+bit for bit, but estimates at different configurations are correlated.
 
 No chunk allocates. The event kernels evaluate in place, in a workspace
 of three float columns and one bool column allocated once per call,
@@ -29,7 +35,9 @@ on 64-byte boundaries, so the cost does not depend on where the
 allocator puts them: even with glibc's mmap threshold fixed at 64 KiB,
 a 1e6-trial two-system call takes about 200 minor page faults. The
 chunk size sets cache use, never an answer: at 2^14 trials the 512 KiB
-buffer and the 400 KiB workspace fit a 2 MiB per-core L2 cache.
+buffer and the 400 KiB workspace fit a 2 MiB per-core L2 cache, and so
+does the second 512 KiB buffer that configurations of several region
+sides map their coordinates into.
 """
 
 from __future__ import annotations
@@ -116,14 +124,14 @@ def _aligned(shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
     return raw[skip : skip + nbytes].view(dtype).reshape(shape)
 
 
-def _chunks(mc: McConfig, side: float) -> Iterator[tuple[int, int, np.ndarray]]:
-    """Yield (start, stop, coords) for each chunk of trials, in trial order.
+def _chunks(mc: McConfig) -> Iterator[tuple[int, int, np.ndarray]]:
+    """Yield (start, stop, uniforms) for each chunk of trials, in trial order.
 
-    ``coords`` holds x1, y1, x2, y2 on [-D/2, D/2] in columns 0-3. The
-    trials are cut into one span per worker; each span opens the seed's
-    stream at its first trial and fills its chunks from it in order: a
-    chunk takes four draws per trial, so the next one starts at its
-    first trial's draws. Every chunk is drawn into one aligned buffer
+    ``uniforms`` holds the trials' four draws on [0, 1), one row per
+    trial. The trials are cut into one span per worker; each span opens
+    the seed's stream at its first trial and fills its chunks from it in
+    order: a chunk takes four draws per trial, so the next one starts at
+    its first trial's draws. Every chunk is drawn into one aligned buffer
     allocated per call, so it is only valid until the next chunk is drawn.
     """
     buffer = _aligned((min(mc.trials, _CHUNK_TRIALS), _DRAWS_PER_TRIAL))
@@ -133,10 +141,14 @@ def _chunks(mc: McConfig, side: float) -> Iterator[tuple[int, int, np.ndarray]]:
         rng = _span_generator(mc.seed, lo)
         for start in range(lo, hi, _CHUNK_TRIALS):
             stop = min(start + _CHUNK_TRIALS, hi)
-            coords = rng.random(out=buffer[: stop - start])
-            coords -= 0.5
-            coords *= side
-            yield start, stop, coords
+            yield start, stop, rng.random(out=buffer[: stop - start])
+
+
+def _coordinates(uniforms: np.ndarray, side: float, out: np.ndarray) -> np.ndarray:
+    """x1, y1, x2, y2 on [-D/2, D/2] into ``out`` (which may be ``uniforms``): (u - 0.5) * D."""
+    np.subtract(uniforms, 0.5, out=out)
+    out *= side
+    return out
 
 
 # three float columns and one bool column, one row per trial of a chunk
@@ -154,26 +166,38 @@ def _workspace(size: int) -> _Workspace:
 
 
 def _count_events(
-    cfg: SystemConfig, mc: McConfig, events: Sequence[_Kernel]
-) -> tuple[McResult, ...]:
-    """Estimate the probability of every event in one pass over the draws.
+    cfgs: Sequence[SystemConfig], mc: McConfig, events: Sequence[_Kernel]
+) -> list[tuple[McResult, ...]]:
+    """Estimate the probability of every event at every configuration in one pass.
 
-    The workspace is allocated once per call, and every kernel of every
-    chunk overwrites it.
+    Each chunk's uniforms are drawn once and mapped to coordinates once
+    per distinct region side: in place when there is one side, else into
+    a second buffer, so the uniforms stay for the next side. Every kernel
+    of every configuration then overwrites the workspace. The buffer and
+    the workspace are allocated once per call.
     """
-    workspace = _workspace(min(mc.trials, _CHUNK_TRIALS))
-    counts = [0] * len(events)
-    for start, stop, coords in _chunks(mc, cfg.region_side):
+    size = min(mc.trials, _CHUNK_TRIALS)
+    workspace = _workspace(size)
+    by_side: dict[float, list[int]] = {}
+    for i, cfg in enumerate(cfgs):
+        by_side.setdefault(cfg.region_side, []).append(i)
+    coords = _aligned((size, _DRAWS_PER_TRIAL)) if len(by_side) > 1 else None
+    counts = [[0] * len(events) for _ in cfgs]
+    for start, stop, uniforms in _chunks(mc):
         work = tuple(column[: stop - start] for column in workspace)
-        x1, y1, x2, y2 = coords.T
-        for i, event in enumerate(events):
-            counts[i] += int(np.count_nonzero(event(x1, y1, x2, y2, cfg, work)))
-    results = []
-    for total in counts:
-        estimate = total / mc.trials
-        stderr = math.sqrt(estimate * (1.0 - estimate) / mc.trials)
-        results.append(McResult(estimate, stderr, mc.trials, mc.seed))
-    return tuple(results)
+        out = uniforms if coords is None else coords[: stop - start]
+        for side, members in by_side.items():
+            x1, y1, x2, y2 = _coordinates(uniforms, side, out).T
+            for i in members:
+                for j, event in enumerate(events):
+                    counts[i][j] += int(np.count_nonzero(event(x1, y1, x2, y2, cfgs[i], work)))
+    return [tuple(_result(total, mc) for total in row) for row in counts]
+
+
+def _result(count: int, mc: McConfig) -> McResult:
+    estimate = count / mc.trials
+    stderr = math.sqrt(estimate * (1.0 - estimate) / mc.trials)
+    return McResult(estimate, stderr, mc.trials, mc.seed)
 
 
 def _outage(gb: np.ndarray, ge: np.ndarray, cfg: SystemConfig, mask: np.ndarray) -> np.ndarray:
@@ -221,20 +245,28 @@ def _bound_event(x1, y1, x2, y2, cfg: SystemConfig, work: _Workspace) -> np.ndar
 _OUTAGES = {"pas": _outage_pas, "fpa": _outage_fpa}
 
 
-def simulate_sops(cfg: SystemConfig, mc: McConfig, systems: Sequence[str]) -> tuple[McResult, ...]:
-    """Empirical SOP of each of ``systems`` over one shared set of trials.
+def simulate_sops(
+    cfgs: Sequence[SystemConfig], mc: McConfig, systems: Sequence[str]
+) -> tuple[tuple[McResult, ...], ...]:
+    """Empirical SOP of each of ``systems`` at each of ``cfgs``, over one set of trials.
 
     ``"pas"`` is the pinching-antenna system, ``"fpa"`` the fixed-position
-    baseline. Each estimate equals the one-system call with the same
-    ``mc``; the systems are drawn once, so their estimates use common
-    random numbers. No systems give ``()`` without drawing; a name that
-    is not one of these, or a bare string, is a ValueError.
+    baseline. Returns one tuple of results per configuration, in the
+    order of ``systems``. Every configuration and system counts its
+    outages over the same trials of ``mc``, drawn once: the estimates use
+    common random numbers, and entry ``i`` equals
+    ``simulate_sops((cfgs[i],), mc, systems)[0]``, whose entries equal
+    the one-system calls. No configurations or no systems give empty
+    tuples without drawing. A name that is not one of the systems, or a
+    bare string, is a ValueError; one ``SystemConfig`` in place of a
+    sequence is a TypeError.
     """
     if isinstance(systems, str) or not all(s in _OUTAGES for s in systems):
         raise ValueError(f"systems must be a sequence of 'pas' and 'fpa', got {systems!r}")
-    if not systems:
-        return ()
-    return _count_events(cfg, mc, [_OUTAGES[s] for s in systems])
+    cfgs = tuple(cfgs)
+    if not cfgs or not systems:
+        return tuple(() for _ in cfgs)
+    return tuple(_count_events(cfgs, mc, [_OUTAGES[s] for s in systems]))
 
 
 def simulate_sop_pas(cfg: SystemConfig, mc: McConfig) -> McResult:
@@ -243,13 +275,13 @@ def simulate_sop_pas(cfg: SystemConfig, mc: McConfig) -> McResult:
     Per trial, both receivers are drawn uniformly on the region and the
     outage event (1 + snr_bob) <= C * (1 + snr_eve) is counted.
     """
-    (result,) = _count_events(cfg, mc, (_outage_pas,))
+    ((result,),) = _count_events((cfg,), mc, (_outage_pas,))
     return result
 
 
 def simulate_sop_fpa(cfg: SystemConfig, mc: McConfig) -> McResult:
     """Empirical SOP of the fixed-position baseline (antenna at the center)."""
-    (result,) = _count_events(cfg, mc, (_outage_fpa,))
+    ((result,),) = _count_events((cfg,), mc, (_outage_fpa,))
     return result
 
 
@@ -259,7 +291,7 @@ def simulate_lower_bound_event(cfg: SystemConfig, mc: McConfig) -> McResult:
     The event (x1-x2)^2 + y2^2 <= y1^2 is scale-free: the estimate does
     not depend on the region size, the height, or the transmit power.
     """
-    (result,) = _count_events(cfg, mc, (_bound_event,))
+    ((result,),) = _count_events((cfg,), mc, (_bound_event,))
     return result
 
 
@@ -267,8 +299,8 @@ def sample_offset_sq(cfg: SystemConfig, mc: McConfig) -> np.ndarray:
     """Per-trial squared horizontal offset samples, in trial order."""
     out = np.empty(mc.trials, dtype=np.float64)
     scratch = _aligned((min(mc.trials, _CHUNK_TRIALS),))
-    for start, stop, coords in _chunks(mc, cfg.region_side):
-        x1, _, x2, y2 = coords.T
+    for start, stop, uniforms in _chunks(mc):
+        x1, _, x2, y2 = _coordinates(uniforms, cfg.region_side, out=uniforms).T
         _offset_sq(x1, x2, y2, out[start:stop], scratch[: stop - start])
     return out
 

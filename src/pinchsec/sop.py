@@ -252,6 +252,9 @@ def _chebyshev_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
+_BLOCK_NODES = 1 << 16  # Chebyshev nodes per array call: 512 KiB per float array
+
+
 def _checked_order(order, name: str = "order") -> int:
     """``order`` as an int >= 1; a float or a bool is a TypeError."""
     if isinstance(order, bool) or not isinstance(order, numbers.Integral):
@@ -261,13 +264,9 @@ def _checked_order(order, name: str = "order") -> int:
     return int(order)
 
 
-def _chebyshev_batch(cfgs, order: int) -> list[SopEstimate]:
-    """The rule at each of ``cfgs``; a floor warning names the public function's caller."""
-    order = _checked_order(order)
+def _chebyshev_sums(rows, order: int) -> list[float]:
+    """The rule's raw sum at each (C, *scales) row, in one array call."""
     nodes, weights = _chebyshev_rule(order)
-    rows = [(cfg.rate_threshold, *dist._scales(cfg)) for cfg in cfgs]
-    if not rows:
-        return []
     # (B, 1) columns; one configuration keeps its floats, which broadcast alike
     c, *scales = rows[0] if len(rows) == 1 else np.array(rows).T[..., None]
     p = dist._Scales(*scales)
@@ -279,8 +278,19 @@ def _chebyshev_batch(cfgs, order: int) -> list[SopEstimate]:
     terms = weights * dist._pdf_snr_eve(t, p) * dist._cdf_snr_bob(bob_snr, p)
     # each row left to right in node order: np.sum adds pairwise and rounds differently
     raws = (math.pi / order) * halfwidth * np.cumsum(terms, axis=-1)[..., -1:]
+    return np.ravel(raws).tolist()
+
+
+def _chebyshev_batch(cfgs, order: int) -> list[SopEstimate]:
+    """The rule at each of ``cfgs``; a floor warning names the public function's caller."""
+    order = _checked_order(order)
+    rows = [(cfg.rate_threshold, *dist._scales(cfg)) for cfg in cfgs]
+    step = max(1, _BLOCK_NODES // order)
+    raws = []
+    for lo in range(0, len(rows), step):
+        raws.extend(_chebyshev_sums(rows[lo : lo + step], order))
     estimates = []
-    for raw in raws.ravel().tolist():
+    for raw in raws:
         if LOWER_BOUND_PAS - raw > 1e-3:
             warnings.warn(
                 "sop_chebyshev fell below the provable floor (2*pi-1)/24, so its "
@@ -293,11 +303,14 @@ def _chebyshev_batch(cfgs, order: int) -> list[SopEstimate]:
 
 
 def sop_chebyshev_batch(cfgs, order: int = CHEBYSHEV_ORDER) -> list[SopEstimate]:
-    """:func:`sop_chebyshev` at each configuration of ``cfgs``, in one array call.
+    """:func:`sop_chebyshev` at each configuration of ``cfgs``, a block at a time.
 
-    The scalars of each configuration are computed in Python floats as
-    for one, so every estimate equals that of :func:`sop_chebyshev` bit
-    for bit; each estimate below the floor warns once.
+    One array call evaluates as many configurations as fit in 2^16 nodes
+    (655 at N = 100), or one where N is larger, so the arrays stay
+    bounded however many configurations there are. The scalars of each
+    configuration are computed in Python floats as for one, so every
+    estimate equals that of :func:`sop_chebyshev` bit for bit; each
+    estimate below the floor warns once.
     """
     return _chebyshev_batch(cfgs, order)
 

@@ -2,20 +2,25 @@
 
 A sweep evaluates a set of SOP methods over one independent variable
 (transmit power in dBm, target rate, or region side) with everything
-else held fixed. Monte Carlo points get independent per-point seeds
-derived from the sweep seed and the point index, so estimates at
-different x values are statistically independent yet fully reproducible
-and worker-count invariant. At one x, ``mc`` and ``mc-fpa`` count their
-outage events over the same trials, drawn once.
+else held fixed. Each method is one column over all x values. The
+Monte Carlo methods make one ``montecarlo.simulate_sops`` call per
+sweep, with the sweep's seed: every x value, and ``mc`` and ``mc-fpa``
+at each, count their outage events over the same trials, drawn once.
+These common random numbers leave each point's estimate and standard
+error distributed as for a point simulated alone, and make the curve
+smooth: neighbouring points share their trials, so their difference is
+far less noisy than their standard errors suggest, and a rate sweep's
+Monte Carlo columns never decrease in the rate. The CSV is
+byte-reproducible for a given seed and independent of the worker count.
 
-Each analytic method is one column over all x values, evaluated before
-any Monte Carlo draw: the Chebyshev rule in one array call of
-``sop.sop_chebyshev_batch``, whose rows equal per-point ``sop_chebyshev``
-calls bit for bit; the exact SOP in one ``sop.sop_exact`` call per
-point; the high-power asymptote, which depends only on the region side,
-the height and the rate threshold, once per distinct triple (so once
-for a power sweep); each floor as one constant. Each x value's
-configuration is built once, by ``SweepSpec``.
+The analytic columns are evaluated before any Monte Carlo draw: the
+Chebyshev rule in one call of ``sop.sop_chebyshev_batch``, whose
+rows equal per-point ``sop_chebyshev`` calls bit for bit; the exact SOP
+in one ``sop.sop_exact`` call per point; the high-power asymptote,
+which depends only on the region side, the height and the rate
+threshold, once per distinct triple (so once for a power sweep); each
+floor as one constant. Each x value's configuration is built once, by
+``SweepSpec``.
 """
 
 from __future__ import annotations
@@ -131,26 +136,18 @@ def config_at(base: SystemConfig, axis: Axis, x: float) -> SystemConfig:
     return replace(base, **{name: x if to_si is None else to_si(x)})
 
 
-def _point_seed(seed: int, index: int) -> int:
-    """Stable per-point seed so grid points draw independent trials."""
-    return int(np.random.SeedSequence((seed, index)).generate_state(1, np.uint64)[0])
-
-
 # Monte Carlo methods and the system each one simulates.
 _MC_SYSTEMS = {Method.MC: "pas", Method.MC_FPA: "fpa"}
 
 
-def _simulate(
-    methods: list[Method], cfg: SystemConfig, spec: SweepSpec, point_index: int
-) -> dict[Method, SopEstimate]:
-    """Every requested Monte Carlo method at one point, from one set of draws."""
+def _mc_columns(methods: list[Method], spec: SweepSpec) -> dict[Method, list[SopEstimate]]:
+    """Every requested Monte Carlo method at each of ``spec.configs``, from one set of draws."""
     if not methods:
         return {}
-    point_mc = replace(spec.mc, seed=_point_seed(spec.mc.seed, point_index))
-    results = mc_mod.simulate_sops(cfg, point_mc, [_MC_SYSTEMS[m] for m in methods])
+    points = mc_mod.simulate_sops(spec.configs, spec.mc, [_MC_SYSTEMS[m] for m in methods])
     return {
-        m: SopEstimate(res.estimate, m, res.trials, stderr=res.stderr)
-        for m, res in zip(methods, results)
+        m: [SopEstimate(res.estimate, m, res.trials, stderr=res.stderr) for res in column]
+        for m, column in zip(methods, zip(*points))
     }
 
 
@@ -174,24 +171,22 @@ def _column(method: Method, spec: SweepSpec) -> list[SopEstimate]:
 def run_sweep(spec: SweepSpec) -> SweepResult:
     """Evaluate every requested method at every x value.
 
-    The analytic columns come first, so a failing analytic call stops the
-    sweep before any Monte Carlo draw; the Monte Carlo methods then run
-    point by point. Rows are emitted in (x, method name) order, whatever
-    the order of ``spec.methods``: the x values ascend and each point
-    visits the methods by name, so no sort follows. Output is
+    Every method is one column over the x values. The analytic columns
+    come first, so a failing analytic call stops the sweep before any
+    Monte Carlo draw; the Monte Carlo methods then share one draw of
+    ``spec.mc``'s trials. Rows are emitted in (x, method name) order,
+    whatever the order of ``spec.methods``: the x values ascend and each
+    point visits the methods by name, so no sort follows. Output is
     deterministic for a given seed and independent of the worker count.
     """
     methods = sorted(spec.methods, key=lambda m: m.value)
-    mc_methods = [m for m in methods if m in _MC_SYSTEMS]
     columns = {m: _column(m, spec) for m in methods if m not in _MC_SYSTEMS}
+    columns.update(_mc_columns([m for m in methods if m in _MC_SYSTEMS], spec))
     rows = []
-    for index, (x, cfg) in enumerate(zip(spec.x_values, spec.configs)):
-        point = {m: column[index] for m, column in columns.items()}
-        point.update(_simulate(mc_methods, cfg, spec, index))
-        rows.extend(
-            SweepRow(x, m, point[m].value, point[m].stderr, point[m].order_or_trials)
-            for m in methods
-        )
+    for index, x in enumerate(spec.x_values):
+        for m in methods:
+            est = columns[m][index]
+            rows.append(SweepRow(x, m, est.value, est.stderr, est.order_or_trials))
     return SweepResult(tuple(rows))
 
 

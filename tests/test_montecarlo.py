@@ -22,6 +22,7 @@ from pinchsec import (
 )
 from pinchsec import distributions as dist
 from pinchsec import montecarlo as mc_mod
+from pinchsec.sweep import Axis, config_at
 from pinchsec.system import snr_bob_pinching, snr_eve_pinching, snr_fpa
 
 from conftest import make_config
@@ -109,7 +110,7 @@ class TestSubstreams:
 
     def test_workers_start_no_thread(self, cfg10, monkeypatch):
         one = McConfig(trials=200_000, seed=14, workers=1)
-        sops = simulate_sops(cfg10, one, ["pas", "fpa"])
+        sops = simulate_sops((cfg10,), one, ["pas", "fpa"])
         samples = sample_snr_eve(cfg10, one)
 
         def refuse(thread):
@@ -117,7 +118,7 @@ class TestSubstreams:
 
         monkeypatch.setattr(threading.Thread, "start", refuse)
         four = McConfig(trials=200_000, seed=14, workers=4)
-        assert simulate_sops(cfg10, four, ["pas", "fpa"]) == sops
+        assert simulate_sops((cfg10,), four, ["pas", "fpa"]) == sops
         assert np.array_equal(sample_snr_eve(cfg10, four), samples)
 
     def test_same_seed_same_estimate(self, cfg10):
@@ -186,9 +187,14 @@ class TestReusedDrawBuffer:
         mc = McConfig(KERNEL_TRIALS, KERNEL_SEED)
         workspace = mc_mod._workspace(mc_mod._CHUNK_TRIALS)
         assert all(column.ctypes.data % 64 == 0 for column in workspace)
-        for start, stop, chunk in mc_mod._chunks(mc, cfg.region_side):
-            assert chunk.ctypes.data % 64 == 0
+        buffer = mc_mod._aligned((mc_mod._CHUNK_TRIALS, 4))
+        for start, stop, draws in mc_mod._chunks(mc):
+            assert draws.ctypes.data % 64 == 0
+            assert np.array_equal(draws, uniforms(KERNEL_SEED, start, stop))
+            chunk = mc_mod._coordinates(draws, cfg.region_side, buffer[: stop - start])
             assert np.array_equal(chunk, coords[start:stop])
+            # mapped in place, as for configurations of one region side
+            assert np.array_equal(mc_mod._coordinates(draws, cfg.region_side, draws), chunk)
             work = tuple(column[: stop - start] for column in workspace)
             for event, mask in expected.items():
                 got = event(*chunk.T, cfg, work)
@@ -219,22 +225,24 @@ class TestReusedDrawBuffer:
     def test_shared_pass_equals_one_system_calls(self, cfg30, workers):
         mc = McConfig(trials=KERNEL_TRIALS, seed=KERNEL_SEED, workers=workers)
         pas, fpa = simulate_sop_pas(cfg30, mc), simulate_sop_fpa(cfg30, mc)
-        assert simulate_sops(cfg30, mc, ("pas", "fpa")) == (pas, fpa)
-        assert simulate_sops(cfg30, mc, ("fpa", "pas")) == (fpa, pas)
-        assert simulate_sops(cfg30, mc, ("pas",)) == (pas,)
+        assert simulate_sops((cfg30,), mc, ("pas", "fpa")) == ((pas, fpa),)
+        assert simulate_sops((cfg30,), mc, ("fpa", "pas")) == ((fpa, pas),)
+        assert simulate_sops((cfg30,), mc, ("pas",)) == ((pas,),)
 
 
-# minor page faults per 1e6-trial two-system call, in a fresh process
+# minor page faults per 1e6-trial two-system call at two region sides, in a
+# fresh process
 FAULTS_PER_CALL = """
 import resource, sys
 sys.path.insert(0, sys.argv[1])
 from pinchsec import McConfig, simulate_sops
 from pinchsec.validation import reference_config
-cfg, mc, calls = reference_config(), McConfig(1_000_000, 1), 3
-simulate_sops(cfg, mc, ["pas", "fpa"])
+cfgs = [reference_config(region_side=d) for d in (10.0, 30.0)]
+mc, calls = McConfig(1_000_000, 1), 3
+simulate_sops(cfgs, mc, ["pas", "fpa"])
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 for _ in range(calls):
-    simulate_sops(cfg, mc, ["pas", "fpa"])
+    simulate_sops(cfgs, mc, ["pas", "fpa"])
 print((resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before) / calls)
 """
 
@@ -247,7 +255,8 @@ class TestHeapIndependence:
     def test_minor_faults_per_call_with_a_low_mmap_threshold(self):
         # a fixed 64 KiB threshold maps every 128 KiB chunk temporary afresh,
         # 32 faults each: one per chunk alone would pass 1000 (62 chunks),
-        # where the per-call buffers cost about 200
+        # where the per-call buffers, the coordinate buffer of the second
+        # side included, cost about 330
         src = str(Path(mc_mod.__file__).parents[1])
         env = {**os.environ, "MALLOC_MMAP_THRESHOLD_": "65536"}
         done = subprocess.run(
@@ -267,31 +276,61 @@ class TestSimulateSopsSystems:
     @pytest.mark.parametrize("systems", [["pas", "bogus"], ["PAS"], ("fpa", None)])
     def test_unknown_name_is_value_error(self, cfg10, no_draws, systems):
         with pytest.raises(ValueError, match="'pas' and 'fpa'"):
-            simulate_sops(cfg10, McConfig(1000, 1), systems)
+            simulate_sops((cfg10,), McConfig(1000, 1), systems)
 
     @pytest.mark.parametrize("systems", ["pas", "fpa", ""])
     def test_bare_string_is_value_error(self, cfg10, no_draws, systems):
         with pytest.raises(ValueError, match="'pas' and 'fpa'"):
-            simulate_sops(cfg10, McConfig(1000, 1), systems)
+            simulate_sops((cfg10,), McConfig(1000, 1), systems)
 
     @pytest.mark.parametrize("systems", [[], ()])
     def test_no_systems_draw_nothing(self, cfg10, no_draws, systems):
-        assert simulate_sops(cfg10, McConfig(2_000_000, 1), systems) == ()
+        assert simulate_sops((cfg10, cfg10), McConfig(2_000_000, 1), systems) == ((), ())
+
+    @pytest.mark.parametrize("cfgs", [[], ()])
+    def test_no_configurations_draw_nothing(self, no_draws, cfgs):
+        assert simulate_sops(cfgs, McConfig(2_000_000, 1), ["pas", "fpa"]) == ()
+
+    def test_one_configuration_is_type_error(self, cfg10, no_draws):
+        with pytest.raises(TypeError, match="not iterable"):
+            simulate_sops(cfg10, McConfig(1000, 1), ["pas"])
+
+
+# the points of a power, a rate and a region sweep, and configurations whose
+# region sides are not in runs (10, 30, 10)
+SWEEPS = {
+    "power": [config_at(make_config(), Axis.POWER_DBM, p) for p in (0.0, 20.0, 40.0)],
+    "rate": [config_at(make_config(region_side=30.0), Axis.RATE, r) for r in (0.1, 1.0, 2.0)],
+    "region": [config_at(make_config(), Axis.REGION_SIDE, d) for d in (5.0, 10.0, 30.0)],
+    "mixed": [make_config(), make_config(region_side=30.0, power_dbm=20.0), make_config(rate=1.0)],
+}
 
 
 class TestChunkSizeInvariance:
     """The chunk size is a cache setting: no count or sample depends on it."""
 
     TRIALS = 300_007  # a multiple of no chunk size below
+    CHUNKS = (1 << 10, 1 << 14, 1 << 17)
+
+    @pytest.mark.parametrize("sweep", list(SWEEPS))
+    def test_each_configuration_equals_its_own_call(self, sweep, monkeypatch):
+        cfgs = SWEEPS[sweep]
+        mc = McConfig(trials=self.TRIALS, seed=KERNEL_SEED)
+        alone = tuple(simulate_sops((cfg,), mc, ["pas", "fpa"])[0] for cfg in cfgs)
+        for chunk in self.CHUNKS:
+            monkeypatch.setattr(mc_mod, "_CHUNK_TRIALS", chunk)
+            for workers in (1, 3):
+                mc = McConfig(trials=self.TRIALS, seed=KERNEL_SEED, workers=workers)
+                assert simulate_sops(cfgs, mc, ["pas", "fpa"]) == alone, (chunk, workers)
 
     def test_bitwise_across_chunk_sizes_and_workers(self, cfg30, monkeypatch):
         runs = {}
-        for chunk in (1 << 10, 1 << 14, 1 << 17):
+        for chunk in self.CHUNKS:
             monkeypatch.setattr(mc_mod, "_CHUNK_TRIALS", chunk)
             for workers in (1, 3):
                 mc = McConfig(trials=self.TRIALS, seed=KERNEL_SEED, workers=workers)
                 runs[chunk, workers] = (
-                    simulate_sops(cfg30, mc, ["pas", "fpa"]),
+                    simulate_sops((cfg30,), mc, ["pas", "fpa"]),
                     simulate_lower_bound_event(cfg30, mc),
                     sample_snr_eve(cfg30, mc),
                     sample_offset_sq(cfg30, mc),

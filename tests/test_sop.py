@@ -335,6 +335,30 @@ class TestChebyshevBatch:
         raws = [est.value if est.raw_value is None else est.raw_value for est in batch]
         assert raws == [chebyshev_by_loop(cfg, order) for cfg in configs]
 
+    @pytest.mark.parametrize(
+        "block,count,order",
+        [(None, 700, 100), (250, 60, 100), (250, 60, 1000), (None, 3, (1 << 16) + 1)],
+    )
+    def test_blocks_of_rows_stay_bounded_and_equal_one_call_each(
+        self, monkeypatch, block, count, order
+    ):
+        if block is not None:
+            monkeypatch.setattr(sop_mod, "_BLOCK_NODES", block)
+        limit = max(sop_mod._BLOCK_NODES, order)  # a row longer than a block is one call
+        sizes = []
+        pdf = dist_mod._pdf_snr_eve
+        monkeypatch.setattr(dist_mod, "_pdf_snr_eve", lambda t, p: sizes.append(t.size) or pdf(t, p))
+        configs = box_configs(count, seed=20261019)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the floor warning
+            batch = sop_mod.sop_chebyshev_batch(configs, order)
+            calls = len(sizes)
+            single = [sop_chebyshev(cfg, order) for cfg in configs]
+        assert batch == single
+        assert sum(sizes[:calls]) == count * order
+        assert max(sizes[:calls]) <= limit
+        assert calls == math.ceil(count * order / (limit // order * order))
+
     def test_empty_batch_and_bad_order(self):
         assert sop_mod.sop_chebyshev_batch([]) == []
         with pytest.raises(ValueError, match="order"):
@@ -563,7 +587,8 @@ class TestSopAsymptotic:
         assert sop_exact(cfg).value == 1.0
         assert sop_chebyshev(cfg, 100).value == 1.0
         mc = McConfig(trials=1_000, seed=3)
-        assert [r.estimate for r in simulate_sops(cfg, mc, ["pas", "fpa"])] == [1.0, 1.0]
+        ((pas, fpa),) = simulate_sops((cfg,), mc, ["pas", "fpa"])
+        assert (pas.estimate, fpa.estimate) == (1.0, 1.0)
 
 
 class TestSopEstimateType:

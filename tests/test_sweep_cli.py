@@ -27,7 +27,6 @@ from pinchsec.sweep import (
     SweepRow,
     SweepResult,
     SweepSpec,
-    _point_seed,
     config_at,
     dump_distribution,
     format_float,
@@ -289,6 +288,19 @@ def count_draw_passes(monkeypatch) -> list:
     return calls
 
 
+def count_simulate_sops_calls(monkeypatch):
+    """Wrap montecarlo.simulate_sops so every call's configurations are recorded."""
+    calls = []
+    original = mc_mod.simulate_sops
+
+    def counted(cfgs, mc, systems):
+        calls.append((tuple(cfgs), mc, tuple(systems)))
+        return original(cfgs, mc, systems)
+
+    monkeypatch.setattr(mc_mod, "simulate_sops", counted)
+    return calls
+
+
 class TestMonteCarloSharesDraws:
     RATES = (0.1, 0.5, 1.0, 2.0)
 
@@ -296,40 +308,60 @@ class TestMonteCarloSharesDraws:
         return small_spec(
             x_axis=Axis.RATE,
             x_values=self.RATES,
-            methods=(Method.MC, Method.MC_FPA),
+            methods=(Method.MC_FPA, Method.MC),
             mc=McConfig(trials=5_000, seed=8),
         )
 
-    def test_one_draw_pass_per_point(self, monkeypatch):
-        calls = count_draw_passes(monkeypatch)
-        rows = run_sweep(self.spec()).rows
-        # one worker span per point, so one pass is one stream per point
-        assert len(calls) == len(self.RATES)
-        assert len({seed for seed, _ in calls}) == len(self.RATES)
+    def test_one_draw_pass_per_sweep(self, monkeypatch):
+        draws = count_draw_passes(monkeypatch)
+        calls = count_simulate_sops_calls(monkeypatch)
+        spec = self.spec()
+        rows = run_sweep(spec).rows
+        # one worker span, so one pass is one stream, opened at the sweep's seed
+        assert draws == [(spec.mc.seed, 0)]
+        assert calls == [(spec.configs, spec.mc, ("pas", "fpa"))]
         assert len(rows) == 2 * len(self.RATES)
+
+    def test_no_simulate_sops_call_without_monte_carlo_methods(self, monkeypatch):
+        calls = count_simulate_sops_calls(monkeypatch)
+        run_sweep(replace(self.spec(), methods=(Method.CHEBYSHEV, Method.LOWER_FPA)))
+        assert calls == []
 
     def test_a_failing_analytic_call_stops_the_sweep_before_any_draw(self, monkeypatch):
         # the analytic columns come first, so no point's trials are drawn
-        calls = count_draw_passes(monkeypatch)
+        draws = count_draw_passes(monkeypatch)
+        calls = count_simulate_sops_calls(monkeypatch)
         monkeypatch.setattr(sop_mod, "_ERROR_BOUND", 1e-300)
         spec = replace(self.spec(), methods=(Method.EXACT, Method.MC))
         with pytest.raises(sop_mod.AccuracyError):
             run_sweep(spec)
-        assert calls == []
+        assert draws == calls == []
 
     def test_csv_matches_per_point_simulation(self):
+        # every point is simulated with the sweep's own McConfig
         spec = self.spec()
         expected = []
-        for index, x in enumerate(self.RATES):
+        for x in self.RATES:
             cfg = config_at(spec.base, spec.x_axis, x)
-            mc = McConfig(spec.mc.trials, _point_seed(spec.mc.seed, index))
             for method, simulate in (
                 (Method.MC, mc_mod.simulate_sop_pas),
                 (Method.MC_FPA, mc_mod.simulate_sop_fpa),
             ):
-                res = simulate(cfg, mc)
+                res = simulate(cfg, spec.mc)
                 expected.append(SweepRow(x, method, res.estimate, res.stderr, res.trials))
         assert run_sweep(spec).to_csv() == SweepResult(tuple(expected)).to_csv()
+
+    def test_rate_sweep_columns_never_decrease(self):
+        # at a fixed power the SNRs of a trial do not depend on the rate, and
+        # gb - C*ge <= C - 1 only gains trials as C grows, so over shared
+        # trials each column is nondecreasing; 21 rates 0.005 apart at 2000
+        # trials, where an estimate's standard error is about 0.01
+        rates = tuple(0.5 + 0.005 * i for i in range(21))
+        spec = replace(self.spec(), x_values=rates, mc=McConfig(trials=2_000, seed=8))
+        for method in (Method.MC, Method.MC_FPA):
+            column = [row.sop for row in run_sweep(spec).rows if row.method is method]
+            assert len(column) == len(rates)
+            assert all(a <= b for a, b in zip(column, column[1:])), method
 
 
 GOLDEN_CSV = Path(__file__).parent / "data" / "sweep_rate_golden.csv"
@@ -340,8 +372,11 @@ class TestGoldenSweepBytes:
 
     Its ``mc`` and ``mc-fpa`` rows come from numpy's PCG64DXSM
     ``Generator.random`` stream, trial t taking draws 4t..4t+3 of it
-    (``advance(4 * t)``); any change to a draw, an operation or its order
-    shows here. numpy may change that stream between releases (NEP 19).
+    (``advance(4 * t)``), one draw of the sweep's seed shared by every
+    x value; any change to a draw, an operation or its order shows here.
+    numpy may change that stream between releases (NEP 19). The file was
+    regenerated once when the x values stopped drawing from per-point
+    seeds: only its ``mc`` and ``mc-fpa`` rows moved.
     """
 
     ARGS = [
@@ -483,7 +518,7 @@ class TestScipyFreeStart:
         for argv, (code, out) in zip(self.COMMANDS, blocked):
             assert (code, out) == (cli.main(argv), capsys.readouterr().out)
             # validate exits 1 on a failed check, a verdict rather than an
-            # error: the fast level at seed 7 fails mc-vs-chebyshev
+            # error: the fast level's statistical checks fail at some seeds
             assert code in ((0, 1) if argv[0] == "validate" else (0,))
 
     def test_cli_import_and_analytic_sweep_load_no_scipy(self):
@@ -755,6 +790,33 @@ class TestCliSweep:
         argv = ["sweep", "--methods", "lower-pas", "--x-values", "0"]
         assert cli.main(argv + ["--chebyshev-order", str(cap)]) == 0
 
+    def test_chebyshev_nodes_over_the_cap_is_usage_error_before_any_point(
+        self, capsys, monkeypatch
+    ):
+        cap = cli.MAX_CHEBYSHEV_NODES
+        built = []
+
+        def stop(**kwargs):
+            built.append(len(kwargs["x_values"]) * kwargs["chebyshev_order"])
+            raise ValueError("stop")
+
+        monkeypatch.setattr(cli, "SweepSpec", stop)
+        thousand = "--x-min 0 --x-max 999 --x-step 1"
+        for args in (
+            f"{thousand} --chebyshev-order {cap // 1000 + 1}",
+            f"--x-min 0 --x-max {cli.MAX_GRID_POINTS - 1} --x-step 1 --chebyshev-order 101",
+            f"--x-min 0 --x-max {cli.MAX_GRID_POINTS - 1} --x-step 1 "
+            f"--chebyshev-order {cli.MAX_GRID_POINTS}",  # 10^12 nodes
+        ):
+            assert cli.main(["sweep", "--methods", "chebyshev", *args.split()]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: --chebyshev-order ")
+            assert err.endswith(f"gives more than {cap} Chebyshev nodes\n")
+        assert built == []
+        assert cli.main(["sweep", *thousand.split(), "--chebyshev-order", str(cap // 1000)]) == 2
+        assert capsys.readouterr().err == "error: stop\n"
+        assert built == [cap]
+
     def test_invalid_physics_is_usage_error(self, capsys):
         code = cli.main(self.BASE + ["--height", "-3"])
         assert code == 2
@@ -1008,6 +1070,13 @@ CORRUPTIONS = {
     "mc-worker-dependent": (
         mc_mod, "simulate_sop_pas", lambda f: lambda c, m: f(c, replace(m, seed=m.seed + m.workers)),
         "_check_determinism", ["mc-determinism"]),
+    "mc-pas-shifted": (
+        mc_mod, "simulate_sops",
+        lambda f: lambda cfgs, m, systems: tuple(
+            tuple(replace(r, estimate=r.estimate + 0.05) if s == "pas" else r
+                  for s, r in zip(systems, point))
+            for point in f(cfgs, m, systems)),
+        "_check_sop_agreement", ["mc-vs-chebyshev"]),
 }
 
 
@@ -1042,19 +1111,26 @@ class TestCliValidate:
         assert [r.name for r in fast] == [r.name for r in full_checks]
 
     def test_ordering_evaluates_each_point_once(self, monkeypatch, full_checks):
-        points = []
-        simulate_sops = mc_mod.simulate_sops
-
-        def record(cfg, mc, systems):
-            points.append((cfg.transmit_power, cfg.target_rate))
-            return simulate_sops(cfg, mc, systems)
-
-        monkeypatch.setattr(mc_mod, "simulate_sops", record)
+        calls = count_simulate_sops_calls(monkeypatch)
         (fast,) = validation._check_ordering(fast=True, seed=1)
+        # the whole grid in one call, both systems on one draw at seed + 300
+        ((cfgs, mc, systems),) = calls
+        points = [(cfg.transmit_power, cfg.target_rate) for cfg in cfgs]
         assert len(points) == len(set(points)) == 7
+        assert (mc.seed, systems) == (301, ("pas", "fpa"))
         assert "over 7 points" in fast.detail
         (full,) = [r for r in full_checks if r.name == "pas-beats-fpa-ordering"]
         assert "over 28 points" in full.detail
+
+    def test_sop_agreement_draws_its_grid_once(self, monkeypatch, full_checks):
+        calls = count_simulate_sops_calls(monkeypatch)
+        results = validation._check_sop_agreement(fast=True, seed=1)
+        ((cfgs, mc, systems),) = calls
+        assert (len(cfgs), mc.seed, systems) == (12, 101, ("pas",))
+        assert cfgs == tuple(validation._grid_configs(fast=True))
+        assert [r.name for r in results if "12 points" in r.detail] == [r.name for r in results]
+        full = [r for r in full_checks if r.name in ("mc-vs-chebyshev", "pas-floor-on-grid")]
+        assert len(full) == 2 and all("54 points" in r.detail for r in full)
 
     def test_every_verdict_is_a_json_bool(self, full_checks):
         for results in (validation.run_checks("fast", 1), full_checks):

@@ -158,7 +158,7 @@ def _resolve_seed(merged: dict) -> int:
 
 
 def _x_values(args: argparse.Namespace, p: dict) -> tuple[float, ...]:
-    if getattr(args, "x_values", None):
+    if getattr(args, "x_values", None) is not None:  # "" is a bad list, not no list
         try:
             return tuple(float(v) for v in args.x_values.split(","))
         except ValueError as exc:

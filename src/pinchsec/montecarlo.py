@@ -1,20 +1,17 @@
 """Seeded, partition-invariant Monte Carlo simulation.
 
-Each seed names one PCG64DXSM stream, and trial t owns its draws
-4t..4t+3 (four 64-bit draws), reached by ``advance(4 * t)``: positions
-x1, y1, x2, y2 are always columns 0-3 of the trial's block regardless of
-how trials are chunked across workers. Outage estimates are integer
-counts divided by the trial count, so any partitioning yields
-bit-identical results; sample streams preserve trial order.
+Each seed names one PCG64DXSM stream, and trial t takes its draws
+4t..4t+3 (four 64-bit draws): x1, y1, x2, y2 are columns 0-3 of its row
+however the trials are chunked. Outage estimates are integer counts
+divided by the trial count, so any chunking yields bit-identical
+results; sample streams preserve trial order.
 
-One generator, :func:`_chunks`, walks every draw: it cuts the trials
-into one span per worker and each span into chunks of at most 2^14
-trials, in order on the calling thread, so ``workers`` is a
-partitioning hint only. A span opens the seed's stream at its first
-trial and draws its chunks from it in order, into one buffer allocated
-once per call: the (chunk, 4) uniforms u, which :func:`_coordinates`
-maps to x1, y1, x2, y2 as (u - 0.5) * D. Two loops walk the chunks: the
-event counter hands each kernel the coordinate columns, and
+One generator, :func:`_chunks`, walks every draw: it opens the seed's
+stream once per call and draws it in trial order, in chunks of at most
+2^14 trials, on the calling thread, into one buffer allocated once per
+call: the (chunk, 4) uniforms u, which :func:`_coordinates` maps to x1,
+y1, x2, y2 as (u - 0.5) * D. Two loops walk the chunks: the event
+counter hands each kernel the coordinate columns, and
 :func:`sample_offset_sq` collects the squared offsets, of which
 :func:`sample_snr_eve` is the SNR map.
 
@@ -72,11 +69,11 @@ _ALIGNMENT = 64  # bytes: a cache line, and the widest SIMD load
 
 @dataclass(frozen=True)
 class McConfig:
-    """Trial count, seed, and a partitioning hint.
+    """Trial count and seed.
 
-    ``workers`` sets how many spans the trials are cut into; the spans
-    run one after another on the calling thread, and estimates are
-    bit-identical for any value. Each field must be an integer (a numpy
+    ``workers`` is validated but read by no computation: every call walks
+    its seed's one stream on the calling thread. The field goes once the
+    benchmark stops passing it. Each field must be an integer (a numpy
     integer is stored as an int); a float or a bool is a TypeError.
     """
 
@@ -109,11 +106,9 @@ class McResult:
     seed: int
 
 
-def _span_generator(seed: int, start: int) -> np.random.Generator:
-    """A generator whose next uniforms are those of trial ``start`` on."""
-    bits = np.random.PCG64DXSM(seed)
-    bits.advance(_DRAWS_PER_TRIAL * start)
-    return np.random.Generator(bits)
+def _generator(seed: int) -> np.random.Generator:
+    """The seed's stream, at trial 0's draws."""
+    return np.random.Generator(np.random.PCG64DXSM(seed))
 
 
 def _aligned(shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
@@ -128,20 +123,15 @@ def _chunks(mc: McConfig) -> Iterator[tuple[int, int, np.ndarray]]:
     """Yield (start, stop, uniforms) for each chunk of trials, in trial order.
 
     ``uniforms`` holds the trials' four draws on [0, 1), one row per
-    trial. The trials are cut into one span per worker; each span opens
-    the seed's stream at its first trial and fills its chunks from it in
-    order: a chunk takes four draws per trial, so the next one starts at
-    its first trial's draws. Every chunk is drawn into one aligned buffer
-    allocated per call, so it is only valid until the next chunk is drawn.
+    trial, in order from the seed's stream, opened once. Every chunk is
+    drawn into one aligned buffer allocated per call, so it is only valid
+    until the next chunk is drawn.
     """
     buffer = _aligned((min(mc.trials, _CHUNK_TRIALS), _DRAWS_PER_TRIAL))
-    width = math.ceil(mc.trials / mc.workers)
-    for lo in range(0, mc.trials, width):
-        hi = min(lo + width, mc.trials)
-        rng = _span_generator(mc.seed, lo)
-        for start in range(lo, hi, _CHUNK_TRIALS):
-            stop = min(start + _CHUNK_TRIALS, hi)
-            yield start, stop, rng.random(out=buffer[: stop - start])
+    rng = _generator(mc.seed)
+    for start in range(0, mc.trials, _CHUNK_TRIALS):
+        stop = min(start + _CHUNK_TRIALS, mc.trials)
+        yield start, stop, rng.random(out=buffer[: stop - start])
 
 
 def _coordinates(uniforms: np.ndarray, side: float, out: np.ndarray) -> np.ndarray:
@@ -257,16 +247,17 @@ def simulate_sops(
     common random numbers, and entry ``i`` equals
     ``simulate_sops((cfgs[i],), mc, systems)[0]``, whose entries equal
     the one-system calls. No configurations or no systems give empty
-    tuples without drawing. A name that is not one of the systems, or a
-    bare string, is a ValueError; one ``SystemConfig`` in place of a
-    sequence is a TypeError.
+    tuples without drawing. Either may be any iterable, read once. A name
+    that is not one of the systems, or a bare string, is a ValueError;
+    one ``SystemConfig`` in place of a sequence is a TypeError.
     """
-    if isinstance(systems, str) or not all(s in _OUTAGES for s in systems):
+    names = None if isinstance(systems, str) else tuple(systems)
+    if names is None or not all(s in _OUTAGES for s in names):
         raise ValueError(f"systems must be a sequence of 'pas' and 'fpa', got {systems!r}")
     cfgs = tuple(cfgs)
-    if not cfgs or not systems:
+    if not cfgs or not names:
         return tuple(() for _ in cfgs)
-    return tuple(_count_events(cfgs, mc, [_OUTAGES[s] for s in systems]))
+    return tuple(_count_events(cfgs, mc, [_OUTAGES[s] for s in names]))
 
 
 def simulate_sop_pas(cfg: SystemConfig, mc: McConfig) -> McResult:

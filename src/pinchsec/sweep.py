@@ -10,8 +10,8 @@ These common random numbers leave each point's estimate and standard
 error distributed as for a point simulated alone, and make the curve
 smooth: neighbouring points share their trials, so their difference is
 far less noisy than their standard errors suggest, and a rate sweep's
-Monte Carlo columns never decrease in the rate. The CSV is
-byte-reproducible for a given seed and independent of the worker count.
+Monte Carlo columns never decrease in the rate. The CSV is byte-reproducible
+for a given seed, and each point's rows are its one-point sweep's.
 
 The analytic columns are evaluated before any Monte Carlo draw: the
 Chebyshev rule in one call of ``sop.sop_chebyshev_batch``, whose
@@ -176,8 +176,8 @@ def run_sweep(spec: SweepSpec) -> SweepResult:
     Monte Carlo draw; the Monte Carlo methods then share one draw of
     ``spec.mc``'s trials. Rows are emitted in (x, method name) order,
     whatever the order of ``spec.methods``: the x values ascend and each
-    point visits the methods by name, so no sort follows. Output is
-    deterministic for a given seed and independent of the worker count.
+    point visits the methods by name, so no sort follows. Output is fixed
+    by the seed, and each point's rows are its one-point sweep's.
     """
     methods = sorted(spec.methods, key=lambda m: m.value)
     columns = {m: _column(m, spec) for m in methods if m not in _MC_SYSTEMS}

@@ -5,8 +5,8 @@ tolerance of the acceptance gate lives here, and the acceptance tests
 assert on the named results of :func:`run_checks`. The checks cover
 exact bound constants against their defining integrals, quadrature vs
 closed forms, Monte Carlo vs analytics on the reference grids, sampler
-goodness of fit, pinching-vs-fixed ordering, determinism and saturated
-outage. ``fast`` (1e4 trials, thinned grids) and ``full``
+goodness of fit, pinching-vs-fixed ordering, seeded determinism and
+saturated outage. ``fast`` (1e4 trials, thinned grids) and ``full``
 (acceptance-grade counts) return the same check names in the same order.
 
 Six checks are statistical, so they fail on correct code at a designed
@@ -475,18 +475,24 @@ def _check_ordering(fast: bool, seed: int) -> list[CheckResult]:
 
 
 def _check_determinism(fast: bool, seed: int) -> list[CheckResult]:
+    """A seed's draws repeat bit for bit: a call equals its repeat, a shared
+    pass (over two region sides) each configuration's own call, and a
+    sweep's CSV its points swept one at a time."""
     results = []
     cfg = reference_config(power_dbm=20.0)
-    trials = 10_000 if fast else 100_000
+    # bits, not statistics: at full level, three chunks of 2^14 trials and a ragged one
+    trials = 10_000 if fast else 50_000
 
-    one = mc_mod.simulate_sop_pas(cfg, McConfig(trials, seed + 900, workers=1))
-    two = mc_mod.simulate_sop_pas(cfg, McConfig(trials, seed + 900, workers=1))
-    three = mc_mod.simulate_sop_pas(cfg, McConfig(trials, seed + 900, workers=3))
+    mc = McConfig(trials, seed + 900)
+    cfgs = (cfg, reference_config(region_side=30.0, power_dbm=40.0, rate=1.0))
+    shared = [r for (r,) in mc_mod.simulate_sops(cfgs, mc, ("pas",))]
+    alone = [mc_mod.simulate_sop_pas(c, mc) for c in cfgs]
+    again = mc_mod.simulate_sop_pas(cfg, mc)
     results.append(
         CheckResult(
             "mc-determinism",
-            one.estimate == two.estimate == three.estimate,
-            f"workers 1/1/3 -> {one.estimate!r}/{two.estimate!r}/{three.estimate!r}",
+            shared == alone and again == alone[0],
+            f"shared/alone/repeat -> {[r.estimate for r in shared + alone + [again]]}",
         )
     )
 
@@ -495,15 +501,16 @@ def _check_determinism(fast: bool, seed: int) -> list[CheckResult]:
         x_values=(0.0, 20.0, 40.0),
         base=cfg,
         methods=(Method.MC, Method.CHEBYSHEV),
-        mc=McConfig(trials, seed + 901, workers=1),
+        mc=McConfig(trials, seed + 901),
     )
-    csv_a = sweep_mod.run_sweep(spec).to_csv()
-    csv_b = sweep_mod.run_sweep(replace(spec, mc=replace(spec.mc, workers=4))).to_csv()
+    swept = sweep_mod.run_sweep(spec).to_csv()
+    points = [sweep_mod.run_sweep(replace(spec, x_values=(x,))) for x in spec.x_values]
+    pointwise = sweep_mod.SweepResult(sum((p.rows for p in points), ())).to_csv()
     results.append(
         CheckResult(
-            "sweep-csv-worker-invariance",
-            csv_a == csv_b,
-            f"{len(csv_a)} bytes, workers 1 vs 4",
+            "sweep-csv-pointwise",
+            swept == pointwise,
+            f"{len(swept)} bytes, {len(spec.x_values)} points vs one-point sweeps",
         )
     )
     return results

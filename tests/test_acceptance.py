@@ -17,7 +17,7 @@ CRITERIA = {
         "eve-pdf-continuity", "offset-cdf-closed-vs-quadrature", "offset-sampler-ks",
         "eve-sampler-chi2"),
     7: ("pas-beats-fpa-ordering",),
-    8: ("mc-determinism", "sweep-csv-worker-invariance"),
+    8: ("mc-determinism", "sweep-csv-pointwise"),
     9: ("saturated-outage",),
 }
 

@@ -69,57 +69,71 @@ class TestConfigValidation:
         assert McConfig(1, np.uint64(2**64 - 1)).seed == 2**64 - 1
 
 
-def uniforms(seed, start, stop):
-    """Standard uniforms of trials [start, stop), shape (stop - start, 4)."""
-    return mc_mod._span_generator(seed, start).random((stop - start, 4))
+# two full chunks and a ragged half chunk
+KERNEL_TRIALS = int(2.5 * mc_mod._CHUNK_TRIALS)
+KERNEL_SEED = 31
+
+
+def uniforms(seed, trials):
+    """Standard uniforms of trials [0, trials), shape (trials, 4), from numpy
+    alone: one draw of the seed's PCG64DXSM stream."""
+    return np.random.Generator(np.random.PCG64DXSM(seed)).random((trials, 4))
 
 
 class TestStreamDefinition:
-    """Trial t draws 4t..4t+3 of ``Generator(PCG64DXSM(seed)).random``.
+    """Trial t takes draws 4t..4t+3 of ``Generator(PCG64DXSM(seed)).random``.
 
-    The expected rows come from numpy alone, opened at draw 0, so a change
-    to the bit generator, its seeding or the addressing of a trial shows
-    here whatever ``_span_generator`` does.
+    The expected rows come from numpy alone, in one draw from trial 0, so
+    a change to the bit generator, its seeding or the order of the chunks
+    shows here whatever ``_chunks`` does.
     """
 
     @pytest.mark.parametrize("seed", [0, 1, 2025, 2**64 - 1])
-    @pytest.mark.parametrize("start,stop", [(0, 1), (0, 37), (1, 2), (5, 300), (299, 1000)])
-    def test_uniforms_are_rows_of_one_stream(self, seed, start, stop):
-        stream = np.random.Generator(np.random.PCG64DXSM(seed)).random((stop, 4))
-        assert np.array_equal(uniforms(seed, start, stop), stream[start:stop])
+    @pytest.mark.parametrize("trials", [1, 37, 1000, KERNEL_TRIALS, 100_003])
+    def test_chunks_are_rows_of_one_stream(self, seed, trials):
+        chunks = [(lo, hi, draws.copy()) for lo, hi, draws in mc_mod._chunks(McConfig(trials, seed))]
+        bounds = [0] + [hi for _, hi, _ in chunks]
+        assert [lo for lo, _, _ in chunks] == bounds[:-1] and bounds[-1] == trials
+        assert all(hi - lo == mc_mod._CHUNK_TRIALS for lo, hi, _ in chunks[:-1])
+        assert np.array_equal(np.vstack([draws for *_, draws in chunks]), uniforms(seed, trials))
 
 
-class TestSubstreams:
-    def test_chunked_stream_is_bit_identical(self):
-        full = uniforms(321, 0, 5000)
-        parts = np.vstack([uniforms(321, lo, hi) for lo, hi in ((0, 1), (1, 700), (700, 5000))])
-        assert np.array_equal(full, parts)
+# every Monte Carlo entry point, as a function of a configuration and an McConfig
+ENTRY_POINTS = {
+    "simulate_sops": lambda cfg, mc: simulate_sops((cfg, cfg), mc, ["pas", "fpa"]),
+    "simulate_sop_pas": simulate_sop_pas,
+    "simulate_sop_fpa": simulate_sop_fpa,
+    "simulate_lower_bound_event": simulate_lower_bound_event,
+    "sample_snr_eve": sample_snr_eve,
+    "sample_offset_sq": sample_offset_sq,
+}
 
-    def test_estimates_invariant_under_workers(self, cfg10):
-        for simulate in (simulate_sop_pas, simulate_sop_fpa, simulate_lower_bound_event):
-            results = [
-                simulate(cfg10, McConfig(trials=200_000, seed=9, workers=w))
-                for w in (1, 2, 3, 8)
-            ]
-            assert len({r.estimate for r in results}) == 1, simulate.__name__
 
-    def test_sample_streams_invariant_under_workers(self, cfg10):
-        a = sample_snr_eve(cfg10, McConfig(trials=150_000, seed=10, workers=1))
-        b = sample_snr_eve(cfg10, McConfig(trials=150_000, seed=10, workers=5))
-        assert np.array_equal(a, b)
+class TestOneStream:
+    @pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+    def test_one_generator_per_call_at_the_seed(self, cfg10, monkeypatch, entry):
+        # no computation reads workers: a call opens its seed's one stream,
+        # starts no thread, and gives what workers=1 gives
+        call = ENTRY_POINTS[entry]
+        expected = call(cfg10, McConfig(trials=50_000, seed=14))
+        opened = []
+        original = np.random.PCG64DXSM
 
-    def test_workers_start_no_thread(self, cfg10, monkeypatch):
-        one = McConfig(trials=200_000, seed=14, workers=1)
-        sops = simulate_sops((cfg10,), one, ["pas", "fpa"])
-        samples = sample_snr_eve(cfg10, one)
+        def counted(seed):
+            opened.append(seed)
+            return original(seed)
 
         def refuse(thread):
             raise AssertionError("Monte Carlo started a thread")
 
+        monkeypatch.setattr(np.random, "PCG64DXSM", counted)
         monkeypatch.setattr(threading.Thread, "start", refuse)
-        four = McConfig(trials=200_000, seed=14, workers=4)
-        assert simulate_sops((cfg10,), four, ["pas", "fpa"]) == sops
-        assert np.array_equal(sample_snr_eve(cfg10, four), samples)
+        got = call(cfg10, McConfig(trials=50_000, seed=14, workers=3))
+        assert opened == [14]
+        if isinstance(expected, np.ndarray):
+            assert np.array_equal(got, expected)
+        else:
+            assert got == expected
 
     def test_same_seed_same_estimate(self, cfg10):
         mc = McConfig(trials=50_000, seed=11)
@@ -133,14 +147,9 @@ class TestSubstreams:
         assert a.estimate != b.estimate
 
 
-# two full chunks and a ragged half chunk
-KERNEL_TRIALS = int(2.5 * mc_mod._CHUNK_TRIALS)
-KERNEL_SEED = 31
-
-
 def reference_coordinates(cfg, trials=KERNEL_TRIALS, seed=KERNEL_SEED):
     """x1, y1, x2, y2 by the out-of-place expressions, in one unchunked draw."""
-    coords = (uniforms(seed, 0, trials) - 0.5) * cfg.region_side
+    coords = (uniforms(seed, trials) - 0.5) * cfg.region_side
     return coords[:, 0], coords[:, 1], coords[:, 2], coords[:, 3]
 
 
@@ -188,9 +197,10 @@ class TestReusedDrawBuffer:
         workspace = mc_mod._workspace(mc_mod._CHUNK_TRIALS)
         assert all(column.ctypes.data % 64 == 0 for column in workspace)
         buffer = mc_mod._aligned((mc_mod._CHUNK_TRIALS, 4))
+        stream = uniforms(KERNEL_SEED, KERNEL_TRIALS)
         for start, stop, draws in mc_mod._chunks(mc):
             assert draws.ctypes.data % 64 == 0
-            assert np.array_equal(draws, uniforms(KERNEL_SEED, start, stop))
+            assert np.array_equal(draws, stream[start:stop])
             chunk = mc_mod._coordinates(draws, cfg.region_side, buffer[: stop - start])
             assert np.array_equal(chunk, coords[start:stop])
             # mapped in place, as for configurations of one region side
@@ -202,9 +212,8 @@ class TestReusedDrawBuffer:
                 assert np.array_equal(got, mask[start:stop]), event.__name__
         assert stop == KERNEL_TRIALS
 
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_estimates_equal_reference_counts(self, cfg30, workers):
-        mc = McConfig(trials=KERNEL_TRIALS, seed=KERNEL_SEED, workers=workers)
+    def test_estimates_equal_reference_counts(self, cfg30):
+        mc = McConfig(trials=KERNEL_TRIALS, seed=KERNEL_SEED)
         expected = reference_events(cfg30)
         for simulate, event in (
             (simulate_sop_pas, mc_mod._outage_pas),
@@ -214,16 +223,14 @@ class TestReusedDrawBuffer:
             count = np.count_nonzero(expected[event])
             assert simulate(cfg30, mc).estimate == count / KERNEL_TRIALS
 
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_sample_transforms_bitwise(self, cfg30, workers):
-        mc = McConfig(trials=KERNEL_TRIALS, seed=KERNEL_SEED, workers=workers)
+    def test_sample_transforms_bitwise(self, cfg30):
+        mc = McConfig(trials=KERNEL_TRIALS, seed=KERNEL_SEED)
         x1, _, x2, y2 = reference_coordinates(cfg30)
         assert np.array_equal(sample_snr_eve(cfg30, mc), snr_eve_pinching(x1, x2, y2, cfg30))
         assert np.array_equal(sample_offset_sq(cfg30, mc), (x1 - x2) ** 2 + y2**2)
 
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_shared_pass_equals_one_system_calls(self, cfg30, workers):
-        mc = McConfig(trials=KERNEL_TRIALS, seed=KERNEL_SEED, workers=workers)
+    def test_shared_pass_equals_one_system_calls(self, cfg30):
+        mc = McConfig(trials=KERNEL_TRIALS, seed=KERNEL_SEED)
         pas, fpa = simulate_sop_pas(cfg30, mc), simulate_sop_fpa(cfg30, mc)
         assert simulate_sops((cfg30,), mc, ("pas", "fpa")) == ((pas, fpa),)
         assert simulate_sops((cfg30,), mc, ("fpa", "pas")) == ((fpa, pas),)
@@ -271,7 +278,7 @@ class TestSimulateSopsSystems:
 
     @pytest.fixture
     def no_draws(self, monkeypatch):
-        monkeypatch.setattr(mc_mod, "_span_generator", None)  # drawing would raise
+        monkeypatch.setattr(mc_mod, "_generator", None)  # drawing would raise
 
     @pytest.mark.parametrize("systems", [["pas", "bogus"], ["PAS"], ("fpa", None)])
     def test_unknown_name_is_value_error(self, cfg10, no_draws, systems):
@@ -290,6 +297,14 @@ class TestSimulateSopsSystems:
     @pytest.mark.parametrize("cfgs", [[], ()])
     def test_no_configurations_draw_nothing(self, no_draws, cfgs):
         assert simulate_sops(cfgs, McConfig(2_000_000, 1), ["pas", "fpa"]) == ()
+
+    @pytest.mark.parametrize(
+        "once", [lambda: (s for s in ["pas"]), lambda: iter(["pas"])], ids=["generator", "iterator"]
+    )
+    def test_one_shot_iterable_of_systems_is_read_once(self, cfg10, once):
+        mc = McConfig(1000, 1)
+        assert simulate_sops((cfg10,), mc, once()) == simulate_sops((cfg10,), mc, ["pas"])
+        assert simulate_sops((cfg10,), mc, once()) == ((simulate_sop_pas(cfg10, mc),),)
 
     def test_one_configuration_is_type_error(self, cfg10, no_draws):
         with pytest.raises(TypeError, match="not iterable"):
@@ -319,23 +334,20 @@ class TestChunkSizeInvariance:
         alone = tuple(simulate_sops((cfg,), mc, ["pas", "fpa"])[0] for cfg in cfgs)
         for chunk in self.CHUNKS:
             monkeypatch.setattr(mc_mod, "_CHUNK_TRIALS", chunk)
-            for workers in (1, 3):
-                mc = McConfig(trials=self.TRIALS, seed=KERNEL_SEED, workers=workers)
-                assert simulate_sops(cfgs, mc, ["pas", "fpa"]) == alone, (chunk, workers)
+            assert simulate_sops(cfgs, mc, ["pas", "fpa"]) == alone, chunk
 
-    def test_bitwise_across_chunk_sizes_and_workers(self, cfg30, monkeypatch):
+    def test_bitwise_across_chunk_sizes(self, cfg30, monkeypatch):
+        mc = McConfig(trials=self.TRIALS, seed=KERNEL_SEED)
         runs = {}
         for chunk in self.CHUNKS:
             monkeypatch.setattr(mc_mod, "_CHUNK_TRIALS", chunk)
-            for workers in (1, 3):
-                mc = McConfig(trials=self.TRIALS, seed=KERNEL_SEED, workers=workers)
-                runs[chunk, workers] = (
-                    simulate_sops((cfg30,), mc, ["pas", "fpa"]),
-                    simulate_lower_bound_event(cfg30, mc),
-                    sample_snr_eve(cfg30, mc),
-                    sample_offset_sq(cfg30, mc),
-                )
-        sops, bound, eve, offset = runs[1 << 17, 1]
+            runs[chunk] = (
+                simulate_sops((cfg30,), mc, ["pas", "fpa"]),
+                simulate_lower_bound_event(cfg30, mc),
+                sample_snr_eve(cfg30, mc),
+                sample_offset_sq(cfg30, mc),
+            )
+        sops, bound, eve, offset = runs[1 << 17]
         for where, (other_sops, other_bound, other_eve, other_offset) in runs.items():
             assert other_sops == sops and other_bound == bound, where
             assert np.array_equal(other_eve, eve) and np.array_equal(other_offset, offset), where

@@ -21,6 +21,7 @@ from pinchsec import cli
 from pinchsec import distributions as dist_mod
 from pinchsec import montecarlo as mc_mod
 from pinchsec import sop as sop_mod
+from pinchsec import sweep as sweep_mod
 from pinchsec import validation
 from pinchsec.sweep import (
     Axis,
@@ -276,15 +277,15 @@ class TestChebyshevOncePerSweep:
 
 
 def count_draw_passes(monkeypatch) -> list:
-    """Wrap montecarlo._span_generator so every stream opened is recorded."""
+    """Wrap montecarlo._generator so the seed of every stream opened is recorded."""
     calls = []
-    original = mc_mod._span_generator
+    original = mc_mod._generator
 
-    def counted(seed, start):
-        calls.append((seed, start))
-        return original(seed, start)
+    def counted(seed):
+        calls.append(seed)
+        return original(seed)
 
-    monkeypatch.setattr(mc_mod, "_span_generator", counted)
+    monkeypatch.setattr(mc_mod, "_generator", counted)
     return calls
 
 
@@ -317,8 +318,8 @@ class TestMonteCarloSharesDraws:
         calls = count_simulate_sops_calls(monkeypatch)
         spec = self.spec()
         rows = run_sweep(spec).rows
-        # one worker span, so one pass is one stream, opened at the sweep's seed
-        assert draws == [(spec.mc.seed, 0)]
+        # one pass is one stream, opened at the sweep's seed
+        assert draws == [spec.mc.seed]
         assert calls == [(spec.configs, spec.mc, ("pas", "fpa"))]
         assert len(rows) == 2 * len(self.RATES)
 
@@ -371,9 +372,9 @@ class TestGoldenSweepBytes:
     """A fixed-seed rate sweep, pinned byte for byte.
 
     Its ``mc`` and ``mc-fpa`` rows come from numpy's PCG64DXSM
-    ``Generator.random`` stream, trial t taking draws 4t..4t+3 of it
-    (``advance(4 * t)``), one draw of the sweep's seed shared by every
-    x value; any change to a draw, an operation or its order shows here.
+    ``Generator.random`` stream, trial t taking draws 4t..4t+3 of it,
+    one draw of the sweep's seed shared by every x value; any change to
+    a draw, an operation or its order shows here.
     numpy may change that stream between releases (NEP 19). The file was
     regenerated once when the x values stopped drawing from per-point
     seeds: only its ``mc`` and ``mc-fpa`` rows moved.
@@ -740,6 +741,11 @@ class TestCliSweep:
         assert code == 2
         assert "unknown method" in capsys.readouterr().err
 
+    def test_empty_x_values_is_usage_error_naming_it(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "SweepSpec", None)  # building the default grid would raise
+        assert cli.main(["sweep", "--methods", "lower-pas", "--x-values", ""]) == 2
+        assert capsys.readouterr().err.startswith("error: --x-values: ")
+
     def test_empty_grid_is_usage_error(self, capsys):
         code = cli.main(["sweep", "--x-min", "10", "--x-max", "0"])
         assert code == 2
@@ -1067,9 +1073,19 @@ CORRUPTIONS = {
     "eve-pdf-scaled": (
         dist_mod, "pdf_snr_eve", lambda f: lambda z, c: 1.01 * f(z, c),
         "_check_distributions", ["eve-pdf-normalization", "eve-pdf-dual-route"]),
-    "mc-worker-dependent": (
-        mc_mod, "simulate_sop_pas", lambda f: lambda c, m: f(c, replace(m, seed=m.seed + m.workers)),
-        "_check_determinism", ["mc-determinism"]),
+    # a pass over several configurations draws another seed than one alone
+    "mc-shared-pass-differs": (
+        mc_mod, "simulate_sops",
+        lambda f: lambda cfgs, m, systems: f(cfgs, replace(m, seed=m.seed + (len(cfgs) > 1)), systems),
+        "_check_determinism", ["mc-determinism", "sweep-csv-pointwise"]),
+    # the Monte Carlo column simulates x value i alone, at the seed plus i
+    "sweep-point-seeds": (
+        sweep_mod, "_mc_columns",
+        lambda f: lambda methods, spec: {
+            m: [f(methods, replace(spec, x_values=(x,), mc=replace(spec.mc, seed=spec.mc.seed + i)))[m][0]
+                for i, x in enumerate(spec.x_values)]
+            for m in methods},
+        "_check_determinism", ["sweep-csv-pointwise"]),
     "mc-pas-shifted": (
         mc_mod, "simulate_sops",
         lambda f: lambda cfgs, m, systems: tuple(

@@ -22,19 +22,27 @@ trials: each chunk is drawn once and mapped once per distinct region
 side. These are common random numbers: each estimate has the
 distribution of its own one-configuration call, and equals that call
 bit for bit, but estimates at different configurations are correlated.
+Configurations that differ only in the rate, such as the points of a
+rate sweep, also share their SNRs: each trial's pair (snr_bob, snr_eve)
+is evaluated once per chunk, system and group of equal region side,
+height and effective SNR, and only the rate's tail, C * snr_eve, its
+difference from snr_bob, the comparison with C - 1 and the count, runs
+once per configuration.
 
 No chunk allocates. The event kernels evaluate in place, in a workspace
 of three float columns and one bool column allocated once per call,
-through the ``out=`` arguments of the SNR formulas; they keep the
-formulas' operations in their order, so every count is the one the
-out-of-place expressions give. The draw buffer and the workspace start
-on 64-byte boundaries, so the cost does not depend on where the
-allocator puts them: even with glibc's mmap threshold fixed at 64 KiB,
-a 1e6-trial two-system call takes about 200 minor page faults. The
-chunk size sets cache use, never an answer: at 2^14 trials the 512 KiB
-buffer and the 400 KiB workspace fit a 2 MiB per-core L2 cache, and so
-does the second 512 KiB buffer that configurations of several region
-sides map their coordinates into.
+through the ``out=`` arguments of the SNR formulas: a group's SNRs fill
+two float columns, and each rate's tail works in the third and the bool
+column, leaving them for the next rate. The kernels keep the formulas'
+operations in their order, so every count is the one the out-of-place
+expressions give. The draw buffer and the workspace start on 64-byte
+boundaries, so the cost does not depend on where the allocator puts
+them: even with glibc's mmap threshold fixed at 64 KiB, a 1e6-trial
+two-system call takes about 200 minor page faults. The chunk size sets
+cache use, never an answer: at 2^14 trials the 512 KiB buffer and the
+400 KiB workspace fit a 2 MiB per-core L2 cache, and so does the second
+512 KiB buffer that configurations of several region sides map their
+coordinates into.
 """
 
 from __future__ import annotations
@@ -42,7 +50,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -143,11 +151,21 @@ def _coordinates(uniforms: np.ndarray, side: float, out: np.ndarray) -> np.ndarr
 
 # three float columns and one bool column, one row per trial of a chunk
 _Workspace = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
-# an event kernel takes a chunk's columns x1, y1, x2, y2, the system and
-# the workspace, and returns the workspace's bool column holding its event
-_Kernel = Callable[
-    [np.ndarray, np.ndarray, np.ndarray, np.ndarray, SystemConfig, _Workspace], np.ndarray
-]
+
+
+class _Event(NamedTuple):
+    """An event as two in-place kernels over a chunk's workspace.
+
+    ``share`` takes the chunk's columns x1, y1, x2, y2, a configuration
+    and the workspace, and fills the first two float columns with what
+    every configuration of that region side, height and effective SNR
+    shares. ``test`` takes one such configuration and the workspace,
+    leaves those two columns as they are, and returns the bool column
+    holding its event.
+    """
+
+    share: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray, SystemConfig, _Workspace], None]
+    test: Callable[[SystemConfig, _Workspace], np.ndarray]
 
 
 def _workspace(size: int) -> _Workspace:
@@ -156,31 +174,36 @@ def _workspace(size: int) -> _Workspace:
 
 
 def _count_events(
-    cfgs: Sequence[SystemConfig], mc: McConfig, events: Sequence[_Kernel]
+    cfgs: Sequence[SystemConfig], mc: McConfig, events: Sequence[_Event]
 ) -> list[tuple[McResult, ...]]:
     """Estimate the probability of every event at every configuration in one pass.
 
-    Each chunk's uniforms are drawn once and mapped to coordinates once
-    per distinct region side: in place when there is one side, else into
-    a second buffer, so the uniforms stay for the next side. Every kernel
-    of every configuration then overwrites the workspace. The buffer and
-    the workspace are allocated once per call.
+    Configurations are grouped by everything but the rate: by region
+    side, then by height and effective SNR. Each chunk's uniforms are
+    drawn once and mapped to coordinates once per side: in place when
+    there is one side, else into a second buffer, so the uniforms stay
+    for the next side. Per group and event, ``share`` fills the
+    workspace once, and ``test`` then counts each member's event from
+    it. The buffer and the workspace are allocated once per call.
     """
     size = min(mc.trials, _CHUNK_TRIALS)
     workspace = _workspace(size)
-    by_side: dict[float, list[int]] = {}
+    groups: dict[float, dict[tuple[float, float], list[int]]] = {}
     for i, cfg in enumerate(cfgs):
-        by_side.setdefault(cfg.region_side, []).append(i)
-    coords = _aligned((size, _DRAWS_PER_TRIAL)) if len(by_side) > 1 else None
+        by_snr = groups.setdefault(cfg.region_side, {})
+        by_snr.setdefault((cfg.height, cfg.effective_snr), []).append(i)
+    coords = _aligned((size, _DRAWS_PER_TRIAL)) if len(groups) > 1 else None
     counts = [[0] * len(events) for _ in cfgs]
     for start, stop, uniforms in _chunks(mc):
         work = tuple(column[: stop - start] for column in workspace)
         out = uniforms if coords is None else coords[: stop - start]
-        for side, members in by_side.items():
+        for side, by_snr in groups.items():
             x1, y1, x2, y2 = _coordinates(uniforms, side, out).T
-            for i in members:
-                for j, event in enumerate(events):
-                    counts[i][j] += int(np.count_nonzero(event(x1, y1, x2, y2, cfgs[i], work)))
+            for members in by_snr.values():
+                for j, (share, test) in enumerate(events):
+                    share(x1, y1, x2, y2, cfgs[members[0]], work)
+                    for i in members:
+                        counts[i][j] += int(np.count_nonzero(test(cfgs[i], work)))
     return [tuple(_result(total, mc) for total in row) for row in counts]
 
 
@@ -190,33 +213,32 @@ def _result(count: int, mc: McConfig) -> McResult:
     return McResult(estimate, stderr, mc.trials, mc.seed)
 
 
-def _outage(gb: np.ndarray, ge: np.ndarray, cfg: SystemConfig, mask: np.ndarray) -> np.ndarray:
+def _snrs_pas(x1, y1, x2, y2, cfg: SystemConfig, work: _Workspace) -> None:
+    gb, ge, scratch, _ = work
+    snr_bob_pinching(y1, cfg, out=gb)
+    snr_eve_pinching(x1, x2, y2, cfg, out=ge, scratch=scratch)
+
+
+def _snrs_fpa(x1, y1, x2, y2, cfg: SystemConfig, work: _Workspace) -> None:
+    gb, ge, scratch, _ = work
+    snr_fpa(x1, y1, cfg, out=gb, scratch=scratch)
+    snr_fpa(x2, y2, cfg, out=ge, scratch=scratch)
+
+
+def _outage(cfg: SystemConfig, work: _Workspace) -> np.ndarray:
     """The outage event (1 + snr_bob) <= C * (1 + snr_eve), as gb - C*ge <= C - 1.
 
     Adding 1 to an SNR far below 1 rounds it away; this form keeps it,
     so at rate 0 the event stays snr_bob <= snr_eve however small both are.
-    Evaluated in place: ``ge`` and ``gb`` are overwritten, ``mask`` returned.
+    Evaluated in the scratch column, so gb and ge stay for the next rate.
     """
+    gb, ge, scratch, mask = work
     c = cfg.rate_threshold
     # from rate ~1011 on C*ge overflows to inf: an outage, as it should be
     with np.errstate(over="ignore"):
-        np.multiply(c, ge, out=ge)
-    np.subtract(gb, ge, out=gb)
-    return np.less_equal(gb, c - 1.0, out=mask)
-
-
-def _outage_pas(x1, y1, x2, y2, cfg: SystemConfig, work: _Workspace) -> np.ndarray:
-    gb, ge, scratch, mask = work
-    snr_bob_pinching(y1, cfg, out=gb)
-    snr_eve_pinching(x1, x2, y2, cfg, out=ge, scratch=scratch)
-    return _outage(gb, ge, cfg, mask)
-
-
-def _outage_fpa(x1, y1, x2, y2, cfg: SystemConfig, work: _Workspace) -> np.ndarray:
-    gb, ge, scratch, mask = work
-    snr_fpa(x1, y1, cfg, out=gb, scratch=scratch)
-    snr_fpa(x2, y2, cfg, out=ge, scratch=scratch)
-    return _outage(gb, ge, cfg, mask)
+        np.multiply(c, ge, out=scratch)
+    np.subtract(gb, scratch, out=scratch)
+    return np.less_equal(scratch, c - 1.0, out=mask)
 
 
 def _offset_sq(x1, x2, y2, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
@@ -226,13 +248,20 @@ def _offset_sq(x1, x2, y2, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
     return np.add(out, np.square(y2, out=scratch), out=out)
 
 
-def _bound_event(x1, y1, x2, y2, cfg: SystemConfig, work: _Workspace) -> np.ndarray:
-    offset, scratch, _, mask = work
+def _offsets(x1, y1, x2, y2, cfg: SystemConfig, work: _Workspace) -> None:
+    offset, y1_sq, scratch, _ = work
     _offset_sq(x1, x2, y2, offset, scratch)
-    return np.less_equal(offset, np.square(y1, out=scratch), out=mask)
+    np.square(y1, out=y1_sq)
 
 
-_OUTAGES = {"pas": _outage_pas, "fpa": _outage_fpa}
+def _nearer(cfg: SystemConfig, work: _Workspace) -> np.ndarray:
+    """The scale-free bound event (x1 - x2)^2 + y2^2 <= y1^2."""
+    offset, y1_sq, _, mask = work
+    return np.less_equal(offset, y1_sq, out=mask)
+
+
+_OUTAGES = {"pas": _Event(_snrs_pas, _outage), "fpa": _Event(_snrs_fpa, _outage)}
+_BOUND = _Event(_offsets, _nearer)
 
 
 def simulate_sops(
@@ -252,7 +281,8 @@ def simulate_sops(
     one ``SystemConfig`` in place of a sequence is a TypeError.
     """
     names = None if isinstance(systems, str) else tuple(systems)
-    if names is None or not all(s in _OUTAGES for s in names):
+    # an unhashable name is no system either: test it as a string before the lookup
+    if names is None or not all(isinstance(s, str) and s in _OUTAGES for s in names):
         raise ValueError(f"systems must be a sequence of 'pas' and 'fpa', got {systems!r}")
     cfgs = tuple(cfgs)
     if not cfgs or not names:
@@ -266,13 +296,13 @@ def simulate_sop_pas(cfg: SystemConfig, mc: McConfig) -> McResult:
     Per trial, both receivers are drawn uniformly on the region and the
     outage event (1 + snr_bob) <= C * (1 + snr_eve) is counted.
     """
-    ((result,),) = _count_events((cfg,), mc, (_outage_pas,))
+    ((result,),) = _count_events((cfg,), mc, (_OUTAGES["pas"],))
     return result
 
 
 def simulate_sop_fpa(cfg: SystemConfig, mc: McConfig) -> McResult:
     """Empirical SOP of the fixed-position baseline (antenna at the center)."""
-    ((result,),) = _count_events((cfg,), mc, (_outage_fpa,))
+    ((result,),) = _count_events((cfg,), mc, (_OUTAGES["fpa"],))
     return result
 
 
@@ -282,7 +312,7 @@ def simulate_lower_bound_event(cfg: SystemConfig, mc: McConfig) -> McResult:
     The event (x1-x2)^2 + y2^2 <= y1^2 is scale-free: the estimate does
     not depend on the region size, the height, or the transmit power.
     """
-    ((result,),) = _count_events((cfg,), mc, (_bound_event,))
+    ((result,),) = _count_events((cfg,), mc, (_BOUND,))
     return result
 
 

@@ -7,7 +7,8 @@ exact bound constants against their defining integrals, quadrature vs
 closed forms, Monte Carlo vs analytics on the reference grids, sampler
 goodness of fit, pinching-vs-fixed ordering, seeded determinism and
 saturated outage. ``fast`` (1e4 trials, thinned grids) and ``full``
-(acceptance-grade counts) return the same check names in the same order.
+(acceptance-grade counts) return the same check names in the same order;
+the two bit-identity checks draw two chunks and a ragged one at both.
 
 Six checks are statistical, so they fail on correct code at a designed
 rate. At the fast level (1e4 trials or samples) the rates are at most:
@@ -476,15 +477,20 @@ def _check_ordering(fast: bool, seed: int) -> list[CheckResult]:
 
 def _check_determinism(fast: bool, seed: int) -> list[CheckResult]:
     """A seed's draws repeat bit for bit: a call equals its repeat, a shared
-    pass (over two region sides) each configuration's own call, and a
-    sweep's CSV its points swept one at a time."""
+    pass (over two region sides, and two rates that share their SNRs) each
+    configuration's own call, and a sweep's CSV its points swept one at a
+    time."""
     results = []
     cfg = reference_config(power_dbm=20.0)
-    # bits, not statistics: at full level, three chunks of 2^14 trials and a ragged one
-    trials = 10_000 if fast else 50_000
+    # bits, not statistics: at both levels two chunks and a ragged one
+    trials = 2 * mc_mod._CHUNK_TRIALS + 7
 
     mc = McConfig(trials, seed + 900)
-    cfgs = (cfg, reference_config(region_side=30.0, power_dbm=40.0, rate=1.0))
+    cfgs = (
+        cfg,
+        reference_config(region_side=30.0, power_dbm=40.0, rate=1.0),
+        reference_config(power_dbm=20.0, rate=1.0),
+    )
     shared = [r for (r,) in mc_mod.simulate_sops(cfgs, mc, ("pas",))]
     alone = [mc_mod.simulate_sop_pas(c, mc) for c in cfgs]
     again = mc_mod.simulate_sop_pas(cfg, mc)

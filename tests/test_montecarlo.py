@@ -168,7 +168,7 @@ def reference_events(cfg):
         pas = bob - c * eve <= c - 1.0
         fpa = fpa1 - c * fpa2 <= c - 1.0
     bound = (x1 - x2) ** 2 + y2**2 <= y1**2
-    return {mc_mod._outage_pas: pas, mc_mod._outage_fpa: fpa, mc_mod._bound_event: bound}
+    return {mc_mod._OUTAGES["pas"]: pas, mc_mod._OUTAGES["fpa"]: fpa, mc_mod._BOUND: bound}
 
 
 class TestReusedDrawBuffer:
@@ -207,18 +207,23 @@ class TestReusedDrawBuffer:
             assert np.array_equal(mc_mod._coordinates(draws, cfg.region_side, draws), chunk)
             work = tuple(column[: stop - start] for column in workspace)
             for event, mask in expected.items():
-                got = event(*chunk.T, cfg, work)
-                assert got is work[3], event.__name__
-                assert np.array_equal(got, mask[start:stop]), event.__name__
+                name = event.share.__name__
+                event.share(*chunk.T, cfg, work)
+                shared = (work[0].copy(), work[1].copy())
+                got = event.test(cfg, work)
+                assert got is work[3], name
+                assert np.array_equal(got, mask[start:stop]), name
+                # the test leaves the shared columns for the next rate
+                assert all(np.array_equal(a, b) for a, b in zip(shared, work[:2])), name
         assert stop == KERNEL_TRIALS
 
     def test_estimates_equal_reference_counts(self, cfg30):
         mc = McConfig(trials=KERNEL_TRIALS, seed=KERNEL_SEED)
         expected = reference_events(cfg30)
         for simulate, event in (
-            (simulate_sop_pas, mc_mod._outage_pas),
-            (simulate_sop_fpa, mc_mod._outage_fpa),
-            (simulate_lower_bound_event, mc_mod._bound_event),
+            (simulate_sop_pas, mc_mod._OUTAGES["pas"]),
+            (simulate_sop_fpa, mc_mod._OUTAGES["fpa"]),
+            (simulate_lower_bound_event, mc_mod._BOUND),
         ):
             count = np.count_nonzero(expected[event])
             assert simulate(cfg30, mc).estimate == count / KERNEL_TRIALS
@@ -306,18 +311,36 @@ class TestSimulateSopsSystems:
         assert simulate_sops((cfg10,), mc, once()) == simulate_sops((cfg10,), mc, ["pas"])
         assert simulate_sops((cfg10,), mc, once()) == ((simulate_sop_pas(cfg10, mc),),)
 
+    @pytest.mark.parametrize("systems", [[["pas"]], ["pas", {"fpa": 1}]])
+    def test_unhashable_name_is_value_error(self, cfg10, no_draws, systems):
+        with pytest.raises(ValueError, match="'pas' and 'fpa'"):
+            simulate_sops((cfg10,), McConfig(1000, 1), systems)
+
     def test_one_configuration_is_type_error(self, cfg10, no_draws):
         with pytest.raises(TypeError, match="not iterable"):
             simulate_sops(cfg10, McConfig(1000, 1), ["pas"])
 
 
-# the points of a power, a rate and a region sweep, and configurations whose
-# region sides are not in runs (10, 30, 10)
+# the points of a power, a rate and a region sweep, configurations whose
+# region sides are not in runs (10, 30, 10), and groups that differ only in
+# the rate (rate 0, and 1020, where C*ge overflows) interleaved with other
+# powers, heights and sides
 SWEEPS = {
     "power": [config_at(make_config(), Axis.POWER_DBM, p) for p in (0.0, 20.0, 40.0)],
     "rate": [config_at(make_config(region_side=30.0), Axis.RATE, r) for r in (0.1, 1.0, 2.0)],
     "region": [config_at(make_config(), Axis.REGION_SIDE, d) for d in (5.0, 10.0, 30.0)],
     "mixed": [make_config(), make_config(region_side=30.0, power_dbm=20.0), make_config(rate=1.0)],
+    "rate-groups": [
+        make_config(rate=0.0),
+        make_config(region_side=30.0, rate=1.0),
+        make_config(rate=1020.0),
+        make_config(height=7.0, rate=0.5),
+        make_config(power_dbm=40.0, rate=0.0),
+        make_config(rate=2.0),
+        make_config(region_side=30.0, rate=0.0),
+        make_config(height=7.0, rate=1020.0),
+        make_config(power_dbm=40.0, rate=1.0),
+    ],
 }
 
 
@@ -335,6 +358,33 @@ class TestChunkSizeInvariance:
         for chunk in self.CHUNKS:
             monkeypatch.setattr(mc_mod, "_CHUNK_TRIALS", chunk)
             assert simulate_sops(cfgs, mc, ["pas", "fpa"]) == alone, chunk
+
+    @pytest.mark.parametrize("axis,groups", [(Axis.RATE, 1), (Axis.POWER_DBM, 5)])
+    def test_snrs_once_per_chunk_group_and_system(self, axis, groups, monkeypatch):
+        # five rates share one evaluation of each SNR; five powers need five
+        x_values = (0.0, 0.5, 1.0, 1.5, 2.0) if axis is Axis.RATE else (0.0, 10.0, 20.0, 30.0, 40.0)
+        cfgs = [config_at(make_config(), axis, x) for x in x_values]
+        mc = McConfig(trials=2 * mc_mod._CHUNK_TRIALS + 7, seed=KERNEL_SEED)
+        expected = simulate_sops(cfgs, mc, ["pas", "fpa"])
+        calls = {name: 0 for name in ("snr_bob_pinching", "snr_eve_pinching", "snr_fpa")}
+
+        def counted(name, kernel):
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return kernel(*args, **kwargs)
+
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(mc_mod, name, counted(name, getattr(mc_mod, name)))
+        assert simulate_sops(cfgs, mc, ["pas", "fpa"]) == expected
+        per_system = 3 * groups  # three chunks
+        # pas: snr_bob_pinching and snr_eve_pinching; fpa: snr_fpa for each receiver
+        assert calls == {
+            "snr_bob_pinching": per_system,
+            "snr_eve_pinching": per_system,
+            "snr_fpa": 2 * per_system,
+        }
 
     def test_bitwise_across_chunk_sizes(self, cfg30, monkeypatch):
         mc = McConfig(trials=self.TRIALS, seed=KERNEL_SEED)

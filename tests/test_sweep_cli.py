@@ -1061,6 +1061,15 @@ class TestCliDist:
         assert capsys.readouterr().err.startswith("error: --out:")
 
 
+def _at_first_rate(cfgs):
+    """Each configuration at the rate of the first one that shares its SNRs."""
+    geometry = [(c.region_side, c.height, c.effective_snr) for c in cfgs]
+    first = {}
+    for key, c in zip(geometry, cfgs):
+        first.setdefault(key, c.target_rate)
+    return [replace(c, target_rate=first[key]) for key, c in zip(geometry, cfgs)]
+
+
 # Corruptions of the library, each with the checks of the suite it must fail.
 CORRUPTIONS = {
     "pas-floor-constant": (
@@ -1078,6 +1087,12 @@ CORRUPTIONS = {
         mc_mod, "simulate_sops",
         lambda f: lambda cfgs, m, systems: f(cfgs, replace(m, seed=m.seed + (len(cfgs) > 1)), systems),
         "_check_determinism", ["mc-determinism", "sweep-csv-pointwise"]),
+    # a shared pass counts each configuration at the rate of the first one
+    # that shares its SNRs
+    "mc-group-first-rate": (
+        mc_mod, "simulate_sops",
+        lambda f: lambda cfgs, m, systems: f(_at_first_rate(tuple(cfgs)), m, systems),
+        "_check_determinism", ["mc-determinism"]),
     # the Monte Carlo column simulates x value i alone, at the seed plus i
     "sweep-point-seeds": (
         sweep_mod, "_mc_columns",
@@ -1147,6 +1162,19 @@ class TestCliValidate:
         assert [r.name for r in results if "12 points" in r.detail] == [r.name for r in results]
         full = [r for r in full_checks if r.name in ("mc-vs-chebyshev", "pas-floor-on-grid")]
         assert len(full) == 2 and all("54 points" in r.detail for r in full)
+
+    @pytest.mark.parametrize("fast", [True, False])
+    def test_determinism_draws_cross_chunk_boundaries(self, monkeypatch, fast):
+        calls = count_simulate_sops_calls(monkeypatch)
+        assert all(r.passed for r in validation._check_determinism(fast=fast, seed=1))
+        # the shared pass, the sweep and its three one-point sweeps, each over
+        # two full chunks and a ragged one
+        chunk = mc_mod._CHUNK_TRIALS
+        assert len(calls) == 5
+        assert all(mc.trials > 2 * chunk and mc.trials % chunk for _, mc, _ in calls)
+        # the shared pass holds a group of two configurations differing only in rate
+        geometry = [(c.region_side, c.height, c.effective_snr) for c in calls[0][0]]
+        assert len(set(geometry)) < len(geometry)
 
     def test_every_verdict_is_a_json_bool(self, full_checks):
         for results in (validation.run_checks("fast", 1), full_checks):

@@ -283,7 +283,8 @@ def simulate_sops(
     names = None if isinstance(systems, str) else tuple(systems)
     # an unhashable name is no system either: test it as a string before the lookup
     if names is None or not all(isinstance(s, str) and s in _OUTAGES for s in names):
-        raise ValueError(f"systems must be a sequence of 'pas' and 'fpa', got {systems!r}")
+        read = systems if names is None else names
+        raise ValueError(f"systems must be a sequence of 'pas' and 'fpa', got {read!r}")
     cfgs = tuple(cfgs)
     if not cfgs or not names:
         return tuple(() for _ in cfgs)

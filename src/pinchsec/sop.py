@@ -267,8 +267,7 @@ def _checked_order(order, name: str = "order") -> int:
 def _chebyshev_sums(rows, order: int) -> list[float]:
     """The rule's raw sum at each (C, *scales) row, in one array call."""
     nodes, weights = _chebyshev_rule(order)
-    # (B, 1) columns; one configuration keeps its floats, which broadcast alike
-    c, *scales = rows[0] if len(rows) == 1 else np.array(rows).T[..., None]
+    c, *scales = np.array(rows).T[..., None]  # (B, 1) columns
     p = dist._Scales(*scales)
     halfwidth = 0.5 * (p.eve_hi - p.eve_lo)
     t = halfwidth * nodes + 0.5 * (p.eve_hi + p.eve_lo)

@@ -311,6 +311,10 @@ class TestSimulateSopsSystems:
         assert simulate_sops((cfg10,), mc, once()) == simulate_sops((cfg10,), mc, ["pas"])
         assert simulate_sops((cfg10,), mc, once()) == ((simulate_sop_pas(cfg10, mc),),)
 
+    def test_one_shot_iterable_error_names_what_was_read(self, cfg10, no_draws):
+        with pytest.raises(ValueError, match=r"got \('pas', 'bogus'\)$"):
+            simulate_sops((cfg10,), McConfig(1000, 1), (s for s in ["pas", "bogus"]))
+
     @pytest.mark.parametrize("systems", [[["pas"]], ["pas", {"fpa": 1}]])
     def test_unhashable_name_is_value_error(self, cfg10, no_draws, systems):
         with pytest.raises(ValueError, match="'pas' and 'fpa'"):

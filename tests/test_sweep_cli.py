@@ -4,7 +4,6 @@ import itertools
 import json
 import math
 import os
-import re
 import subprocess
 import sys
 import tracemalloc
@@ -529,10 +528,10 @@ class TestScipyFreeStart:
 class TestChecksWithoutScipy:
     """The check suite runs on numpy alone.
 
-    Its KS p-value and chi-square critical value come from its own
-    ports of ``scipy.special.kolmogorov`` and ``chdtri``, pinned here
-    against scipy, and its integrals take the exact SOP's fixed rule,
-    not scipy.integrate.
+    Its KS and chi-square p-values come from its own ports of
+    ``scipy.special.kolmogorov`` and ``scipy.stats.chi2.sf``, pinned
+    here against scipy, and its integrals take the exact SOP's fixed
+    rule, not scipy.integrate.
     """
 
     SEEDS = (12345, 7, 8, 101)
@@ -562,26 +561,32 @@ class TestChecksWithoutScipy:
     def test_kolmogorov_sf_underflows_to_zero_as_scipy(self, x):
         assert validation._kolmogorov_sf(x) == special.kolmogorov(x) == 0.0
 
-    def test_chi2_isf_matches_chi2_ppf(self):
-        dof = np.arange(1, 401)
-        ours = np.array([validation._chi2_isf(int(k), 0.01) for k in dof])
-        theirs = stats.chi2.ppf(0.99, dof)
-        assert np.all(np.abs(ours - theirs) <= 1e-12 * theirs)
+    def test_chi2_sf_matches_scipy(self):
+        # near the 1% quantile, and deep into both tails
+        for dof in range(1, 401):
+            xs = stats.chi2.ppf([1e-12, 0.5, 0.98, 0.99, 0.995, 1.0 - 1e-12], dof)
+            xs = np.concatenate([xs, stats.chi2.isf([1e-30, 1e-100], dof)])
+            ours = np.array([validation._chi2_sf(float(x), dof) for x in xs])
+            theirs = stats.chi2.sf(xs, dof)
+            assert np.all(np.abs(ours - theirs) <= 1e-12 * theirs), dof
 
     @pytest.mark.parametrize(
-        "dof,p", [(0, 0.01), (0.5, 0.01), (-1, 0.01), (math.nan, 0.01), (math.inf, 0.01),
-                  (5, 0.0), (5, 1.0), (5, -0.1), (5, 1.5), (5, math.nan)]
+        "x,expected", [(math.nan, math.nan), (math.inf, 0.0), (-math.inf, 1.0), (0.0, 1.0)]
     )
-    def test_chi2_isf_rejects_bad_arguments(self, dof, p):
-        with pytest.raises(ValueError):
-            validation._chi2_isf(dof, p)
+    @pytest.mark.parametrize("dof", [1, 49, 200])
+    def test_chi2_sf_at_nan_and_infinities(self, x, expected, dof):
+        assert validation._chi2_sf(x, dof) == pytest.approx(expected, nan_ok=True)
+        assert stats.chi2.sf(x, dof) == pytest.approx(expected, nan_ok=True)
 
-    def test_chi2_critical_text_is_scipy_stats(self, full_checks):
-        fast = [validation._check_sampler_fit(fast=True, seed=seed) for seed in self.SEEDS]
-        for results in (*fast, full_checks):
-            (detail,) = [r.detail for r in results if r.name == "eve-sampler-chi2"]
-            dof, critical = re.search(r"dof=(\d+)\)=(\S+) ", detail).groups()
-            assert critical == f"{stats.chi2.ppf(0.99, int(dof)):.1f}"
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_chi2_p_text_is_scipy_stats(self, seed, monkeypatch):
+        calls = []
+        sf = validation._chi2_sf
+        monkeypatch.setattr(validation, "_chi2_sf", lambda x, dof: calls.append((x, dof)) or sf(x, dof))
+        results = validation._check_sampler_fit(fast=False, seed=seed)
+        (detail,) = [r.detail for r in results if r.name == "eve-sampler-chi2"]
+        ((x, dof),) = calls
+        assert f"dof={dof} p={stats.chi2.sf(x, dof):.4f} n=1000000" in detail
 
     def test_fast_checks_load_no_scipy(self):
         assert run_fresh(CHECKS_MODULES_RUN) == []
@@ -1108,6 +1113,17 @@ CORRUPTIONS = {
                   for s, r in zip(systems, point))
             for point in f(cfgs, m, systems)),
         "_check_sop_agreement", ["mc-vs-chebyshev"]),
+    "offset-sampler-scaled": (
+        mc_mod, "sample_offset_sq", lambda f: lambda c, m: 1.1 * f(c, m),
+        "_check_sampler_fit", ["offset-sampler-ks"]),
+    # scaled by 1.02, the SNR samples pass the fast level (p = 0.65 at seed 1)
+    "eve-sampler-scaled": (
+        mc_mod, "sample_snr_eve", lambda f: lambda c, m: 1.1 * f(c, m),
+        "_check_sampler_fit", ["eve-sampler-chi2"]),
+    # no sample in any bin: fails without a 0/0 (an error under the test filters)
+    "eve-sampler-above-support": (
+        mc_mod, "sample_snr_eve", lambda f: lambda c, m: f(c, m) + dist_mod.snr_eve_support(c)[1],
+        "_check_sampler_fit", ["eve-sampler-chi2"]),
 }
 
 
@@ -1190,3 +1206,13 @@ class TestCliValidate:
         monkeypatch.setattr(module, attr, corrupt(getattr(module, attr)))
         passed = {r.name: r.passed for r in getattr(validation, check)(fast=True, seed=1)}
         assert not any(passed[name] for name in failing)
+
+    def test_samples_above_the_support_give_the_law_a_finite_statistic(self, monkeypatch):
+        module, attr, corrupt, _, _ = CORRUPTIONS["eve-sampler-above-support"]
+        monkeypatch.setattr(module, attr, corrupt(getattr(module, attr)))
+        statistics = []
+        sf = validation._chi2_sf
+        monkeypatch.setattr(validation, "_chi2_sf", lambda x, dof: statistics.append(x) or sf(x, dof))
+        (_, chi2) = validation._check_sampler_fit(fast=True, seed=1)
+        assert not chi2.passed and " p=0.0000 " in chi2.detail
+        assert len(statistics) == 1 and math.isfinite(statistics[0])

@@ -1,9 +1,10 @@
 """Physical configuration, geometry, and instantaneous SNR formulas.
 
 All quantities are SI (meters, hertz, watts). :data:`OPTIONS` is the one
-table of the operating point in the CLI's units (GHz, dBm): the CLI and
-the check suite build configurations from it by :func:`operating_point`,
-and a sweep converts each point of its axis by the axis's row.
+table of the operating point in the CLI's units (GHz, dBm): the CLI
+builds configurations from it by :func:`operating_point`, the check
+suite by :func:`reference_config`, the same table at 30 dBm, and a
+sweep converts each point of its axis by the axis's row.
 
 The transmit antenna is a radiating point on a dielectric waveguide that
 runs parallel to the x axis at height ``h``; it is activated at the point
@@ -173,6 +174,11 @@ def operating_point(**values: float) -> SystemConfig:
     if values:  # a misspelt key is never silently dropped
         raise TypeError(f"unknown operating-point option {next(iter(values))!r}")
     return SystemConfig(**fields)
+
+
+def reference_config(**values: float) -> SystemConfig:
+    """The check suite's reference point: :func:`operating_point` at 30 dBm by default."""
+    return operating_point(**{"power_dbm": 30.0, **values})
 
 
 def snr_bob_pinching(y1, cfg: SystemConfig, out=None):

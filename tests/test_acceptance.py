@@ -7,6 +7,16 @@ named checks onto the numbered criteria. Each criterion prints one
 PASS/FAIL line with the margins from the details of its checks.
 """
 
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+from pinchsec.validation import STATISTICAL_CHECKS
+
+BENCHMARK_WORKLOADS = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+
 CRITERIA = {
     1: ("lower-bound-pas-constant", "lower-bound-pas-integral", "lower-bound-fpa-constant"),
     2: ("chebyshev-vs-exact",),
@@ -34,6 +44,24 @@ def report(criterion: int, results) -> None:
 def test_every_check_belongs_to_exactly_one_criterion(full_checks):
     mapped = [name for names in CRITERIA.values() for name in names]
     assert sorted(r.name for r in full_checks) == sorted(mapped)
+
+
+def test_statistical_checks_are_checks_with_rates(full_checks):
+    assert set(STATISTICAL_CHECKS) <= {r.name for r in full_checks}
+    for fast, full in STATISTICAL_CHECKS.values():
+        assert 0.0 < full <= fast < 1.0
+
+
+def test_benchmark_tolerates_exactly_the_statistical_checks(monkeypatch):
+    # the benchmark counts a failed check outside its own list as a hard failure
+    if not BENCHMARK_WORKLOADS.exists():
+        pytest.skip(f"no benchmark workloads at {BENCHMARK_WORKLOADS}")
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", BENCHMARK_WORKLOADS)
+    workloads = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up by name while it runs
+    monkeypatch.setitem(sys.modules, spec.name, workloads)
+    spec.loader.exec_module(workloads)
+    assert set(workloads.STATISTICAL_CHECKS) == set(STATISTICAL_CHECKS)
 
 
 def criterion(n: int):

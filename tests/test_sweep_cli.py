@@ -592,7 +592,7 @@ class TestChecksWithoutScipy:
         assert run_fresh(CHECKS_MODULES_RUN) == []
 
 
-CHUNK = validation._KS_CHUNK
+CHUNK = mc_mod._CHUNK_TRIALS
 
 
 class TestChunkedKs:
@@ -1084,6 +1084,9 @@ CORRUPTIONS = {
         sop_mod, "sop_chebyshev_batch",
         lambda f: lambda *a: [replace(est, value=est.value + 2e-3) for est in f(*a)],
         "_check_sop_agreement", ["chebyshev-vs-exact"]),
+    "exact-shifted": (
+        sop_mod, "sop_exact", lambda f: lambda c: replace(f(c), value=f(c).value + 2e-3),
+        "_check_sop_agreement", ["chebyshev-vs-exact"]),
     "eve-pdf-scaled": (
         dist_mod, "pdf_snr_eve", lambda f: lambda z, c: 1.01 * f(z, c),
         "_check_distributions", ["eve-pdf-normalization", "eve-pdf-dual-route"]),
@@ -1206,6 +1209,16 @@ class TestCliValidate:
         monkeypatch.setattr(module, attr, corrupt(getattr(module, attr)))
         passed = {r.name: r.passed for r in getattr(validation, check)(fast=True, seed=1)}
         assert not any(passed[name] for name in failing)
+
+    def test_a_law_with_no_bins_fails_before_the_draw(self, monkeypatch):
+        # no bin holds any expected mass, so none survives the sparse-bin merge
+        monkeypatch.setattr(dist_mod, "cdf_offset_sq", lambda t, c: np.zeros(np.shape(t)))
+        monkeypatch.setattr(mc_mod, "sample_snr_eve", None)  # nothing may be drawn
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            (_, chi2) = validation._check_sampler_fit(fast=True, seed=1)
+        assert chi2.name == "eve-sampler-chi2" and not chi2.passed
+        assert chi2.detail == "0 merged bins of 50, no sample drawn n=10000"
 
     def test_samples_above_the_support_give_the_law_a_finite_statistic(self, monkeypatch):
         module, attr, corrupt, _, _ = CORRUPTIONS["eve-sampler-above-support"]

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import re
 import sys
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
@@ -277,9 +278,24 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     return 1 if failed else 0
 
 
+def _joined_x_values(argv: list[str]) -> list[str]:
+    """``argv`` with ``--x-values -10,0,10`` joined into ``--x-values=-10,0,10``.
+
+    argparse reads a token that starts with a minus as an option unless it
+    is a single number, so a list that starts below zero needs the join.
+    """
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] == "--x-values" and re.match(r"-\.?\d", token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(_joined_x_values(sys.argv[1:] if argv is None else argv))
     try:
         if args.command == "sweep":
             return _cmd_sweep(args)

@@ -72,20 +72,26 @@ def _positive_snr(z) -> np.ndarray:
     return arr
 
 
+def _snr_knots(cfg: SystemConfig) -> tuple[float, float, float, float]:
+    """The SNR knots, s / (w + h^2) at the offset knots w = 5D^2/4, D^2, D^2/4 and 0.
+
+    The eavesdropper's support ends and breakpoints; the top two bound the receiver's.
+    """
+    s = cfg.effective_snr
+    h2 = cfg.height**2
+    return tuple(s / (w + h2) for w in reversed(offset_sq_knots(cfg)))
+
+
 # The scalars the SNR kernels read, each computed in Python floats from one
 # configuration (d3 as d**3: numpy's pow may round it differently): floats
 # for one configuration, or (B, 1) columns for B, which evaluate a (B, N)
-# grid row by row in one call.
-_Scales = collections.namedtuple(
-    "_Scales", "s d d3 h2 eve_lo eve_outer eve_inner eve_hi bob_lo bob_hi"
-)
+# grid row by row in one call. Both SNR laws read the four knots.
+_Scales = collections.namedtuple("_Scales", "s d d3 h2 eve_lo eve_outer eve_inner eve_hi")
 
 
 def _scales(cfg: SystemConfig) -> _Scales:
     d = cfg.region_side
-    return _Scales(
-        cfg.effective_snr, d, d**3, cfg.height**2, *_eve_boundaries(cfg), *snr_bob_support(cfg)
-    )
+    return _Scales(cfg.effective_snr, d, d**3, cfg.height**2, *_snr_knots(cfg))
 
 
 # ---------------------------------------------------------------------------
@@ -93,17 +99,15 @@ def _scales(cfg: SystemConfig) -> _Scales:
 
 
 def snr_bob_support(cfg: SystemConfig) -> tuple[float, float]:
-    """Support of the legitimate receiver's SNR under the pinching rule."""
-    h2 = cfg.height**2
-    d = cfg.region_side
-    return cfg.effective_snr / (h2 + d**2 / 4.0), cfg.effective_snr / h2
+    """Support of the legitimate receiver's SNR under the pinching rule: the top two SNR knots."""
+    return _snr_knots(cfg)[2:]
 
 
 def _cdf_snr_bob(z: np.ndarray, p: _Scales) -> np.ndarray:
     # z is clamped up to the support's low end, where the CDF is 0, so s/z stays finite
-    radicand = np.maximum(p.s / np.maximum(z, p.bob_lo) - p.h2, 0.0)
+    radicand = np.maximum(p.s / np.maximum(z, p.eve_inner) - p.h2, 0.0)
     inside = 1.0 - (2.0 / p.d) * np.sqrt(radicand)
-    return np.where(z >= p.bob_hi, 1.0, np.where(z > p.bob_lo, inside, 0.0))
+    return np.where(z >= p.eve_hi, 1.0, np.where(z > p.eve_inner, inside, 0.0))
 
 
 def cdf_snr_bob(z, cfg: SystemConfig):
@@ -120,8 +124,8 @@ def cdf_snr_bob(z, cfg: SystemConfig):
 
 
 def offset_sq_support(cfg: SystemConfig) -> tuple[float, float]:
-    """Support [0, 5*D^2/4] of the squared horizontal offset."""
-    return 0.0, 1.25 * cfg.region_side**2
+    """Support [0, 5*D^2/4] of the squared horizontal offset: the ends of its knots."""
+    return offset_sq_knots(cfg)[::3]
 
 
 def offset_sq_knots(cfg: SystemConfig) -> tuple[float, float, float, float]:
@@ -287,20 +291,8 @@ def cdf_offset_sq_quadrature(t, cfg: SystemConfig):
 # SNR of the eavesdropper
 
 
-def _eve_boundaries(cfg: SystemConfig) -> tuple[float, float, float, float]:
-    """SNR values at which the eavesdropper's density changes branch.
-
-    Returned ascending: support low edge, two interior breakpoints,
-    support high edge (offsets 5D^2/4, D^2, D^2/4, 0 respectively).
-    """
-    s = cfg.effective_snr
-    h2 = cfg.height**2
-    return tuple(s / (w + h2) for w in reversed(offset_sq_knots(cfg)))
-
-
 def snr_eve_support(cfg: SystemConfig) -> tuple[float, float]:
-    b = _eve_boundaries(cfg)
-    return b[0], b[3]
+    return _snr_knots(cfg)[::3]
 
 
 def _eve_branches(z, p: _Scales) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -370,7 +362,7 @@ def pdf_snr_eve_via_offset(z, cfg: SystemConfig):
 # (support low edge, *interior branch boundaries, support high edge), ascending
 DISTRIBUTION_TAGS: dict[str, tuple[Callable, Callable[[SystemConfig], tuple[float, ...]]]] = {
     "gamma-b-cdf": (cdf_snr_bob, snr_bob_support),
-    "gamma-e-pdf": (pdf_snr_eve, _eve_boundaries),
+    "gamma-e-pdf": (pdf_snr_eve, _snr_knots),
     "chi-cdf": (cdf_offset_sq, offset_sq_knots),
     "w-pdf": (pdf_offset_sq, offset_sq_knots),
 }

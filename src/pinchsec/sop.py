@@ -38,12 +38,14 @@ __all__ = [
     "LOWER_BOUND_PAS",
     "LOWER_BOUND_FPA",
     "CHEBYSHEV_ORDER",
+    "ACCEPTANCE_TOLERANCE",
 ]
 
 # Exact parameter-free floors, computed from pi rather than transcribed.
 LOWER_BOUND_PAS = (2.0 * math.pi - 1.0) / 24.0
 LOWER_BOUND_FPA = 0.5
 CHEBYSHEV_ORDER = 100  # the paper's Gauss-Chebyshev order N
+ACCEPTANCE_TOLERANCE = 1e-3  # of Chebyshev against exact, and of its floor warning
 
 
 class Method(str, Enum):
@@ -107,8 +109,8 @@ class AccuracyError(RuntimeError):
 # zero slope at both ends smooths the (t - b)^(3/2) kinks of the offset
 # CDF at the panel edges and gives the end nodes weight 0. The gap between
 # the two rules is the error estimate, above which the outage integral
-# raises; over D 0.1-1000 m, h/D 1e-5 to 10, -60 to 120 dBm and rates 0-30
-# it stays below 1.2e-10.
+# raises. At 9e4 random points, D 0.1-1000 m and h/D 1e-5 to 10 (both
+# log-uniform), -60 to 120 dBm and rates 0-30, it read at most 1.75e-10.
 _ERROR_BOUND = 1e-8
 
 
@@ -290,7 +292,7 @@ def _chebyshev_batch(cfgs, order: int) -> list[SopEstimate]:
         raws.extend(_chebyshev_sums(rows[lo : lo + step], order))
     estimates = []
     for raw in raws:
-        if LOWER_BOUND_PAS - raw > 1e-3:
+        if LOWER_BOUND_PAS - raw > ACCEPTANCE_TOLERANCE:
             warnings.warn(
                 "sop_chebyshev fell below the provable floor (2*pi-1)/24, so its "
                 "quadrature error is at least that gap; compare with sop_exact",
@@ -325,7 +327,7 @@ def sop_chebyshev(cfg: SystemConfig, order: int = CHEBYSHEV_ORDER) -> SopEstimat
     points. The raw sum can fall slightly outside [0, 1] at tiny N; the
     returned value is clamped, with the raw sum kept in ``raw_value``.
     No true SOP falls under the pinching floor ``LOWER_BOUND_PAS``, so a
-    raw sum more than the 1e-3 acceptance tolerance below it emits a
+    raw sum more than ``ACCEPTANCE_TOLERANCE`` below it emits a
     ``RuntimeWarning``: that happens at extreme D/h, while the slight
     dips near rate 0 stay silent.
     """

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -99,8 +100,7 @@ class SweepSpec:
         object.__setattr__(self, "configs", configs)
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     x: float
     method: Method
     sop: float

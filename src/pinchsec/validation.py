@@ -1,15 +1,16 @@
 """The acceptance criteria of pinchsec, behind the `validate` subcommand.
 
 This module is their single home: every grid, seed, quadrature and
-tolerance of the acceptance gate lives here, and the acceptance tests
-assert on the named results of :func:`run_checks`. The checks cover
-exact bound constants against their defining integrals, quadrature vs
-closed forms, Monte Carlo vs analytics on the reference grids, sampler
-goodness of fit, pinching-vs-fixed ordering, seeded determinism and
-saturated outage, around ``system.reference_config``, which this module
-re-exports. ``fast`` (1e4 trials, thinned grids) and ``full``
-(acceptance-grade counts) return the same check names in the same order;
-the two bit-identity checks draw two chunks and a ragged one at both.
+tolerance of the acceptance gate lives here or, for the Chebyshev rule,
+in ``sop.ACCEPTANCE_TOLERANCE``, and the acceptance tests assert on the
+named results of :func:`run_checks`. The checks cover exact bound
+constants against their defining integrals, quadrature vs closed forms,
+Monte Carlo vs analytics on the reference grids, sampler goodness of
+fit, pinching-vs-fixed ordering, seeded determinism and saturated
+outage, around ``system.reference_config``. ``fast`` (1e4 trials,
+thinned grids) and ``full`` (acceptance-grade counts) return the same
+check names in the same order; the two bit-identity checks draw two
+chunks and a ragged one at both.
 
 Six checks are statistical, so they fail on correct code at a designed
 rate: :data:`STATISTICAL_CHECKS` bounds each one's rate per run, and a
@@ -44,7 +45,7 @@ from .montecarlo import McConfig
 from .sop import Method
 from .system import SystemConfig, reference_config
 
-__all__ = ["CheckResult", "STATISTICAL_CHECKS", "check_seed", "run_checks", "reference_config"]
+__all__ = ["CheckResult", "STATISTICAL_CHECKS", "check_seed", "run_checks"]
 
 # Each statistical check's false-failure rate per run on correct code, at
 # most, at the (fast, full) level; no other check fails correct code
@@ -133,7 +134,7 @@ def _check_distributions(fast: bool, seed: int) -> list[CheckResult]:
         )
     )
 
-    eve_knots = dist_mod._eve_boundaries(cfg)
+    eve_knots = dist_mod._snr_knots(cfg)
     lo, b_outer, b_inner, hi = eve_knots
     mass = float(sop_mod._panel_quadrature(lambda z: dist_mod.pdf_snr_eve(z, cfg), eve_knots)[0])
     results.append(
@@ -376,7 +377,7 @@ def _check_sop_agreement(fast: bool, seed: int) -> list[CheckResult]:
     results.append(
         CheckResult(
             "chebyshev-vs-exact",
-            worst_cheb <= 1e-3,
+            worst_cheb <= sop_mod.ACCEPTANCE_TOLERANCE,
             f"max |cheb-exact|={worst_cheb:.2e} over {len(configs)} points",
         )
     )

@@ -19,7 +19,7 @@ from pinchsec.distributions import (
 )
 from pinchsec.sweep import dump_distribution
 
-from conftest import make_config
+from conftest import box_configs, make_config
 
 # region sides D in meters, log-spaced over the valid range
 SIDES = np.logspace(-1.0, 3.0, 41)
@@ -116,6 +116,13 @@ class TestSnrBobCdf:
         assert cdf_snr_bob(ratio * z, scaled) == pytest.approx(
             cdf_snr_bob(z, cfg), rel=1e-12, abs=1e-12
         )
+
+    def test_support_is_the_eavesdroppers_top_two_knots_over_the_box(self):
+        # the receiver's offset spans the eavesdropper's top branch, [0, D^2/4]
+        for cfg in box_configs(2000, seed=20261021):
+            _, _, inner, top = dist._snr_knots(cfg)
+            assert dist.snr_bob_support(cfg) == (inner, top)
+            assert cdf_snr_bob(np.array([inner, top]), cfg).tolist() == [0.0, 1.0]
 
 
 class TestOffsetSqPdf:
@@ -368,14 +375,14 @@ class TestSnrEvePdf:
     def test_branch_agreement_at_inner_breakpoint(self, cfg10):
         # both adjacent branches reduce to (s/z^2) * (pi - 1) / D^2 there
         s, d = cfg10.effective_snr, cfg10.region_side
-        b_inner = dist._eve_boundaries(cfg10)[2]
+        b_inner = dist._snr_knots(cfg10)[2]
         expected = (s / b_inner**2) * (math.pi - 1.0) / d**2
         near, mid, _ = dist._eve_branches(b_inner, dist._scales(cfg10))
         assert near == pytest.approx(expected, rel=1e-12)
         assert mid == pytest.approx(expected, rel=1e-12)
 
     def test_continuity_at_both_breakpoints(self, cfg10):
-        _, b_outer, b_inner, _ = dist._eve_boundaries(cfg10)
+        _, b_outer, b_inner, _ = dist._snr_knots(cfg10)
         near, mid, far = dist._eve_branches(np.array([b_inner, b_outer]), dist._scales(cfg10))
         for a, b in ((mid[0], near[0]), (far[1], mid[1])):
             assert abs(a - b) / max(abs(a), abs(b)) <= 1e-9
@@ -386,7 +393,7 @@ class TestSnrEvePdf:
             lambda z: pdf_snr_eve(z, cfg10),
             lo,
             hi,
-            points=list(dist._eve_boundaries(cfg10)[1:3]),
+            points=list(dist._snr_knots(cfg10)[1:3]),
             epsabs=1e-10,
             limit=200,
         )

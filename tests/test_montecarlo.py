@@ -248,7 +248,7 @@ FAULTS_PER_CALL = """
 import resource, sys
 sys.path.insert(0, sys.argv[1])
 from pinchsec import McConfig, simulate_sops
-from pinchsec.validation import reference_config
+from pinchsec.system import reference_config
 cfgs = [reference_config(region_side=d) for d in (10.0, 30.0)]
 mc, calls = McConfig(1_000_000, 1), 3
 simulate_sops(cfgs, mc, ["pas", "fpa"])
@@ -479,7 +479,7 @@ class TestSampleStreams:
             lambda z: z * dist.pdf_snr_eve(z, cfg10),
             lo,
             hi,
-            points=list(dist._eve_boundaries(cfg10)[1:3]),
+            points=list(dist._snr_knots(cfg10)[1:3]),
             limit=200,
         )
         sem = samples.std(ddof=1) / math.sqrt(len(samples))

@@ -25,7 +25,7 @@ from pinchsec import (
     simulate_sops,
 )
 
-from conftest import make_config
+from conftest import box_configs, make_config
 
 
 def mc_sop_pas_oracle(cfg, n: int, seed: int) -> tuple[float, float]:
@@ -304,23 +304,6 @@ def chebyshev_by_loop(cfg, order: int) -> float:
     for term in terms.tolist():
         total += term
     return (math.pi / order) * halfwidth * total
-
-
-def box_configs(count: int, seed: int) -> list:
-    """Seeded configurations over D 0.1-1000 m, h/D 1e-5 to 10, -60 to 120 dBm, rate 0-30."""
-    rng = np.random.default_rng(seed)
-    configs = []
-    for _ in range(count):
-        d = 10.0 ** rng.uniform(-1.0, 3.0)
-        configs.append(
-            make_config(
-                region_side=d,
-                height=d * 10.0 ** rng.uniform(-5.0, 1.0),
-                power_dbm=rng.uniform(-60.0, 120.0),
-                rate=rng.uniform(0.0, 30.0) if rng.random() < 0.5 else rng.uniform(0.0, 2.0),
-            )
-        )
-    return configs
 
 
 class TestChebyshevBatch:

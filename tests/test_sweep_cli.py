@@ -751,6 +751,17 @@ class TestCliSweep:
         assert cli.main(["sweep", "--methods", "lower-pas", "--x-values", ""]) == 2
         assert capsys.readouterr().err.startswith("error: --x-values: ")
 
+    @pytest.mark.parametrize("values", ["-10,0,10", "-.5,0", "-10"])
+    def test_x_values_may_start_negative(self, capsys, values):
+        # argparse would take -10,0,10 for an option, not the value of --x-values
+        argv = ["sweep", "--methods", "chebyshev"]
+        assert cli.main([*argv, f"--x-values={values}"]) == 0
+        joined = capsys.readouterr().out
+        assert cli.main([*argv, "--x-values", values]) == 0
+        assert capsys.readouterr().out == joined
+        first = joined.split()[1].split(",")[0]
+        assert float(first) == float(values.split(",")[0])
+
     def test_empty_grid_is_usage_error(self, capsys):
         code = cli.main(["sweep", "--x-min", "10", "--x-max", "0"])
         assert code == 2

@@ -13,7 +13,7 @@ from pinchsec import (
     snr_eve_pinching,
     snr_fpa,
 )
-from pinchsec.system import OPTIONS, operating_point, reference_config
+from pinchsec.system import OPTIONS, operating_point
 
 from conftest import make_config
 
@@ -61,8 +61,6 @@ class TestOperatingPoint:
         assert type(operating_point(region_side=7, rate=1).region_side) is int
 
     def test_reference_config_is_the_operating_point_at_30_dbm(self):
-        # the check suite re-exports the one in system
-        assert make_config is reference_config
         assert make_config() == operating_point(power_dbm=30.0)
         assert make_config(power_dbm=20.0) == operating_point()
 

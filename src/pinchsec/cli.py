@@ -283,10 +283,15 @@ def _joined_x_values(argv: list[str]) -> list[str]:
 
     argparse reads a token that starts with a minus as an option unless it
     is a single number, so a list that starts below zero needs the join.
+    It joins after every abbreviation argparse reads as ``--x-values``:
+    ``--x-v`` and longer, since ``--x-min``, ``--x-max`` and ``--x-step``
+    share ``--x-``.
     """
     out: list[str] = []
     for token in argv:
-        if out and out[-1] == "--x-values" and re.match(r"-\.?\d", token):
+        flag = out[-1] if out else ""
+        is_x_values = flag.startswith("--x-v") and "--x-values".startswith(flag)
+        if is_x_values and re.match(r"-\.?\d", token):
             out[-1] += "=" + token
         else:
             out.append(token)

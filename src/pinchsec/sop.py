@@ -92,7 +92,7 @@ class SopEstimate:
 
 
 class AccuracyError(RuntimeError):
-    """The outage integral's error estimate exceeds the fixed bound 1e-8.
+    """The outage integral's error estimate exceeds the fixed bound ``_ERROR_BOUND``.
 
     Raised by :func:`sop_exact` and :func:`sop_asymptotic`; carries the
     best available estimate and its error estimate.
@@ -236,7 +236,8 @@ def sop_exact(cfg: SystemConfig) -> SopEstimate:
 
     Fixed panels under the nested 128/64-interval Clenshaw-Curtis rule,
     127 offset-CDF evaluations each (see :func:`_outage_integral`, which
-    raises :class:`AccuracyError` when the error estimate exceeds 1e-8).
+    raises :class:`AccuracyError` when the error estimate exceeds
+    ``_ERROR_BOUND``).
     When the outage is certain already at y = 0 the result is exactly 1
     with no evaluations and no numpy call.
     """

@@ -271,22 +271,61 @@ def _chi2_sf(x: float, dof: int) -> float:
             return front * h
 
 
+# sorted samples per block of the KS step, and the slack on a block's bound:
+# far above any fall of the offset CDF along a sorted sample (see _ks_test)
+_KS_BLOCK = 64
+_KS_SLACK = 1e-12
+
+
+def _ks_max(f: np.ndarray, idx: np.ndarray, n: int) -> float:
+    """The largest KS term, (i+1)/n - F_i or F_i - i/n, over the sorted indices ``idx``."""
+    return max(float(((idx + 1) / n - f).max()), float((f - idx / n).max()))
+
+
 def _ks_test(samples: np.ndarray, cdf) -> tuple[float, float]:
     """Two-sided KS statistic of ``samples``, sorted in place, against ``cdf``.
 
     The same floats as ``scipy.stats.kstest(..., method="asymp")``: its
-    statistic, and the Kolmogorov law at sqrt(n) * D as the p-value. It
-    walks the sorted sample in Monte Carlo's chunks, each against its own
-    ranks i/n, so it makes no temporary as long as the sample.
+    statistic D, the largest term (i+1)/n - F_i or F_i - i/n over the
+    sorted sample, and the Kolmogorov law at sqrt(n) * D as the p-value.
+
+    D is a maximum, so only terms near it count (the bucketing of
+    Gonzalez, Sahni & Franta, ACM TOMS 3(1), 1977). ``cdf`` is first
+    evaluated at the first sample and at the last of each block of
+    ``_KS_BLOCK`` sorted samples. Within a block of ranks a..b, F lies
+    between its value at the previous block's end (at the first sample,
+    for the first block) and at its own end, so each term is at most
+    (b+1)/n minus the former or the latter minus a/n; the exact
+    terms at the evaluated samples bound D from below. Only the blocks
+    whose bound plus ``_KS_SLACK`` reaches that lower bound are then
+    evaluated in full, in slices of Monte Carlo's chunk, so no temporary
+    is as long as the sample.
+
+    The result is exact, not an estimate, as long as the computed ``cdf``
+    never falls by more than the slack along the sorted sample: a block
+    left out then holds only terms below the lower bound, the rounding of
+    the bound included, and the maximum of the same term floats is the
+    same float. ``cdf_offset_sq`` meets it: on sorted draws at D from
+    0.3 to 1000 m it never falls, and on a dense grid by at most 5.6e-16.
+    Should the block ends fall by more than the slack, every block is
+    evaluated.
     """
     samples.sort()
     n = samples.size
-    d = 0.0
-    for lo in range(0, n, mc_mod._CHUNK_TRIALS):
-        hi = min(lo + mc_mod._CHUNK_TRIALS, n)
-        f = cdf(samples[lo:hi])
-        ranks = np.arange(lo, hi + 1) / n
-        d = max(d, float((ranks[1:] - f).max()), float((f - ranks[:-1]).max()))
+    starts = np.arange(0, n, _KS_BLOCK)
+    ends = np.minimum(starts + _KS_BLOCK, n) - 1
+    # F at the first sample, then at the last of each block
+    at = np.concatenate(([0], ends))
+    edge = cdf(samples[at])
+    d = _ks_max(edge, at, n)
+    bound = np.maximum((ends + 1) / n - edge[:-1], edge[1:] - starts / n)
+    falls = bool((np.diff(edge) < -_KS_SLACK).any())
+    blocks = starts[(bound + _KS_SLACK >= d) | falls]
+    step = mc_mod._CHUNK_TRIALS // _KS_BLOCK
+    for lo in range(0, blocks.size, step):
+        idx = (blocks[lo : lo + step, None] + np.arange(_KS_BLOCK)).ravel()
+        idx = idx[idx < n]
+        d = max(d, _ks_max(cdf(samples[idx]), idx, n))
     return d, _kolmogorov_sf(math.sqrt(n) * d)
 
 
@@ -304,7 +343,9 @@ def _check_sampler_fit(fast: bool, seed: int) -> list[CheckResult]:
     rejects a correct sampler with probability 0.989% at n = 1e4 and
     0.999% at n = 1e6, where the exact p-value rejected it with 1%.
 
-    The KS step runs chunk by chunk, with the same floats as ``kstest(...,
+    The KS step evaluates the offset CDF only in the blocks of sorted
+    samples that can hold the statistic (:func:`_ks_test`), under 5% of
+    the sample at n = 1e6, with the same floats as ``kstest(...,
     method="asymp")``. The offset samples go straight into it, so they are
     freed before the SNR sampler draws its own n.
     """

@@ -1,6 +1,8 @@
 import math
+import re
 import warnings
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +28,8 @@ from pinchsec import (
 )
 
 from conftest import box_configs, make_config
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def mc_sop_pas_oracle(cfg, n: int, seed: int) -> tuple[float, float]:
@@ -170,6 +174,13 @@ class TestSopExact:
         # at rate 0 both rules give the same sum bit for bit, and the bound is strict
         monkeypatch.setattr(sop_mod, "_ERROR_BOUND", 0.0)
         assert evaluate(make_config(rate=0.0)).value == pytest.approx(LOWER_BOUND_PAS, abs=1e-12)
+
+    def test_readme_states_the_accuracy_bound(self):
+        # the README keeps its own copy of the bound, pinned here to the constant
+        if not README.exists():
+            pytest.skip(f"no README at {README}")
+        figures = re.findall(r"error\s+estimate\s+passes\s+([\d.e+-]+)", README.read_text())
+        assert [float(f) for f in figures] == [sop_mod._ERROR_BOUND]
 
     @pytest.mark.parametrize(
         "region_side,height,seed",

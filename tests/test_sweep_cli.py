@@ -32,7 +32,7 @@ from pinchsec.sweep import (
     format_float,
     run_sweep,
 )
-from pinchsec.system import OPTIONS, operating_point
+from pinchsec.system import OPTIONS, operating_point, reference_config
 from pinchsec.validation import CheckResult
 
 from conftest import make_config
@@ -593,17 +593,54 @@ class TestChecksWithoutScipy:
 
 
 CHUNK = mc_mod._CHUNK_TRIALS
+BLOCK = validation._KS_BLOCK
+
+
+def chunked_ks(samples: np.ndarray, cdf) -> tuple[float, float]:
+    """The brute-force KS step: ``cdf`` at every sorted sample, chunk by chunk."""
+    samples.sort()
+    n = samples.size
+    d = 0.0
+    for lo in range(0, n, CHUNK):
+        hi = min(lo + CHUNK, n)
+        f = cdf(samples[lo:hi])
+        ranks = np.arange(lo, hi + 1) / n
+        d = max(d, float((ranks[1:] - f).max()), float((f - ranks[:-1]).max()))
+    return d, validation._kolmogorov_sf(math.sqrt(n) * d)
 
 
 class TestChunkedKs:
-    """The KS step walks the sorted sample chunk by chunk.
+    """The KS step evaluates the CDF only in blocks that can hold the statistic.
 
-    It gives the same floats as ``kstest`` on the whole sample, and makes
-    no temporary as long as the sample.
+    It bounds each block of sorted samples by the CDF at the block ends,
+    and evaluates in full only the blocks whose bound reaches the exact
+    terms at those ends. D and p are the same floats as the brute-force
+    walk over every sample (:func:`chunked_ks`) and as ``kstest``, and
+    the step makes no temporary as long as the sample.
     """
 
+    @staticmethod
+    def both(samples, cdf):
+        return validation._ks_test(samples.copy(), cdf), chunked_ks(samples.copy(), cdf)
+
+    @pytest.mark.parametrize("seed", TestChecksWithoutScipy.SEEDS)
+    def test_matches_the_brute_force_walk_at_the_full_level(self, seed):
+        cfg = reference_config()
+        # the sample the full-level offset-sampler-ks check draws
+        samples = mc_mod.sample_offset_sq(cfg, McConfig(1_000_000, seed + 11))
+        evaluated = []
+
+        def cdf(t):
+            evaluated.append(t.size)
+            return dist_mod.cdf_offset_sq(t, cfg)
+
+        assert validation._ks_test(samples.copy(), cdf) == chunked_ks(samples, cdf)
+        # the block ends and the candidate blocks, then the reference's every sample
+        assert sum(evaluated) - samples.size <= 0.05 * samples.size
+
     @pytest.mark.parametrize(
-        "n", [1, 5, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5, 1_000_000]
+        "n",
+        [1, 5, BLOCK - 1, BLOCK, BLOCK + 1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 5, 1_000_000],
     )
     def test_matches_scipy_kstest_across_chunk_boundaries(self, n, cfg10):
         samples = mc_mod.sample_offset_sq(cfg10, McConfig(n, 12356))
@@ -611,22 +648,89 @@ class TestChunkedKs:
         def cdf(t):
             return dist_mod.cdf_offset_sq(t, cfg10)
 
-        d, p = validation._ks_test(samples.copy(), cdf)
+        ours, reference = self.both(samples, cdf)
         res = stats.kstest(samples, cdf, method="asymp")
-        assert d == res.statistic
-        assert p == res.pvalue
+        assert ours == reference == (res.statistic, res.pvalue)
 
-    @pytest.mark.parametrize("k", [0, CHUNK - 1, CHUNK, 3 * CHUNK + 4])
+    def test_matches_on_a_sample_with_ties(self, cfg10):
+        # offsets rounded to whole m^2: runs of equal samples across block ends
+        samples = np.round(mc_mod.sample_offset_sq(cfg10, McConfig(3 * CHUNK + 5, 12357)))
+        assert np.unique(samples).size < samples.size // BLOCK
+
+        def cdf(t):
+            return dist_mod.cdf_offset_sq(t, cfg10)
+
+        ours, reference = self.both(samples, cdf)
+        res = stats.kstest(samples, cdf, method="asymp")
+        assert ours == reference == (res.statistic, res.pvalue)
+
+    @pytest.mark.parametrize(
+        "k", [0, BLOCK - 1, BLOCK, BLOCK + 1, CHUNK - 1, CHUNK, 3 * CHUNK + 4]
+    )
     @pytest.mark.parametrize("shift", [-0.3, 0.3])
     def test_finds_a_deviation_planted_at_a_chunk_edge(self, k, shift):
         # every other point sits 0.5/n from its ranks; the planted one 0.8/n
         n = 3 * CHUNK + 5
         samples = (np.arange(n) + 0.5) / n
         samples[k] += shift / n
-        d, p = validation._ks_test(samples.copy(), lambda t: t)
+        ours, reference = self.both(samples, lambda t: t)
         res = stats.kstest(samples, lambda t: t, method="asymp")
-        assert (d, p) == (res.statistic, res.pvalue)
-        assert d == pytest.approx(0.8 / n, rel=1e-9)
+        assert ours == reference == (res.statistic, res.pvalue)
+        assert ours[0] == pytest.approx(0.8 / n, rel=1e-9)
+
+    def test_finds_a_term_at_a_block_start_that_only_its_first_rank_bounds(self):
+        # in units of 1/n, F is i + 0.5 at sample i, but 39 above its rank at
+        # the last sample of block 2, flat at 40 above block 3's first rank
+        # a over block 3, and 39.5 above its rank from the last sample of
+        # block 5 on. The statistic is block 3's first term, 40; the block
+        # ends reach 39.5, and block 3's other bound, BLOCK - 39, is below
+        # that, so only its first rank a keeps it a candidate
+        n = 8 * BLOCK
+        i = np.arange(n, dtype=float)
+        f = i + 0.5
+        a = 3 * BLOCK
+        f[a - 1] = a - 1 + 39.0
+        f[a : a + BLOCK] = a + 40.0
+        f[6 * BLOCK - 1 :] = np.maximum(f[6 * BLOCK - 1 :], 6 * BLOCK - 1 + 39.5)
+        assert BLOCK - 39.0 < 39.5 and np.all(np.diff(f) >= 0.0)
+
+        def cdf(t):
+            return np.interp(t, i, f / n)
+
+        ours, reference = self.both(i, cdf)
+        assert ours == reference
+        assert ours[0] == pytest.approx(40.0 / n, rel=1e-12)
+
+    def test_a_cdf_that_falls_between_block_ends_is_evaluated_everywhere(self):
+        # the CDF rises by 0.3 inside block 5 and falls back at its end, which
+        # no block-end value shows; a spike at the end of block 1 makes the
+        # lower bound 0.2, so block 5's bound would leave it out, and the
+        # fall after that spike is what makes every block a candidate
+        n = 3 * CHUNK + 5
+        samples = (np.arange(n) + 0.5) / n
+        lifted = (samples >= samples[5 * BLOCK]) & (samples < samples[6 * BLOCK - 1])
+        spike = samples[2 * BLOCK - 1]
+        evaluated = []
+
+        def cdf(t):
+            evaluated.append(t.size)
+            return t + 0.2 * (t == spike) + 0.3 * np.interp(t, samples, lifted)
+
+        ours, reference = self.both(samples, cdf)
+        assert ours == reference
+        assert ours[0] == pytest.approx(0.3, abs=1e-4)
+        blocks = -(-n // BLOCK)
+        assert sum(evaluated) == (blocks + 1) + n + n  # ends, every block, the reference
+
+    @pytest.mark.parametrize("d", [0.3, 10.0, 1000.0])
+    def test_offset_cdf_never_falls_by_the_slack_along_a_sorted_sample(self, d):
+        # the precondition that makes the block bounds exact; on these draws
+        # the CDF never fell, and on the dense grid by at most 5.6e-16
+        cfg = make_config(region_side=d)
+        samples = np.sort(mc_mod.sample_offset_sq(cfg, McConfig(1_000_000, 5)))
+        grid = np.linspace(0.0, dist_mod.offset_sq_support(cfg)[1], 1_000_001)
+        for t in (samples, grid):
+            assert np.diff(dist_mod.cdf_offset_sq(t, cfg)).min() >= -validation._KS_SLACK
 
     def test_peak_memory_is_below_one_more_sample(self, cfg10):
         # numpy reports its buffers to tracemalloc; the whole-sample form
@@ -761,6 +865,15 @@ class TestCliSweep:
         assert capsys.readouterr().out == joined
         first = joined.split()[1].split(",")[0]
         assert float(first) == float(values.split(",")[0])
+
+    @pytest.mark.parametrize("flag,values", [("--x-val", "-10,0,10"), ("--x-v", "-10,0")])
+    def test_abbreviated_x_values_may_start_negative(self, capsys, flag, values):
+        # argparse reads --x-v and longer as --x-values; --x- is ambiguous
+        argv = ["sweep", "--methods", "lower-pas"]
+        assert cli.main([*argv, f"--x-values={values}"]) == 0
+        joined = capsys.readouterr().out
+        assert cli.main([*argv, flag, values]) == 0
+        assert capsys.readouterr().out == joined
 
     def test_empty_grid_is_usage_error(self, capsys):
         code = cli.main(["sweep", "--x-min", "10", "--x-max", "0"])

@@ -22,27 +22,35 @@ trials: each chunk is drawn once and mapped once per distinct region
 side. These are common random numbers: each estimate has the
 distribution of its own one-configuration call, and equals that call
 bit for bit, but estimates at different configurations are correlated.
-Configurations that differ only in the rate, such as the points of a
-rate sweep, also share their SNRs: each trial's pair (snr_bob, snr_eve)
-is evaluated once per chunk, system and group of equal region side,
-height and effective SNR, and only the rate's tail, C * snr_eve, its
-difference from snr_bob, the comparison with C - 1 and the count, runs
-once per configuration.
+Configurations of one region side and height also share each trial's
+path geometry: the SNR denominators, each receiver's squared distance
+to the antenna, are summed once per chunk, system and group of equal
+region side and height, by the SNR formulas at the group's first
+effective SNR. Each further effective SNR, such as the next point of a
+power sweep, runs only the divide effective_snr / denominator. Points
+that differ only in the rate, such as those of a rate sweep, share the
+SNRs themselves: only the rate's tail, C * snr_eve, its difference from
+snr_bob, the comparison with C - 1 and the count, runs once per
+configuration.
 
 No chunk allocates. The event kernels evaluate in place, in a workspace
-of three float columns and one bool column allocated once per call,
-through the ``out=`` arguments of the SNR formulas: a group's SNRs fill
-two float columns, and each rate's tail works in the third and the bool
-column, leaving them for the next rate. The kernels keep the formulas'
-operations in their order, so every count is the one the out-of-place
-expressions give. The draw buffer and the workspace start on 64-byte
-boundaries, so the cost does not depend on where the allocator puts
-them: even with glibc's mmap threshold fixed at 64 KiB, a 1e6-trial
-two-system call takes about 200 minor page faults. The chunk size sets
-cache use, never an answer: at 2^14 trials the 512 KiB buffer and the
-400 KiB workspace fit a 2 MiB per-core L2 cache, and so does the second
-512 KiB buffer that configurations of several region sides map their
-coordinates into.
+of five float columns and one bool column allocated once per call,
+through the ``out=`` and ``denominator=`` arguments of the SNR formulas:
+a geometry's denominators fill two float columns and its SNRs two more,
+and each rate's tail works in the fifth and the bool column, leaving the
+others for the next rate or power. A call in which no geometry has a
+second effective SNR keeps no denominator: its SNR columns stand in for
+them, and it allocates three float columns. The kernels keep the
+formulas' operations in their order, so every count is the one the
+out-of-place expressions give. The draw buffer and the workspace start
+on 64-byte boundaries, so the cost does not depend on where the
+allocator puts them: even with glibc's mmap threshold fixed at 64 KiB,
+a 1e6-trial two-system call takes about 200 minor page faults, and 260
+with the two denominator columns. The chunk size sets cache use, never
+an answer: at 2^14 trials the 512 KiB buffer and the workspace, 656 KiB
+with the denominators, fit a 2 MiB per-core L2 cache, and so does the
+second 512 KiB buffer that configurations of several region sides map
+their coordinates into.
 """
 
 from __future__ import annotations
@@ -54,7 +62,7 @@ from typing import Callable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .system import SystemConfig, snr_bob_pinching, snr_eve_pinching, snr_fpa
+from .system import SystemConfig, snr_at_distance_sq, snr_bob_pinching, snr_eve_pinching, snr_fpa
 
 __all__ = [
     "McConfig",
@@ -149,28 +157,41 @@ def _coordinates(uniforms: np.ndarray, side: float, out: np.ndarray) -> np.ndarr
     return out
 
 
-# three float columns and one bool column, one row per trial of a chunk
-_Workspace = tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+# six columns, one row per trial of a chunk: two shared values, the
+# scratch column, two denominators and the bool mask
+_Workspace = tuple[np.ndarray, ...]
 
 
 class _Event(NamedTuple):
-    """An event as two in-place kernels over a chunk's workspace.
+    """An event as three in-place kernels over a chunk's workspace.
 
     ``share`` takes the chunk's columns x1, y1, x2, y2, a configuration
-    and the workspace, and fills the first two float columns with what
-    every configuration of that region side, height and effective SNR
-    shares. ``test`` takes one such configuration and the workspace,
-    leaves those two columns as they are, and returns the bool column
-    holding its event.
+    and the workspace, fills the two denominator columns with what every
+    configuration of that region side and height shares, and the first
+    two float columns with what those of its effective SNR share too.
+    ``rescale`` takes a configuration of another effective SNR and
+    refills the first two columns from the denominators, leaving those
+    as they are. ``test`` takes one configuration and the workspace,
+    leaves those four shared columns as they are, and returns the bool
+    column holding its event.
     """
 
     share: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray, SystemConfig, _Workspace], None]
+    rescale: Callable[[SystemConfig, _Workspace], None]
     test: Callable[[SystemConfig, _Workspace], np.ndarray]
 
 
-def _workspace(size: int) -> _Workspace:
-    """The event kernels' columns for chunks of up to ``size`` trials, aligned."""
-    return (_aligned((size,)), _aligned((size,)), _aligned((size,)), _aligned((size,), bool))
+def _workspace(size: int, rescaled: bool) -> _Workspace:
+    """The event kernels' columns for chunks of up to ``size`` trials, aligned.
+
+    Unless some geometry is ``rescaled`` to a further effective SNR, no
+    denominator is kept: the SNR columns stand in for the denominator
+    columns, so the formulas sum in place, as without ``denominator=``,
+    and the call allocates 3+1 columns.
+    """
+    gb, ge, scratch = _aligned((size,)), _aligned((size,)), _aligned((size,))
+    db, de = (_aligned((size,)), _aligned((size,))) if rescaled else (gb, ge)
+    return (gb, ge, scratch, db, de, _aligned((size,), bool))
 
 
 def _count_events(
@@ -178,32 +199,41 @@ def _count_events(
 ) -> list[tuple[McResult, ...]]:
     """Estimate the probability of every event at every configuration in one pass.
 
-    Configurations are grouped by everything but the rate: by region
-    side, then by height and effective SNR. Each chunk's uniforms are
-    drawn once and mapped to coordinates once per side: in place when
-    there is one side, else into a second buffer, so the uniforms stay
-    for the next side. Per group and event, ``share`` fills the
-    workspace once, and ``test`` then counts each member's event from
-    it. The buffer and the workspace are allocated once per call.
+    Configurations are grouped by region side, then height, then
+    effective SNR; the members of a group differ only in the rate. Each
+    chunk's uniforms are drawn once and mapped to coordinates once per
+    side: in place when there is one side, else into a second buffer, so
+    the uniforms stay for the next side. Per side, height and event,
+    ``share`` fills the workspace at the first effective SNR and
+    ``rescale`` refills it at each further one; ``test`` then counts each
+    member's event from it. The buffer and the workspace are allocated
+    once per call, the denominator columns only if some side and height
+    has a second effective SNR.
     """
     size = min(mc.trials, _CHUNK_TRIALS)
-    workspace = _workspace(size)
-    groups: dict[float, dict[tuple[float, float], list[int]]] = {}
+    groups: dict[float, dict[float, dict[float, list[int]]]] = {}
     for i, cfg in enumerate(cfgs):
-        by_snr = groups.setdefault(cfg.region_side, {})
-        by_snr.setdefault((cfg.height, cfg.effective_snr), []).append(i)
+        by_height = groups.setdefault(cfg.region_side, {})
+        by_snr = by_height.setdefault(cfg.height, {})
+        by_snr.setdefault(cfg.effective_snr, []).append(i)
+    rescaled = any(len(by_snr) > 1 for by_height in groups.values() for by_snr in by_height.values())
+    workspace = _workspace(size, rescaled)
     coords = _aligned((size, _DRAWS_PER_TRIAL)) if len(groups) > 1 else None
     counts = [[0] * len(events) for _ in cfgs]
     for start, stop, uniforms in _chunks(mc):
         work = tuple(column[: stop - start] for column in workspace)
         out = uniforms if coords is None else coords[: stop - start]
-        for side, by_snr in groups.items():
+        for side, by_height in groups.items():
             x1, y1, x2, y2 = _coordinates(uniforms, side, out).T
-            for members in by_snr.values():
-                for j, (share, test) in enumerate(events):
-                    share(x1, y1, x2, y2, cfgs[members[0]], work)
-                    for i in members:
-                        counts[i][j] += int(np.count_nonzero(test(cfgs[i], work)))
+            for by_snr in by_height.values():
+                for j, (share, rescale, test) in enumerate(events):
+                    for k, members in enumerate(by_snr.values()):
+                        if k:
+                            rescale(cfgs[members[0]], work)
+                        else:
+                            share(x1, y1, x2, y2, cfgs[members[0]], work)
+                        for i in members:
+                            counts[i][j] += int(np.count_nonzero(test(cfgs[i], work)))
     return [tuple(_result(total, mc) for total in row) for row in counts]
 
 
@@ -214,15 +244,22 @@ def _result(count: int, mc: McConfig) -> McResult:
 
 
 def _snrs_pas(x1, y1, x2, y2, cfg: SystemConfig, work: _Workspace) -> None:
-    gb, ge, scratch, _ = work
-    snr_bob_pinching(y1, cfg, out=gb)
-    snr_eve_pinching(x1, x2, y2, cfg, out=ge, scratch=scratch)
+    gb, ge, scratch, db, de, _ = work
+    snr_bob_pinching(y1, cfg, out=gb, denominator=db)
+    snr_eve_pinching(x1, x2, y2, cfg, out=ge, scratch=scratch, denominator=de)
 
 
 def _snrs_fpa(x1, y1, x2, y2, cfg: SystemConfig, work: _Workspace) -> None:
-    gb, ge, scratch, _ = work
-    snr_fpa(x1, y1, cfg, out=gb, scratch=scratch)
-    snr_fpa(x2, y2, cfg, out=ge, scratch=scratch)
+    gb, ge, scratch, db, de, _ = work
+    snr_fpa(x1, y1, cfg, out=gb, scratch=scratch, denominator=db)
+    snr_fpa(x2, y2, cfg, out=ge, scratch=scratch, denominator=de)
+
+
+def _rescale_snrs(cfg: SystemConfig, work: _Workspace) -> None:
+    """Both SNRs at ``cfg``'s effective SNR, from the denominators either system left."""
+    gb, ge, _, db, de, _ = work
+    snr_at_distance_sq(db, cfg, out=gb)
+    snr_at_distance_sq(de, cfg, out=ge)
 
 
 def _outage(cfg: SystemConfig, work: _Workspace) -> np.ndarray:
@@ -232,7 +269,7 @@ def _outage(cfg: SystemConfig, work: _Workspace) -> np.ndarray:
     so at rate 0 the event stays snr_bob <= snr_eve however small both are.
     Evaluated in the scratch column, so gb and ge stay for the next rate.
     """
-    gb, ge, scratch, mask = work
+    gb, ge, scratch, _, _, mask = work
     c = cfg.rate_threshold
     # from rate ~1011 on C*ge overflows to inf: an outage, as it should be
     with np.errstate(over="ignore"):
@@ -249,19 +286,26 @@ def _offset_sq(x1, x2, y2, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
 
 
 def _offsets(x1, y1, x2, y2, cfg: SystemConfig, work: _Workspace) -> None:
-    offset, y1_sq, scratch, _ = work
+    offset, y1_sq, scratch, _, _, _ = work
     _offset_sq(x1, x2, y2, offset, scratch)
     np.square(y1, out=y1_sq)
 
 
+def _scale_free(cfg: SystemConfig, work: _Workspace) -> None:
+    """The offsets hold at every effective SNR: nothing to refill."""
+
+
 def _nearer(cfg: SystemConfig, work: _Workspace) -> np.ndarray:
     """The scale-free bound event (x1 - x2)^2 + y2^2 <= y1^2."""
-    offset, y1_sq, _, mask = work
+    offset, y1_sq, _, _, _, mask = work
     return np.less_equal(offset, y1_sq, out=mask)
 
 
-_OUTAGES = {"pas": _Event(_snrs_pas, _outage), "fpa": _Event(_snrs_fpa, _outage)}
-_BOUND = _Event(_offsets, _nearer)
+_OUTAGES = {
+    "pas": _Event(_snrs_pas, _rescale_snrs, _outage),
+    "fpa": _Event(_snrs_fpa, _rescale_snrs, _outage),
+}
+_BOUND = _Event(_offsets, _scale_free, _nearer)
 
 
 def simulate_sops(
@@ -335,4 +379,4 @@ def sample_snr_eve(cfg: SystemConfig, mc: McConfig) -> np.ndarray:
     """
     snr = sample_offset_sq(cfg, mc)
     snr += cfg.height**2
-    return np.divide(cfg.effective_snr, snr, out=snr)
+    return snr_at_distance_sq(snr, cfg, out=snr)

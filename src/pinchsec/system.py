@@ -181,40 +181,55 @@ def reference_config(**values: float) -> SystemConfig:
     return operating_point(**{"power_dbm": 30.0, **values})
 
 
-def snr_bob_pinching(y1, cfg: SystemConfig, out=None):
+def snr_at_distance_sq(distance_sq, cfg: SystemConfig, out=None):
+    """SNR at squared antenna distance ``distance_sq``: effective_snr / distance_sq.
+
+    The last step of every SNR formula here. Given the denominator one
+    of them left behind, it gives the SNR at any transmit power of the
+    same geometry. ``out`` is as in :func:`snr_bob_pinching`.
+    """
+    return np.divide(cfg.effective_snr, distance_sq, out=out)
+
+
+def snr_bob_pinching(y1, cfg: SystemConfig, out=None, *, denominator=None):
     """SNR of the legitimate receiver with the antenna activated at its x.
 
     gamma_B = effective_snr / (y1^2 + h^2). Independent of x1 because the
     activation point tracks the receiver along the waveguide. Accepts
     scalars or numpy arrays; like a numpy ufunc, it writes into ``out``
     (a float array of the result's shape) and returns it when given, and
-    allocates the result when not.
+    allocates the result when not. ``denominator``, a further such array,
+    then receives y1^2 + h^2 and ``out`` only the quotient.
     """
-    denominator = np.square(y1, out=out)
-    denominator = np.add(denominator, cfg.height**2, out=out)
-    return np.divide(cfg.effective_snr, denominator, out=out)
+    target = out if denominator is None else denominator
+    distance_sq = np.square(y1, out=target)
+    distance_sq = np.add(distance_sq, cfg.height**2, out=target)
+    return snr_at_distance_sq(distance_sq, cfg, out)
 
 
-def snr_eve_pinching(x1, x2, y2, cfg: SystemConfig, out=None, *, scratch=None):
+def snr_eve_pinching(x1, x2, y2, cfg: SystemConfig, out=None, *, scratch=None, denominator=None):
     """SNR of the eavesdropper under the activation-at-x1 rule.
 
     gamma_E = effective_snr / ((x1 - x2)^2 + y2^2 + h^2): the
     fixed-position formula :func:`snr_fpa` at the offset (x1 - x2, y2).
-    ``out`` and ``scratch`` are as there.
+    ``out``, ``scratch`` and ``denominator`` are as there.
     """
-    return snr_fpa(np.subtract(x1, x2, out=out), y2, cfg, out, scratch=scratch)
+    offset = np.subtract(x1, x2, out=out if denominator is None else denominator)
+    return snr_fpa(offset, y2, cfg, out, scratch=scratch, denominator=denominator)
 
 
-def snr_fpa(x, y, cfg: SystemConfig, out=None, *, scratch=None):
+def snr_fpa(x, y, cfg: SystemConfig, out=None, *, scratch=None, denominator=None):
     """SNR under the fixed-position baseline, antenna at (0, 0, h).
 
     Same formula for both receivers: effective_snr / (x^2 + y^2 + h^2).
     Accepts scalars or numpy arrays. Like a numpy ufunc, it writes into
     ``out`` and returns it when given; ``scratch``, a second array of the
     result's shape, then holds y^2, so the call makes no temporary. Each
-    one left out is allocated.
+    one left out is allocated. ``denominator`` is as in
+    :func:`snr_bob_pinching`: it receives x^2 + y^2 + h^2.
     """
-    denominator = np.square(x, out=out)
-    denominator = np.add(denominator, np.square(y, out=scratch), out=out)
-    denominator = np.add(denominator, cfg.height**2, out=out)
-    return np.divide(cfg.effective_snr, denominator, out=out)
+    target = out if denominator is None else denominator
+    distance_sq = np.square(x, out=target)
+    distance_sq = np.add(distance_sq, np.square(y, out=scratch), out=target)
+    distance_sq = np.add(distance_sq, cfg.height**2, out=target)
+    return snr_at_distance_sq(distance_sq, cfg, out)

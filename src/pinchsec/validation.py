@@ -488,9 +488,9 @@ def _check_ordering(fast: bool, seed: int) -> list[CheckResult]:
 
 def _check_determinism(fast: bool, seed: int) -> list[CheckResult]:
     """A seed's draws repeat bit for bit: a call equals its repeat, a shared
-    pass (over two region sides, and two rates that share their SNRs) each
-    configuration's own call, and a sweep's CSV its points swept one at a
-    time."""
+    pass (over two region sides, two rates that share their SNRs, and a
+    further power that shares their denominators) each configuration's own
+    call, and a sweep's CSV its points swept one at a time."""
     results = []
     cfg = reference_config(power_dbm=20.0)
     # bits, not statistics: at both levels two chunks and a ragged one
@@ -501,6 +501,8 @@ def _check_determinism(fast: bool, seed: int) -> list[CheckResult]:
         cfg,
         reference_config(region_side=30.0, power_dbm=40.0, rate=1.0),
         reference_config(power_dbm=20.0, rate=1.0),
+        # the first at another power, with SOP about 0.35 against its 0.25
+        reference_config(power_dbm=-10.0),
     )
     shared = [r for (r,) in mc_mod.simulate_sops(cfgs, mc, ("pas",))]
     alone = [mc_mod.simulate_sop_pas(c, mc) for c in cfgs]

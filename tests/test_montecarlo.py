@@ -174,7 +174,8 @@ def reference_events(cfg):
 class TestReusedDrawBuffer:
     """Chunks drawn into one reused buffer, and events evaluated in one
     reused workspace, reproduce an unchunked out-of-place evaluation bit
-    for bit."""
+    for bit, at the configuration that fills the workspace and at another
+    transmit power that only divides by its denominators."""
 
     CONFIGS = [
         dict(),
@@ -191,11 +192,15 @@ class TestReusedDrawBuffer:
     @pytest.mark.parametrize("overrides", CONFIGS)
     def test_chunk_coordinates_and_events_bitwise(self, overrides):
         cfg = make_config(**overrides)
+        louder = make_config(**{**overrides, "power_dbm": overrides.get("power_dbm", 30.0) + 20.0})
         coords = np.column_stack(reference_coordinates(cfg))
-        expected = reference_events(cfg)
+        expected, expected_louder = reference_events(cfg), reference_events(louder)
         mc = McConfig(KERNEL_TRIALS, KERNEL_SEED)
-        workspace = mc_mod._workspace(mc_mod._CHUNK_TRIALS)
-        assert all(column.ctypes.data % 64 == 0 for column in workspace)
+        workspace = mc_mod._workspace(mc_mod._CHUNK_TRIALS, rescaled=True)
+        # a call that rescales nothing sums the denominators in the SNR columns
+        in_place = mc_mod._workspace(mc_mod._CHUNK_TRIALS, rescaled=False)
+        assert in_place[3] is in_place[0] and in_place[4] is in_place[1]
+        assert all(column.ctypes.data % 64 == 0 for column in workspace + in_place)
         buffer = mc_mod._aligned((mc_mod._CHUNK_TRIALS, 4))
         stream = uniforms(KERNEL_SEED, KERNEL_TRIALS)
         for start, stop, draws in mc_mod._chunks(mc):
@@ -206,15 +211,25 @@ class TestReusedDrawBuffer:
             # mapped in place, as for configurations of one region side
             assert np.array_equal(mc_mod._coordinates(draws, cfg.region_side, draws), chunk)
             work = tuple(column[: stop - start] for column in workspace)
+            alone = tuple(column[: stop - start] for column in in_place)
             for event, mask in expected.items():
                 name = event.share.__name__
+                event.share(*chunk.T, cfg, alone)
+                assert np.array_equal(event.test(cfg, alone), mask[start:stop]), name
                 event.share(*chunk.T, cfg, work)
-                shared = (work[0].copy(), work[1].copy())
+                # the two shared values and the two denominators
+                kept = work[:2] + work[3:5]
+                shared = [column.copy() for column in kept]
                 got = event.test(cfg, work)
-                assert got is work[3], name
+                assert got is work[-1], name
                 assert np.array_equal(got, mask[start:stop]), name
                 # the test leaves the shared columns for the next rate
-                assert all(np.array_equal(a, b) for a, b in zip(shared, work[:2])), name
+                assert all(np.array_equal(a, b) for a, b in zip(shared, kept)), name
+                event.rescale(louder, work)
+                # the divide leaves the denominators for the next power
+                assert all(np.array_equal(a, b) for a, b in zip(shared[2:], kept[2:])), name
+                got = event.test(louder, work)
+                assert np.array_equal(got, expected_louder[event][start:stop]), name
         assert stop == KERNEL_TRIALS
 
     def test_estimates_equal_reference_counts(self, cfg30):
@@ -326,9 +341,10 @@ class TestSimulateSopsSystems:
 
 
 # the points of a power, a rate and a region sweep, configurations whose
-# region sides are not in runs (10, 30, 10), and groups that differ only in
-# the rate (rate 0, and 1020, where C*ge overflows) interleaved with other
-# powers, heights and sides
+# region sides are not in runs (10, 30, 10), groups that differ only in the
+# rate (rate 0, and 1020, where C*ge overflows) interleaved with other
+# powers, heights and sides, and geometries shared by several powers
+# (-60 to 120 dBm) and rates, interleaved with other heights and sides
 SWEEPS = {
     "power": [config_at(make_config(), Axis.POWER_DBM, p) for p in (0.0, 20.0, 40.0)],
     "rate": [config_at(make_config(region_side=30.0), Axis.RATE, r) for r in (0.1, 1.0, 2.0)],
@@ -344,6 +360,17 @@ SWEEPS = {
         make_config(region_side=30.0, rate=0.0),
         make_config(height=7.0, rate=1020.0),
         make_config(power_dbm=40.0, rate=1.0),
+    ],
+    "power-groups": [
+        make_config(power_dbm=-60.0, rate=0.0),
+        make_config(region_side=30.0, power_dbm=120.0),
+        make_config(power_dbm=120.0, rate=1020.0),
+        make_config(height=7.0, power_dbm=0.0),
+        make_config(power_dbm=20.0, rate=1.0),
+        make_config(region_side=30.0, power_dbm=-60.0, rate=1020.0),
+        make_config(power_dbm=-60.0, rate=1.0),
+        make_config(height=7.0, power_dbm=120.0, rate=0.0),
+        make_config(power_dbm=120.0, rate=0.5),
     ],
 }
 
@@ -363,14 +390,26 @@ class TestChunkSizeInvariance:
             monkeypatch.setattr(mc_mod, "_CHUNK_TRIALS", chunk)
             assert simulate_sops(cfgs, mc, ["pas", "fpa"]) == alone, chunk
 
-    @pytest.mark.parametrize("axis,groups", [(Axis.RATE, 1), (Axis.POWER_DBM, 5)])
-    def test_snrs_once_per_chunk_group_and_system(self, axis, groups, monkeypatch):
-        # five rates share one evaluation of each SNR; five powers need five
-        x_values = (0.0, 0.5, 1.0, 1.5, 2.0) if axis is Axis.RATE else (0.0, 10.0, 20.0, 30.0, 40.0)
+    @pytest.mark.parametrize(
+        "axis,x_values,geometries,powers",
+        [
+            (Axis.RATE, (0.0, 0.5, 1.0, 1.5, 2.0), 1, 1),
+            (Axis.POWER_DBM, (0.0, 10.0, 20.0, 30.0, 40.0), 1, 5),
+            (Axis.REGION_SIDE, (5.0, 10.0, 15.0, 20.0, 30.0), 5, 1),
+        ],
+        ids=["rate", "power-dbm", "region"],
+    )
+    def test_snrs_once_per_chunk_group_and_system(
+        self, axis, x_values, geometries, powers, monkeypatch
+    ):
+        # the SNR formulas run once per chunk, (region side, height) and
+        # system: five rates share their SNRs, five powers their denominators,
+        # each further power dividing by them; five region sides share nothing
         cfgs = [config_at(make_config(), axis, x) for x in x_values]
         mc = McConfig(trials=2 * mc_mod._CHUNK_TRIALS + 7, seed=KERNEL_SEED)
         expected = simulate_sops(cfgs, mc, ["pas", "fpa"])
-        calls = {name: 0 for name in ("snr_bob_pinching", "snr_eve_pinching", "snr_fpa")}
+        names = ("snr_bob_pinching", "snr_eve_pinching", "snr_fpa", "snr_at_distance_sq")
+        calls = {name: 0 for name in names}
 
         def counted(name, kernel):
             def call(*args, **kwargs):
@@ -382,12 +421,15 @@ class TestChunkSizeInvariance:
         for name in calls:
             monkeypatch.setattr(mc_mod, name, counted(name, getattr(mc_mod, name)))
         assert simulate_sops(cfgs, mc, ["pas", "fpa"]) == expected
-        per_system = 3 * groups  # three chunks
-        # pas: snr_bob_pinching and snr_eve_pinching; fpa: snr_fpa for each receiver
+        per_system = 3 * geometries  # three chunks
+        # pas: snr_bob_pinching and snr_eve_pinching; fpa: snr_fpa for each
+        # receiver; each further power: one divide per receiver and system,
+        # and none where a geometry has one power
         assert calls == {
             "snr_bob_pinching": per_system,
             "snr_eve_pinching": per_system,
             "snr_fpa": 2 * per_system,
+            "snr_at_distance_sq": 3 * 2 * 2 * (powers - 1),
         }
 
     def test_bitwise_across_chunk_sizes(self, cfg30, monkeypatch):

@@ -1190,13 +1190,13 @@ class TestCliDist:
         assert capsys.readouterr().err.startswith("error: --out:")
 
 
-def _at_first_rate(cfgs):
-    """Each configuration at the rate of the first one that shares its SNRs."""
-    geometry = [(c.region_side, c.height, c.effective_snr) for c in cfgs]
+def _at_first(cfgs, shared, field):
+    """Each configuration with ``field`` of the first one that agrees with it on ``shared``."""
+    keys = [tuple(getattr(c, name) for name in shared) for c in cfgs]
     first = {}
-    for key, c in zip(geometry, cfgs):
-        first.setdefault(key, c.target_rate)
-    return [replace(c, target_rate=first[key]) for key, c in zip(geometry, cfgs)]
+    for key, c in zip(keys, cfgs):
+        first.setdefault(key, getattr(c, field))
+    return [replace(c, **{field: first[key]}) for key, c in zip(keys, cfgs)]
 
 
 # Corruptions of the library, each with the checks of the suite it must fail.
@@ -1223,7 +1223,15 @@ CORRUPTIONS = {
     # that shares its SNRs
     "mc-group-first-rate": (
         mc_mod, "simulate_sops",
-        lambda f: lambda cfgs, m, systems: f(_at_first_rate(tuple(cfgs)), m, systems),
+        lambda f: lambda cfgs, m, systems: f(
+            _at_first(tuple(cfgs), ("region_side", "height", "effective_snr"), "target_rate"), m, systems),
+        "_check_determinism", ["mc-determinism"]),
+    # a shared pass divides at the power of the first configuration that
+    # shares its denominators
+    "mc-geometry-first-power": (
+        mc_mod, "simulate_sops",
+        lambda f: lambda cfgs, m, systems: f(
+            _at_first(tuple(cfgs), ("region_side", "height"), "transmit_power"), m, systems),
         "_check_determinism", ["mc-determinism"]),
     # the Monte Carlo column simulates x value i alone, at the seed plus i
     "sweep-point-seeds": (

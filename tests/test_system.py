@@ -13,7 +13,7 @@ from pinchsec import (
     snr_eve_pinching,
     snr_fpa,
 )
-from pinchsec.system import OPTIONS, operating_point
+from pinchsec.system import OPTIONS, operating_point, snr_at_distance_sq
 
 from conftest import make_config
 
@@ -201,6 +201,13 @@ class TestSnrFormulas:
 # each formula with its coordinate arguments
 SNR_CALLS = [(snr_bob_pinching, 1), (snr_eve_pinching, 3), (snr_fpa, 2)]
 
+# each formula's denominator, the squared antenna distance, out of place
+DISTANCE_SQ = {
+    snr_bob_pinching: lambda y1, h2: y1**2 + h2,
+    snr_eve_pinching: lambda x1, x2, y2, h2: (x1 - x2) ** 2 + y2**2 + h2,
+    snr_fpa: lambda x, y, h2: x**2 + y**2 + h2,
+}
+
 
 class TestSnrOut:
     """``out=`` (and ``scratch=``) evaluate the same formula in place."""
@@ -218,6 +225,34 @@ class TestSnrOut:
         assert formula(*coords, cfg, out=buf, **extra) is buf
         assert np.array_equal(buf, expected)
         assert expected.tobytes() == buf.tobytes()
+
+    @pytest.mark.parametrize("formula,arity", SNR_CALLS)
+    @pytest.mark.parametrize("shape", [(), (1000,)], ids=["scalar", "array"])
+    @pytest.mark.parametrize("overrides", [dict(), dict(power_dbm=-150.0), dict(region_side=1e3)])
+    def test_denominator_keeps_the_sum_and_the_bits(self, formula, arity, shape, overrides):
+        cfg = make_config(**overrides)
+        rng = np.random.default_rng(5)
+        coords = [rng.uniform(-cfg.half_side, cfg.half_side, shape) for _ in range(arity)]
+        if not shape:
+            coords = [float(c) for c in coords]
+        expected = formula(*coords, cfg)
+        distance_sq = np.asarray(DISTANCE_SQ[formula](*coords, cfg.height**2))
+        denominator = np.full(shape, np.nan)
+        got = formula(*coords, cfg, denominator=denominator)
+        assert type(got) is type(expected)
+        assert np.asarray(got).tobytes() == np.asarray(expected).tobytes()
+        assert denominator.tobytes() == distance_sq.tobytes()
+        # with out= too, the sum stays in denominator and the quotient goes to out
+        out, denominator = np.full(shape, np.nan), np.full(shape, np.nan)
+        extra = {} if formula is snr_bob_pinching else {"scratch": np.empty(shape)}
+        assert formula(*coords, cfg, out=out, denominator=denominator, **extra) is out
+        assert out.tobytes() == np.asarray(expected).tobytes()
+        assert denominator.tobytes() == distance_sq.tobytes()
+        # the divide alone maps the sum to the SNR, here and at another power
+        louder = make_config(**{**overrides, "power_dbm": overrides.get("power_dbm", 30.0) + 20.0})
+        for at in (cfg, louder):
+            again = formula(*coords, at)
+            assert np.asarray(snr_at_distance_sq(denominator, at)).tobytes() == np.asarray(again).tobytes()
 
     @pytest.mark.parametrize("formula,arity", SNR_CALLS)
     def test_scalar_input_returns_a_float(self, formula, arity, cfg10):

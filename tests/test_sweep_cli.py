@@ -1251,6 +1251,10 @@ CORRUPTIONS = {
     "offset-sampler-scaled": (
         mc_mod, "sample_offset_sq", lambda f: lambda c, m: 1.1 * f(c, m),
         "_check_sampler_fit", ["offset-sampler-ks"]),
+    # offsets 10% too large make the floor event rarer: about 5 sigma at fast seed 1
+    "floor-offsets-scaled": (
+        mc_mod, "sample_offset_sq", lambda f: lambda c, m: 1.1 * f(c, m),
+        "_check_bound_constants", ["lower-bound-event-mc"]),
     # scaled by 1.02, the SNR samples pass the fast level (p = 0.65 at seed 1)
     "eve-sampler-scaled": (
         mc_mod, "sample_snr_eve", lambda f: lambda c, m: 1.1 * f(c, m),
@@ -1361,3 +1365,62 @@ class TestCliValidate:
         (_, chi2) = validation._check_sampler_fit(fast=True, seed=1)
         assert not chi2.passed and " p=0.0000 " in chi2.detail
         assert len(statistics) == 1 and math.isfinite(statistics[0])
+
+
+def _floor_check(results):
+    (floor,) = [r for r in results if r.name == "lower-bound-event-mc"]
+    return floor
+
+
+class TestFloorEventCheck:
+    """``lower-bound-event-mc`` averages P(y1^2 >= w | w) over offset samples."""
+
+    FLOOR = (2.0 * math.pi - 1.0) / 24.0
+
+    def test_conditional_mean_and_variance_are_the_closed_forms(self):
+        cfg = reference_config()
+        d = cfg.region_side
+        first, second = (
+            float(sop_mod._panel_quadrature(
+                lambda w: (1.0 - 2.0 * np.sqrt(w) / d) ** k * dist_mod.pdf_offset_sq(w, cfg),
+                (0.0, d * d / 4.0),
+            )[0])
+            for k in (1, 2)
+        )
+        assert abs(first - self.FLOOR) <= 1e-12
+        variance = math.pi / 24.0 - 1.0 / 60.0 - self.FLOOR**2
+        assert abs(second - self.FLOOR**2 - variance) <= 1e-12
+
+    def test_standard_error_is_no_larger_than_the_event_counts(self, full_checks):
+        # the detection threshold must not grow: sigma_g at each level's trials
+        # against the indicator's binomial sigma at its former 1e4 and 1e6
+        variance = math.pi / 24.0 - 1.0 / 60.0 - self.FLOOR**2
+        levels = (validation._check_bound_constants(fast=True, seed=1), full_checks)
+        for results, former in zip(levels, (10_000, 1_000_000)):
+            trials = int(_floor_check(results).detail.rsplit("trials=", 1)[1])
+            assert math.sqrt(variance / trials) <= math.sqrt(self.FLOOR * (1.0 - self.FLOOR) / former)
+
+    @pytest.mark.parametrize("fast,trials", [(True, 4_000), (False, 400_000)])
+    def test_two_offset_draws_chunk_invariant(self, monkeypatch, fast, trials):
+        draws, estimates = [], []
+        sample, mean = mc_mod.sample_offset_sq, validation._floor_event_mean
+
+        def recorded(cfg, mc):
+            draws.append((cfg.region_side, cfg.height, mc.trials, mc.seed))
+            return sample(cfg, mc)
+
+        def kept(w, side):
+            estimates.append(mean(w, side))
+            return estimates[-1]
+
+        monkeypatch.setattr(mc_mod, "sample_offset_sq", recorded)
+        monkeypatch.setattr(validation, "_floor_event_mean", kept)
+        monkeypatch.setattr(mc_mod, "simulate_lower_bound_event", None)  # no event count
+        floor = _floor_check(validation._check_bound_constants(fast=fast, seed=5))
+        assert floor.passed
+        assert draws == [(10.0, 3.0, trials, 5), (30.0, 7.5, trials, 6)]
+        # the estimates, not only their rounded deviations, keep their bits
+        monkeypatch.setattr(mc_mod, "_CHUNK_TRIALS", 1 << 10)
+        again = _floor_check(validation._check_bound_constants(fast=fast, seed=5))
+        assert again.detail == floor.detail
+        assert estimates[2:] == estimates[:2]

@@ -3,17 +3,20 @@
 Each seed names one PCG64DXSM stream, and trial t takes its draws
 4t..4t+3 (four 64-bit draws): x1, y1, x2, y2 are columns 0-3 of its row
 however the trials are chunked. Outage estimates are integer counts
-divided by the trial count, so any chunking yields bit-identical
-results; sample streams preserve trial order.
+divided by the trial count, and the floor estimate is a quotient of
+integer sums too, of per-trial values rounded to multiples of 2^-40, so
+any chunking yields bit-identical results; sample streams preserve
+trial order.
 
 One generator, :func:`_chunks`, walks every draw: it opens the seed's
 stream once per call and draws it in trial order, in chunks of at most
 2^14 trials, on the calling thread, into one buffer allocated once per
 call: the (chunk, 4) uniforms u, which :func:`_coordinates` maps to x1,
-y1, x2, y2 as (u - 0.5) * D. Two loops walk the chunks: the event
-counter hands each kernel the coordinate columns, and
-:func:`sample_offset_sq` collects the squared offsets, of which
-:func:`sample_snr_eve` is the SNR map.
+y1, x2, y2 as (u - 0.5) * D. Three loops walk the chunks: the outage
+counter hands each system's kernel the coordinate columns,
+:func:`simulate_lower_bound_event` sums the floor event's conditional
+probability over the squared offsets, and :func:`sample_offset_sq`
+collects those offsets, of which :func:`sample_snr_eve` is the SNR map.
 
 One pass over the draws counts every event at every configuration.
 :func:`simulate_sops` takes a sequence of configurations, such as the
@@ -33,7 +36,7 @@ SNRs themselves: only the rate's tail, C * snr_eve, its difference from
 snr_bob, the comparison with C - 1 and the count, runs once per
 configuration.
 
-No chunk allocates. The event kernels evaluate in place, in a workspace
+No chunk allocates. The outage kernels evaluate in place, in a workspace
 of five float columns and one bool column allocated once per call,
 through the ``out=`` and ``denominator=`` arguments of the SNR formulas:
 a geometry's denominators fill two float columns and its SNRs two more,
@@ -58,7 +61,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -114,7 +117,8 @@ class McConfig:
 
 @dataclass(frozen=True)
 class McResult:
-    """A probability estimate with its binomial standard error."""
+    """A probability estimate with its standard error: binomial for an
+    outage count, of a conditional mean for the floor event."""
 
     estimate: float
     stderr: float
@@ -157,32 +161,13 @@ def _coordinates(uniforms: np.ndarray, side: float, out: np.ndarray) -> np.ndarr
     return out
 
 
-# six columns, one row per trial of a chunk: two shared values, the
-# scratch column, two denominators and the bool mask
+# six columns, one row per trial of a chunk: two SNRs, the scratch column,
+# two denominators and the bool mask
 _Workspace = tuple[np.ndarray, ...]
 
 
-class _Event(NamedTuple):
-    """An event as three in-place kernels over a chunk's workspace.
-
-    ``share`` takes the chunk's columns x1, y1, x2, y2, a configuration
-    and the workspace, fills the two denominator columns with what every
-    configuration of that region side and height shares, and the first
-    two float columns with what those of its effective SNR share too.
-    ``rescale`` takes a configuration of another effective SNR and
-    refills the first two columns from the denominators, leaving those
-    as they are. ``test`` takes one configuration and the workspace,
-    leaves those four shared columns as they are, and returns the bool
-    column holding its event.
-    """
-
-    share: Callable[[np.ndarray, np.ndarray, np.ndarray, np.ndarray, SystemConfig, _Workspace], None]
-    rescale: Callable[[SystemConfig, _Workspace], None]
-    test: Callable[[SystemConfig, _Workspace], np.ndarray]
-
-
 def _workspace(size: int, rescaled: bool) -> _Workspace:
-    """The event kernels' columns for chunks of up to ``size`` trials, aligned.
+    """The outage kernels' columns for chunks of up to ``size`` trials, aligned.
 
     Unless some geometry is ``rescaled`` to a further effective SNR, no
     denominator is kept: the SNR columns stand in for the denominator
@@ -195,20 +180,21 @@ def _workspace(size: int, rescaled: bool) -> _Workspace:
 
 
 def _count_events(
-    cfgs: Sequence[SystemConfig], mc: McConfig, events: Sequence[_Event]
+    cfgs: Sequence[SystemConfig], mc: McConfig, systems: Sequence[Callable[..., None]]
 ) -> list[tuple[McResult, ...]]:
-    """Estimate the probability of every event at every configuration in one pass.
+    """Estimate every system's outage probability at every configuration in one pass.
 
     Configurations are grouped by region side, then height, then
     effective SNR; the members of a group differ only in the rate. Each
     chunk's uniforms are drawn once and mapped to coordinates once per
     side: in place when there is one side, else into a second buffer, so
-    the uniforms stay for the next side. Per side, height and event,
-    ``share`` fills the workspace at the first effective SNR and
-    ``rescale`` refills it at each further one; ``test`` then counts each
-    member's event from it. The buffer and the workspace are allocated
-    once per call, the denominator columns only if some side and height
-    has a second effective SNR.
+    the uniforms stay for the next side. Per side, height and system, the
+    system's kernel in :data:`_OUTAGES` fills the two denominator columns,
+    which every member shares, and the two SNR columns at the first
+    effective SNR; :func:`_rescale_snrs` refills the SNRs at each further
+    one, and :func:`_outage` counts each member's outages from them. The
+    buffer and the workspace are allocated once per call, the denominator
+    columns only if some side and height has a second effective SNR.
     """
     size = min(mc.trials, _CHUNK_TRIALS)
     groups: dict[float, dict[float, dict[float, list[int]]]] = {}
@@ -219,21 +205,21 @@ def _count_events(
     rescaled = any(len(by_snr) > 1 for by_height in groups.values() for by_snr in by_height.values())
     workspace = _workspace(size, rescaled)
     coords = _aligned((size, _DRAWS_PER_TRIAL)) if len(groups) > 1 else None
-    counts = [[0] * len(events) for _ in cfgs]
+    counts = [[0] * len(systems) for _ in cfgs]
     for start, stop, uniforms in _chunks(mc):
         work = tuple(column[: stop - start] for column in workspace)
         out = uniforms if coords is None else coords[: stop - start]
         for side, by_height in groups.items():
             x1, y1, x2, y2 = _coordinates(uniforms, side, out).T
             for by_snr in by_height.values():
-                for j, (share, rescale, test) in enumerate(events):
+                for j, share in enumerate(systems):
                     for k, members in enumerate(by_snr.values()):
                         if k:
-                            rescale(cfgs[members[0]], work)
+                            _rescale_snrs(cfgs[members[0]], work)
                         else:
                             share(x1, y1, x2, y2, cfgs[members[0]], work)
                         for i in members:
-                            counts[i][j] += int(np.count_nonzero(test(cfgs[i], work)))
+                            counts[i][j] += int(np.count_nonzero(_outage(cfgs[i], work)))
     return [tuple(_result(total, mc) for total in row) for row in counts]
 
 
@@ -278,34 +264,7 @@ def _outage(cfg: SystemConfig, work: _Workspace) -> np.ndarray:
     return np.less_equal(scratch, c - 1.0, out=mask)
 
 
-def _offset_sq(x1, x2, y2, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """(x1 - x2)^2 + y2^2 into ``out``, with y2^2 in ``scratch``."""
-    np.subtract(x1, x2, out=out)
-    np.square(out, out=out)
-    return np.add(out, np.square(y2, out=scratch), out=out)
-
-
-def _offsets(x1, y1, x2, y2, cfg: SystemConfig, work: _Workspace) -> None:
-    offset, y1_sq, scratch, _, _, _ = work
-    _offset_sq(x1, x2, y2, offset, scratch)
-    np.square(y1, out=y1_sq)
-
-
-def _scale_free(cfg: SystemConfig, work: _Workspace) -> None:
-    """The offsets hold at every effective SNR: nothing to refill."""
-
-
-def _nearer(cfg: SystemConfig, work: _Workspace) -> np.ndarray:
-    """The scale-free bound event (x1 - x2)^2 + y2^2 <= y1^2."""
-    offset, y1_sq, _, _, _, mask = work
-    return np.less_equal(offset, y1_sq, out=mask)
-
-
-_OUTAGES = {
-    "pas": _Event(_snrs_pas, _rescale_snrs, _outage),
-    "fpa": _Event(_snrs_fpa, _rescale_snrs, _outage),
-}
-_BOUND = _Event(_offsets, _scale_free, _nearer)
+_OUTAGES = {"pas": _snrs_pas, "fpa": _snrs_fpa}
 
 
 def simulate_sops(
@@ -351,14 +310,58 @@ def simulate_sop_fpa(cfg: SystemConfig, mc: McConfig) -> McResult:
     return result
 
 
+def _offset_sq(uniforms, side: float, out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """A chunk's (x1 - x2)^2 + y2^2 into ``out``, with y2^2 in ``scratch``;
+    the ``uniforms`` are mapped in place to the coordinates."""
+    x1, _, x2, y2 = _coordinates(uniforms, side, out=uniforms).T
+    np.subtract(x1, x2, out=out)
+    np.square(out, out=out)
+    return np.add(out, np.square(y2, out=scratch), out=out)
+
+
+# g and g^2 are summed in whole units of 2^-40, as int64 within a chunk:
+# exact while a chunk's sum stays below 2^63, so for chunks under 2^23 trials
+_FLOOR_UNIT = 2.0**40
+
+
 def simulate_lower_bound_event(cfg: SystemConfig, mc: McConfig) -> McResult:
     """Probability that the eavesdropper's SNR is at least the receiver's.
 
     The event (x1-x2)^2 + y2^2 <= y1^2 is scale-free: the estimate does
     not depend on the region size, the height, or the transmit power.
+
+    The event is not counted. Given a trial's offset w = (x1-x2)^2 + y2^2,
+    the receiver's y1 is still uniform on [-D/2, D/2], so the event's
+    probability is g(w) = max(0, 1 - 2 sqrt(w)/D). The estimate is the
+    mean of g over the trials (conditional Monte Carlo, or
+    Rao-Blackwellisation; Asmussen & Glynn, *Stochastic Simulation*,
+    2007, section V.4), and its standard error is sqrt(var g / n). Per
+    trial, Var g = pi/24 - 1/60 - p^2 = 0.0658, 0.38 of the count's
+    p(1-p) = 0.1717.
+
+    Each chunk maps its offsets to g in place, in columns allocated once
+    per call. Each g and g^2 is rounded to a multiple of 2^-40 and summed
+    exactly, as an integer, so the result does not depend on where the
+    chunks break, and each sum is within n 2^-41 of the unrounded one.
     """
-    ((result,),) = _count_events((cfg,), mc, (_BOUND,))
-    return result
+    size = min(mc.trials, _CHUNK_TRIALS)
+    g, g_sq, ticks = _aligned((size,)), _aligned((size,)), _aligned((size,), np.int64)
+    sums = [0, 0]
+    for start, stop, uniforms in _chunks(mc):
+        n = stop - start
+        w = _offset_sq(uniforms, cfg.region_side, g[:n], g_sq[:n])
+        np.sqrt(w, out=w)
+        w *= 2.0 / cfg.region_side
+        np.subtract(1.0, w, out=w)
+        np.maximum(w, 0.0, out=w)
+        np.square(w, out=g_sq[:n])
+        for k, column in enumerate((w, g_sq[:n])):
+            column *= _FLOOR_UNIT
+            ticks[:n] = np.rint(column, out=column)
+            sums[k] += int(np.add.reduce(ticks[:n]))
+    mean, mean_sq = (total / mc.trials / _FLOOR_UNIT for total in sums)
+    stderr = math.sqrt(max(mean_sq - mean * mean, 0.0) / mc.trials)
+    return McResult(mean, stderr, mc.trials, mc.seed)
 
 
 def sample_offset_sq(cfg: SystemConfig, mc: McConfig) -> np.ndarray:
@@ -366,17 +369,21 @@ def sample_offset_sq(cfg: SystemConfig, mc: McConfig) -> np.ndarray:
     out = np.empty(mc.trials, dtype=np.float64)
     scratch = _aligned((min(mc.trials, _CHUNK_TRIALS),))
     for start, stop, uniforms in _chunks(mc):
-        x1, _, x2, y2 = _coordinates(uniforms, cfg.region_side, out=uniforms).T
-        _offset_sq(x1, x2, y2, out[start:stop], scratch[: stop - start])
+        _offset_sq(uniforms, cfg.region_side, out[start:stop], scratch[: stop - start])
     return out
 
 
-def sample_snr_eve(cfg: SystemConfig, mc: McConfig) -> np.ndarray:
-    """Per-trial eavesdropper SNR samples, in trial order.
+def _snr_eve_of_offset(w: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+    """Offset samples ``w`` mapped in place to eavesdropper SNRs, effective_snr / (w + h^2).
 
-    The offset samples mapped in place through effective_snr / (w + h^2),
-    the operations of :func:`snr_eve_pinching` in its order.
+    The operations of :func:`snr_eve_pinching` in its order. Each step
+    rounds monotonically, so a sample sorted in ascending order maps to
+    one sorted in descending order.
     """
-    snr = sample_offset_sq(cfg, mc)
-    snr += cfg.height**2
-    return snr_at_distance_sq(snr, cfg, out=snr)
+    w += cfg.height**2
+    return snr_at_distance_sq(w, cfg, out=w)
+
+
+def sample_snr_eve(cfg: SystemConfig, mc: McConfig) -> np.ndarray:
+    """Per-trial eavesdropper SNR samples, in trial order: the offset samples, mapped."""
+    return _snr_eve_of_offset(sample_offset_sq(cfg, mc), cfg)

@@ -22,19 +22,13 @@ chance that every point stays within its two-sided bound is then at
 least the product of the per-point chances, so a grid check's rate,
 computed for independent points, bounds it from above.
 
-The floor check, ``lower-bound-event-mc``, does not count the event
-(x1-x2)^2 + y2^2 <= y1^2. Given a trial's offset w, the receiver's y1
-is still uniform, so the event's conditional probability
-g(w) = max(0, 1 - 2 sqrt(w)/D) is known, and the check averages g over
-offset samples (conditional Monte Carlo, or Rao-Blackwellisation;
-Asmussen & Glynn, *Stochastic Simulation*, 2007, section V.4). Its
-variance per trial, pi/24 - 1/60 - p^2 = 0.0658, is 0.38 of the
-indicator's p(1-p) = 0.1717, so 0.4x the trials resolve at least what
-the counts did: 4e3 and 4e5 trials give a standard error of 4.06e-3 and
-4.06e-4, against 4.14e-3 and 4.14e-4 for 1e4 and 1e6 counts, and the
-3-sigma detection threshold does not grow. g reads only the uniform law
-of y1, never the offset CDF or density under test, so the check stays
-an independent simulation of the constant.
+The floor check, ``lower-bound-event-mc``, takes two estimates of
+:func:`montecarlo.simulate_lower_bound_event`, a conditional Monte Carlo
+that reads only the uniform law of y1, never the offset CDF or density
+under test, so the check stays an independent simulation of the
+constant. At 4e3 and 4e5 trials their standard errors, 4.06e-3 and
+4.06e-4, are below the 4.14e-3 and 4.14e-4 of 1e4 and 1e6 event
+counts, so the 3-sigma detection threshold does not grow.
 
 Checks call the library through module attributes so a corrupted
 implementation (or a deliberately monkeypatched one) is caught rather
@@ -96,25 +90,6 @@ def _grid_configs(fast: bool) -> list[SystemConfig]:
     ]
 
 
-def _floor_event_mean(w: np.ndarray, side: float) -> tuple[float, float]:
-    """The mean of g = max(0, 1 - (2/side) sqrt(w)) over offsets ``w``, and its stderr.
-
-    Given the offset w = (x1-x2)^2 + y2^2, g is the probability that
-    the uniform y1 on [-D/2, D/2] has y1^2 >= w. ``w`` is overwritten
-    with g, so no temporary is as long as it, and the sums of g and g^2
-    are each one reduction over the whole array, in a fixed order, so
-    the result does not depend on Monte Carlo's chunking.
-    """
-    g = np.sqrt(w, out=w)
-    g *= 2.0 / side
-    np.subtract(1.0, g, out=g)
-    np.maximum(g, 0.0, out=g)
-    n = g.size
-    mean = float(np.add.reduce(g)) / n
-    mean_sq = float(np.add.reduce(np.square(g, out=g))) / n
-    return mean, math.sqrt(max(mean_sq - mean * mean, 0.0) / n)
-
-
 def _check_bound_constants(fast: bool, seed: int) -> list[CheckResult]:
     results = []
     pas = sop_mod.sop_lower_bound_pas().value
@@ -143,16 +118,11 @@ def _check_bound_constants(fast: bool, seed: int) -> list[CheckResult]:
 
     # 0.4x the trials of a plain event count, at no larger standard error
     trials = 4_000 if fast else 400_000
-    cfgs = [reference_config(region_side=d, height=h) for d, h in ((10.0, 3.0), (30.0, 7.5))]
-    # both samples are drawn before either is freed: while no array this
-    # large has been freed yet, glibc maps each one afresh and returns it on
-    # free; drawn one at a time, the second one comes from the heap and stays
-    # resident through the sampler checks, 2.5 MB on top of their peak
-    samples = [mc_mod.sample_offset_sq(c, McConfig(trials, seed + i)) for i, c in enumerate(cfgs)]
     deviations = []
-    for cfg, w in zip(cfgs, samples):
-        mean, stderr = _floor_event_mean(w, cfg.region_side)
-        deviations.append(abs(mean - pas) / max(stderr, 1e-300))
+    for i, (d, h) in enumerate(((10.0, 3.0), (30.0, 7.5))):
+        cfg = reference_config(region_side=d, height=h)
+        res = mc_mod.simulate_lower_bound_event(cfg, McConfig(trials, seed + i))
+        deviations.append(abs(res.estimate - pas) / max(res.stderr, 1e-300))
     results.append(
         CheckResult(
             "lower-bound-event-mc",
@@ -370,13 +340,20 @@ def _ks_test(samples: np.ndarray, cdf) -> tuple[float, float]:
     return d, _kolmogorov_sf(math.sqrt(n) * d)
 
 
+def _bin_counts(ascending: np.ndarray, edges: np.ndarray) -> np.ndarray:
+    """A sorted sample's counts in the bins between ``edges``, as numpy's histogram counts them."""
+    at = np.searchsorted(ascending, edges)
+    at[-1] = np.searchsorted(ascending, edges[-1], side="right")
+    return np.diff(at)
+
+
 def _check_sampler_fit(fast: bool, seed: int) -> list[CheckResult]:
     """Goodness of fit of the two samplers: KS for offsets, chi-square for SNRs.
 
     Each passes on ``p > 0.01``. The chi-square p-value is the law's
     survival function at the statistic, with one degree fewer than the
     bins left after sparse ones are merged. The merge depends on the law
-    alone, so it is decided before the SNR sampler draws.
+    alone, so it is decided before any sample is mapped to an SNR.
 
     The KS p-value comes from the asymptotic Kolmogorov law, not the
     exact finite-n law (``scipy.stats.kstwo``) that ``kstest`` uses by
@@ -387,20 +364,17 @@ def _check_sampler_fit(fast: bool, seed: int) -> list[CheckResult]:
     The KS step evaluates the offset CDF only in the blocks of sorted
     samples that can hold the statistic (:func:`_ks_test`), under 5% of
     the sample at n = 1e6, with the same floats as ``kstest(...,
-    method="asymp")``. The offset samples go straight into it, so they are
-    freed before the SNR sampler draws its own n.
+    method="asymp")``. Both checks test one draw: the SNR sampler is the
+    offset sampler mapped by the decreasing effective_snr / (w + h^2), so
+    the offsets the KS step sorted map in place to SNRs in descending
+    order, whose reversed view is binned by bisection.
     """
-    results = []
     cfg = reference_config()
     n = 10_000 if fast else 1_000_000
 
-    d, p = _ks_test(
-        mc_mod.sample_offset_sq(cfg, McConfig(n, seed + 11)),
-        lambda t: dist_mod.cdf_offset_sq(t, cfg),
-    )
-    results.append(
-        CheckResult("offset-sampler-ks", p > 0.01, f"D={d:.4e} p={p:.4f} n={n}")
-    )
+    samples = mc_mod.sample_offset_sq(cfg, McConfig(n, seed + 11))
+    d, p = _ks_test(samples, lambda t: dist_mod.cdf_offset_sq(t, cfg))
+    ks = CheckResult("offset-sampler-ks", p > 0.01, f"D={d:.4e} p={p:.4f} n={n}")
 
     lo, hi = dist_mod.snr_eve_support(cfg)
     nbins = 50 if fast else 200
@@ -417,12 +391,11 @@ def _check_sampler_fit(fast: bool, seed: int) -> list[CheckResult]:
             starts.append(start)
             expected.append(acc)
             start, acc = i + 1, 0.0
-    if len(starts) < 2:  # a law this wrong fails before anything is drawn
-        detail = f"{len(starts)} merged bins of {nbins}, no sample drawn n={n}"
-        return results + [CheckResult("eve-sampler-chi2", False, detail)]
+    if len(starts) < 2:  # a law this wrong fails before anything is mapped
+        detail = f"{len(starts)} merged bins of {nbins}, no sample mapped n={n}"
+        return [ks, CheckResult("eve-sampler-chi2", False, detail)]
     expected[-1] += acc
-    snr = mc_mod.sample_snr_eve(cfg, McConfig(n, seed + 12))
-    observed = np.add.reduceat(np.histogram(snr, bins=edges)[0], starts)
+    observed = _bin_counts(mc_mod._snr_eve_of_offset(samples, cfg)[::-1], edges[starts + [nbins]])
     exp_arr = np.asarray(expected)
     # expected counts sum to n, so a sample outside the support counts as a
     # misfit, and a sampler with none inside still has a finite statistic
@@ -431,7 +404,7 @@ def _check_sampler_fit(fast: bool, seed: int) -> list[CheckResult]:
     dof = len(starts) - 1
     p = _chi2_sf(chi2_stat, dof)
     detail = f"chi2={chi2_stat:.1f} dof={dof} p={p:.4f} n={n}"
-    return results + [CheckResult("eve-sampler-chi2", p > 0.01, detail)]
+    return [ks, CheckResult("eve-sampler-chi2", p > 0.01, detail)]
 
 
 def _check_sop_agreement(fast: bool, seed: int) -> list[CheckResult]:

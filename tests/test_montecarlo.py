@@ -154,7 +154,7 @@ def reference_coordinates(cfg, trials=KERNEL_TRIALS, seed=KERNEL_SEED):
 
 
 def reference_events(cfg):
-    """The pinching outage, fixed-position outage and bound events, per trial.
+    """The pinching and fixed-position outage events, per trial, by system name.
 
     Written out of place, one expression per SNR, in the operations and
     order of the event kernels; the outage is gb - C*ge <= C - 1.
@@ -167,8 +167,15 @@ def reference_events(cfg):
     with np.errstate(over="ignore"):
         pas = bob - c * eve <= c - 1.0
         fpa = fpa1 - c * fpa2 <= c - 1.0
-    bound = (x1 - x2) ** 2 + y2**2 <= y1**2
-    return {mc_mod._OUTAGES["pas"]: pas, mc_mod._OUTAGES["fpa"]: fpa, mc_mod._BOUND: bound}
+    return {"pas": pas, "fpa": fpa}
+
+
+def reference_floor_moments(cfg):
+    """The exact means of g and g^2 over the trials, g = max(0, 1 - 2 sqrt(w)/D)
+    the floor event's probability given the offset w, written out of place."""
+    x1, _, x2, y2 = reference_coordinates(cfg)
+    g = np.maximum(1.0 - np.sqrt((x1 - x2) ** 2 + y2**2) * (2.0 / cfg.region_side), 0.0)
+    return math.fsum(g) / g.size, math.fsum(g * g) / g.size
 
 
 class TestReusedDrawBuffer:
@@ -212,36 +219,47 @@ class TestReusedDrawBuffer:
             assert np.array_equal(mc_mod._coordinates(draws, cfg.region_side, draws), chunk)
             work = tuple(column[: stop - start] for column in workspace)
             alone = tuple(column[: stop - start] for column in in_place)
-            for event, mask in expected.items():
-                name = event.share.__name__
-                event.share(*chunk.T, cfg, alone)
-                assert np.array_equal(event.test(cfg, alone), mask[start:stop]), name
-                event.share(*chunk.T, cfg, work)
-                # the two shared values and the two denominators
+            for name, mask in expected.items():
+                share = mc_mod._OUTAGES[name]
+                share(*chunk.T, cfg, alone)
+                assert np.array_equal(mc_mod._outage(cfg, alone), mask[start:stop]), name
+                share(*chunk.T, cfg, work)
+                # the two SNRs and the two denominators
                 kept = work[:2] + work[3:5]
                 shared = [column.copy() for column in kept]
-                got = event.test(cfg, work)
+                got = mc_mod._outage(cfg, work)
                 assert got is work[-1], name
                 assert np.array_equal(got, mask[start:stop]), name
                 # the test leaves the shared columns for the next rate
                 assert all(np.array_equal(a, b) for a, b in zip(shared, kept)), name
-                event.rescale(louder, work)
+                mc_mod._rescale_snrs(louder, work)
                 # the divide leaves the denominators for the next power
                 assert all(np.array_equal(a, b) for a, b in zip(shared[2:], kept[2:])), name
-                got = event.test(louder, work)
-                assert np.array_equal(got, expected_louder[event][start:stop]), name
+                got = mc_mod._outage(louder, work)
+                assert np.array_equal(got, expected_louder[name][start:stop]), name
         assert stop == KERNEL_TRIALS
 
     def test_estimates_equal_reference_counts(self, cfg30):
         mc = McConfig(trials=KERNEL_TRIALS, seed=KERNEL_SEED)
         expected = reference_events(cfg30)
-        for simulate, event in (
-            (simulate_sop_pas, mc_mod._OUTAGES["pas"]),
-            (simulate_sop_fpa, mc_mod._OUTAGES["fpa"]),
-            (simulate_lower_bound_event, mc_mod._BOUND),
-        ):
-            count = np.count_nonzero(expected[event])
+        for simulate, name in ((simulate_sop_pas, "pas"), (simulate_sop_fpa, "fpa")):
+            count = np.count_nonzero(expected[name])
             assert simulate(cfg30, mc).estimate == count / KERNEL_TRIALS
+
+    @pytest.mark.parametrize("overrides", [dict(), dict(region_side=30.0, height=7.5)])
+    def test_floor_estimate_is_the_mean_of_g(self, overrides):
+        cfg = make_config(**overrides)
+        n = KERNEL_TRIALS
+        res = simulate_lower_bound_event(cfg, McConfig(n, KERNEL_SEED))
+        mean, mean_sq = reference_floor_moments(cfg)
+        # each g and g^2 is rounded to a multiple of 2^-40, so each sum moves
+        # by at most n 2^-41, and each mean by 2^-41
+        assert abs(res.estimate - mean) <= 2.0**-41 + math.ulp(mean)
+        # the variance then moves by at most 3 * 2^-41, the standard error
+        # sqrt(var / n) by far less at this n
+        stderr = math.sqrt((mean_sq - mean * mean) / n)
+        assert abs(res.stderr - stderr) <= 2.0**-41
+        assert (res.trials, res.seed) == (n, KERNEL_SEED)
 
     def test_sample_transforms_bitwise(self, cfg30):
         mc = McConfig(trials=KERNEL_TRIALS, seed=KERNEL_SEED)

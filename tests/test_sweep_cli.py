@@ -745,6 +745,59 @@ class TestChunkedKs:
         assert peak < samples.nbytes
 
 
+class TestSharedSamplerDraw:
+    """Both sampler checks test one offset draw.
+
+    The chi-square's SNRs are the offsets the KS step sorted, mapped in
+    place, and its bins are counted by bisection of the reversed view.
+    The reference is the former route: a second draw through
+    ``sample_snr_eve``, sorted, and ``np.histogram``.
+    """
+
+    @pytest.mark.parametrize("fast,n", [(True, 10_000), (False, 1_000_000)])
+    def test_one_draw_at_seed_plus_11(self, monkeypatch, fast, n):
+        draws = []
+        sample = mc_mod.sample_offset_sq
+
+        def recorded(cfg, mc):
+            draws.append((cfg, mc))
+            return sample(cfg, mc)
+
+        monkeypatch.setattr(mc_mod, "sample_offset_sq", recorded)
+        monkeypatch.setattr(mc_mod, "sample_snr_eve", None)  # no second draw
+        results = validation._check_sampler_fit(fast=fast, seed=3)
+        assert [r.name for r in results] == ["offset-sampler-ks", "eve-sampler-chi2"]
+        assert draws == [(reference_config(), McConfig(n, 3 + 11))]
+
+    @pytest.mark.parametrize("seed", TestChecksWithoutScipy.SEEDS)
+    def test_mapped_sorted_sample_and_counts_are_the_former_route(self, seed):
+        cfg = reference_config()
+        mc = McConfig(1_000_000, seed + 11)
+        offsets = mc_mod.sample_offset_sq(cfg, mc)
+        offsets.sort()
+        snr = mc_mod._snr_eve_of_offset(offsets, cfg)[::-1]
+        former = np.sort(mc_mod.sample_snr_eve(cfg, mc))
+        assert snr.tobytes() == former.tobytes()
+        lo, hi = dist_mod.snr_eve_support(cfg)
+        edges = np.linspace(lo, hi, 201)
+        counts = np.histogram(former, bins=edges)[0]
+        assert np.array_equal(validation._bin_counts(snr, edges), counts)
+        # merged bins, as the check counts them, are sums of the former bins
+        starts = [0, 3, 10, 150]
+        merged = validation._bin_counts(snr, edges[starts + [200]])
+        assert np.array_equal(merged, np.add.reduceat(counts, starts))
+
+    def test_bin_counts_at_edges_and_outside_them(self):
+        # samples on every edge, one float either side of it, and beyond both ends
+        edges = np.linspace(1.0, 3.0, 9)
+        near = [np.nextafter(edges, d) for d in (-np.inf, np.inf)]
+        sample = np.sort(np.concatenate([edges, *near, [-5.0, 0.0, 4.0, 1e300]]))
+        expected = np.histogram(sample, bins=edges)[0]
+        assert np.array_equal(validation._bin_counts(sample, edges), expected)
+        # three below the first edge and three above the last are in no bin
+        assert expected.sum() == sample.size - 6
+
+
 class TestDumpDistribution:
     def test_eve_pdf_rows(self, cfg10):
         rows = dump_distribution("gamma-e-pdf", 1000, cfg10)
@@ -1248,20 +1301,23 @@ CORRUPTIONS = {
                   for s, r in zip(systems, point))
             for point in f(cfgs, m, systems)),
         "_check_sop_agreement", ["mc-vs-chebyshev"]),
+    # both checks test the one offset draw, the chi-square after the SNR map
     "offset-sampler-scaled": (
         mc_mod, "sample_offset_sq", lambda f: lambda c, m: 1.1 * f(c, m),
-        "_check_sampler_fit", ["offset-sampler-ks"]),
-    # offsets 10% too large make the floor event rarer: about 5 sigma at fast seed 1
+        "_check_sampler_fit", ["offset-sampler-ks", "eve-sampler-chi2"]),
+    # offsets 10% too large make the floor event rarer: about 5 sigma at fast
+    # seed 1; the kernel is the one sample_offset_sq calls too
     "floor-offsets-scaled": (
-        mc_mod, "sample_offset_sq", lambda f: lambda c, m: 1.1 * f(c, m),
+        mc_mod, "_offset_sq",
+        lambda f: lambda u, side, out, scratch: np.multiply(f(u, side, out, scratch), 1.1, out=out),
         "_check_bound_constants", ["lower-bound-event-mc"]),
     # scaled by 1.02, the SNR samples pass the fast level (p = 0.65 at seed 1)
     "eve-sampler-scaled": (
-        mc_mod, "sample_snr_eve", lambda f: lambda c, m: 1.1 * f(c, m),
+        mc_mod, "_snr_eve_of_offset", lambda f: lambda w, c: 1.1 * f(w, c),
         "_check_sampler_fit", ["eve-sampler-chi2"]),
     # no sample in any bin: fails without a 0/0 (an error under the test filters)
     "eve-sampler-above-support": (
-        mc_mod, "sample_snr_eve", lambda f: lambda c, m: f(c, m) + dist_mod.snr_eve_support(c)[1],
+        mc_mod, "_snr_eve_of_offset", lambda f: lambda w, c: f(w, c) + dist_mod.snr_eve_support(c)[1],
         "_check_sampler_fit", ["eve-sampler-chi2"]),
 }
 
@@ -1349,12 +1405,12 @@ class TestCliValidate:
     def test_a_law_with_no_bins_fails_before_the_draw(self, monkeypatch):
         # no bin holds any expected mass, so none survives the sparse-bin merge
         monkeypatch.setattr(dist_mod, "cdf_offset_sq", lambda t, c: np.zeros(np.shape(t)))
-        monkeypatch.setattr(mc_mod, "sample_snr_eve", None)  # nothing may be drawn
+        monkeypatch.setattr(mc_mod, "_snr_eve_of_offset", None)  # nothing may be mapped
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             (_, chi2) = validation._check_sampler_fit(fast=True, seed=1)
         assert chi2.name == "eve-sampler-chi2" and not chi2.passed
-        assert chi2.detail == "0 merged bins of 50, no sample drawn n=10000"
+        assert chi2.detail == "0 merged bins of 50, no sample mapped n=10000"
 
     def test_samples_above_the_support_give_the_law_a_finite_statistic(self, monkeypatch):
         module, attr, corrupt, _, _ = CORRUPTIONS["eve-sampler-above-support"]
@@ -1402,24 +1458,20 @@ class TestFloorEventCheck:
 
     @pytest.mark.parametrize("fast,trials", [(True, 4_000), (False, 400_000)])
     def test_two_offset_draws_chunk_invariant(self, monkeypatch, fast, trials):
-        draws, estimates = [], []
-        sample, mean = mc_mod.sample_offset_sq, validation._floor_event_mean
+        calls, estimates = [], []
+        simulate = mc_mod.simulate_lower_bound_event
 
         def recorded(cfg, mc):
-            draws.append((cfg.region_side, cfg.height, mc.trials, mc.seed))
-            return sample(cfg, mc)
-
-        def kept(w, side):
-            estimates.append(mean(w, side))
+            calls.append((cfg.region_side, cfg.height, mc.trials, mc.seed))
+            estimates.append(simulate(cfg, mc))
             return estimates[-1]
 
-        monkeypatch.setattr(mc_mod, "sample_offset_sq", recorded)
-        monkeypatch.setattr(validation, "_floor_event_mean", kept)
-        monkeypatch.setattr(mc_mod, "simulate_lower_bound_event", None)  # no event count
+        monkeypatch.setattr(mc_mod, "simulate_lower_bound_event", recorded)
+        monkeypatch.setattr(mc_mod, "sample_offset_sq", None)  # no whole-sample draw
         floor = _floor_check(validation._check_bound_constants(fast=fast, seed=5))
         assert floor.passed
-        assert draws == [(10.0, 3.0, trials, 5), (30.0, 7.5, trials, 6)]
-        # the estimates, not only their rounded deviations, keep their bits
+        assert calls == [(10.0, 3.0, trials, 5), (30.0, 7.5, trials, 6)]
+        # the results, not only their rounded deviations, keep their bits
         monkeypatch.setattr(mc_mod, "_CHUNK_TRIALS", 1 << 10)
         again = _floor_check(validation._check_bound_constants(fast=fast, seed=5))
         assert again.detail == floor.detail

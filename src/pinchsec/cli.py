@@ -101,7 +101,6 @@ def build_parser() -> argparse.ArgumentParser:
         _add_params(cmd, "io")
 
     va = sub.add_parser("validate", help="run the cross-validation check suite")
-    va.add_argument("--level", choices=["fast", "full"], default="fast")
     va.add_argument("--seed", type=int)
     return parser
 
@@ -268,13 +267,13 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         check_seed(seed)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-    results = run_checks(level=args.level, seed=seed)
+    results = run_checks(seed=seed)
     failed = 0
     for r in results:
         status = "PASS" if r.passed else "FAIL"
         print(f"{status} {r.name}: {r.detail}")
         failed += not r.passed
-    print(f"{len(results) - failed}/{len(results)} checks passed ({args.level} level, seed {seed})")
+    print(f"{len(results) - failed}/{len(results)} checks passed (seed {seed})")
     return 1 if failed else 0
 
 

@@ -7,10 +7,8 @@ named results of :func:`run_checks`. The checks cover exact bound
 constants against their defining integrals, quadrature vs closed forms,
 Monte Carlo vs analytics on the reference grids, sampler goodness of
 fit, pinching-vs-fixed ordering, seeded determinism and saturated
-outage, around ``system.reference_config``. ``fast`` (1e4 trials, 4e3
-for the floor, thinned grids) and ``full`` (acceptance-grade counts)
-return the same check names in the same order; the two bit-identity
-checks draw two chunks and a ragged one at both.
+outage, around ``system.reference_config``, at acceptance-grade trial
+counts; the two bit-identity checks draw two chunks and a ragged one.
 
 Six checks are statistical, so they fail on correct code at a designed
 rate: :data:`STATISTICAL_CHECKS` bounds each one's rate per run, and a
@@ -26,9 +24,9 @@ The floor check, ``lower-bound-event-mc``, takes two estimates of
 :func:`montecarlo.simulate_lower_bound_event`, a conditional Monte Carlo
 that reads only the uniform law of y1, never the offset CDF or density
 under test, so the check stays an independent simulation of the
-constant. At 4e3 and 4e5 trials their standard errors, 4.06e-3 and
-4.06e-4, are below the 4.14e-3 and 4.14e-4 of 1e4 and 1e6 event
-counts, so the 3-sigma detection threshold does not grow.
+constant. At 4e5 trials each estimate's standard error, 4.06e-4, is
+below the 4.14e-4 of a 1e6 event count, so the 3-sigma detection
+threshold does not grow.
 
 Checks call the library through module attributes so a corrupted
 implementation (or a deliberately monkeypatched one) is caught rather
@@ -53,22 +51,25 @@ from .montecarlo import McConfig
 from .sop import Method
 from .system import SystemConfig, reference_config
 
-__all__ = ["CheckResult", "STATISTICAL_CHECKS", "check_seed", "run_checks"]
+__all__ = ["CheckResult", "MAX_SEED_OFFSET", "STATISTICAL_CHECKS", "check_seed", "run_checks"]
 
 # Each statistical check's false-failure rate per run on correct code, at
-# most, at the (fast, full) level; no other check fails correct code
+# most; no other check fails correct code
 STATISTICAL_CHECKS = {
     # two conditional estimates of the floor (see above), each within
     # 3 sigma: 0.27% two-sided each
-    "lower-bound-event-mc": (0.0054, 0.0054),
-    "offset-sampler-ks": (0.01, 0.01),  # tests at the 1% level
-    "eve-sampler-chi2": (0.01, 0.01),
-    # fast: 12 points within max(3 sigma, 0.01), where 3 sigma is at least
-    # 0.012; full: the 0.01 floor is above 6 sigma at all 54 points
-    "mc-vs-chebyshev": (0.032, 1e-8),
-    "pas-floor-on-grid": (1e-8, 1e-8),  # every margin is above 6 sigma
-    "pas-beats-fpa-ordering": (1e-8, 1e-8),
+    "lower-bound-event-mc": 0.0054,
+    "offset-sampler-ks": 0.01,  # tests at the 1% level
+    "eve-sampler-chi2": 0.01,
+    # the 0.01 floor is above 6 sigma at all 54 points
+    "mc-vs-chebyshev": 1e-8,
+    "pas-floor-on-grid": 1e-8,  # every margin is above 6 sigma
+    "pas-beats-fpa-ordering": 1e-8,
 }
+
+# the largest offset a check adds to the run's seed: every derived seed,
+# seed .. seed + MAX_SEED_OFFSET, must lie in [0, 2**64)
+MAX_SEED_OFFSET = 950
 
 
 @dataclass(frozen=True)
@@ -78,19 +79,16 @@ class CheckResult:
     detail: str
 
 
-def _grid_configs(fast: bool) -> list[SystemConfig]:
-    sides = (10.0, 30.0)
-    powers = (0.0, 20.0, 40.0) if fast else tuple(float(p) for p in range(0, 45, 5))
-    rates = (0.1, 1.0) if fast else (0.1, 0.5, 1.0)
+def _grid_configs() -> list[SystemConfig]:
     return [
-        reference_config(region_side=d, power_dbm=p, rate=r)
-        for d in sides
-        for p in powers
-        for r in rates
+        reference_config(region_side=d, power_dbm=float(p), rate=r)
+        for d in (10.0, 30.0)
+        for p in range(0, 45, 5)
+        for r in (0.1, 0.5, 1.0)
     ]
 
 
-def _check_bound_constants(fast: bool, seed: int) -> list[CheckResult]:
+def _check_bound_constants(seed: int) -> list[CheckResult]:
     results = []
     pas = sop_mod.sop_lower_bound_pas().value
     expected = (2.0 * math.pi - 1.0) / 24.0
@@ -117,7 +115,7 @@ def _check_bound_constants(fast: bool, seed: int) -> list[CheckResult]:
     results.append(CheckResult("lower-bound-fpa-constant", fpa == 0.5, f"value={fpa!r}"))
 
     # 0.4x the trials of a plain event count, at no larger standard error
-    trials = 4_000 if fast else 400_000
+    trials = 400_000
     deviations = []
     for i, (d, h) in enumerate(((10.0, 3.0), (30.0, 7.5))):
         cfg = reference_config(region_side=d, height=h)
@@ -133,7 +131,7 @@ def _check_bound_constants(fast: bool, seed: int) -> list[CheckResult]:
     return results
 
 
-def _check_distributions(fast: bool, seed: int) -> list[CheckResult]:
+def _check_distributions(seed: int) -> list[CheckResult]:
     results = []
     cfg = reference_config()
     knots = dist_mod.offset_sq_knots(cfg)
@@ -347,7 +345,7 @@ def _bin_counts(ascending: np.ndarray, edges: np.ndarray) -> np.ndarray:
     return np.diff(at)
 
 
-def _check_sampler_fit(fast: bool, seed: int) -> list[CheckResult]:
+def _check_sampler_fit(seed: int) -> list[CheckResult]:
     """Goodness of fit of the two samplers: KS for offsets, chi-square for SNRs.
 
     Each passes on ``p > 0.01``. The chi-square p-value is the law's
@@ -358,8 +356,8 @@ def _check_sampler_fit(fast: bool, seed: int) -> list[CheckResult]:
     The KS p-value comes from the asymptotic Kolmogorov law, not the
     exact finite-n law (``scipy.stats.kstwo``) that ``kstest`` uses by
     default. Judged by the exact law, the verdict ``p > 0.01`` so
-    rejects a correct sampler with probability 0.989% at n = 1e4 and
-    0.999% at n = 1e6, where the exact p-value rejected it with 1%.
+    rejects a correct sampler with probability 0.999% at n = 1e6, where
+    the exact p-value rejected it with 1%.
 
     The KS step evaluates the offset CDF only in the blocks of sorted
     samples that can hold the statistic (:func:`_ks_test`), under 5% of
@@ -370,14 +368,14 @@ def _check_sampler_fit(fast: bool, seed: int) -> list[CheckResult]:
     order, whose reversed view is binned by bisection.
     """
     cfg = reference_config()
-    n = 10_000 if fast else 1_000_000
+    n = 1_000_000
 
     samples = mc_mod.sample_offset_sq(cfg, McConfig(n, seed + 11))
     d, p = _ks_test(samples, lambda t: dist_mod.cdf_offset_sq(t, cfg))
     ks = CheckResult("offset-sampler-ks", p > 0.01, f"D={d:.4e} p={p:.4f} n={n}")
 
     lo, hi = dist_mod.snr_eve_support(cfg)
-    nbins = 50 if fast else 200
+    nbins = 200
     edges = np.linspace(lo, hi, nbins + 1)
     # bin masses through the monotone offset map: F_off is decreasing in z
     f_off = dist_mod.cdf_offset_sq(cfg.effective_snr / edges - cfg.height**2, cfg)
@@ -407,10 +405,10 @@ def _check_sampler_fit(fast: bool, seed: int) -> list[CheckResult]:
     return [ks, CheckResult("eve-sampler-chi2", p > 0.01, detail)]
 
 
-def _check_sop_agreement(fast: bool, seed: int) -> list[CheckResult]:
+def _check_sop_agreement(seed: int) -> list[CheckResult]:
     results = []
-    configs = _grid_configs(fast)
-    trials = 10_000 if fast else 100_000
+    configs = _grid_configs()
+    trials = 100_000
     floor = sop_mod.sop_lower_bound_pas().value
 
     worst_cheb = 0.0
@@ -451,7 +449,7 @@ def _check_sop_agreement(fast: bool, seed: int) -> list[CheckResult]:
     return results
 
 
-def _check_asymptotics(fast: bool, seed: int) -> list[CheckResult]:
+def _check_asymptotics() -> list[CheckResult]:
     results = []
     worst = 0.0
     for d in (10.0, 30.0):
@@ -472,10 +470,10 @@ def _check_asymptotics(fast: bool, seed: int) -> list[CheckResult]:
     return results
 
 
-def _check_ordering(fast: bool, seed: int) -> list[CheckResult]:
-    rates = (0.1, 0.5, 1.0, 1.5, 2.0) if fast else tuple(r / 10.0 for r in range(1, 21))
-    powers = (0.0, 20.0, 40.0) if fast else tuple(float(p) for p in range(0, 45, 5))
-    trials = 10_000 if fast else 100_000
+def _check_ordering(seed: int) -> list[CheckResult]:
+    rates = tuple(r / 10.0 for r in range(1, 21))
+    powers = tuple(float(p) for p in range(0, 45, 5))
+    trials = 100_000
     # the rate sweep at 20 dBm, then the power sweep at rate 0.1; the two
     # share (20 dBm, 0.1), which is evaluated once
     points = list(dict.fromkeys([(20.0, r) for r in rates] + [(p, 0.1) for p in powers]))
@@ -500,14 +498,14 @@ def _check_ordering(fast: bool, seed: int) -> list[CheckResult]:
     ]
 
 
-def _check_determinism(fast: bool, seed: int) -> list[CheckResult]:
+def _check_determinism(seed: int) -> list[CheckResult]:
     """A seed's draws repeat bit for bit: a call equals its repeat, a shared
     pass (over two region sides, two rates that share their SNRs, and a
     further power that shares their denominators) each configuration's own
     call, and a sweep's CSV its points swept one at a time."""
     results = []
     cfg = reference_config(power_dbm=20.0)
-    # bits, not statistics: at both levels two chunks and a ragged one
+    # bits, not statistics: two chunks and a ragged one
     trials = 2 * mc_mod._CHUNK_TRIALS + 7
 
     mc = McConfig(trials, seed + 900)
@@ -549,11 +547,11 @@ def _check_determinism(fast: bool, seed: int) -> list[CheckResult]:
     return results
 
 
-def _check_saturation(fast: bool, seed: int) -> list[CheckResult]:
+def _check_saturation(seed: int) -> list[CheckResult]:
     cfg = reference_config(power_dbm=-30.0, rate=12.0)
     exact = sop_mod.sop_exact(cfg).value
     cheb = sop_mod.sop_chebyshev(cfg, sop_mod.CHEBYSHEV_ORDER).value
-    mc = mc_mod.simulate_sop_pas(cfg, McConfig(10_000, seed + 950)).estimate
+    mc = mc_mod.simulate_sop_pas(cfg, McConfig(10_000, seed + MAX_SEED_OFFSET)).estimate
     ok = exact == 1.0 and abs(cheb - 1.0) <= 1e-6 and mc == 1.0
     return [
         CheckResult(
@@ -563,24 +561,23 @@ def _check_saturation(fast: bool, seed: int) -> list[CheckResult]:
 
 
 def check_seed(seed: int) -> None:
-    """Reject a seed whose derived check seeds, seed .. seed + 950, leave [0, 2**64)."""
-    if not 0 <= seed < 2**64 - 950:
-        raise ValueError(f"seed must be in [0, 2**64 - 950), got {seed}")
+    """Reject a seed whose derived check seeds (see ``MAX_SEED_OFFSET``) leave [0, 2**64)."""
+    if not 0 <= seed < 2**64 - MAX_SEED_OFFSET:
+        raise ValueError(f"seed must be in [0, 2**64 - {MAX_SEED_OFFSET}), got {seed}")
 
 
-def run_checks(level: str = "fast", seed: int = 12345) -> list[CheckResult]:
-    """Run the invariant suite; `full` uses acceptance-grade counts."""
-    if level not in ("fast", "full"):
-        raise ValueError(f"level must be 'fast' or 'full', got {level!r}")
+def run_checks(level: str = "full", seed: int = 12345) -> list[CheckResult]:
+    """Run the check suite; ``level`` names its one level, "full"."""
+    if level != "full":
+        raise ValueError(f"level must be 'full', the one level, got {level!r}")
     check_seed(seed)
-    fast = level == "fast"
-    results: list[CheckResult] = []
-    results.extend(_check_bound_constants(fast, seed))
-    results.extend(_check_distributions(fast, seed))
-    results.extend(_check_sampler_fit(fast, seed))
-    results.extend(_check_sop_agreement(fast, seed))
-    results.extend(_check_asymptotics(fast, seed))
-    results.extend(_check_ordering(fast, seed))
-    results.extend(_check_determinism(fast, seed))
-    results.extend(_check_saturation(fast, seed))
-    return results
+    return [
+        *_check_bound_constants(seed),
+        *_check_distributions(seed),
+        *_check_sampler_fit(seed),
+        *_check_sop_agreement(seed),
+        *_check_asymptotics(),
+        *_check_ordering(seed),
+        *_check_determinism(seed),
+        *_check_saturation(seed),
+    ]

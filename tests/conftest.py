@@ -13,11 +13,11 @@ settings.load_profile("derandomized")
 
 @pytest.fixture(scope="session")
 def full_checks():
-    """The full-level check suite at the CLI's default seed, run once per session."""
+    """The check suite at the CLI's default seed, run once per session."""
     from pinchsec.cli import DEFAULT_SEED
     from pinchsec.validation import run_checks
 
-    return run_checks("full", DEFAULT_SEED)
+    return run_checks(seed=DEFAULT_SEED)
 
 
 @pytest.fixture

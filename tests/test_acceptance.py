@@ -2,7 +2,7 @@
 
 `pinchsec.validation.run_checks` holds every grid, seed, quadrature and
 tolerance; the session fixture ``full_checks`` of conftest.py runs it
-once at full level and the CLI's default seed, and this module maps its
+once at the CLI's default seed, and this module maps its
 named checks onto the numbered criteria. Each criterion prints one
 PASS/FAIL line with the margins from the details of its checks.
 """
@@ -49,8 +49,8 @@ def test_every_check_belongs_to_exactly_one_criterion(full_checks):
 
 def test_statistical_checks_are_checks_with_rates(full_checks):
     assert set(STATISTICAL_CHECKS) <= {r.name for r in full_checks}
-    for fast, full in STATISTICAL_CHECKS.values():
-        assert 0.0 < full <= fast < 1.0
+    for rate in STATISTICAL_CHECKS.values():
+        assert 0.0 < rate < 1.0
 
 
 @pytest.fixture

@@ -517,13 +517,20 @@ class TestLowerBoundEvent:
         sigma = math.hypot(a.stderr, b.stderr)
         assert abs(a.estimate - b.estimate) <= 6.0 * sigma
 
-    def test_tie_probability_is_null(self):
-        # strict vs non-strict comparison flips nothing for continuous draws
-        rng = np.random.default_rng(22)
-        u = rng.uniform(-0.5, 0.5, size=(1_000_000, 4))
-        lhs = (u[:, 0] - u[:, 2]) ** 2 + u[:, 3] ** 2
-        rhs = u[:, 1] ** 2
-        assert np.count_nonzero(lhs <= rhs) == np.count_nonzero(lhs < rhs)
+    def test_clamp_at_the_edge_of_the_event(self, monkeypatch, cfg10):
+        # g(w) = max(0, 1 - 2 sqrt(w)/D) is 1 at w = 0, 0 at the event's edge
+        # (D/2)^2, and clamped to 0 just above it and at the largest offset
+        d = cfg10.region_side
+        edge = (d / 2.0) ** 2
+        offsets = np.array([0.0, edge, np.nextafter(edge, np.inf), 1.25 * d * d])
+
+        def fill(uniforms, side, out, scratch):
+            out[:] = np.resize(offsets, out.size)
+            return out
+
+        monkeypatch.setattr(mc_mod, "_offset_sq", fill)
+        res = simulate_lower_bound_event(cfg10, McConfig(trials=2 * mc_mod._CHUNK_TRIALS, seed=22))
+        assert res.estimate == 0.25
 
 
 class TestSampleStreams:

@@ -484,12 +484,12 @@ print(json.dumps(loaded))
 
 
 # prints the scipy modules loaded after importing the check suite and
-# running it at the fast level
+# running it
 CHECKS_MODULES_RUN = """
 import json, sys
 sys.path.insert(0, sys.argv[1])
 from pinchsec.validation import run_checks
-run_checks("fast", 1)
+run_checks(seed=1)
 loaded = sorted(m for m in sys.modules if m.startswith("scipy"))
 print(json.dumps(loaded))
 """
@@ -509,7 +509,7 @@ class TestScipyFreeStart:
     COMMANDS = [
         ["sweep", "--x-values", "0,20", "--methods", METHODS, "--trials", "2000", "--seed", "7"],
         *(["dist", "--which", tag, "--grid", "40"] for tag in sorted(dist_mod.DISTRIBUTION_TAGS)),
-        ["validate", "--level", "fast", "--seed", "7"],
+        ["validate", "--seed", "7"],
     ]
 
     def test_commands_match_without_scipy(self, capsys):
@@ -518,7 +518,7 @@ class TestScipyFreeStart:
         for argv, (code, out) in zip(self.COMMANDS, blocked):
             assert (code, out) == (cli.main(argv), capsys.readouterr().out)
             # validate exits 1 on a failed check, a verdict rather than an
-            # error: the fast level's statistical checks fail at some seeds
+            # error: the statistical checks fail at some seeds
             assert code in ((0, 1) if argv[0] == "validate" else (0,))
 
     def test_cli_import_and_analytic_sweep_load_no_scipy(self):
@@ -583,12 +583,12 @@ class TestChecksWithoutScipy:
         calls = []
         sf = validation._chi2_sf
         monkeypatch.setattr(validation, "_chi2_sf", lambda x, dof: calls.append((x, dof)) or sf(x, dof))
-        results = validation._check_sampler_fit(fast=False, seed=seed)
+        results = validation._check_sampler_fit(seed=seed)
         (detail,) = [r.detail for r in results if r.name == "eve-sampler-chi2"]
         ((x, dof),) = calls
         assert f"dof={dof} p={stats.chi2.sf(x, dof):.4f} n=1000000" in detail
 
-    def test_fast_checks_load_no_scipy(self):
+    def test_checks_load_no_scipy(self):
         assert run_fresh(CHECKS_MODULES_RUN) == []
 
 
@@ -626,7 +626,7 @@ class TestChunkedKs:
     @pytest.mark.parametrize("seed", TestChecksWithoutScipy.SEEDS)
     def test_matches_the_brute_force_walk_at_the_full_level(self, seed):
         cfg = reference_config()
-        # the sample the full-level offset-sampler-ks check draws
+        # the sample the offset-sampler-ks check draws
         samples = mc_mod.sample_offset_sq(cfg, McConfig(1_000_000, seed + 11))
         evaluated = []
 
@@ -754,8 +754,7 @@ class TestSharedSamplerDraw:
     ``sample_snr_eve``, sorted, and ``np.histogram``.
     """
 
-    @pytest.mark.parametrize("fast,n", [(True, 10_000), (False, 1_000_000)])
-    def test_one_draw_at_seed_plus_11(self, monkeypatch, fast, n):
+    def test_one_draw_at_seed_plus_11(self, monkeypatch):
         draws = []
         sample = mc_mod.sample_offset_sq
 
@@ -765,9 +764,9 @@ class TestSharedSamplerDraw:
 
         monkeypatch.setattr(mc_mod, "sample_offset_sq", recorded)
         monkeypatch.setattr(mc_mod, "sample_snr_eve", None)  # no second draw
-        results = validation._check_sampler_fit(fast=fast, seed=3)
+        results = validation._check_sampler_fit(seed=3)
         assert [r.name for r in results] == ["offset-sampler-ks", "eve-sampler-chi2"]
-        assert draws == [(reference_config(), McConfig(n, 3 + 11))]
+        assert draws == [(reference_config(), McConfig(1_000_000, 3 + 11))]
 
     @pytest.mark.parametrize("seed", TestChecksWithoutScipy.SEEDS)
     def test_mapped_sorted_sample_and_counts_are_the_former_route(self, seed):
@@ -1132,14 +1131,23 @@ class TestSystemOptions:
 
 
 class TestRetiredSettings:
-    """--workers and --n-eff changed no output, and --exact-tol could only
-    turn a result into an error: none is an option any more."""
+    """--workers and --n-eff changed no output, --exact-tol could only turn
+    a result into an error, and validate's --level chose a level the
+    suite no longer has: none is an option any more."""
 
     @pytest.mark.parametrize("command", ["sweep", "dist"])
     @pytest.mark.parametrize("flag", ["--workers 3", "--n-eff 1.4", "--exact-tol 1e-6"])
     def test_flag_exits_2(self, capsys, command, flag):
         with pytest.raises(SystemExit) as exc:
             cli.main([command, *flag.split()])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("level", ["fast", "full"])
+    def test_validate_level_exits_2(self, capsys, monkeypatch, level):
+        monkeypatch.setattr(validation, "run_checks", None)  # no check may run
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["validate", "--level", level])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
 
@@ -1305,13 +1313,13 @@ CORRUPTIONS = {
     "offset-sampler-scaled": (
         mc_mod, "sample_offset_sq", lambda f: lambda c, m: 1.1 * f(c, m),
         "_check_sampler_fit", ["offset-sampler-ks", "eve-sampler-chi2"]),
-    # offsets 10% too large make the floor event rarer: about 5 sigma at fast
+    # offsets 10% too large make the floor event rarer: about 47 sigma at
     # seed 1; the kernel is the one sample_offset_sq calls too
     "floor-offsets-scaled": (
         mc_mod, "_offset_sq",
         lambda f: lambda u, side, out, scratch: np.multiply(f(u, side, out, scratch), 1.1, out=out),
         "_check_bound_constants", ["lower-bound-event-mc"]),
-    # scaled by 1.02, the SNR samples pass the fast level (p = 0.65 at seed 1)
+    # scaled by 1.002, the SNR samples still pass (p = 0.61 at seed 1)
     "eve-sampler-scaled": (
         mc_mod, "_snr_eve_of_offset", lambda f: lambda w, c: 1.1 * f(w, c),
         "_check_sampler_fit", ["eve-sampler-chi2"]),
@@ -1325,20 +1333,21 @@ CORRUPTIONS = {
 class TestCliValidate:
     def test_exit_zero_when_all_pass(self, capsys, monkeypatch):
         monkeypatch.setattr(
-            validation, "run_checks", lambda level, seed: [CheckResult("x", True, "ok")]
+            validation, "run_checks", lambda seed: [CheckResult("x", True, "ok")]
         )
-        assert cli.main(["validate", "--level", "fast"]) == 0
+        assert cli.main(["validate"]) == 0
         assert "PASS x" in capsys.readouterr().out
 
     def test_exit_one_on_any_failure(self, capsys, monkeypatch):
         monkeypatch.setattr(
-            validation, "run_checks", lambda level, seed: [CheckResult("bad", False, "broken")]
+            validation, "run_checks", lambda seed: [CheckResult("bad", False, "broken")]
         )
         assert cli.main(["validate"]) == 1
         assert "FAIL bad" in capsys.readouterr().out
 
     @pytest.mark.parametrize(
-        "argv,env", [(["--seed", "-1"], None), ([], "-3"), (["--seed", str(2**64 - 950)], None)]
+        "argv,env",
+        [(["--seed", "-1"], None), ([], "-3"), (["--seed", str(2**64 - validation.MAX_SEED_OFFSET)], None)],
     )
     def test_out_of_range_seed_is_usage_error(self, capsys, monkeypatch, argv, env):
         monkeypatch.setattr(validation, "_check_bound_constants", None)  # no check may run
@@ -1346,38 +1355,36 @@ class TestCliValidate:
             monkeypatch.setenv("PINCH_SEED", env)
         assert cli.main(["validate", *argv]) == 2
         assert capsys.readouterr().err.startswith("error: seed must be in")
-        validation.check_seed(2**64 - 951)  # the largest seed whose derived seeds fit
+        # the largest seed whose derived seeds fit
+        validation.check_seed(2**64 - validation.MAX_SEED_OFFSET - 1)
 
-    def test_fast_and_full_run_the_same_checks_in_order(self, full_checks):
-        fast = validation.run_checks("fast", cli.DEFAULT_SEED)
-        assert [r.name for r in fast] == [r.name for r in full_checks]
+    @pytest.mark.parametrize("level", ["fast", "Full", ""])
+    def test_any_level_but_full_raises(self, monkeypatch, level):
+        monkeypatch.setattr(validation, "_check_bound_constants", None)  # no check may run
+        with pytest.raises(ValueError, match="'full', the one level"):
+            validation.run_checks(level, 1)
 
-    def test_ordering_evaluates_each_point_once(self, monkeypatch, full_checks):
+    def test_ordering_evaluates_each_point_once(self, monkeypatch):
         calls = count_simulate_sops_calls(monkeypatch)
-        (fast,) = validation._check_ordering(fast=True, seed=1)
+        (result,) = validation._check_ordering(seed=1)
         # the whole grid in one call, both systems on one draw at seed + 300
         ((cfgs, mc, systems),) = calls
         points = [(cfg.transmit_power, cfg.target_rate) for cfg in cfgs]
-        assert len(points) == len(set(points)) == 7
+        assert len(points) == len(set(points)) == 28
         assert (mc.seed, systems) == (301, ("pas", "fpa"))
-        assert "over 7 points" in fast.detail
-        (full,) = [r for r in full_checks if r.name == "pas-beats-fpa-ordering"]
-        assert "over 28 points" in full.detail
+        assert "over 28 points" in result.detail
 
-    def test_sop_agreement_draws_its_grid_once(self, monkeypatch, full_checks):
+    def test_sop_agreement_draws_its_grid_once(self, monkeypatch):
         calls = count_simulate_sops_calls(monkeypatch)
-        results = validation._check_sop_agreement(fast=True, seed=1)
+        results = validation._check_sop_agreement(seed=1)
         ((cfgs, mc, systems),) = calls
-        assert (len(cfgs), mc.seed, systems) == (12, 101, ("pas",))
-        assert cfgs == tuple(validation._grid_configs(fast=True))
-        assert [r.name for r in results if "12 points" in r.detail] == [r.name for r in results]
-        full = [r for r in full_checks if r.name in ("mc-vs-chebyshev", "pas-floor-on-grid")]
-        assert len(full) == 2 and all("54 points" in r.detail for r in full)
+        assert (len(cfgs), mc.seed, systems) == (54, 101, ("pas",))
+        assert cfgs == tuple(validation._grid_configs())
+        assert [r.name for r in results if "54 points" in r.detail] == [r.name for r in results]
 
-    @pytest.mark.parametrize("fast", [True, False])
-    def test_determinism_draws_cross_chunk_boundaries(self, monkeypatch, fast):
+    def test_determinism_draws_cross_chunk_boundaries(self, monkeypatch):
         calls = count_simulate_sops_calls(monkeypatch)
-        assert all(r.passed for r in validation._check_determinism(fast=fast, seed=1))
+        assert all(r.passed for r in validation._check_determinism(seed=1))
         # the shared pass, the sweep and its three one-point sweeps, each over
         # two full chunks and a ragged one
         chunk = mc_mod._CHUNK_TRIALS
@@ -1388,9 +1395,8 @@ class TestCliValidate:
         assert len(set(geometry)) < len(geometry)
 
     def test_every_verdict_is_a_json_bool(self, full_checks):
-        for results in (validation.run_checks("fast", 1), full_checks):
-            assert [type(r.passed) for r in results] == [bool] * len(results)
-            json.dumps([r.passed for r in results])
+        assert [type(r.passed) for r in full_checks] == [bool] * len(full_checks)
+        json.dumps([r.passed for r in full_checks])
 
     @pytest.mark.parametrize(
         "module,attr,corrupt,check,failing", CORRUPTIONS.values(), ids=list(CORRUPTIONS)
@@ -1399,7 +1405,7 @@ class TestCliValidate:
         self, monkeypatch, module, attr, corrupt, check, failing
     ):
         monkeypatch.setattr(module, attr, corrupt(getattr(module, attr)))
-        passed = {r.name: r.passed for r in getattr(validation, check)(fast=True, seed=1)}
+        passed = {r.name: r.passed for r in getattr(validation, check)(seed=1)}
         assert not any(passed[name] for name in failing)
 
     def test_a_law_with_no_bins_fails_before_the_draw(self, monkeypatch):
@@ -1408,9 +1414,9 @@ class TestCliValidate:
         monkeypatch.setattr(mc_mod, "_snr_eve_of_offset", None)  # nothing may be mapped
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            (_, chi2) = validation._check_sampler_fit(fast=True, seed=1)
+            (_, chi2) = validation._check_sampler_fit(seed=1)
         assert chi2.name == "eve-sampler-chi2" and not chi2.passed
-        assert chi2.detail == "0 merged bins of 50, no sample mapped n=10000"
+        assert chi2.detail == "0 merged bins of 200, no sample mapped n=1000000"
 
     def test_samples_above_the_support_give_the_law_a_finite_statistic(self, monkeypatch):
         module, attr, corrupt, _, _ = CORRUPTIONS["eve-sampler-above-support"]
@@ -1418,7 +1424,7 @@ class TestCliValidate:
         statistics = []
         sf = validation._chi2_sf
         monkeypatch.setattr(validation, "_chi2_sf", lambda x, dof: statistics.append(x) or sf(x, dof))
-        (_, chi2) = validation._check_sampler_fit(fast=True, seed=1)
+        (_, chi2) = validation._check_sampler_fit(seed=1)
         assert not chi2.passed and " p=0.0000 " in chi2.detail
         assert len(statistics) == 1 and math.isfinite(statistics[0])
 
@@ -1448,16 +1454,13 @@ class TestFloorEventCheck:
         assert abs(second - self.FLOOR**2 - variance) <= 1e-12
 
     def test_standard_error_is_no_larger_than_the_event_counts(self, full_checks):
-        # the detection threshold must not grow: sigma_g at each level's trials
-        # against the indicator's binomial sigma at its former 1e4 and 1e6
+        # the detection threshold must not grow: sigma_g at the check's trials
+        # against the indicator's binomial sigma at its former 1e6
         variance = math.pi / 24.0 - 1.0 / 60.0 - self.FLOOR**2
-        levels = (validation._check_bound_constants(fast=True, seed=1), full_checks)
-        for results, former in zip(levels, (10_000, 1_000_000)):
-            trials = int(_floor_check(results).detail.rsplit("trials=", 1)[1])
-            assert math.sqrt(variance / trials) <= math.sqrt(self.FLOOR * (1.0 - self.FLOOR) / former)
+        trials = int(_floor_check(full_checks).detail.rsplit("trials=", 1)[1])
+        assert math.sqrt(variance / trials) <= math.sqrt(self.FLOOR * (1.0 - self.FLOOR) / 1_000_000)
 
-    @pytest.mark.parametrize("fast,trials", [(True, 4_000), (False, 400_000)])
-    def test_two_offset_draws_chunk_invariant(self, monkeypatch, fast, trials):
+    def test_two_offset_draws_chunk_invariant(self, monkeypatch):
         calls, estimates = [], []
         simulate = mc_mod.simulate_lower_bound_event
 
@@ -1468,11 +1471,11 @@ class TestFloorEventCheck:
 
         monkeypatch.setattr(mc_mod, "simulate_lower_bound_event", recorded)
         monkeypatch.setattr(mc_mod, "sample_offset_sq", None)  # no whole-sample draw
-        floor = _floor_check(validation._check_bound_constants(fast=fast, seed=5))
+        floor = _floor_check(validation._check_bound_constants(seed=5))
         assert floor.passed
-        assert calls == [(10.0, 3.0, trials, 5), (30.0, 7.5, trials, 6)]
+        assert calls == [(10.0, 3.0, 400_000, 5), (30.0, 7.5, 400_000, 6)]
         # the results, not only their rounded deviations, keep their bits
         monkeypatch.setattr(mc_mod, "_CHUNK_TRIALS", 1 << 10)
-        again = _floor_check(validation._check_bound_constants(fast=fast, seed=5))
+        again = _floor_check(validation._check_bound_constants(seed=5))
         assert again.detail == floor.detail
         assert estimates[2:] == estimates[:2]

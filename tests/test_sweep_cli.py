@@ -454,6 +454,23 @@ class TestGoldenChebyshevBytes:
         assert capsys.readouterr().out == CHEBYSHEV_GOLDEN_CSV.read_text()
 
 
+VALIDATE_GOLDEN = Path(__file__).parent / "data" / "validate_golden.txt"
+
+
+class TestGoldenValidateBytes:
+    """``validate --seed 12345``, pinned byte for byte.
+
+    Every check line, its verdict and its figures, and the summary line.
+    The Monte Carlo checks draw from numpy's PCG64DXSM ``Generator.random``
+    stream, which numpy may change between releases (NEP 19), as for the
+    rate sweep's golden file.
+    """
+
+    def test_bytes_match_golden_file(self, capsys):
+        assert cli.main(["validate", "--seed", "12345"]) == 0
+        assert capsys.readouterr().out == VALIDATE_GOLDEN.read_text()
+
+
 # run in a fresh interpreter that cannot import scipy: prints [exit code,
 # stdout] of cli.main for each argv of the JSON list in argv[2]
 BLOCKED_SCIPY_RUN = """
@@ -528,10 +545,10 @@ class TestScipyFreeStart:
 class TestChecksWithoutScipy:
     """The check suite runs on numpy alone.
 
-    Its KS and chi-square p-values come from its own ports of
-    ``scipy.special.kolmogorov`` and ``scipy.stats.chi2.sf``, pinned
-    here against scipy, and its integrals take the exact SOP's fixed
-    rule, not scipy.integrate.
+    Its KS p-value comes from its own port of ``scipy.special.kolmogorov``
+    and its chi-square p-value from a closed form of ``scipy.stats.chi2.sf``,
+    both pinned here against scipy, and its integrals take the exact SOP's
+    fixed rule, not scipy.integrate.
     """
 
     SEEDS = (12345, 7, 8, 101)
@@ -562,8 +579,9 @@ class TestChecksWithoutScipy:
         assert validation._kolmogorov_sf(x) == special.kolmogorov(x) == 0.0
 
     def test_chi2_sf_matches_scipy(self):
-        # near the 1% quantile, and deep into both tails
-        for dof in range(1, 401):
+        # near the 1% quantile, and deep into both tails; at dof 2001 every x
+        # is above 1490, where e^(-x/2) alone underflows to 0
+        for dof in [*range(1, 401), 1000, 2001]:
             xs = stats.chi2.ppf([1e-12, 0.5, 0.98, 0.99, 0.995, 1.0 - 1e-12], dof)
             xs = np.concatenate([xs, stats.chi2.isf([1e-30, 1e-100], dof)])
             ours = np.array([validation._chi2_sf(float(x), dof) for x in xs])
@@ -571,7 +589,9 @@ class TestChecksWithoutScipy:
             assert np.all(np.abs(ours - theirs) <= 1e-12 * theirs), dof
 
     @pytest.mark.parametrize(
-        "x,expected", [(math.nan, math.nan), (math.inf, 0.0), (-math.inf, 1.0), (0.0, 1.0)]
+        "x,expected",
+        # the least subnormal x halves to y = 0
+        [(math.nan, math.nan), (math.inf, 0.0), (-math.inf, 1.0), (0.0, 1.0), (5e-324, 1.0)],
     )
     @pytest.mark.parametrize("dof", [1, 49, 200])
     def test_chi2_sf_at_nan_and_infinities(self, x, expected, dof):

@@ -329,12 +329,12 @@ def _bin_counts(ascending: np.ndarray, edges: np.ndarray) -> np.ndarray:
 def _check_sampler_fit(seed: int) -> list[CheckResult]:
     """Goodness of fit of the two samplers: KS for offsets, chi-square for SNRs.
 
-    Each passes on ``p > 0.01``. The chi-square p-value is the law's
-    survival function at the statistic, with one degree fewer than the
-    bins left after sparse ones are merged. The merge depends on the law
-    alone, so it is decided before any sample is mapped to an SNR. At
-    the reference configuration no bin of the 200 is merged, so the
-    p-value is always the law at dof 199 (:func:`_chi2_sf`).
+    Each passes on ``p > 0.01``. The chi-square test bins the SNRs in 200
+    equal-width bins over the support, and its p-value is the law at dof
+    199 (:func:`_chi2_sf`). Each bin must expect at least 5 counts
+    (Cochran's rule); at the reference configuration the sparsest, bin 0,
+    expects 119. A law that leaves any bin under 5 is wrong, so the check
+    fails on it before any sample is mapped to an SNR, not re-binned.
 
     The KS p-value comes from the asymptotic Kolmogorov law, not the
     exact finite-n law (``scipy.stats.kstwo``) that ``kstest`` uses by
@@ -362,27 +362,17 @@ def _check_sampler_fit(seed: int) -> list[CheckResult]:
     edges = np.linspace(lo, hi, nbins + 1)
     # bin masses through the monotone offset map: F_off is decreasing in z
     f_off = dist_mod.cdf_offset_sq(cfg.effective_snr / edges - cfg.height**2, cfg)
-    # merge sparse bins from the low-density tail upward, by the law alone;
-    # the sparse tail left at the top joins the last merged bin
-    starts, expected = [], []
-    start, acc = 0, 0.0
-    for i, e in enumerate((n * (f_off[:-1] - f_off[1:])).tolist()):
-        acc += e
-        if acc >= 5.0:
-            starts.append(start)
-            expected.append(acc)
-            start, acc = i + 1, 0.0
-    if len(starts) < 2:  # a law this wrong fails before anything is mapped
-        detail = f"{len(starts)} merged bins of {nbins}, no sample mapped n={n}"
+    expected = n * (f_off[:-1] - f_off[1:])
+    sparse = np.count_nonzero(~(expected >= 5.0))  # a nan mass is sparse too
+    if sparse:
+        detail = f"{sparse} of {nbins} bins expect under 5 counts, no sample mapped n={n}"
         return [ks, CheckResult("eve-sampler-chi2", False, detail)]
-    expected[-1] += acc
-    observed = _bin_counts(mc_mod._snr_eve_of_offset(samples, cfg)[::-1], edges[starts + [nbins]])
-    exp_arr = np.asarray(expected)
+    observed = _bin_counts(mc_mod._snr_eve_of_offset(samples, cfg)[::-1], edges)
     # expected counts sum to n, so a sample outside the support counts as a
     # misfit, and a sampler with none inside still has a finite statistic
-    exp_arr *= n / exp_arr.sum()
-    chi2_stat = float(np.sum((observed - exp_arr) ** 2 / exp_arr))
-    dof = len(starts) - 1
+    expected *= n / expected.sum()
+    chi2_stat = float(np.sum((observed - expected) ** 2 / expected))
+    dof = nbins - 1
     p = _chi2_sf(chi2_stat, dof)
     detail = f"chi2={chi2_stat:.1f} dof={dof} p={p:.4f} n={n}"
     return [ks, CheckResult("eve-sampler-chi2", p > 0.01, detail)]

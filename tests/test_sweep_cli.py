@@ -454,11 +454,19 @@ class TestGoldenChebyshevBytes:
         assert capsys.readouterr().out == CHEBYSHEV_GOLDEN_CSV.read_text()
 
 
-VALIDATE_GOLDEN = Path(__file__).parent / "data" / "validate_golden.txt"
+VALIDATE_GOLDENS = {
+    seed: Path(__file__).parent / "data" / name
+    for seed, name in [
+        (12345, "validate_golden.txt"),
+        (7, "validate_golden_7.txt"),
+        (8, "validate_golden_8.txt"),
+        (101, "validate_golden_101.txt"),
+    ]
+}
 
 
 class TestGoldenValidateBytes:
-    """``validate --seed 12345``, pinned byte for byte.
+    """``validate --seed S``, pinned byte for byte at four seeds.
 
     Every check line, its verdict and its figures, and the summary line.
     The Monte Carlo checks draw from numpy's PCG64DXSM ``Generator.random``
@@ -466,9 +474,10 @@ class TestGoldenValidateBytes:
     rate sweep's golden file.
     """
 
-    def test_bytes_match_golden_file(self, capsys):
-        assert cli.main(["validate", "--seed", "12345"]) == 0
-        assert capsys.readouterr().out == VALIDATE_GOLDEN.read_text()
+    @pytest.mark.parametrize("seed", VALIDATE_GOLDENS)
+    def test_bytes_match_golden_file(self, seed, capsys):
+        assert cli.main(["validate", "--seed", str(seed)]) == 0
+        assert capsys.readouterr().out == VALIDATE_GOLDENS[seed].read_text()
 
 
 # run in a fresh interpreter that cannot import scipy: prints [exit code,
@@ -606,6 +615,7 @@ class TestChecksWithoutScipy:
         results = validation._check_sampler_fit(seed=seed)
         (detail,) = [r.detail for r in results if r.name == "eve-sampler-chi2"]
         ((x, dof),) = calls
+        assert dof == 199
         assert f"dof={dof} p={stats.chi2.sf(x, dof):.4f} n=1000000" in detail
 
     def test_checks_load_no_scipy(self):
@@ -801,7 +811,7 @@ class TestSharedSamplerDraw:
         edges = np.linspace(lo, hi, 201)
         counts = np.histogram(former, bins=edges)[0]
         assert np.array_equal(validation._bin_counts(snr, edges), counts)
-        # merged bins, as the check counts them, are sums of the former bins
+        # bins between a subset of the edges hold sums of the former bins
         starts = [0, 3, 10, 150]
         merged = validation._bin_counts(snr, edges[starts + [200]])
         assert np.array_equal(merged, np.add.reduceat(counts, starts))
@@ -1428,15 +1438,31 @@ class TestCliValidate:
         passed = {r.name: r.passed for r in getattr(validation, check)(seed=1)}
         assert not any(passed[name] for name in failing)
 
-    def test_a_law_with_no_bins_fails_before_the_draw(self, monkeypatch):
-        # no bin holds any expected mass, so none survives the sparse-bin merge
-        monkeypatch.setattr(dist_mod, "cdf_offset_sq", lambda t, c: np.zeros(np.shape(t)))
+    @staticmethod
+    def chi2_failure_under_law(monkeypatch, cdf) -> str:
+        """The failing chi-square detail under the offset law ``cdf``, no sample mapped."""
+        monkeypatch.setattr(dist_mod, "cdf_offset_sq", cdf)
         monkeypatch.setattr(mc_mod, "_snr_eve_of_offset", None)  # nothing may be mapped
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             (_, chi2) = validation._check_sampler_fit(seed=1)
         assert chi2.name == "eve-sampler-chi2" and not chi2.passed
-        assert chi2.detail == "0 merged bins of 200, no sample mapped n=1000000"
+        return chi2.detail
+
+    def test_a_law_with_no_bins_fails_before_the_draw(self, monkeypatch):
+        # no bin holds any expected mass
+        detail = self.chi2_failure_under_law(monkeypatch, lambda t, c: np.zeros(np.shape(t)))
+        assert detail == "200 of 200 bins expect under 5 counts, no sample mapped n=1000000"
+
+    def test_a_law_with_some_sparse_bins_fails_before_the_draw(self, monkeypatch):
+        # no mass above D^2: the lowest-SNR bins, offsets in [D^2, 5D^2/4],
+        # expect nothing, where a sparse-bin merge would have tested the rest
+        cdf = dist_mod.cdf_offset_sq
+        d2 = reference_config().region_side ** 2
+        detail = self.chi2_failure_under_law(
+            monkeypatch, lambda t, c: np.minimum(cdf(t, c) / cdf(d2, c), 1.0)
+        )
+        assert detail == "3 of 200 bins expect under 5 counts, no sample mapped n=1000000"
 
     def test_samples_above_the_support_give_the_law_a_finite_statistic(self, monkeypatch):
         module, attr, corrupt, _, _ = CORRUPTIONS["eve-sampler-above-support"]

@@ -30,17 +30,15 @@ threshold does not grow.
 
 Checks call the library through module attributes so a corrupted
 implementation (or a deliberately monkeypatched one) is caught rather
-than masked. The suite runs on numpy alone: the two laws of its
-goodness-of-fit p-values are computed here with :mod:`math`.
-Kolmogorov's, for the KS test, is a port of scipy's series; the
-chi-square law, for the binned test, is at integer dof a finite sum of
-erfc and Poisson terms (Abramowitz & Stegun 26.4.4-26.4.5).
+than masked. The suite runs on numpy alone: each goodness-of-fit test
+compares its statistic with one constant, its law's critical value at
+the 1% level, written here as the float scipy computes for it and pinned
+against scipy in the tests.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -196,69 +194,11 @@ def _check_distributions(seed: int) -> list[CheckResult]:
     return results
 
 
-# up to this x, exp(-pi^2 / (8 x^2)) is under DBL_MIN and the law's survival
-# function rounds to 1
-_KOLMOGOROV_ONE = math.pi / math.sqrt(-8.0 * math.log(sys.float_info.min))
-_KOLMOGOROV_CUTOVER = 0.82
-
-
-def _kolmogorov_sf(x: float) -> float:
-    """The Kolmogorov law's survival function, ``scipy.special.kolmogorov``.
-
-    A port of scipy's algorithm (after Marsaglia, Tsang & Wang, J. Stat.
-    Softw. 8(18), 2003) in its order of operations, so it returns the same
-    floats: up to the cutover, 1 minus the theta series of the CDF,
-    w u (1 + u^8 + u^24 + u^48) with u = exp(-pi^2 / (8 x^2)) and
-    w = sqrt(2 pi) / x; above it, the alternating series
-    2 (v - v^4 + v^9 - v^16) with v = exp(-2 x^2). scipy switches to
-    logarithms when u underflows to 0, which no x above
-    ``_KOLMOGOROV_ONE`` reaches.
-    """
-    if x <= _KOLMOGOROV_ONE:
-        return 1.0
-    if x <= _KOLMOGOROV_CUTOVER:
-        w = math.sqrt(2.0 * math.pi) / x
-        logu8 = -math.pi * math.pi / (x * x)
-        u = math.exp(logu8 / 8.0)
-        u8 = math.exp(logu8)
-        cdf = 1.0 + u8**3
-        cdf = 1.0 + u8 * u8 * cdf
-        cdf = 1.0 + u8 * cdf
-        sf = 1.0 - w * u * cdf
-    else:
-        v = math.exp(-2.0 * x * x)
-        vsq = v * v
-        v3 = v**3
-        sf = 1.0 - v3 * v3 * v
-        sf = 1.0 - v3 * vsq * sf
-        sf = 1.0 - v3 * sf
-        sf = 2.0 * v * sf
-    return min(max(sf, 0.0), 1.0)
-
-
-def _chi2_sf(x: float, dof: int) -> float:
-    """The chi-square law's survival function, ``scipy.stats.chi2.sf``.
-
-    At integer dof it is a finite sum of positive terms (Abramowitz &
-    Stegun, *Handbook of Mathematical Functions*, 26.4.4-26.4.5). With
-    y = x/2 and h = (dof mod 2)/2, it is erfc(sqrt(y)) when dof is odd,
-    plus y^(j+h) e^-y / Gamma(j+h+1) for j = 0 .. dof//2 - 1. Each term
-    is formed in logarithms, so none underflows where e^-y alone does
-    (y > 745). The terms' exponents round to about eps * (dof/2) * ln y:
-    against scipy the error stays under 1e-12 of Q up to dof 3000, and is
-    2e-12 at dof 5000. nan gives nan, +inf gives 0.0 and x <= 0 gives 1.0.
-    """
-    if math.isnan(x):
-        return math.nan
-    if x == math.inf:
-        return 0.0
-    y = 0.5 * x
-    if y <= 0.0:
-        return 1.0
-    h, log_y = 0.5 * (dof % 2), math.log(y)
-    head = math.erfc(math.sqrt(y)) if dof % 2 else 0.0
-    terms = (math.exp((j + h) * log_y - y - math.lgamma(j + h + 1.0)) for j in range(dof // 2))
-    return head + sum(terms)
+# the sampler checks' critical values at the 1% level: sqrt(n) * D under
+# Kolmogorov's law, scipy.special.kolmogi(0.01), and the chi-square statistic
+# at its 200 bins' dof 199, scipy.stats.chi2.isf(0.01, 199)
+_KS_CRITICAL = 1.6276236115189504
+_CHI2_CRITICAL = 248.32859572006595
 
 
 # sorted samples per block of the KS step, and the slack on a block's bound:
@@ -272,12 +212,11 @@ def _ks_max(f: np.ndarray, idx: np.ndarray, n: int) -> float:
     return max(float(((idx + 1) / n - f).max()), float((f - idx / n).max()))
 
 
-def _ks_test(samples: np.ndarray, cdf) -> tuple[float, float]:
-    """Two-sided KS statistic of ``samples``, sorted in place, against ``cdf``.
+def _ks_test(samples: np.ndarray, cdf) -> float:
+    """Two-sided KS statistic D of ``samples``, sorted in place, against ``cdf``.
 
-    The same floats as ``scipy.stats.kstest(..., method="asymp")``: its
-    statistic D, the largest term (i+1)/n - F_i or F_i - i/n over the
-    sorted sample, and the Kolmogorov law at sqrt(n) * D as the p-value.
+    The same float as ``scipy.stats.kstest(...).statistic``: the largest
+    term (i+1)/n - F_i or F_i - i/n over the sorted sample.
 
     D is a maximum, so only terms near it count (the bucketing of
     Gonzalez, Sahni & Franta, ACM TOMS 3(1), 1977). ``cdf`` is first
@@ -316,7 +255,7 @@ def _ks_test(samples: np.ndarray, cdf) -> tuple[float, float]:
         idx = (blocks[lo : lo + step, None] + np.arange(_KS_BLOCK)).ravel()
         idx = idx[idx < n]
         d = max(d, _ks_max(cdf(samples[idx]), idx, n))
-    return d, _kolmogorov_sf(math.sqrt(n) * d)
+    return d
 
 
 def _bin_counts(ascending: np.ndarray, edges: np.ndarray) -> np.ndarray:
@@ -329,33 +268,37 @@ def _bin_counts(ascending: np.ndarray, edges: np.ndarray) -> np.ndarray:
 def _check_sampler_fit(seed: int) -> list[CheckResult]:
     """Goodness of fit of the two samplers: KS for offsets, chi-square for SNRs.
 
-    Each passes on ``p > 0.01``. The chi-square test bins the SNRs in 200
-    equal-width bins over the support, and its p-value is the law at dof
-    199 (:func:`_chi2_sf`). Each bin must expect at least 5 counts
-    (Cochran's rule); at the reference configuration the sparsest, bin 0,
-    expects 119. A law that leaves any bin under 5 is wrong, so the check
-    fails on it before any sample is mapped to an SNR, not re-binned.
+    Each passes when its statistic is below its law's critical value at
+    the 1% level: sqrt(n) * D below ``_KS_CRITICAL``, and the chi-square
+    statistic below ``_CHI2_CRITICAL``. The chi-square test bins the SNRs
+    in 200 equal-width bins over the support, so its dof is 199. Each bin
+    must expect at least 5 counts (Cochran's rule); at the reference
+    configuration the sparsest, bin 0, expects 119. A law that leaves any
+    bin under 5 is wrong, so the check fails on it before any sample is
+    mapped to an SNR, not re-binned.
 
-    The KS p-value comes from the asymptotic Kolmogorov law, not the
-    exact finite-n law (``scipy.stats.kstwo``) that ``kstest`` uses by
-    default. Judged by the exact law, the verdict ``p > 0.01`` so
+    The KS critical value is that of the asymptotic Kolmogorov law, not
+    of the exact finite-n law (``scipy.stats.kstwo``) that ``kstest``
+    uses by default. Under the exact law, ``sqrt(n) * D < 1.6276``
     rejects a correct sampler with probability 0.999% at n = 1e6, where
-    the exact p-value rejected it with 1%.
+    the exact law's own critical value rejects it with 1%.
 
     The KS step evaluates the offset CDF only in the blocks of sorted
     samples that can hold the statistic (:func:`_ks_test`), under 5% of
-    the sample at n = 1e6, with the same floats as ``kstest(...,
-    method="asymp")``. Both checks test one draw: the SNR sampler is the
-    offset sampler mapped by the decreasing effective_snr / (w + h^2), so
-    the offsets the KS step sorted map in place to SNRs in descending
-    order, whose reversed view is binned by bisection.
+    the sample at n = 1e6, with the same D as ``kstest``. Both checks
+    test one draw: the SNR sampler is the offset sampler mapped by the
+    decreasing effective_snr / (w + h^2), so the offsets the KS step
+    sorted map in place to SNRs in descending order, whose reversed view
+    is binned by bisection.
     """
     cfg = reference_config()
     n = 1_000_000
 
     samples = mc_mod.sample_offset_sq(cfg, McConfig(n, seed + 11))
-    d, p = _ks_test(samples, lambda t: dist_mod.cdf_offset_sq(t, cfg))
-    ks = CheckResult("offset-sampler-ks", p > 0.01, f"D={d:.4e} p={p:.4f} n={n}")
+    d = _ks_test(samples, lambda t: dist_mod.cdf_offset_sq(t, cfg))
+    scaled = math.sqrt(n) * d
+    detail = f"D={d:.4e} sqrt(n)D={scaled:.4f} critical={_KS_CRITICAL:.4f} n={n}"
+    ks = CheckResult("offset-sampler-ks", scaled < _KS_CRITICAL, detail)
 
     lo, hi = dist_mod.snr_eve_support(cfg)
     nbins = 200
@@ -372,10 +315,8 @@ def _check_sampler_fit(seed: int) -> list[CheckResult]:
     # misfit, and a sampler with none inside still has a finite statistic
     expected *= n / expected.sum()
     chi2_stat = float(np.sum((observed - expected) ** 2 / expected))
-    dof = nbins - 1
-    p = _chi2_sf(chi2_stat, dof)
-    detail = f"chi2={chi2_stat:.1f} dof={dof} p={p:.4f} n={n}"
-    return [ks, CheckResult("eve-sampler-chi2", p > 0.01, detail)]
+    detail = f"chi2={chi2_stat:.1f} dof={nbins - 1} critical={_CHI2_CRITICAL:.1f} n={n}"
+    return [ks, CheckResult("eve-sampler-chi2", chi2_stat < _CHI2_CRITICAL, detail)]
 
 
 def _check_sop_agreement(seed: int) -> list[CheckResult]:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -45,3 +47,35 @@ def box_configs(count: int, seed: int) -> list:
             )
         )
     return configs
+
+
+def cdf_offset_sq_full_correction(t: np.ndarray, d: float) -> np.ndarray:
+    """The offset CDF kernel, frozen: every branch's numpy ops on every call,
+    with the third-panel correction on every t above D^2/4.
+
+    The correction is exactly +0.0 up to D^2. ``distributions._cdf_offset_sq``,
+    which skips a branch that owns no input and adds the correction only
+    above D^2, must give the same bits as this form.
+    """
+    d2 = d * d
+    a = 0.25 * d2
+    b = d2
+    out = np.zeros_like(t, dtype=np.float64)
+
+    m1 = (t > 0.0) & (t <= a)
+    t1 = t[m1]
+    out[m1] = math.pi * t1 / d2 - (4.0 / 3.0) * t1**1.5 / (d2 * d)
+
+    m2 = (t > a) & (t < 1.25 * d2)
+    t2 = t[m2]
+    root2 = np.sqrt(t2 - a)
+    g2 = (2.0 / d2) * (t2 * np.arctan2(0.5 * d, root2) + 0.5 * d * root2) - t2 / d2
+    rad = np.maximum(t2 - b, 0.0)
+    x3 = (
+        -(2.0 / d2) * (t2 * np.arctan2(np.sqrt(rad), d) - d * np.sqrt(rad))
+        + (4.0 / (3.0 * d2 * d)) * rad**1.5
+    )
+    out[m2] = g2 + x3 + 1.0 / 12.0
+
+    out[t >= 1.25 * d2] = 1.0
+    return out

@@ -19,7 +19,7 @@ from pinchsec.distributions import (
 )
 from pinchsec.sweep import dump_distribution
 
-from conftest import box_configs, make_config
+from conftest import box_configs, cdf_offset_sq_full_correction, make_config
 
 # region sides D in meters, log-spaced over the valid range
 SIDES = np.logspace(-1.0, 3.0, 41)
@@ -35,36 +35,6 @@ def sample_offset_sq_oracle(d: float, n: int, seed: int) -> np.ndarray:
         u = rng.uniform(-d / 2.0, d / 2.0, size=(m, 3))
         out[done : done + m] = (u[:, 0] - u[:, 1]) ** 2 + u[:, 2] ** 2
         done += m
-    return out
-
-
-def cdf_offset_sq_full_correction(t: np.ndarray, d: float) -> np.ndarray:
-    """The offset CDF kernel with its third-panel correction on every t above D^2/4.
-
-    The correction is exactly +0.0 up to D^2; ``distributions`` adds it
-    only above D^2 and must give the same bits as this form.
-    """
-    d2 = d * d
-    a = 0.25 * d2
-    b = d2
-    out = np.zeros_like(t, dtype=np.float64)
-
-    m1 = (t > 0.0) & (t <= a)
-    t1 = t[m1]
-    out[m1] = math.pi * t1 / d2 - (4.0 / 3.0) * t1**1.5 / (d2 * d)
-
-    m2 = (t > a) & (t < 1.25 * d2)
-    t2 = t[m2]
-    root2 = np.sqrt(t2 - a)
-    g2 = (2.0 / d2) * (t2 * np.arctan2(0.5 * d, root2) + 0.5 * d * root2) - t2 / d2
-    rad = np.maximum(t2 - b, 0.0)
-    x3 = (
-        -(2.0 / d2) * (t2 * np.arctan2(np.sqrt(rad), d) - d * np.sqrt(rad))
-        + (4.0 / (3.0 * d2 * d)) * rad**1.5
-    )
-    out[m2] = g2 + x3 + 1.0 / 12.0
-
-    out[t >= 1.25 * d2] = 1.0
     return out
 
 

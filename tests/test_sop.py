@@ -27,7 +27,7 @@ from pinchsec import (
     simulate_sops,
 )
 
-from conftest import box_configs, make_config
+from conftest import box_configs, cdf_offset_sq_full_correction, make_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -372,38 +372,6 @@ class TestChebyshevBatch:
         assert est == sop_chebyshev(make_config(), 100)
 
 
-def cdf_offset_sq_masked(t: np.ndarray, d: float) -> np.ndarray:
-    """The offset CDF kernel as it ran every branch's numpy ops on every call.
-
-    Frozen; ``distributions._cdf_offset_sq`` skips a branch that owns no
-    input and must give the same bits as this form.
-    """
-    d2 = d * d
-    a = 0.25 * d2
-    b = d2
-    out = np.zeros_like(t, dtype=np.float64)
-
-    m1 = (t > 0.0) & (t <= a)
-    t1 = t[m1]
-    out[m1] = math.pi * t1 / d2 - (4.0 / 3.0) * t1**1.5 / (d2 * d)
-
-    m2 = (t > a) & (t < 1.25 * d2)
-    t2 = t[m2]
-    root2 = np.sqrt(t2 - a)
-    g2 = (2.0 / d2) * (t2 * np.arctan2(0.5 * d, root2) + 0.5 * d * root2) - t2 / d2
-    m3 = t2 > b
-    t3 = t2[m3]
-    rad = t3 - b
-    g2[m3] += (
-        -(2.0 / d2) * (t3 * np.arctan2(np.sqrt(rad), d) - d * np.sqrt(rad))
-        + (4.0 / (3.0 * d2 * d)) * rad**1.5
-    )
-    out[m2] = g2 + 1.0 / 12.0
-
-    out[t >= 1.25 * d2] = 1.0
-    return out
-
-
 def threshold_frozen(cfg, snr: float, y: np.ndarray) -> np.ndarray:
     """The outage integrand's offset-CDF argument t at offsets ``y``, inf past its pole.
 
@@ -419,13 +387,13 @@ def threshold_frozen(cfg, snr: float, y: np.ndarray) -> np.ndarray:
 
 
 def outage_integral_frozen(cfg, snr: float) -> tuple[float, int]:
-    """``sop._outage_integral`` on the masked kernel, with no certain-outage exit.
+    """``sop._outage_integral`` on the frozen kernel, with no certain-outage exit.
 
     Frozen with its panel rule on the library's nested nodes (widths by
     ``np.diff``), its integrand (:func:`threshold_frozen`) and its kernel
-    (:func:`cdf_offset_sq_masked`); the library, which evaluates each
-    panel in one branch and skips certain outage, must give the same
-    value and evaluation count bit for bit.
+    (:func:`cdf_offset_sq_full_correction`); the library, which evaluates
+    each panel in one branch and skips certain outage, must give the
+    same value and evaluation count bit for bit.
     """
     h2 = cfg.height**2
     c = cfg.rate_threshold
@@ -438,7 +406,7 @@ def outage_integral_frozen(cfg, snr: float) -> tuple[float, int]:
         crossings.append(min(math.sqrt(y2), half) if y2 > 0.0 else 0.0)
 
     def outage(y):
-        return cdf_offset_sq_masked(threshold_frozen(cfg, snr, y), cfg.region_side)
+        return cdf_offset_sq_full_correction(threshold_frozen(cfg, snr, y), cfg.region_side)
 
     edges = np.asarray(sorted({0.0, *crossings}), dtype=np.float64)
     widths = np.diff(edges)
@@ -548,7 +516,7 @@ class TestIntegrandAssumptions:
         expected = threshold_frozen(cfg, snr, y)
         assert np.array_equal(t, expected)
         assert (t[den <= 0.0] == math.inf).all()
-        assert np.array_equal(values, cdf_offset_sq_masked(expected, cfg.region_side))
+        assert np.array_equal(values, cdf_offset_sq_full_correction(expected, cfg.region_side))
 
 
 class TestSopAsymptotic:

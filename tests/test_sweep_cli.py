@@ -554,13 +554,16 @@ class TestScipyFreeStart:
 class TestChecksWithoutScipy:
     """The check suite runs on numpy alone.
 
-    Its KS p-value comes from its own port of ``scipy.special.kolmogorov``
-    and its chi-square p-value from a closed form of ``scipy.stats.chi2.sf``,
-    both pinned here against scipy, and its integrals take the exact SOP's
-    fixed rule, not scipy.integrate.
+    Each sampler check compares its statistic with its law's critical
+    value at its designed rate, a constant pinned here against scipy, so
+    its verdict is scipy's p-value rule; its integrals take the exact
+    SOP's fixed rule, not scipy.integrate.
     """
 
     SEEDS = (12345, 7, 8, 101)
+    # seeds in 1-200 where correct code fails the KS check (36) and the
+    # chi-square check (57)
+    FAILING_SEEDS = (36, 57)
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_ks_matches_scipy_kstest(self, seed, cfg10):
@@ -569,54 +572,63 @@ class TestChecksWithoutScipy:
         def cdf(t):
             return dist_mod.cdf_offset_sq(t, cfg10)
 
-        d, p = validation._ks_test(samples.copy(), cdf)
-        assert d == stats.kstest(samples, cdf).statistic
-        assert p == stats.kstest(samples, cdf, method="asymp").pvalue
+        assert validation._ks_test(samples.copy(), cdf) == stats.kstest(samples, cdf).statistic
 
-    def test_kolmogorov_sf_is_scipy_kolmogorov(self):
-        one, cut = validation._KOLMOGOROV_ONE, validation._KOLMOGOROV_CUTOVER
-        edges = [np.nextafter(x, d) for x in (one, cut) for d in (-np.inf, np.inf)]
-        xs = np.concatenate([
-            np.linspace(0.0, 6.0, 200_001),
-            [0.0, -0.0, -1e-300, -0.5, -6.0, -np.inf, one, cut, *edges],
-        ])
-        ours = np.array([validation._kolmogorov_sf(float(x)) for x in xs])
-        assert np.array_equal(ours, special.kolmogorov(xs))
+    def test_critical_values_are_scipy_at_the_designed_rates(self):
+        rates = validation.STATISTICAL_CHECKS
+        ks = special.kolmogi(rates["offset-sampler-ks"])
+        chi2 = stats.chi2.isf(rates["eve-sampler-chi2"], 199)
+        assert validation._KS_CRITICAL == pytest.approx(ks, rel=1e-12, abs=0.0)
+        assert validation._CHI2_CRITICAL == pytest.approx(chi2, rel=1e-12, abs=0.0)
 
-    @pytest.mark.parametrize("x", [20.0, 30.0, 1e3, 1e200, np.inf])
-    def test_kolmogorov_sf_underflows_to_zero_as_scipy(self, x):
-        assert validation._kolmogorov_sf(x) == special.kolmogorov(x) == 0.0
+    @pytest.mark.parametrize("seed", SEEDS + FAILING_SEEDS)
+    def test_verdicts_and_texts_are_scipy_statistics(self, seed):
+        # scipy's routes on the check's sample: kstest on the offsets, and
+        # chisquare on np.histogram counts of a second draw through
+        # sample_snr_eve, against the bins' masses scaled to the counts' sum
+        cfg = reference_config()
+        mc = McConfig(1_000_000, seed + 11)
 
-    def test_chi2_sf_matches_scipy(self):
-        # near the 1% quantile, and deep into both tails; at dof 2001 every x
-        # is above 1490, where e^(-x/2) alone underflows to 0
-        for dof in [*range(1, 401), 1000, 2001]:
-            xs = stats.chi2.ppf([1e-12, 0.5, 0.98, 0.99, 0.995, 1.0 - 1e-12], dof)
-            xs = np.concatenate([xs, stats.chi2.isf([1e-30, 1e-100], dof)])
-            ours = np.array([validation._chi2_sf(float(x), dof) for x in xs])
-            theirs = stats.chi2.sf(xs, dof)
-            assert np.all(np.abs(ours - theirs) <= 1e-12 * theirs), dof
+        def cdf(t):
+            return dist_mod.cdf_offset_sq(t, cfg)
 
-    @pytest.mark.parametrize(
-        "x,expected",
-        # the least subnormal x halves to y = 0
-        [(math.nan, math.nan), (math.inf, 0.0), (-math.inf, 1.0), (0.0, 1.0), (5e-324, 1.0)],
-    )
-    @pytest.mark.parametrize("dof", [1, 49, 200])
-    def test_chi2_sf_at_nan_and_infinities(self, x, expected, dof):
-        assert validation._chi2_sf(x, dof) == pytest.approx(expected, nan_ok=True)
-        assert stats.chi2.sf(x, dof) == pytest.approx(expected, nan_ok=True)
+        res = stats.kstest(mc_mod.sample_offset_sq(cfg, mc), cdf, method="asymp")
+        edges = np.linspace(*dist_mod.snr_eve_support(cfg), 201)
+        observed, _ = np.histogram(mc_mod.sample_snr_eve(cfg, mc), edges)
+        masses = -np.diff(cdf(cfg.effective_snr / edges - cfg.height**2))
+        statistic = stats.chisquare(observed, masses * (observed.sum() / masses.sum())).statistic
 
-    @pytest.mark.parametrize("seed", SEEDS)
-    def test_chi2_p_text_is_scipy_stats(self, seed, monkeypatch):
-        calls = []
-        sf = validation._chi2_sf
-        monkeypatch.setattr(validation, "_chi2_sf", lambda x, dof: calls.append((x, dof)) or sf(x, dof))
-        results = validation._check_sampler_fit(seed=seed)
-        (detail,) = [r.detail for r in results if r.name == "eve-sampler-chi2"]
-        ((x, dof),) = calls
-        assert dof == 199
-        assert f"dof={dof} p={stats.chi2.sf(x, dof):.4f} n=1000000" in detail
+        ks, chi2 = validation._check_sampler_fit(seed=seed)
+        assert ks.passed == (res.pvalue > 0.01)
+        assert chi2.passed == (stats.chi2.sf(statistic, 199) > 0.01)
+        if seed in self.FAILING_SEEDS:
+            assert not (ks.passed and chi2.passed)
+        d, n = res.statistic, 1_000_000
+        assert ks.detail == f"D={d:.4e} sqrt(n)D={math.sqrt(n) * d:.4f} critical=1.6276 n={n}"
+        assert chi2.detail == f"chi2={statistic:.1f} dof=199 critical=248.3 n={n}"
+
+    @staticmethod
+    def d_with_scaled(x: float, n: int = 1_000_000) -> float:
+        """The D whose sqrt(n) * D is the float ``x``."""
+        d = x / math.sqrt(n)
+        while math.sqrt(n) * d < x:
+            d = math.nextafter(d, math.inf)
+        while math.sqrt(n) * d > x:
+            d = math.nextafter(d, -math.inf)
+        assert math.sqrt(n) * d == x
+        return d
+
+    @pytest.mark.parametrize("below", [False, True], ids=["at", "one-float-below"])
+    def test_a_statistic_at_the_critical_value_fails(self, monkeypatch, below):
+        ks_stat, chi2_stat = validation._KS_CRITICAL, validation._CHI2_CRITICAL
+        if below:
+            ks_stat, chi2_stat = (math.nextafter(x, 0.0) for x in (ks_stat, chi2_stat))
+        d = self.d_with_scaled(ks_stat)
+        monkeypatch.setattr(validation, "_ks_test", lambda samples, cdf: samples.sort() or d)
+        # the chi-square statistic is the check's one float() call
+        monkeypatch.setattr(validation, "float", lambda x: chi2_stat, raising=False)
+        ks, chi2 = validation._check_sampler_fit(seed=1)
+        assert ks.passed is chi2.passed is below
 
     def test_checks_load_no_scipy(self):
         assert run_fresh(CHECKS_MODULES_RUN) == []
@@ -626,7 +638,7 @@ CHUNK = mc_mod._CHUNK_TRIALS
 BLOCK = validation._KS_BLOCK
 
 
-def chunked_ks(samples: np.ndarray, cdf) -> tuple[float, float]:
+def chunked_ks(samples: np.ndarray, cdf) -> float:
     """The brute-force KS step: ``cdf`` at every sorted sample, chunk by chunk."""
     samples.sort()
     n = samples.size
@@ -636,7 +648,7 @@ def chunked_ks(samples: np.ndarray, cdf) -> tuple[float, float]:
         f = cdf(samples[lo:hi])
         ranks = np.arange(lo, hi + 1) / n
         d = max(d, float((ranks[1:] - f).max()), float((f - ranks[:-1]).max()))
-    return d, validation._kolmogorov_sf(math.sqrt(n) * d)
+    return d
 
 
 class TestChunkedKs:
@@ -644,7 +656,7 @@ class TestChunkedKs:
 
     It bounds each block of sorted samples by the CDF at the block ends,
     and evaluates in full only the blocks whose bound reaches the exact
-    terms at those ends. D and p are the same floats as the brute-force
+    terms at those ends. D is the same float as the brute-force
     walk over every sample (:func:`chunked_ks`) and as ``kstest``, and
     the step makes no temporary as long as the sample.
     """
@@ -679,8 +691,7 @@ class TestChunkedKs:
             return dist_mod.cdf_offset_sq(t, cfg10)
 
         ours, reference = self.both(samples, cdf)
-        res = stats.kstest(samples, cdf, method="asymp")
-        assert ours == reference == (res.statistic, res.pvalue)
+        assert ours == reference == stats.kstest(samples, cdf).statistic
 
     def test_matches_on_a_sample_with_ties(self, cfg10):
         # offsets rounded to whole m^2: runs of equal samples across block ends
@@ -691,8 +702,7 @@ class TestChunkedKs:
             return dist_mod.cdf_offset_sq(t, cfg10)
 
         ours, reference = self.both(samples, cdf)
-        res = stats.kstest(samples, cdf, method="asymp")
-        assert ours == reference == (res.statistic, res.pvalue)
+        assert ours == reference == stats.kstest(samples, cdf).statistic
 
     @pytest.mark.parametrize(
         "k", [0, BLOCK - 1, BLOCK, BLOCK + 1, CHUNK - 1, CHUNK, 3 * CHUNK + 4]
@@ -704,9 +714,8 @@ class TestChunkedKs:
         samples = (np.arange(n) + 0.5) / n
         samples[k] += shift / n
         ours, reference = self.both(samples, lambda t: t)
-        res = stats.kstest(samples, lambda t: t, method="asymp")
-        assert ours == reference == (res.statistic, res.pvalue)
-        assert ours[0] == pytest.approx(0.8 / n, rel=1e-9)
+        assert ours == reference == stats.kstest(samples, lambda t: t).statistic
+        assert ours == pytest.approx(0.8 / n, rel=1e-9)
 
     def test_finds_a_term_at_a_block_start_that_only_its_first_rank_bounds(self):
         # in units of 1/n, F is i + 0.5 at sample i, but 39 above its rank at
@@ -729,7 +738,7 @@ class TestChunkedKs:
 
         ours, reference = self.both(i, cdf)
         assert ours == reference
-        assert ours[0] == pytest.approx(40.0 / n, rel=1e-12)
+        assert ours == pytest.approx(40.0 / n, rel=1e-12)
 
     def test_a_cdf_that_falls_between_block_ends_is_evaluated_everywhere(self):
         # the CDF rises by 0.3 inside block 5 and falls back at its end, which
@@ -748,7 +757,7 @@ class TestChunkedKs:
 
         ours, reference = self.both(samples, cdf)
         assert ours == reference
-        assert ours[0] == pytest.approx(0.3, abs=1e-4)
+        assert ours == pytest.approx(0.3, abs=1e-4)
         blocks = -(-n // BLOCK)
         assert sum(evaluated) == (blocks + 1) + n + n  # ends, every block, the reference
 
@@ -1349,7 +1358,8 @@ CORRUPTIONS = {
         mc_mod, "_offset_sq",
         lambda f: lambda u, side, out, scratch: np.multiply(f(u, side, out, scratch), 1.1, out=out),
         "_check_bound_constants", ["lower-bound-event-mc"]),
-    # scaled by 1.002, the SNR samples still pass (p = 0.61 at seed 1)
+    # scaled by 1.002, the SNR samples still pass (chi2 = 193.0 against 248.3
+    # at seed 1)
     "eve-sampler-scaled": (
         mc_mod, "_snr_eve_of_offset", lambda f: lambda w, c: 1.1 * f(w, c),
         "_check_sampler_fit", ["eve-sampler-chi2"]),
@@ -1467,12 +1477,11 @@ class TestCliValidate:
     def test_samples_above_the_support_give_the_law_a_finite_statistic(self, monkeypatch):
         module, attr, corrupt, _, _ = CORRUPTIONS["eve-sampler-above-support"]
         monkeypatch.setattr(module, attr, corrupt(getattr(module, attr)))
-        statistics = []
-        sf = validation._chi2_sf
-        monkeypatch.setattr(validation, "_chi2_sf", lambda x, dof: statistics.append(x) or sf(x, dof))
         (_, chi2) = validation._check_sampler_fit(seed=1)
-        assert not chi2.passed and " p=0.0000 " in chi2.detail
-        assert len(statistics) == 1 and math.isfinite(statistics[0])
+        statistic = float(chi2.detail.split()[0].removeprefix("chi2="))
+        assert not chi2.passed and statistic > validation._CHI2_CRITICAL
+        # every bin empty: the statistic is the expected counts' sum, n
+        assert statistic == pytest.approx(1e6)
 
 
 def _floor_check(results):

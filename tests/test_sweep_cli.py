@@ -1,5 +1,6 @@
 import argparse
 import csv
+import functools
 import itertools
 import json
 import math
@@ -574,18 +575,30 @@ class TestChecksWithoutScipy:
 
         assert validation._ks_test(samples.copy(), cdf) == stats.kstest(samples, cdf).statistic
 
-    def test_critical_values_are_scipy_at_the_designed_rates(self):
-        rates = validation.STATISTICAL_CHECKS
-        ks = special.kolmogi(rates["offset-sampler-ks"])
-        chi2 = stats.chi2.isf(rates["eve-sampler-chi2"], 199)
-        assert validation._KS_CRITICAL == pytest.approx(ks, rel=1e-12, abs=0.0)
-        assert validation._CHI2_CRITICAL == pytest.approx(chi2, rel=1e-12, abs=0.0)
+    # each sampler check's critical value, and scipy's at its designed rate
+    CRITICAL = {
+        "offset-sampler-ks": ("_KS_CRITICAL", special.kolmogi),
+        "eve-sampler-chi2": ("_CHI2_CRITICAL", lambda rate: stats.chi2.isf(rate, 199)),
+    }
+    # scipy's p-value of each check's statistic: the asymptotic Kolmogorov
+    # law of sqrt(n) * D, which kstest(method="asymp") reads, and chi2(199)
+    PVALUE = {
+        "offset-sampler-ks": special.kolmogorov,
+        "eve-sampler-chi2": lambda x: stats.chi2.sf(x, 199),
+    }
 
-    @pytest.mark.parametrize("seed", SEEDS + FAILING_SEEDS)
-    def test_verdicts_and_texts_are_scipy_statistics(self, seed):
-        # scipy's routes on the check's sample: kstest on the offsets, and
-        # chisquare on np.histogram counts of a second draw through
-        # sample_snr_eve, against the bins' masses scaled to the counts' sum
+    @pytest.mark.parametrize("name", list(CRITICAL))
+    def test_critical_values_are_scipy_at_the_designed_rates(self, name):
+        attr, isf = self.CRITICAL[name]
+        expected = isf(validation.STATISTICAL_CHECKS[name])
+        assert getattr(validation, attr) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    @staticmethod
+    @functools.cache
+    def scipy_statistics(seed: int) -> tuple:
+        """scipy's routes on the check's sample: kstest on the offsets, and
+        chisquare on np.histogram counts of a second draw through
+        sample_snr_eve, against the bins' masses scaled to the counts' sum."""
         cfg = reference_config()
         mc = McConfig(1_000_000, seed + 11)
 
@@ -597,19 +610,30 @@ class TestChecksWithoutScipy:
         observed, _ = np.histogram(mc_mod.sample_snr_eve(cfg, mc), edges)
         masses = -np.diff(cdf(cfg.effective_snr / edges - cfg.height**2))
         statistic = stats.chisquare(observed, masses * (observed.sum() / masses.sum())).statistic
+        return res, statistic, validation._check_sampler_fit(seed=seed)
 
-        ks, chi2 = validation._check_sampler_fit(seed=seed)
+    @pytest.mark.parametrize("seed", SEEDS + FAILING_SEEDS)
+    def test_ks_verdict_and_text_are_scipy_kstest(self, seed):
+        res, _, (ks, _) = self.scipy_statistics(seed)
         assert ks.passed == (res.pvalue > 0.01)
-        assert chi2.passed == (stats.chi2.sf(statistic, 199) > 0.01)
-        if seed in self.FAILING_SEEDS:
-            assert not (ks.passed and chi2.passed)
+        if seed == 36:
+            assert not ks.passed
         d, n = res.statistic, 1_000_000
         assert ks.detail == f"D={d:.4e} sqrt(n)D={math.sqrt(n) * d:.4f} critical=1.6276 n={n}"
-        assert chi2.detail == f"chi2={statistic:.1f} dof=199 critical=248.3 n={n}"
+
+    @pytest.mark.parametrize("seed", SEEDS + FAILING_SEEDS)
+    def test_chi2_verdict_and_text_are_scipy_chisquare(self, seed):
+        _, statistic, (_, chi2) = self.scipy_statistics(seed)
+        assert chi2.passed == (stats.chi2.sf(statistic, 199) > 0.01)
+        if seed == 57:
+            assert not chi2.passed
+        assert chi2.detail == f"chi2={statistic:.1f} dof=199 critical=248.3 n=1000000"
 
     @staticmethod
     def d_with_scaled(x: float, n: int = 1_000_000) -> float:
         """The D whose sqrt(n) * D is the float ``x``."""
+        if not math.isfinite(x):
+            return x
         d = x / math.sqrt(n)
         while math.sqrt(n) * d < x:
             d = math.nextafter(d, math.inf)
@@ -618,17 +642,34 @@ class TestChecksWithoutScipy:
         assert math.sqrt(n) * d == x
         return d
 
-    @pytest.mark.parametrize("below", [False, True], ids=["at", "one-float-below"])
-    def test_a_statistic_at_the_critical_value_fails(self, monkeypatch, below):
-        ks_stat, chi2_stat = validation._KS_CRITICAL, validation._CHI2_CRITICAL
-        if below:
-            ks_stat, chi2_stat = (math.nextafter(x, 0.0) for x in (ks_stat, chi2_stat))
-        d = self.d_with_scaled(ks_stat)
-        monkeypatch.setattr(validation, "_ks_test", lambda samples, cdf: samples.sort() or d)
-        # the chi-square statistic is the check's one float() call
-        monkeypatch.setattr(validation, "float", lambda x: chi2_stat, raising=False)
-        ks, chi2 = validation._check_sampler_fit(seed=1)
-        assert ks.passed is chi2.passed is below
+    @pytest.mark.parametrize(
+        "statistic, passes",
+        [
+            (lambda c: c, False),
+            (lambda c: math.nextafter(c, 0.0), True),
+            (lambda c: math.nextafter(c, math.inf), False),
+            (lambda c: 0.0, True),
+            (lambda c: 1e-300, True),
+            (lambda c: math.inf, False),
+            (lambda c: math.nan, False),
+        ],
+        ids=["at", "one-float-below", "one-float-above", "zero", "tiny", "inf", "nan"],
+    )
+    @pytest.mark.parametrize("name", list(CRITICAL))
+    def test_a_statistic_at_the_critical_value_fails(self, monkeypatch, name, statistic, passes):
+        x = statistic(getattr(validation, self.CRITICAL[name][0]))
+        if name == "offset-sampler-ks":
+            d = self.d_with_scaled(x)
+            monkeypatch.setattr(validation, "_ks_test", lambda samples, cdf: samples.sort() or d)
+        else:
+            # the chi-square statistic is the check's one float() call
+            monkeypatch.setattr(validation, "float", lambda _: x, raising=False)
+        result = {r.name: r for r in validation._check_sampler_fit(seed=1)}[name]
+        assert result.passed is passes
+        # away from the critical value, the verdict is scipy's p-value rule;
+        # a nan statistic fails as its nan p-value does
+        if not math.isclose(x, getattr(validation, self.CRITICAL[name][0])):
+            assert passes == (self.PVALUE[name](x) > validation.STATISTICAL_CHECKS[name])
 
     def test_checks_load_no_scipy(self):
         assert run_fresh(CHECKS_MODULES_RUN) == []

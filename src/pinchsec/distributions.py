@@ -19,9 +19,10 @@ returns a Python float, or an array of any shape, and returns an array
 of that shape. A kernel evaluates each branch only on inputs inside the
 branch's domain, masked or clamped into it, so none divides by zero or
 takes the root of a negative number, and a branch that owns none of the
-inputs is not evaluated at all. The SNR kernels read their scalars
-from ``_Scales``: Python floats of one configuration, or (B, 1) columns
-of B configurations that broadcast against a (B, N) grid, row by row.
+inputs is not evaluated at all. Configs in, numbers down: no kernel
+takes a ``SystemConfig``. The offset kernels take D, and the SNR kernels
+``_Scales``: Python floats of one configuration, or (B, 1) columns of B
+configurations that broadcast against a (B, N) grid, row by row.
 
 Branch selection at breakpoints follows the closed forms' printed
 inequalities: an SNR law's upper-interval branch owns its closed lower
@@ -134,8 +135,11 @@ def offset_sq_knots(cfg: SystemConfig) -> tuple[float, float, float, float]:
     Every knot of the SNR laws is one of these, mapped through the SNR
     of its offset.
     """
-    d2 = cfg.region_side**2
-    return 0.0, 0.25 * d2, d2, 1.25 * d2
+    return _offset_knots(cfg.region_side)
+
+
+def _offset_knots(d: float) -> tuple[float, float, float, float]:
+    return 0.0, 0.25 * d**2, d**2, 1.25 * d**2
 
 
 def _pdf_offset_sq(w: np.ndarray, d: float) -> np.ndarray:
@@ -264,14 +268,14 @@ def cdf_offset_sq(t, cfg: SystemConfig):
     return _elementwise(_cdf_offset_sq, _not_nan(t), cfg.region_side)
 
 
-def _cdf_offset_sq_panels(t: np.ndarray, cfg: SystemConfig) -> np.ndarray:
+def _cdf_offset_sq_panels(t: np.ndarray, d: float) -> np.ndarray:
     from .sop import _panel_quadrature  # imported here: sop imports this module
 
     # each t takes the panels below it whole and its own panel up to t;
     # the panels above it have zero width and add exactly 0
-    knots = np.array(offset_sq_knots(cfg))
+    knots = np.array(_offset_knots(d))
     edges = np.clip(t[..., None], 0.0, knots)
-    mass, _, _ = _panel_quadrature(lambda w: _pdf_offset_sq(w, cfg.region_side), edges)
+    mass, _, _ = _panel_quadrature(lambda w: _pdf_offset_sq(w, d), edges)
     return np.where(t >= knots[-1], 1.0, np.minimum(mass, 1.0))
 
 
@@ -284,7 +288,7 @@ def cdf_offset_sq_quadrature(t, cfg: SystemConfig):
     panel is too narrow for it, down to one ulp. Independent route used
     to validate the closed form. nan is a ValueError.
     """
-    return _elementwise(_cdf_offset_sq_panels, _not_nan(t), cfg)
+    return _elementwise(_cdf_offset_sq_panels, _not_nan(t), cfg.region_side)
 
 
 # ---------------------------------------------------------------------------
@@ -335,12 +339,11 @@ def pdf_snr_eve(z, cfg: SystemConfig):
     return _elementwise(_pdf_snr_eve, _positive_snr(z), _scales(cfg))
 
 
-def _pdf_snr_eve_via_offset(z: np.ndarray, cfg: SystemConfig) -> np.ndarray:
-    s = cfg.effective_snr
-    w = s / z - cfg.height**2
+def _pdf_snr_eve_via_offset(z: np.ndarray, p: _Scales) -> np.ndarray:
+    w = p.s / z - p.h2
     out = np.zeros_like(z)
     inside = w >= 0.0
-    out[inside] = (s / z[inside] ** 2) * _pdf_offset_sq(w[inside], cfg.region_side)
+    out[inside] = (p.s / z[inside] ** 2) * _pdf_offset_sq(w[inside], p.d)
     return out
 
 
@@ -351,7 +354,7 @@ def pdf_snr_eve_via_offset(z, cfg: SystemConfig):
     f(z) = (effective_snr / z^2) * f_offset(effective_snr / z - h^2).
     Dual route to :func:`pdf_snr_eve`; the two agree to roundoff.
     """
-    return _elementwise(_pdf_snr_eve_via_offset, _positive_snr(z), cfg)
+    return _elementwise(_pdf_snr_eve_via_offset, _positive_snr(z), _scales(cfg))
 
 
 # ---------------------------------------------------------------------------

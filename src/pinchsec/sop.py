@@ -8,7 +8,8 @@ the exact SOP is a one-dimensional integral over y on fixed panels
 under a nested Clenshaw-Curtis rule. The high-power asymptote (a
 constant in transmit power) is the same integral at infinite SNR. Also
 provided are the paper's Chebyshev rule over the eavesdropper-SNR
-density and the two parameter-free lower bounds.
+density and the two parameter-free lower bounds. Configs in, numbers
+down: no kernel takes a ``SystemConfig``, so the integral runs at h = 0.
 """
 
 from __future__ import annotations
@@ -162,7 +163,7 @@ def _panel_quadrature(f, edges):
     return fine, np.abs(fine - coarse), x.size
 
 
-def _outage_integral(cfg: SystemConfig, snr: float) -> tuple[float, int]:
+def _outage_integral(d: float, h2: float, c: float, snr: float) -> tuple[float, int]:
     """Outage probability averaged over the receiver's cross-track offset.
 
     Given the offset y, with a = y^2 + h^2, the outage is the offset CDF
@@ -176,13 +177,12 @@ def _outage_integral(cfg: SystemConfig, snr: float) -> tuple[float, int]:
     crosses D^2/4 and D^2, so each panel lies in one branch of the offset
     CDF, and integrated by :func:`_panel_quadrature`.
 
-    Returns the mean over y in [0, D/2] by the fine rule and the number
-    of CDF evaluations, 127 per panel. Raises :class:`AccuracyError`
+    Takes floats D, h^2 >= 0 (0 too, which no configuration admits), C >= 1
+    and snr. Returns the mean over y in [0, D/2] by the fine rule and the
+    number of CDF evaluations, 127 per panel. Raises :class:`AccuracyError`
     when its distance to the coarse rule's value exceeds ``_ERROR_BOUND``.
     """
-    h2 = cfg.height**2
-    c = cfg.rate_threshold
-    half = cfg.half_side
+    half = d / 2.0
     k = (c - 1.0) * h2
 
     # offsets where t(y) = T, from y^2 = (T - k*(1 + v)) / (C + (C-1)*v)
@@ -190,7 +190,7 @@ def _outage_integral(cfg: SystemConfig, snr: float) -> tuple[float, int]:
     # positive, or the nan of inf/inf once (C-1)*v and k*(1 + v) overflow,
     # puts the crossing at 0
     crossings = []
-    for w in dist.offset_sq_knots(cfg)[1:]:
+    for w in dist._offset_knots(d)[1:]:
         v = (w + h2) / snr
         y2 = (w - k * (1.0 + v)) / (c + (c - 1.0) * v)
         crossings.append(min(math.sqrt(y2), half) if y2 > 0.0 else 0.0)
@@ -211,7 +211,7 @@ def _outage_integral(cfg: SystemConfig, snr: float) -> tuple[float, int]:
             t /= den
         else:
             t = np.divide(t, den, out=np.full_like(t, np.inf), where=den > 0.0)
-        return dist._cdf_offset_sq_rows(t, cfg.region_side)
+        return dist._cdf_offset_sq_rows(t, d)
 
     fine, error, evaluations = _panel_quadrature(outage, edges)
     value = (float(fine) + (half - crossings[-1])) / half
@@ -237,11 +237,12 @@ def sop_exact(cfg: SystemConfig) -> SopEstimate:
     Fixed panels under the nested 128/64-interval Clenshaw-Curtis rule,
     127 offset-CDF evaluations each (see :func:`_outage_integral`, which
     raises :class:`AccuracyError` when the error estimate exceeds
-    ``_ERROR_BOUND``).
-    When the outage is certain already at y = 0 the result is exactly 1
-    with no evaluations and no numpy call.
+    ``_ERROR_BOUND``). When the outage is certain already at y = 0 the
+    result is exactly 1 with no evaluations and no numpy call.
     """
-    value, evaluations = _outage_integral(cfg, cfg.effective_snr)
+    value, evaluations = _outage_integral(
+        cfg.region_side, cfg.height**2, cfg.rate_threshold, cfg.effective_snr
+    )
     return _clamped(value, Method.EXACT, evaluations)
 
 
@@ -342,7 +343,9 @@ def sop_asymptotic(cfg: SystemConfig) -> SopEstimate:
     bound, at infinite SNR, where the offset CDF is taken at
     C*(y^2 + h^2) - h^2. Depends only on D, h and the target rate.
     """
-    value, evaluations = _outage_integral(cfg, math.inf)
+    value, evaluations = _outage_integral(
+        cfg.region_side, cfg.height**2, cfg.rate_threshold, math.inf
+    )
     return _clamped(value, Method.ASYMPTOTIC, evaluations)
 
 

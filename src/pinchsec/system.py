@@ -147,11 +147,6 @@ class SystemConfig:
                 "5 region_side^2 / 4 + height^2 must resolve 5 region_side^2 / 4 to 1e-6"
             )
 
-    @property
-    def half_side(self) -> float:
-        """D/2, the coordinate bound of the deployment region."""
-        return self.region_side / 2.0
-
 
 # CLI option -> (SystemConfig field, default in the option's unit, conversion to
 # SI or None where the unit is SI, help): the paper's operating point, in help order

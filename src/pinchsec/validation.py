@@ -100,9 +100,8 @@ def _check_bound_constants(seed: int) -> list[CheckResult]:
         )
     )
 
-    # the floor's defining double integral, D-independent (D=1 here)
-    floor = sop_mod._panel_quadrature(lambda z: 2.0 * math.pi * z * z - 8.0 * z**3 / 3.0, (0, 0.5))
-    rebuilt = float(floor[0])
+    # the floor is the outage integral at h = 0, infinite SNR and rate 0, at any D
+    rebuilt = sop_mod._outage_integral(1.0, 0.0, 1.0, math.inf)[0]
     results.append(
         CheckResult(
             "lower-bound-pas-integral",

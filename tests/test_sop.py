@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy import integrate
 
 from pinchsec import distributions as dist_mod
+from pinchsec import montecarlo as mc_mod
 from pinchsec import sop as sop_mod
 from pinchsec import (
     LOWER_BOUND_FPA,
@@ -30,6 +31,9 @@ from pinchsec import (
 from conftest import box_configs, cdf_offset_sq_full_correction, make_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+
+# 2 E[sqrt(W)] / D for the squared offset W: the floor at C >= 5 is 1 - KAPPA / sqrt(C)
+KAPPA = (3.0 + 15.0 * math.sqrt(5.0) + 20.0 * math.log(2.0 + math.sqrt(5.0))) / 72.0
 
 
 def mc_sop_pas_oracle(cfg, n: int, seed: int) -> tuple[float, float]:
@@ -81,6 +85,17 @@ class TestLowerBounds:
             j2, _ = integrate.quad(lambda z: z**3 / 3.0, 0.0, d / 2.0, epsabs=1e-15)
             rebuilt = 8.0 / d**3 * j1 - 8.0 / d**4 * j2
             assert abs(rebuilt - LOWER_BOUND_PAS) <= 1e-12
+
+    @pytest.mark.parametrize("d", [0.1, 1.0, 10.0, 1000.0])
+    def test_outage_integral_at_zero_height_and_infinite_snr_is_the_floor(self, d):
+        # at h = 0 and s = inf the outage is W <= C y^2: its mean over y is
+        # the floor at C = 1, and 1 - E[sqrt(W)] / (sqrt(C) D / 2) once
+        # sqrt(C) D / 2 reaches the largest offset, sqrt(5) D / 2
+        value, _ = sop_mod._outage_integral(d, 0.0, 1.0, math.inf)
+        assert abs(value - LOWER_BOUND_PAS) <= 1e-15
+        for c in (5.0, 8.0, 32.0, 2.0**30):
+            value, _ = sop_mod._outage_integral(d, 0.0, c, math.inf)
+            assert abs(value - (1.0 - KAPPA / math.sqrt(c))) <= 1e-13, c
 
     def test_pas_constant_against_mc_event(self):
         p, sigma = mc_bound_event_oracle(1_000_000, seed=1001)
@@ -397,7 +412,7 @@ def outage_integral_frozen(cfg, snr: float) -> tuple[float, int]:
     """
     h2 = cfg.height**2
     c = cfg.rate_threshold
-    half = cfg.half_side
+    half = cfg.region_side / 2.0
     k = (c - 1.0) * h2
     crossings = []
     for w in dist_mod.offset_sq_knots(cfg)[1:]:
@@ -451,10 +466,11 @@ class TestTrimmedExactPath:
         evaluate(cfg)
         assert calls == []  # every panel lies inside its branch
         # D^2/4 reported 1e-6 high moves its crossing, so the last nodes of
-        # the first panel pass D^2/4 and that panel alone falls back
-        knots = dist_mod.offset_sq_knots
+        # the first panel pass D^2/4 and that panel alone falls back; the
+        # kernel reads the knots of D, and offset_sq_knots returns them
+        knots = dist_mod._offset_knots
         monkeypatch.setattr(
-            dist_mod, "offset_sq_knots", lambda c: (0.0, knots(c)[1] * (1.0 + 1e-6), *knots(c)[2:])
+            dist_mod, "_offset_knots", lambda d: (0.0, knots(d)[1] * (1.0 + 1e-6), *knots(d)[2:])
         )
         value, evaluations = outage_integral_frozen(
             cfg, math.inf if at_infinity else cfg.effective_snr
@@ -551,6 +567,40 @@ class TestSopAsymptotic:
         mc = McConfig(trials=1_000, seed=3)
         ((pas, fpa),) = simulate_sops((cfg,), mc, ["pas", "fpa"])
         assert (pas.estimate, fpa.estimate) == (1.0, 1.0)
+
+
+def scaled(cfg, k: float):
+    """``cfg`` with D and h times k and the transmit power, in watts, times k^2."""
+    return replace(
+        cfg,
+        region_side=k * cfg.region_side,
+        height=k * cfg.height,
+        transmit_power=k * k * cfg.transmit_power,
+    )
+
+
+class TestScaleInvariance:
+    """The SOP depends on D, h and the effective SNR s only through h/D and s/D^2.
+
+    Scaling D and h by k and s by k^2 keeps every ratio of squared
+    distances and every SNR. At k a power of two every float scales
+    exactly, so each method returns the same estimate, bit for bit.
+    """
+
+    @pytest.mark.parametrize("k", [2.0, 0.5])
+    def test_analytic_methods_give_the_same_estimates(self, cfg10, cfg30, k):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the Chebyshev floor warning
+            for cfg in [cfg10, cfg30, *box_configs(300, seed=20261020)]:
+                for evaluate in (sop_exact, sop_asymptotic, sop_chebyshev):
+                    assert evaluate(scaled(cfg, k)) == evaluate(cfg), (evaluate, cfg)
+
+    @pytest.mark.parametrize("k", [2.0, 0.5])
+    def test_monte_carlo_gives_the_same_results(self, cfg10, cfg30, k):
+        configs = [cfg10, cfg30, *box_configs(40, seed=20261020)]
+        mc = McConfig(2 * mc_mod._CHUNK_TRIALS + 7, 20)
+        expected = simulate_sops(configs, mc, ("pas", "fpa"))
+        assert simulate_sops([scaled(cfg, k) for cfg in configs], mc, ("pas", "fpa")) == expected
 
 
 class TestSopEstimateType:

@@ -216,7 +216,7 @@ class TestSnrOut:
     @pytest.mark.parametrize("overrides", [dict(), dict(power_dbm=-150.0), dict(region_side=1e3)])
     def test_out_is_returned_and_bitwise_equal(self, formula, arity, overrides):
         cfg = make_config(**overrides)
-        half = cfg.half_side
+        half = cfg.region_side / 2.0
         # strided columns, like the Monte Carlo draw buffer's
         coords = np.random.default_rng(3).uniform(-half, half, (1000, 4))[:, :arity].T
         expected = formula(*coords, cfg)
@@ -232,7 +232,8 @@ class TestSnrOut:
     def test_denominator_keeps_the_sum_and_the_bits(self, formula, arity, shape, overrides):
         cfg = make_config(**overrides)
         rng = np.random.default_rng(5)
-        coords = [rng.uniform(-cfg.half_side, cfg.half_side, shape) for _ in range(arity)]
+        half = cfg.region_side / 2.0
+        coords = [rng.uniform(-half, half, shape) for _ in range(arity)]
         if not shape:
             coords = [float(c) for c in coords]
         expected = formula(*coords, cfg)

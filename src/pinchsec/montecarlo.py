@@ -15,7 +15,8 @@ call: the (chunk, 4) uniforms u, which :func:`_coordinates` maps to x1,
 y1, x2, y2 as (u - 0.5) * D. Three loops walk the chunks: the outage
 counter hands each system's kernel the coordinate columns,
 :func:`simulate_lower_bound_event` sums the floor event's conditional
-probability over the squared offsets, and :func:`sample_offset_sq`
+probability over the squared offsets, in :func:`_floor_estimate`, which
+reads a drawn sample's offsets in slices too, and :func:`sample_offset_sq`
 collects those offsets, of which :func:`sample_snr_eve` is the SNR map.
 
 One pass over the draws counts every event at every configuration.
@@ -61,7 +62,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -324,6 +325,33 @@ def _offset_sq(uniforms, side: float, out: np.ndarray, scratch: np.ndarray) -> n
 _FLOOR_UNIT = 2.0**40
 
 
+def _floor_estimate(offsets: Iterable[np.ndarray], side: float, mc: McConfig) -> McResult:
+    """The mean of g = max(0, 1 - 2 sqrt(w)/D) over ``mc``'s offsets w, in chunks left unchanged.
+
+    Each g and g^2 is rounded to a multiple of 2^-40 and summed exactly, as
+    an integer, in columns of ``_CHUNK_TRIALS`` allocated once per call: no
+    chunking or order of the samples moves a bit, and each sum is within
+    n 2^-41 of the unrounded one.
+    """
+    size = min(mc.trials, _CHUNK_TRIALS)
+    g, g_sq, ticks = _aligned((size,)), _aligned((size,)), _aligned((size,), np.int64)
+    sums = [0, 0]
+    for w in offsets:
+        chunk_g, chunk_g_sq, chunk_ticks = g[: w.size], g_sq[: w.size], ticks[: w.size]
+        np.sqrt(w, out=chunk_g)
+        chunk_g *= 2.0 / side
+        np.subtract(1.0, chunk_g, out=chunk_g)
+        np.maximum(chunk_g, 0.0, out=chunk_g)
+        np.square(chunk_g, out=chunk_g_sq)
+        for k, column in enumerate((chunk_g, chunk_g_sq)):
+            column *= _FLOOR_UNIT
+            chunk_ticks[...] = np.rint(column, out=column)
+            sums[k] += int(np.add.reduce(chunk_ticks))
+    mean, mean_sq = (total / mc.trials / _FLOOR_UNIT for total in sums)
+    stderr = math.sqrt(max(mean_sq - mean * mean, 0.0) / mc.trials)
+    return McResult(mean, stderr, mc.trials, mc.seed)
+
+
 def simulate_lower_bound_event(cfg: SystemConfig, mc: McConfig) -> McResult:
     """Probability that the eavesdropper's SNR is at least the receiver's.
 
@@ -337,31 +365,22 @@ def simulate_lower_bound_event(cfg: SystemConfig, mc: McConfig) -> McResult:
     Rao-Blackwellisation; Asmussen & Glynn, *Stochastic Simulation*,
     2007, section V.4), and its standard error is sqrt(var g / n). Per
     trial, Var g = pi/24 - 1/60 - p^2 = 0.0658, 0.38 of the count's
-    p(1-p) = 0.1717.
-
-    Each chunk maps its offsets to g in place, in columns allocated once
-    per call. Each g and g^2 is rounded to a multiple of 2^-40 and summed
-    exactly, as an integer, so the result does not depend on where the
-    chunks break, and each sum is within n 2^-41 of the unrounded one.
+    p(1-p) = 0.1717. Each chunk's offsets go to :func:`_floor_estimate`,
+    so the result is bit-identical however the trials are chunked.
     """
     size = min(mc.trials, _CHUNK_TRIALS)
-    g, g_sq, ticks = _aligned((size,)), _aligned((size,)), _aligned((size,), np.int64)
-    sums = [0, 0]
-    for start, stop, uniforms in _chunks(mc):
-        n = stop - start
-        w = _offset_sq(uniforms, cfg.region_side, g[:n], g_sq[:n])
-        np.sqrt(w, out=w)
-        w *= 2.0 / cfg.region_side
-        np.subtract(1.0, w, out=w)
-        np.maximum(w, 0.0, out=w)
-        np.square(w, out=g_sq[:n])
-        for k, column in enumerate((w, g_sq[:n])):
-            column *= _FLOOR_UNIT
-            ticks[:n] = np.rint(column, out=column)
-            sums[k] += int(np.add.reduce(ticks[:n]))
-    mean, mean_sq = (total / mc.trials / _FLOOR_UNIT for total in sums)
-    stderr = math.sqrt(max(mean_sq - mean * mean, 0.0) / mc.trials)
-    return McResult(mean, stderr, mc.trials, mc.seed)
+    w, scratch = _aligned((size,)), _aligned((size,))
+    offsets = (
+        _offset_sq(uniforms, cfg.region_side, w[: stop - start], scratch[: stop - start])
+        for start, stop, uniforms in _chunks(mc)
+    )
+    return _floor_estimate(offsets, cfg.region_side, mc)
+
+
+def _lower_bound_event_of_offset(w: np.ndarray, cfg: SystemConfig, mc: McConfig) -> McResult:
+    """:func:`simulate_lower_bound_event` at ``mc``, bit for bit, from its offsets ``w`` in any order."""
+    slices = (w[start : start + _CHUNK_TRIALS] for start in range(0, w.size, _CHUNK_TRIALS))
+    return _floor_estimate(slices, cfg.region_side, mc)
 
 
 def sample_offset_sq(cfg: SystemConfig, mc: McConfig) -> np.ndarray:

@@ -97,6 +97,19 @@ class TestLowerBounds:
             value, _ = sop_mod._outage_integral(d, 0.0, c, math.inf)
             assert abs(value - (1.0 - KAPPA / math.sqrt(c))) <= 1e-13, c
 
+    @pytest.mark.parametrize("d", [0.1, 1.0, 10.0, 1000.0])
+    @pytest.mark.parametrize("c", [1.0001, 1.5, 2.0, 2.0**1.5, 3.0, 4.0, 4.9999])
+    def test_outage_integral_at_zero_height_below_c_5_is_the_rate_floor(self, d, c):
+        # between the two pinned ends the floor is 1 - E[min(sqrt(W), L)] / L
+        # with L = sqrt(C) D / 2; the mean on knots at every kink of the
+        # integrand, sqrt(W) reaching L among them
+        half = math.sqrt(c) * d / 2.0
+        knots = sorted((0.0, d * d / 4.0, half * half, d * d, 1.25 * d * d))
+        mean = float(sop_mod._panel_quadrature(
+            lambda w: np.minimum(np.sqrt(w), half) * dist_mod._pdf_offset_sq(w, d), knots)[0])
+        value, _ = sop_mod._outage_integral(d, 0.0, c, math.inf)
+        assert abs(value - (1.0 - mean / half)) <= 1e-13
+
     def test_pas_constant_against_mc_event(self):
         p, sigma = mc_bound_event_oracle(1_000_000, seed=1001)
         assert abs(p - LOWER_BOUND_PAS) <= 3.0 * sigma

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import functools
+import inspect
 import itertools
 import json
 import math
@@ -614,7 +615,7 @@ class TestChecksWithoutScipy:
 
     @pytest.mark.parametrize("seed", SEEDS + FAILING_SEEDS)
     def test_ks_verdict_and_text_are_scipy_kstest(self, seed):
-        res, _, (ks, _) = self.scipy_statistics(seed)
+        res, _, (_, ks, _) = self.scipy_statistics(seed)
         assert ks.passed == (res.pvalue > 0.01)
         if seed == 36:
             assert not ks.passed
@@ -623,7 +624,7 @@ class TestChecksWithoutScipy:
 
     @pytest.mark.parametrize("seed", SEEDS + FAILING_SEEDS)
     def test_chi2_verdict_and_text_are_scipy_chisquare(self, seed):
-        _, statistic, (_, chi2) = self.scipy_statistics(seed)
+        _, statistic, (_, _, chi2) = self.scipy_statistics(seed)
         assert chi2.passed == (stats.chi2.sf(statistic, 199) > 0.01)
         if seed == 57:
             assert not chi2.passed
@@ -826,7 +827,7 @@ class TestChunkedKs:
 
 
 class TestSharedSamplerDraw:
-    """Both sampler checks test one offset draw.
+    """The floor check and both sampler checks read one offset draw.
 
     The chi-square's SNRs are the offsets the KS step sorted, mapped in
     place, and its bins are counted by bisection of the reversed view.
@@ -845,7 +846,8 @@ class TestSharedSamplerDraw:
         monkeypatch.setattr(mc_mod, "sample_offset_sq", recorded)
         monkeypatch.setattr(mc_mod, "sample_snr_eve", None)  # no second draw
         results = validation._check_sampler_fit(seed=3)
-        assert [r.name for r in results] == ["offset-sampler-ks", "eve-sampler-chi2"]
+        names = ["lower-bound-event-mc", "offset-sampler-ks", "eve-sampler-chi2"]
+        assert [r.name for r in results] == names
         assert draws == [(reference_config(), McConfig(1_000_000, 3 + 11))]
 
     @pytest.mark.parametrize("seed", TestChecksWithoutScipy.SEEDS)
@@ -1393,12 +1395,18 @@ CORRUPTIONS = {
     "offset-sampler-scaled": (
         mc_mod, "sample_offset_sq", lambda f: lambda c, m: 1.1 * f(c, m),
         "_check_sampler_fit", ["offset-sampler-ks", "eve-sampler-chi2"]),
-    # offsets 10% too large make the floor event rarer: about 47 sigma at
-    # seed 1; the kernel is the one sample_offset_sq calls too
+    # offsets 10% too large make the floor event rarer; the floor check
+    # reads the sampler checks' draw, so it sees them
     "floor-offsets-scaled": (
         mc_mod, "_offset_sq",
         lambda f: lambda u, side, out, scratch: np.multiply(f(u, side, out, scratch), 1.1, out=out),
-        "_check_bound_constants", ["lower-bound-event-mc"]),
+        "_check_sampler_fit", ["lower-bound-event-mc"]),
+    # 3.36 sigma at seed 1, where the former two 4e5-trial estimates read
+    # 1.55 and 1.62 sigma
+    "floor-estimate-shifted": (
+        mc_mod, "_lower_bound_event_of_offset",
+        lambda f: lambda *a: (lambda r: replace(r, estimate=r.estimate + 1e-3))(f(*a)),
+        "_check_sampler_fit", ["lower-bound-event-mc"]),
     # scaled by 1.002, the SNR samples still pass (chi2 = 193.0 against 248.3
     # at seed 1)
     "eve-sampler-scaled": (
@@ -1491,7 +1499,10 @@ class TestCliValidate:
         self, monkeypatch, module, attr, corrupt, check, failing
     ):
         monkeypatch.setattr(module, attr, corrupt(getattr(module, attr)))
-        passed = {r.name: r.passed for r in getattr(validation, check)(seed=1)}
+        run = getattr(validation, check)
+        # a group that reads no seed takes none
+        results = run(seed=1) if "seed" in inspect.signature(run).parameters else run()
+        passed = {r.name: r.passed for r in results}
         assert not any(passed[name] for name in failing)
 
     @staticmethod
@@ -1501,7 +1512,7 @@ class TestCliValidate:
         monkeypatch.setattr(mc_mod, "_snr_eve_of_offset", None)  # nothing may be mapped
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            (_, chi2) = validation._check_sampler_fit(seed=1)
+            (_, _, chi2) = validation._check_sampler_fit(seed=1)
         assert chi2.name == "eve-sampler-chi2" and not chi2.passed
         return chi2.detail
 
@@ -1523,7 +1534,7 @@ class TestCliValidate:
     def test_samples_above_the_support_give_the_law_a_finite_statistic(self, monkeypatch):
         module, attr, corrupt, _, _ = CORRUPTIONS["eve-sampler-above-support"]
         monkeypatch.setattr(module, attr, corrupt(getattr(module, attr)))
-        (_, chi2) = validation._check_sampler_fit(seed=1)
+        (_, _, chi2) = validation._check_sampler_fit(seed=1)
         statistic = float(chi2.detail.split()[0].removeprefix("chi2="))
         assert not chi2.passed and statistic > validation._CHI2_CRITICAL
         # every bin empty: the statistic is the expected counts' sum, n
@@ -1561,22 +1572,49 @@ class TestFloorEventCheck:
         trials = int(_floor_check(full_checks).detail.rsplit("trials=", 1)[1])
         assert math.sqrt(variance / trials) <= math.sqrt(self.FLOOR * (1.0 - self.FLOOR) / 1_000_000)
 
-    def test_two_offset_draws_chunk_invariant(self, monkeypatch):
-        calls, estimates = [], []
+    def test_one_offset_draw_gives_the_simulated_estimate(self, monkeypatch):
+        draws, estimates = [], []
+        sample, of_offset = mc_mod.sample_offset_sq, mc_mod._lower_bound_event_of_offset
         simulate = mc_mod.simulate_lower_bound_event
 
-        def recorded(cfg, mc):
-            calls.append((cfg.region_side, cfg.height, mc.trials, mc.seed))
-            estimates.append(simulate(cfg, mc))
+        def drawn(cfg, mc):
+            draws.append((cfg, mc))
+            return sample(cfg, mc)
+
+        def estimated(w, cfg, mc):
+            estimates.append(of_offset(w, cfg, mc))
             return estimates[-1]
 
-        monkeypatch.setattr(mc_mod, "simulate_lower_bound_event", recorded)
-        monkeypatch.setattr(mc_mod, "sample_offset_sq", None)  # no whole-sample draw
-        floor = _floor_check(validation._check_bound_constants(seed=5))
+        monkeypatch.setattr(mc_mod, "sample_offset_sq", drawn)
+        monkeypatch.setattr(mc_mod, "_lower_bound_event_of_offset", estimated)
+        monkeypatch.setattr(mc_mod, "simulate_lower_bound_event", None)  # no draw of its own
+        floor = _floor_check(validation.run_checks(seed=5))
         assert floor.passed
-        assert calls == [(10.0, 3.0, 400_000, 5), (30.0, 7.5, 400_000, 6)]
-        # the results, not only their rounded deviations, keep their bits
+        # the sampler checks' one draw, and the floor estimated from it
+        cfg, mc = reference_config(), McConfig(1_000_000, 5 + 11)
+        assert draws == [(cfg, mc)]
+        assert estimates == [simulate(cfg, mc)]
+        # the sums are exact integers: sorting the sample, as the KS step
+        # does, moves no bit
+        w = sample(cfg, mc)
+        w.sort()
+        assert of_offset(w, cfg, mc) == estimates[0]
+        # the results, not only their rounded text, keep their bits
         monkeypatch.setattr(mc_mod, "_CHUNK_TRIALS", 1 << 10)
-        again = _floor_check(validation._check_bound_constants(seed=5))
+        again = _floor_check(validation._check_sampler_fit(seed=5))
         assert again.detail == floor.detail
-        assert estimates[2:] == estimates[:2]
+        assert estimates[1] == estimates[0]
+
+    def test_estimate_from_the_sample_leaves_it_and_takes_chunk_sized_scratch(self):
+        cfg, mc = reference_config(), McConfig(1_000_000, 12356)
+        samples = mc_mod.sample_offset_sq(cfg, mc)
+        drawn = samples.copy()
+        tracemalloc.start()
+        try:
+            mc_mod._lower_bound_event_of_offset(samples, cfg, mc)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(samples, drawn)
+        # g, g^2 and the int64 ticks, each one chunk long and aligned
+        assert peak < 4 * 8 * mc_mod._CHUNK_TRIALS

@@ -35,7 +35,8 @@ power sweep, runs only the divide effective_snr / denominator. Points
 that differ only in the rate, such as those of a rate sweep, share the
 SNRs themselves: only the rate's tail, C * snr_eve, its difference from
 snr_bob, the comparison with C - 1 and the count, runs once per
-configuration.
+configuration. The pass enters numpy's overflow guard once, around its
+chunk loop, for the one product that may overflow, C * snr_eve.
 
 No chunk allocates. The outage kernels evaluate in place, in a workspace
 of five float columns and one bool column allocated once per call,
@@ -207,20 +208,24 @@ def _count_events(
     workspace = _workspace(size, rescaled)
     coords = _aligned((size, _DRAWS_PER_TRIAL)) if len(groups) > 1 else None
     counts = [[0] * len(systems) for _ in cfgs]
-    for start, stop, uniforms in _chunks(mc):
-        work = tuple(column[: stop - start] for column in workspace)
-        out = uniforms if coords is None else coords[: stop - start]
-        for side, by_height in groups.items():
-            x1, y1, x2, y2 = _coordinates(uniforms, side, out).T
-            for by_snr in by_height.values():
-                for j, share in enumerate(systems):
-                    for k, members in enumerate(by_snr.values()):
-                        if k:
-                            _rescale_snrs(cfgs[members[0]], work)
-                        else:
-                            share(x1, y1, x2, y2, cfgs[members[0]], work)
-                        for i in members:
-                            counts[i][j] += int(np.count_nonzero(_outage(cfgs[i], work)))
+    # every SNR is at most effective_snr / h^2, which SystemConfig requires to
+    # be finite, so the only product of the pass that can overflow is C*ge in
+    # _outage: from rate ~1011 on it is inf, an outage, as it should be
+    with np.errstate(over="ignore"):
+        for start, stop, uniforms in _chunks(mc):
+            work = tuple(column[: stop - start] for column in workspace)
+            out = uniforms if coords is None else coords[: stop - start]
+            for side, by_height in groups.items():
+                x1, y1, x2, y2 = _coordinates(uniforms, side, out).T
+                for by_snr in by_height.values():
+                    for j, share in enumerate(systems):
+                        for k, members in enumerate(by_snr.values()):
+                            if k:
+                                _rescale_snrs(cfgs[members[0]], work)
+                            else:
+                                share(x1, y1, x2, y2, cfgs[members[0]], work)
+                            for i in members:
+                                counts[i][j] += int(np.count_nonzero(_outage(cfgs[i], work)))
     return [tuple(_result(total, mc) for total in row) for row in counts]
 
 
@@ -258,9 +263,8 @@ def _outage(cfg: SystemConfig, work: _Workspace) -> np.ndarray:
     """
     gb, ge, scratch, _, _, mask = work
     c = cfg.rate_threshold
-    # from rate ~1011 on C*ge overflows to inf: an outage, as it should be
-    with np.errstate(over="ignore"):
-        np.multiply(c, ge, out=scratch)
+    # from rate ~1011 on C*ge overflows to inf, under the pass's overflow guard
+    np.multiply(c, ge, out=scratch)
     np.subtract(gb, scratch, out=scratch)
     return np.less_equal(scratch, c - 1.0, out=mask)
 
@@ -378,7 +382,11 @@ def simulate_lower_bound_event(cfg: SystemConfig, mc: McConfig) -> McResult:
 
 
 def _lower_bound_event_of_offset(w: np.ndarray, cfg: SystemConfig, mc: McConfig) -> McResult:
-    """:func:`simulate_lower_bound_event` at ``mc``, bit for bit, from its offsets ``w`` in any order."""
+    """:func:`simulate_lower_bound_event` at ``mc``, bit for bit, from its offsets ``w`` in any order.
+
+    Offsets whose g rounds to 0 units of 2^-40 may be left out of ``w``:
+    the estimate divides by ``mc.trials``.
+    """
     slices = (w[start : start + _CHUNK_TRIALS] for start in range(0, w.size, _CHUNK_TRIALS))
     return _floor_estimate(slices, cfg.region_side, mc)
 

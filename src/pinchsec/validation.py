@@ -23,11 +23,16 @@ computed for independent points, bounds it from above.
 The floor check, ``lower-bound-event-mc``, is one conditional Monte
 Carlo estimate of the constant, :func:`montecarlo.simulate_lower_bound_event`
 at the reference configuration, 1e6 trials and seed + 11, computed from
-the offset draw that the sampler checks test. It reads only the uniform
-law of y1, never the offset CDF or density under test, so it stays an
-independent simulation of the constant. Its standard error, 2.56e-4, is
-below the 4.14e-4 of a 1e6 event count, so the 3-sigma detection
-threshold does not grow.
+the offset draw that the sampler checks test: from its sorted prefix up
+to D^2/4, once the KS step has sorted it, since every offset past D^2/4
+adds exactly 0. It reads only the uniform law of y1, never the offset
+CDF or density under test, so it stays an independent simulation of the
+constant. Its standard error, 2.56e-4, is below the 4.14e-4 of a 1e6
+event count, so the 3-sigma detection threshold does not grow.
+
+The 54 exact values of the grid checks come from one
+:func:`sop.sop_exact_batch` call, equal bit for bit to 54 calls of
+:func:`sop.sop_exact`.
 
 Checks call the library through module attributes so a corrupted
 implementation (or a deliberately monkeypatched one) is caught rather
@@ -253,9 +258,10 @@ def _bin_counts(ascending: np.ndarray, edges: np.ndarray) -> np.ndarray:
 def _check_sampler_fit(seed: int) -> list[CheckResult]:
     """The floor estimate and the goodness of fit of the two samplers, on one draw.
 
-    The floor check maps the offsets to its conditional estimate first,
-    in slices, leaving the sample as drawn, and passes within 3 sigma of
-    the constant. KS then tests the offsets, and chi-square the SNRs.
+    KS tests the offsets, sorting them in place. The floor check then maps
+    the sorted prefix up to D^2/4 to its conditional estimate, in slices,
+    and passes within 3 sigma of the constant. Chi-square last tests the
+    SNRs, mapped in place from the offsets.
 
     Each goodness-of-fit test passes when its statistic is below its law's critical value at
     the 1% level: sqrt(n) * D below ``_KS_CRITICAL``, and the chi-square
@@ -285,16 +291,21 @@ def _check_sampler_fit(seed: int) -> list[CheckResult]:
 
     mc = McConfig(n, seed + 11)
     samples = mc_mod.sample_offset_sq(cfg, mc)
-    floor = sop_mod.sop_lower_bound_pas().value
-    res = mc_mod._lower_bound_event_of_offset(samples, cfg, mc)
-    deviation = abs(res.estimate - floor) / max(res.stderr, 1e-300)
-    detail = f"estimate={res.estimate:.6f} deviation={deviation:.2f} sigma trials={n}"
-    event = CheckResult("lower-bound-event-mc", deviation <= 3.0, detail)
-
     d = _ks_test(samples, lambda t: dist_mod.cdf_offset_sq(t, cfg))
     scaled = math.sqrt(n) * d
     detail = f"D={d:.4e} sqrt(n)D={scaled:.4f} critical={_KS_CRITICAL:.4f} n={n}"
     ks = CheckResult("offset-sampler-ks", scaled < _KS_CRITICAL, detail)
+
+    # past fl(D^2/4), sqrt(w) * fl(2/D) rounds to at least 1 - 2^-41, so
+    # g = max(0, 1 - 2 sqrt(w)/D) is under 2^-41 and rounds to 0 units of
+    # 2^-40: the sorted prefix up to fl(D^2/4) gives the same integer sums,
+    # and the estimate still divides by all n trials
+    k = np.searchsorted(samples, dist_mod._offset_knots(cfg.region_side)[1], side="right")
+    floor = sop_mod.sop_lower_bound_pas().value
+    res = mc_mod._lower_bound_event_of_offset(samples[:k], cfg, mc)
+    deviation = abs(res.estimate - floor) / max(res.stderr, 1e-300)
+    detail = f"estimate={res.estimate:.6f} deviation={deviation:.2f} sigma trials={n}"
+    event = CheckResult("lower-bound-event-mc", deviation <= 3.0, detail)
 
     lo, hi = dist_mod.snr_eve_support(cfg)
     nbins = 200
@@ -326,10 +337,10 @@ def _check_sop_agreement(seed: int) -> list[CheckResult]:
     mc_ok = True
     floor_ok = True
     chebs = [est.value for est in sop_mod.sop_chebyshev_batch(configs, sop_mod.CHEBYSHEV_ORDER)]
+    exacts = [est.value for est in sop_mod.sop_exact_batch(configs)]
     # one draw for the whole grid: neighbouring points share their trials
     mcs = mc_mod.simulate_sops(configs, McConfig(trials, seed + 100), ("pas",))
-    for cfg, cheb, (mc,) in zip(configs, chebs, mcs):
-        exact = sop_mod.sop_exact(cfg).value
+    for cheb, exact, (mc,) in zip(chebs, exacts, mcs):
         worst_cheb = max(worst_cheb, abs(cheb - exact))
         gap = abs(mc.estimate - cheb)
         worst_mc = max(worst_mc, gap)

@@ -196,6 +196,12 @@ class TestReusedDrawBuffer:
         dict(rate=1020.0),
     ]
 
+    @staticmethod
+    def outage(cfg, work):
+        """``_outage`` under the overflow guard that a pass holds around its chunk loop."""
+        with np.errstate(over="ignore"):
+            return mc_mod._outage(cfg, work)
+
     @pytest.mark.parametrize("overrides", CONFIGS)
     def test_chunk_coordinates_and_events_bitwise(self, overrides):
         cfg = make_config(**overrides)
@@ -222,12 +228,12 @@ class TestReusedDrawBuffer:
             for name, mask in expected.items():
                 share = mc_mod._OUTAGES[name]
                 share(*chunk.T, cfg, alone)
-                assert np.array_equal(mc_mod._outage(cfg, alone), mask[start:stop]), name
+                assert np.array_equal(self.outage(cfg, alone), mask[start:stop]), name
                 share(*chunk.T, cfg, work)
                 # the two SNRs and the two denominators
                 kept = work[:2] + work[3:5]
                 shared = [column.copy() for column in kept]
-                got = mc_mod._outage(cfg, work)
+                got = self.outage(cfg, work)
                 assert got is work[-1], name
                 assert np.array_equal(got, mask[start:stop]), name
                 # the test leaves the shared columns for the next rate
@@ -235,7 +241,7 @@ class TestReusedDrawBuffer:
                 mc_mod._rescale_snrs(louder, work)
                 # the divide leaves the denominators for the next power
                 assert all(np.array_equal(a, b) for a, b in zip(shared[2:], kept[2:])), name
-                got = mc_mod._outage(louder, work)
+                got = self.outage(louder, work)
                 assert np.array_equal(got, expected_louder[name][start:stop]), name
         assert stop == KERNEL_TRIALS
 
@@ -531,6 +537,40 @@ class TestLowerBoundEvent:
         monkeypatch.setattr(mc_mod, "_offset_sq", fill)
         res = simulate_lower_bound_event(cfg10, McConfig(trials=2 * mc_mod._CHUNK_TRIALS, seed=22))
         assert res.estimate == 0.25
+
+    @staticmethod
+    def prefix_and_full(w: np.ndarray, side: float, mc: McConfig):
+        """The floor estimate of the sorted ``w`` up to fl(D^2/4), and of all of it."""
+        cfg = make_config(region_side=side)
+        w = np.sort(w)
+        k = np.searchsorted(w, dist._offset_knots(side)[1], side="right")
+        return (
+            mc_mod._lower_bound_event_of_offset(w[:k], cfg, mc),
+            mc_mod._lower_bound_event_of_offset(w, cfg, mc),
+        )
+
+    @pytest.mark.parametrize(
+        "side,seed", [(10.0, 1), (10.0, 7), (30.0, 8), (0.3, 101), (1000.0, 12345)]
+    )
+    def test_the_sorted_prefix_up_to_a_quarter_of_d_squared_gives_the_full_walk(self, side, seed):
+        mc = McConfig(KERNEL_TRIALS, seed)
+        w = sample_offset_sq(make_config(region_side=side), mc)
+        prefix, full = self.prefix_and_full(w, side, mc)
+        assert prefix == full
+
+    def test_offsets_past_a_quarter_of_d_squared_add_nothing(self):
+        # fl(D^2/4) and one ulp either side, with the top of the support, at
+        # sides from 0.1 to 1000 m: past fl(D^2/4), g rounds to 0 units of 2^-40
+        rng = np.random.default_rng(20261022)
+        for side in [10.0, 30.0, *10.0 ** rng.uniform(-1.0, 3.0, 200)]:
+            quarter = dist._offset_knots(side)[1]
+            above = np.nextafter(quarter, np.inf)
+            w = np.array([np.nextafter(quarter, 0.0), quarter, above, 1.25 * side * side])
+            prefix, full = self.prefix_and_full(w, side, McConfig(w.size, 1))
+            assert prefix == full, side
+            cfg = make_config(region_side=side)
+            alone = mc_mod._lower_bound_event_of_offset(np.array([above]), cfg, McConfig(1, 1))
+            assert alone.estimate == 0.0, side
 
 
 class TestSampleStreams:

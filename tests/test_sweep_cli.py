@@ -1351,8 +1351,10 @@ CORRUPTIONS = {
         sop_mod, "sop_chebyshev_batch",
         lambda f: lambda *a: [replace(est, value=est.value + 2e-3) for est in f(*a)],
         "_check_sop_agreement", ["chebyshev-vs-exact"]),
+    # the grid's exact values come from one batched call
     "exact-shifted": (
-        sop_mod, "sop_exact", lambda f: lambda c: replace(f(c), value=f(c).value + 2e-3),
+        sop_mod, "sop_exact_batch",
+        lambda f: lambda cfgs: [replace(est, value=est.value + 2e-3) for est in f(cfgs)],
         "_check_sop_agreement", ["chebyshev-vs-exact"]),
     "eve-pdf-scaled": (
         dist_mod, "pdf_snr_eve", lambda f: lambda z, c: 1.01 * f(z, c),
@@ -1395,6 +1397,13 @@ CORRUPTIONS = {
     "offset-sampler-scaled": (
         mc_mod, "sample_offset_sq", lambda f: lambda c, m: 1.1 * f(c, m),
         "_check_sampler_fit", ["offset-sampler-ks", "eve-sampler-chi2"]),
+    # the floor check reads only the offsets up to D^2/4; the KS step still
+    # tests the rest of the sample
+    "offset-tail-scaled": (
+        mc_mod, "sample_offset_sq",
+        lambda f: lambda c, m: (lambda w, quarter: np.where(w > quarter, 1.01 * w, w))(
+            f(c, m), dist_mod._offset_knots(c.region_side)[1]),
+        "_check_sampler_fit", ["offset-sampler-ks"]),
     # offsets 10% too large make the floor event rarer; the floor check
     # reads the sampler checks' draw, so it sees them
     "floor-offsets-scaled": (

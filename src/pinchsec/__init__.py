@@ -34,7 +34,6 @@ from .sop import (
     sop_chebyshev,
     sop_chebyshev_batch,
     sop_exact,
-    sop_exact_batch,
     sop_lower_bound_fpa,
     sop_lower_bound_pas,
 )
@@ -83,7 +82,6 @@ __all__ = [
     "sop_chebyshev",
     "sop_chebyshev_batch",
     "sop_exact",
-    "sop_exact_batch",
     "sop_lower_bound_fpa",
     "sop_lower_bound_pas",
     "__version__",

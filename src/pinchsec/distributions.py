@@ -252,21 +252,6 @@ def _cdf_offset_sq_rows(t: np.ndarray, d: float) -> np.ndarray:
     return out
 
 
-def _cdf_offset_sq_sides(t: np.ndarray, sides: list[float]) -> np.ndarray:
-    """:func:`_cdf_offset_sq_rows`, bit for bit, of (k, n) t whose row i has side ``sides[i]``.
-
-    One call per side and branch, and per side for the masked kernel.
-    """
-    groups = {}
-    for i, (d, least, greatest) in enumerate(zip(sides, t[:, 0].tolist(), t[:, -1].tolist())):
-        form = next((f for lo, hi, f in _branches(d) if lo < least <= greatest <= hi), None)
-        groups.setdefault((d, form), []).append(i)
-    out = np.empty(t.shape)
-    for (d, form), rows in groups.items():
-        out[rows] = (form or _cdf_offset_sq)(t[rows], d)
-    return out
-
-
 def _not_nan(t) -> np.ndarray:
     arr = np.asarray(t, dtype=np.float64)
     if np.isnan(arr).any():

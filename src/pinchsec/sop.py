@@ -5,8 +5,7 @@ equivalently (1 + snr_bob) <= C * (1 + snr_eve) with C = 2^target_rate.
 Given the legitimate receiver's cross-track offset y, uniform on
 [0, D/2], the outage is the closed-form offset CDF at one threshold, so
 the exact SOP is a one-dimensional integral over y on fixed panels
-under a nested Clenshaw-Curtis rule, for one configuration or, with
-the same bits, for many in one pass. The high-power asymptote (a
+under a nested Clenshaw-Curtis rule. The high-power asymptote (a
 constant in transmit power) is the same integral at infinite SNR. Also
 provided are the paper's Chebyshev rule over the eavesdropper-SNR
 density and the two parameter-free lower bounds. Configs in, numbers
@@ -32,7 +31,6 @@ __all__ = [
     "SopEstimate",
     "AccuracyError",
     "sop_exact",
-    "sop_exact_batch",
     "sop_chebyshev",
     "sop_chebyshev_batch",
     "sop_asymptotic",
@@ -165,50 +163,6 @@ def _panel_quadrature(f, edges):
     return fine, np.abs(fine - coarse), x.size
 
 
-def _panels(d: float, h2: float, c: float, snr: float) -> tuple[list[float], list[float]]:
-    """The offsets where t(y) crosses D^2/4, D^2 and 5*D^2/4, and the panel edges up to the last."""
-    half = d / 2.0
-    k = (c - 1.0) * h2
-    # y^2 = (T - k*(1 + v)) / (C + (C-1)*v) with v = (T + h^2)/snr, in Python
-    # floats: a value that is not positive, or the nan of inf/inf once (C-1)*v
-    # and k*(1 + v) overflow, puts the crossing at 0
-    crossings = []
-    for w in dist._offset_knots(d)[1:]:
-        v = (w + h2) / snr
-        y2 = (w - k * (1.0 + v)) / (c + (c - 1.0) * v)
-        crossings.append(min(math.sqrt(y2), half) if y2 > 0.0 else 0.0)
-    return crossings, sorted({0.0, *crossings})
-
-
-def _threshold(y: np.ndarray, h2, c, snr) -> np.ndarray:
-    """t(y) at the offsets ``y``, inf past its pole; h^2, C and snr are floats or (R, 1) columns."""
-    t = y * y
-    v = t + h2
-    v /= snr
-    den = 1.0 - (c - 1.0) * v
-    t *= c
-    t += (c - 1.0) * h2 * (1.0 + v)
-    # den > 0 before the last crossing up to rounding; t is infinite past its pole
-    if np.minimum.reduce(den, axis=None) > 0.0:
-        t /= den
-    else:
-        t = np.divide(t, den, out=np.full_like(t, np.inf), where=den > 0.0)
-    return t
-
-
-def _mean_outage(fine: float, error: float, half: float, top: float) -> float:
-    """The mean over [0, D/2]: ``fine`` plus the certain outage past ``top``; raises on ``error``."""
-    value = (fine + (half - top)) / half
-    error /= half
-    if error > _ERROR_BOUND:
-        raise AccuracyError(
-            f"outage integral did not converge to {_ERROR_BOUND:g} (error estimate {error:g})",
-            estimate=value,
-            error_estimate=error,
-        )
-    return value
-
-
 def _outage_integral(d: float, h2: float, c: float, snr: float) -> tuple[float, int]:
     """Outage probability averaged over the receiver's cross-track offset.
 
@@ -220,56 +174,55 @@ def _outage_integral(d: float, h2: float, c: float, snr: float) -> tuple[float, 
     t rises with y, so past the y where it reaches 5*D^2/4 the integrand
     is exactly 1 and that tail is added in closed form (all of [0, D/2]
     at certain outage, with no evaluation). The rest is split where t
-    crosses D^2/4 and D^2 (:func:`_panels`), so each panel lies in one
-    branch of the offset CDF, and integrated by :func:`_panel_quadrature`.
+    crosses D^2/4 and D^2, so each panel lies in one branch of the offset
+    CDF, and integrated by :func:`_panel_quadrature`.
 
     Takes floats D, h^2 >= 0 (0 too, which no configuration admits), C >= 1
     and snr. Returns the mean over y in [0, D/2] by the fine rule and the
     number of CDF evaluations, 127 per panel. Raises :class:`AccuracyError`
     when its distance to the coarse rule's value exceeds ``_ERROR_BOUND``.
     """
-    crossings, edges = _panels(d, h2, c, snr)
+    half = d / 2.0
+    k = (c - 1.0) * h2
+
+    # offsets where t(y) = T, from y^2 = (T - k*(1 + v)) / (C + (C-1)*v)
+    # with v = (T + h^2)/snr, in Python floats: a value that is not
+    # positive, or the nan of inf/inf once (C-1)*v and k*(1 + v) overflow,
+    # puts the crossing at 0
+    crossings = []
+    for w in dist._offset_knots(d)[1:]:
+        v = (w + h2) / snr
+        y2 = (w - k * (1.0 + v)) / (c + (c - 1.0) * v)
+        crossings.append(min(math.sqrt(y2), half) if y2 > 0.0 else 0.0)
+
+    edges = sorted({0.0, *crossings})
     if len(edges) == 1:  # certain outage
         return 1.0, 0
-    fine, error, evaluations = _panel_quadrature(
-        lambda y: dist._cdf_offset_sq_rows(_threshold(y, h2, c, snr), d), edges
-    )
-    return _mean_outage(float(fine), float(error), d / 2.0, crossings[-1]), evaluations
 
+    def outage(y: np.ndarray) -> np.ndarray:
+        t = y * y
+        v = t + h2
+        v /= snr
+        den = 1.0 - (c - 1.0) * v
+        t *= c
+        t += k * (1.0 + v)
+        # den > 0 before the last crossing up to rounding; t is infinite past its pole
+        if np.minimum.reduce(den, axis=None) > 0.0:
+            t /= den
+        else:
+            t = np.divide(t, den, out=np.full_like(t, np.inf), where=den > 0.0)
+        return dist._cdf_offset_sq_rows(t, d)
 
-def _outage_integrals(rows) -> list[tuple[float, int]]:
-    """:func:`_outage_integral` at each (D, h^2, C, snr) of ``rows``, bit for bit, in one pass.
-
-    Each panel is one row of one node array, with its configuration's
-    h^2, C and snr as columns; the offset CDF runs once per region side
-    and branch, and each configuration's sums run over its own rows in
-    the order of :func:`_panel_quadrature`.
-    """
-    results = [(1.0, 0)] * len(rows)
-    evaluated, panels, sides = [], [], []
-    for i, (d, h2, c, snr) in enumerate(rows):
-        crossings, edges = _panels(d, h2, c, snr)
-        if len(edges) > 1:  # else certain outage
-            evaluated.append((i, d / 2.0, crossings[-1], len(panels)))
-            panels += [(lo, hi - lo, h2, c, snr) for lo, hi in zip(edges, edges[1:])]
-            sides += [d] * (len(edges) - 1)
-    if not panels:
-        return results
-    lo, widths, h2, c, snr = np.array(panels).T[..., None]  # (R, 1) columns
-    fx = dist._cdf_offset_sq_sides(_threshold(lo + widths * _NODES, h2, c, snr), sides)
-    fx *= widths
-    starts = np.array([start for *_, start in evaluated])
-    counts = np.diff(starts, append=len(panels))
-    # each configuration's sum over its panels, first to last as np.add.reduce
-    # adds a panel axis (np.add.reduceat adds the first to the sum of the rest)
-    parts = fx[starts]
-    for j in (1, 2):
-        parts[counts > j] += fx[starts[counts > j] + j]
-    fine = np.add.reduce(parts * _WEIGHTS, axis=-1)
-    error = np.abs(fine - np.add.reduce(parts[:, 1::2] * _COARSE_WEIGHTS, axis=-1))
-    for (i, half, top, _), n, f, e in zip(evaluated, counts.tolist(), fine.tolist(), error.tolist()):
-        results[i] = _mean_outage(f, e, half, top), n * _NODES.size
-    return results
+    fine, error, evaluations = _panel_quadrature(outage, edges)
+    value = (float(fine) + (half - crossings[-1])) / half
+    error = float(error) / half
+    if error > _ERROR_BOUND:
+        raise AccuracyError(
+            f"outage integral did not converge to {_ERROR_BOUND:g} (error estimate {error:g})",
+            estimate=value,
+            error_estimate=error,
+        )
+    return value, evaluations
 
 
 def _clamped(raw: float, method: Method, order_or_trials: int) -> SopEstimate:
@@ -293,23 +246,6 @@ def sop_exact(cfg: SystemConfig) -> SopEstimate:
     return _clamped(value, Method.EXACT, evaluations)
 
 
-def sop_exact_batch(cfgs) -> list[SopEstimate]:
-    """:func:`sop_exact` at each configuration of ``cfgs``, bit for bit, a block at a time.
-
-    A block, as many configurations as fit in 2^16 nodes at three panels
-    each (172), is one outage integral over all their panels, which
-    raises the :class:`AccuracyError` of the first configuration to miss
-    the bound. One configuration runs faster through :func:`sop_exact`.
-    """
-    rows = [(cfg.region_side, cfg.height**2, cfg.rate_threshold, cfg.effective_snr) for cfg in cfgs]
-    step = max(1, _BLOCK_NODES // (3 * _NODES.size))
-    estimates = []
-    for lo in range(0, len(rows), step):
-        for value, evaluations in _outage_integrals(rows[lo : lo + step]):
-            estimates.append(_clamped(value, Method.EXACT, evaluations))
-    return estimates
-
-
 @functools.lru_cache(maxsize=8)
 def _chebyshev_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     """First-kind nodes cos((2n-1)*pi/(2N)), n = 1..N, and weights sqrt(1 - node^2)."""
@@ -320,7 +256,7 @@ def _chebyshev_rule(order: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights
 
 
-_BLOCK_NODES = 1 << 16  # nodes per array call of a batch: 512 KiB per float array
+_BLOCK_NODES = 1 << 16  # Chebyshev nodes per array call: 512 KiB per float array
 
 
 def _checked_order(order, name: str = "order") -> int:

@@ -30,10 +30,6 @@ CDF or density under test, so it stays an independent simulation of the
 constant. Its standard error, 2.56e-4, is below the 4.14e-4 of a 1e6
 event count, so the 3-sigma detection threshold does not grow.
 
-The 54 exact values of the grid checks come from one
-:func:`sop.sop_exact_batch` call, equal bit for bit to 54 calls of
-:func:`sop.sop_exact`.
-
 Checks call the library through module attributes so a corrupted
 implementation (or a deliberately monkeypatched one) is caught rather
 than masked. The suite runs on numpy alone: each goodness-of-fit test
@@ -337,10 +333,10 @@ def _check_sop_agreement(seed: int) -> list[CheckResult]:
     mc_ok = True
     floor_ok = True
     chebs = [est.value for est in sop_mod.sop_chebyshev_batch(configs, sop_mod.CHEBYSHEV_ORDER)]
-    exacts = [est.value for est in sop_mod.sop_exact_batch(configs)]
     # one draw for the whole grid: neighbouring points share their trials
     mcs = mc_mod.simulate_sops(configs, McConfig(trials, seed + 100), ("pas",))
-    for cheb, exact, (mc,) in zip(chebs, exacts, mcs):
+    for cfg, cheb, (mc,) in zip(configs, chebs, mcs):
+        exact = sop_mod.sop_exact(cfg).value
         worst_cheb = max(worst_cheb, abs(cheb - exact))
         gap = abs(mc.estimate - cheb)
         worst_mc = max(worst_mc, gap)

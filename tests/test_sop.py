@@ -238,67 +238,6 @@ class TestSopExact:
         assert sop_exact(cfg).value == pytest.approx(LOWER_BOUND_PAS, abs=1e-12)
 
 
-class TestExactBatch:
-    def test_equals_the_per_point_calls_bit_for_bit(self):
-        configs = box_configs(3000, seed=20261022)
-        batch = sop_mod.sop_exact_batch(configs)
-        single = [sop_exact(cfg) for cfg in configs]
-        # value, raw_value and evaluation count, bit for bit
-        assert batch == single
-        # the sample holds certain outage, which runs no panel, and
-        # configurations whose threshold map has its pole inside [0, D/2]
-        certain = sum(est.order_or_trials == 0 for est in single)
-        pole = sum(
-            est.order_or_trials > 0
-            and (cfg.rate_threshold - 1.0) * ((cfg.region_side / 2.0) ** 2 + cfg.height**2)
-            >= cfg.effective_snr
-            for cfg, est in zip(configs, single)
-        )
-        assert certain > 100 and pole > 100
-
-    def test_the_check_grid_is_one_offset_cdf_call(self, monkeypatch):
-        from pinchsec.validation import _grid_configs
-
-        configs = _grid_configs()
-        single = [sop_exact(cfg) for cfg in configs]
-        shapes = []
-        sides = dist_mod._cdf_offset_sq_sides
-
-        def recording(t, d):
-            shapes.append(t.shape)
-            return sides(t, d)
-
-        monkeypatch.setattr(dist_mod, "_cdf_offset_sq_sides", recording)
-        monkeypatch.setattr(dist_mod, "_cdf_offset_sq_rows", None)  # the lone path's kernel
-        assert sop_mod.sop_exact_batch(configs) == single
-        [(rows, nodes)] = shapes
-        assert rows * nodes == sum(est.order_or_trials for est in single)
-
-    def test_empty_batch(self):
-        assert sop_mod.sop_exact_batch([]) == []
-
-    def test_the_first_configuration_off_the_bound_raises_as_alone(self, monkeypatch):
-        certain = make_config(power_dbm=-30.0, rate=12.0)
-        zero_error = make_config(rate=0.0)
-        # positive error estimates: both fail an absurdly small bound
-        failing = make_config(region_side=100.0, height=0.01, power_dbm=-20.0, rate=1.0)
-        later = make_config(region_side=30.0, power_dbm=20.0, rate=1.0)
-        monkeypatch.setattr(sop_mod, "_ERROR_BOUND", 1e-300)
-        assert [sop_exact(cfg).order_or_trials > 0 for cfg in (certain, zero_error)] == [False, True]
-        for cfg in (failing, later):
-            with pytest.raises(AccuracyError):
-                sop_exact(cfg)
-        with pytest.raises(AccuracyError) as alone:
-            sop_exact(failing)
-        with pytest.raises(AccuracyError) as batch:
-            sop_mod.sop_exact_batch([certain, zero_error, failing, later])
-        assert str(batch.value) == str(alone.value)
-        assert (batch.value.estimate, batch.value.error_estimate) == (
-            alone.value.estimate,
-            alone.value.error_estimate,
-        )
-
-
 def chebyshev_at_reference_geometry(cfg, order):
     """sop_chebyshev at D = 10 m, h = 3 m, where only the two-node sum dips
     below the pinching floor: that order must warn, every other stay silent."""

@@ -1351,10 +1351,8 @@ CORRUPTIONS = {
         sop_mod, "sop_chebyshev_batch",
         lambda f: lambda *a: [replace(est, value=est.value + 2e-3) for est in f(*a)],
         "_check_sop_agreement", ["chebyshev-vs-exact"]),
-    # the grid's exact values come from one batched call
     "exact-shifted": (
-        sop_mod, "sop_exact_batch",
-        lambda f: lambda cfgs: [replace(est, value=est.value + 2e-3) for est in f(cfgs)],
+        sop_mod, "sop_exact", lambda f: lambda c: replace(f(c), value=f(c).value + 2e-3),
         "_check_sop_agreement", ["chebyshev-vs-exact"]),
     "eve-pdf-scaled": (
         dist_mod, "pdf_snr_eve", lambda f: lambda z, c: 1.01 * f(z, c),

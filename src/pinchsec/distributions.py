@@ -80,7 +80,8 @@ def _snr_knots(cfg: SystemConfig) -> tuple[float, float, float, float]:
     """
     s = cfg.effective_snr
     h2 = cfg.height**2
-    return tuple(s / (w + h2) for w in reversed(offset_sq_knots(cfg)))
+    w0, w1, w2, w3 = _offset_knots(cfg.region_side)
+    return s / (w3 + h2), s / (w2 + h2), s / (w1 + h2), s / (w0 + h2)
 
 
 # The scalars the SNR kernels read, each computed in Python floats from one
@@ -233,7 +234,7 @@ def _cdf_offset_sq(t: np.ndarray, d: float) -> np.ndarray:
 
 
 def _cdf_offset_sq_rows(t: np.ndarray, d: float) -> np.ndarray:
-    """:func:`_cdf_offset_sq`, bit for bit, of (k, n) t with nondecreasing rows.
+    """:func:`_cdf_offset_sq`, bit for bit, of (k, n) t, n >= 2, with nondecreasing rows.
 
     A row's first and last t are its least and greatest, so a row whose
     ends lie in one branch of :func:`_branches` takes that form on its
@@ -242,7 +243,7 @@ def _cdf_offset_sq_rows(t: np.ndarray, d: float) -> np.ndarray:
     """
     out = np.empty(t.shape)
     branches = _branches(d)
-    for row, row_out, least, greatest in zip(t, out, t[:, 0].tolist(), t[:, -1].tolist()):
+    for row, row_out, (least, greatest) in zip(t, out, t[:, :: t.shape[1] - 1].tolist()):
         for lo, hi, form in branches:
             if lo < least <= greatest <= hi:
                 form(row, d, out=row_out)

@@ -147,8 +147,8 @@ def _panel_quadrature(f, edges):
 
     The edges should include every kink of ``f``, which is called once,
     on a (..., k, 127) array of nodes, and returns a new float array of
-    that shape, which is scaled in place. Returns the fine integrals,
-    their distances to the coarse ones, and the number of evaluations.
+    that shape, which is scaled in place. Returns the fine and the
+    coarse integrals, and the number of evaluations.
     No sum goes through BLAS, whose order of addition depends on the CPU.
     """
     edges = np.asarray(edges, dtype=np.float64)
@@ -160,7 +160,7 @@ def _panel_quadrature(f, edges):
     parts = np.add.reduce(fx, axis=-2)
     fine = np.add.reduce(parts * _WEIGHTS, axis=-1)
     coarse = np.add.reduce(parts[..., 1::2] * _COARSE_WEIGHTS, axis=-1)
-    return fine, np.abs(fine - coarse), x.size
+    return fine, coarse, x.size
 
 
 def _outage_integral(d: float, h2: float, c: float, snr: float) -> tuple[float, int]:
@@ -206,16 +206,18 @@ def _outage_integral(d: float, h2: float, c: float, snr: float) -> tuple[float, 
         den = 1.0 - (c - 1.0) * v
         t *= c
         t += k * (1.0 + v)
-        # den > 0 before the last crossing up to rounding; t is infinite past its pole
-        if np.minimum.reduce(den, axis=None) > 0.0:
+        # den > 0 before the last crossing up to rounding; t is infinite past
+        # its pole. den never rises along the panels' nodes, so the last is least.
+        if den[-1, -1] > 0.0:
             t /= den
         else:
             t = np.divide(t, den, out=np.full_like(t, np.inf), where=den > 0.0)
         return dist._cdf_offset_sq_rows(t, d)
 
-    fine, error, evaluations = _panel_quadrature(outage, edges)
-    value = (float(fine) + (half - crossings[-1])) / half
-    error = float(error) / half
+    fine, coarse, evaluations = _panel_quadrature(outage, edges)
+    fine = float(fine)
+    value = (fine + (half - crossings[-1])) / half
+    error = abs(fine - float(coarse)) / half
     if error > _ERROR_BOUND:
         raise AccuracyError(
             f"outage integral did not converge to {_ERROR_BOUND:g} (error estimate {error:g})",
@@ -227,8 +229,9 @@ def _outage_integral(d: float, h2: float, c: float, snr: float) -> tuple[float, 
 
 def _clamped(raw: float, method: Method, order_or_trials: int) -> SopEstimate:
     """``raw`` clamped to [0, 1], kept as ``raw_value`` where that changed it."""
-    value = min(max(raw, 0.0), 1.0)
-    return SopEstimate(value, method, order_or_trials, raw_value=raw if value != raw else None)
+    if 0.0 <= raw <= 1.0:
+        return SopEstimate(raw, method, order_or_trials)
+    return SopEstimate(min(max(raw, 0.0), 1.0), method, order_or_trials, raw_value=raw)
 
 
 def sop_exact(cfg: SystemConfig) -> SopEstimate:

@@ -516,6 +516,31 @@ class TestIntegrandAssumptions:
         for t in thresholds:
             assert (t[:, 1:] >= t[:, :-1]).all()
 
+    def test_the_denominator_never_rises_along_the_nodes(self, monkeypatch):
+        # so the integrand reads its least at the last node of the last panel
+        nodes = []
+        quadrature = sop_mod._panel_quadrature
+
+        def capturing(f, edges):
+            def recording(y):
+                nodes.append(y.copy())
+                return f(y)
+
+            return quadrature(recording, edges)
+
+        monkeypatch.setattr(sop_mod, "_panel_quadrature", capturing)
+        calls = 0
+        for cfg in box_configs(600, seed=20261020):
+            if sop_exact(cfg).order_or_trials == 0:
+                continue
+            [y] = nodes
+            nodes.clear()
+            calls += 1
+            c, s = cfg.rate_threshold, cfg.effective_snr
+            den = 1.0 - (c - 1.0) * ((y * y + cfg.height**2) / s)
+            assert (np.diff(den.ravel()) <= 0.0).all(), cfg
+        assert calls > 300
+
     @pytest.mark.parametrize("power_dbm,rate", [(20.0, 0.1), (0.0, 1.0)])
     def test_past_the_pole_t_is_inf_as_in_the_frozen_integrand(self, monkeypatch, power_dbm, rate):
         # the nodes stop short of the pole where the denominator reaches 0,
@@ -617,6 +642,20 @@ class TestScaleInvariance:
 
 
 class TestSopEstimateType:
+    @pytest.mark.parametrize(
+        "raw", [0.0, -0.0, 5e-324, 1.0, math.nextafter(1.0, 2.0), -5e-324, -0.2, 1.5]
+    )
+    def test_clamped_is_the_min_max_rule(self, raw):
+        # the in-range fast path included: -0.0 stays -0.0, as the rule keeps it
+        value = min(max(raw, 0.0), 1.0)
+        est = sop_mod._clamped(raw, Method.EXACT, 7)
+        assert repr((est.value, est.raw_value)) == repr((value, raw if value != raw else None))
+        assert (est.method, est.order_or_trials) == (Method.EXACT, 7)
+
+    def test_clamped_nan_raises(self):
+        with pytest.raises(ValueError):
+            sop_mod._clamped(math.nan, Method.EXACT, 7)
+
     def test_value_domain_enforced(self):
         with pytest.raises(ValueError):
             SopEstimate(1.5, Method.EXACT, 0)
